@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import BudgetExceededError, CapExceededError, DualityError, FrameFormatError, LanguageError
 from .frames import ConditionalFrame, GeneralFrame, strongly_coherent, validate_conditional
-from .order import FinitePreorder, all_upsets, heyting_imp, mask_to_key
+from .order import FinitePreorder, all_upsets, heyting_imp, mask_to_key, read_indices
 from .syntax import Formula, Language, proposition_letters
 
 PF_CAP = 20
@@ -434,22 +434,22 @@ def algebra_to_json(alg: FiniteCHA) -> dict:
 
 def algebra_from_json(obj: dict) -> FiniteCHA:
     try:
-        size = int(obj["size"])
+        size = obj["size"]
         leq_pairs = obj["leq"]
-        imp = tuple(tuple(int(v) for v in row) for row in obj["imp"])
-        cond = tuple(tuple(int(v) for v in row) for row in obj["cond"])
-        top = int(obj["top"])
-        bot = int(obj["bot"])
-    except (KeyError, TypeError, ValueError) as exc:
+        imp_rows = list(obj["imp"])
+        cond_rows = list(obj["cond"])
+        top_bot = [obj["top"], obj["bot"]]
+    except (KeyError, TypeError) as exc:
         raise FrameFormatError(f"malformed algebra object: {exc}") from exc
-    leq = [0] * size
-    for pair in leq_pairs:
-        i, j = pair
-        if not (0 <= i < size and 0 <= j < size):
-            raise FrameFormatError(f"leq pair ({i}, {j}) out of range")
+    # the imp table bounds the carrier before anything is allocated for it
+    if type(size) is not int or not 1 <= size <= len(imp_rows):
+        raise FrameFormatError(f"algebra size {size!r} does not fit its imp table")
+    imp = tuple(tuple(read_indices(row, size, "imp entry")) for row in imp_rows)
+    cond = tuple(tuple(read_indices(row, size, "cond entry")) for row in cond_rows)
+    top, bot = read_indices(top_bot, size, "top/bot")
+    leq = [1 << i for i in range(size)]
+    for i, j in read_indices(leq_pairs, size, "leq", pairs=True):
         leq[i] |= 1 << j
-    for i in range(size):
-        leq[i] |= 1 << i
     alg = FiniteCHA(size, tuple(leq), imp, cond, top, bot)
     report = validate_cha(alg)
     if not report.ok:

@@ -10,31 +10,31 @@ frame class; the remaining entries are verified against every valid frame.
 Persistence is tested at the correspondent level: generate a random valid
 general frame whose correspondent holds on the admissible upsets, fill in,
 then re-check the correspondent over all upsets of the result.
+
+One quantifier loop (:func:`_corr_loop`) evaluates every correspondent,
+alone or as a conjunction for a named logic, and one runner
+(:func:`_run_chunks`) spreads sampling over worker processes.  Both
+sampling experiments seed each sample index separately, so the frames drawn
+do not depend on the job count; only a persistence run expecting failure,
+which stops each chunk at its first counterexample, counts more samples
+with more jobs.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import generate
 from .errors import GenerationBudgetError, MissingCorrespondentError
 from .fillins import ALL_KINDS, FillInKind, check_squeeze_precondition, fill
 from .frames import GeneralFrame, frame_to_json, strongly_coherent
-from .order import mask_to_worlds, up_closure
+from .order import mask_to_worlds, set_bits, up_closure
 from .semantics import valid
 from .syntax import Formula, Language, parse
-
-
-def _iter_bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 # Each correspondent takes (order, rel, upc, a, b, x) where rel maps an
@@ -88,7 +88,7 @@ def _c_mon(p, rel, upc, a, b, x):
 def _c_ex(p, rel, upc, a, b, x):
     target = upc(rel(a & b)[x])
     rb = rel(b)
-    for y in _iter_bits(rel(a)[x]):
+    for y in set_bits(rel(a)[x]):
         if rb[y] & ~target:
             return False
     return True
@@ -127,7 +127,7 @@ def _c_icc(p, rel, upc, a, b, x):
 def _c_four(p, rel, upc, a, b, x):
     rows = rel(a)
     bound = upc(rows[x])
-    for y in _iter_bits(rows[x]):
+    for y in set_bits(rows[x]):
         if rows[y] & ~bound:
             return False
     return True
@@ -136,14 +136,14 @@ def _c_four(p, rel, upc, a, b, x):
 def _c_c4(p, rel, upc, a, b, x):
     rows = rel(a)
     composite = 0
-    for y in _iter_bits(rows[x]):
+    for y in set_bits(rows[x]):
         composite |= rows[y]
     return not rows[x] & ~upc(composite)
 
 
 def _c_box_tc(p, rel, upc, a, b, x):
     rows = rel(a)
-    for y in _iter_bits(upc(rows[x])):
+    for y in set_bits(upc(rows[x])):
         if not (upc(rows[y]) >> y) & 1:
             return False
     return True
@@ -154,7 +154,7 @@ def _c_cem1(p, rel, upc, a, b, x):
 
 
 def _c_cem2(p, rel, upc, a, b, x):
-    for y in _iter_bits(rel(a)[x]):
+    for y in set_bits(rel(a)[x]):
         if p.up[y] != 1 << y:
             return False
     return True
@@ -162,7 +162,7 @@ def _c_cem2(p, rel, upc, a, b, x):
 
 def _c_cem3(p, rel, upc, a, b, x):
     rows = rel(a)
-    for y in _iter_bits(upc(rows[x])):
+    for y in set_bits(upc(rows[x])):
         if not (upc(rows[y]) >> x) & 1:
             return False
     return True
@@ -181,7 +181,7 @@ def _c_ecm2(p, rel, upc, a, b, x):
     rows = rel(a)
     succ = rows[x]
     closure = upc(succ)
-    for z in _iter_bits(closure):
+    for z in set_bits(closure):
         reach = upc(rows[z])
         if succ & ~reach:
             return False
@@ -364,6 +364,15 @@ AXIOM_MODES: Dict[str, Tuple[str, ...]] = {
 ICC_MODES: Tuple[str, ...] = ("strength", "refl", "const_meet", "empty", "subset")
 
 
+def _witness_json(witness: Tuple) -> dict:
+    a, b, x = witness
+    return {
+        "a": mask_to_worlds(a),
+        "b": None if b is None else mask_to_worlds(b),
+        "world": x,
+    }
+
+
 @dataclass
 class CorrReport:
     key: str
@@ -371,32 +380,28 @@ class CorrReport:
     witness: Optional[Tuple] = None  # (a_mask, b_mask or None, world)
 
     def witness_json(self):
-        if self.witness is None:
-            return None
-        a, b, x = self.witness
-        return {
-            "a": mask_to_worlds(a),
-            "b": None if b is None else mask_to_worlds(b),
-            "world": x,
-        }
+        return None if self.witness is None else _witness_json(self.witness)
 
 
-def _corr_loop(frame: GeneralFrame, entry: AxiomEntry) -> Optional[Tuple]:
-    """First violating (a, b, x) triple in ascending order, or None."""
-    p = frame.order
-    upc_cache: Dict[int, int] = {}
+def _upc_memo(p) -> Callable[[int], int]:
+    """Up-closure in ``p``, memoised for the lifetime of the returned function."""
+    memo: Dict[int, int] = {}
 
     def upc(mask: int) -> int:
-        got = upc_cache.get(mask)
+        got = memo.get(mask)
         if got is None:
-            got = up_closure(p, mask)
-            upc_cache[mask] = got
+            got = memo[mask] = up_closure(p, mask)
         return got
 
+    return upc
+
+
+def _corr_loop(frame: GeneralFrame, quant: str, fn: Callable,
+               upc: Callable[[int], int]) -> Optional[Tuple]:
+    """First violating (a, b, x) triple in ascending order, or None."""
+    p = frame.order
     rel = frame.rel
     pool = frame.admissible
-    fn = entry.corr
-    quant = entry.quantifier
     if quant == "const":
         return None
     if quant == "x":
@@ -418,44 +423,22 @@ def _corr_loop(frame: GeneralFrame, entry: AxiomEntry) -> Optional[Tuple]:
     return None
 
 
+def _entry_witness(frame: GeneralFrame, entry: AxiomEntry) -> Optional[Tuple]:
+    return _corr_loop(frame, entry.quantifier, entry.corr, _upc_memo(frame.order))
+
+
 def correspondent_holds(frame: GeneralFrame, key: str) -> CorrReport:
     """Evaluate the registered correspondent over the frame's admissible family."""
     entry = AXIOMS[key]
     if not entry.has_correspondent:
         raise MissingCorrespondentError(f"axiom {key!r} has no frame correspondent")
-    witness = _corr_loop(frame, entry)
+    witness = _entry_witness(frame, entry)
     return CorrReport(key, witness is None, witness)
 
 
 def _conditions_hold(frame: GeneralFrame, conds: Sequence[Tuple[str, str, Callable]]) -> bool:
-    p = frame.order
-    upc_cache: Dict[int, int] = {}
-
-    def upc(mask: int) -> int:
-        got = upc_cache.get(mask)
-        if got is None:
-            got = up_closure(p, mask)
-            upc_cache[mask] = got
-        return got
-
-    rel = frame.rel
-    pool = frame.admissible
-    for _name, quant, fn in conds:
-        if quant == "const":
-            continue
-        if quant == "x":
-            if not all(fn(p, rel, upc, 0, None, x) for x in range(p.n)):
-                return False
-        elif quant == "ax":
-            if not all(fn(p, rel, upc, a, None, x) for a in pool for x in range(p.n)):
-                return False
-        else:
-            for a in pool:
-                for b in pool:
-                    for x in range(p.n):
-                        if not fn(p, rel, upc, a, b, x):
-                            return False
-    return True
+    upc = _upc_memo(frame.order)
+    return all(_corr_loop(frame, quant, fn, upc) is None for _name, quant, fn in conds)
 
 
 def logic_frame_conditions(preset: str) -> List[Tuple[str, str, Callable]]:
@@ -492,6 +475,23 @@ def _chunk_ranges(total: int, jobs: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)] if total else []
 
 
+def _run_chunks(worker: Callable, args: Tuple, total: int, jobs: int) -> list:
+    """``worker(*args, lo, hi)`` over the chunks of ``range(total)``, in chunk order.
+
+    With ``jobs > 1`` the chunks run in a process pool; otherwise a single
+    in-process call covers the whole range.
+    """
+    if jobs > 1 and total > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        los, his = zip(*_chunk_ranges(total, jobs))
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            return list(pool.map(partial(worker, *args), los, his))
+    return [worker(*args, 0, total)]
+
+
 def _verify_sample_range(key: str, seed: int, lo: int, hi: int) -> Tuple[int, List[dict]]:
     entry = AXIOMS[key]
     schema = entry.formula
@@ -526,20 +526,8 @@ def verify_correspondence(key: str, max_worlds: int = 2, samples: int = 0,
         checked_exhaustive += 1
         _compare(frame, entry, schema, discrepancies)
     checked_sampled = 0
-    if jobs > 1 and samples > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _verify_worker,
-                [(key, seed, lo, hi) for lo, hi in _chunk_ranges(samples, jobs)],
-            )
-        for count, part in parts:
-            checked_sampled += count
-            discrepancies.extend(part)
-    else:
-        count, part = _verify_sample_range(key, seed, 0, samples)
-        checked_sampled = count
+    for count, part in _run_chunks(_verify_sample_range, (key, seed), samples, jobs):
+        checked_sampled += count
         discrepancies.extend(part)
     return {
         "axiom": key,
@@ -550,10 +538,6 @@ def verify_correspondence(key: str, max_worlds: int = 2, samples: int = 0,
         "discrepancies": discrepancies,
         "ok": not discrepancies,
     }
-
-
-def _verify_worker(args):
-    return _verify_sample_range(*args)
 
 
 def _sample_frame_for_correspondence(rng: random.Random, entry: AxiomEntry):
@@ -573,7 +557,7 @@ def _sample_frame_for_correspondence(rng: random.Random, entry: AxiomEntry):
 
 
 def _compare(frame, entry, schema, discrepancies):
-    corr = _corr_loop(frame, entry) is None
+    corr = _entry_witness(frame, entry) is None
     verdict = valid(frame, schema)
     if corr != verdict.valid:
         discrepancies.append(
@@ -588,8 +572,11 @@ def _compare(frame, entry, schema, discrepancies):
 # --- persistence experiments ---------------------------------------------------
 
 
+_PRECONDITION_ATTEMPTS = 300
+
+
 def _generate_precondition_frame(rng: random.Random, key: str, kind: FillInKind,
-                                 strong: bool, attempts: int = 300) -> Optional[GeneralFrame]:
+                                 strong: bool) -> Optional[GeneralFrame]:
     """One random valid general frame whose correspondent holds on the
     admissible family (plus the cautious conditions for squeeze)."""
     entry = AXIOMS[key]
@@ -597,12 +584,12 @@ def _generate_precondition_frame(rng: random.Random, key: str, kind: FillInKind,
     modes = AXIOM_MODES.get(key, ("random", "empty"))
     if squeeze:
         modes = tuple(dict.fromkeys(modes + ICC_MODES))
-    for _ in range(attempts):
+    for _ in range(_PRECONDITION_ATTEMPTS):
         n = rng.choice((2, 2, 3, 3, 3, 4))
         frame = generate.random_general_frame(
             rng, n, mode_names=modes, force_subset=squeeze, strong=strong
         )
-        if _corr_loop(frame, entry) is not None:
+        if _entry_witness(frame, entry) is not None:
             continue
         if squeeze and not check_squeeze_precondition(frame).holds:
             continue
@@ -616,7 +603,7 @@ def _persist_sample_range(key: str, kind_name: str, seed: int, strong: bool,
     kind = FillInKind.from_name(kind_name)
     passes = 0
     failures = 0
-    first = None  # (index, counterexample dict)
+    first = None  # the first counterexample in index order
     for i in range(lo, hi):
         rng = random.Random(f"{seed}:{key}:{kind.value}:{i}")
         frame = _generate_precondition_frame(rng, key, kind, strong)
@@ -625,32 +612,20 @@ def _persist_sample_range(key: str, kind_name: str, seed: int, strong: bool,
                 f"could not generate a frame satisfying the {key!r} precondition"
             )
         filled = fill(frame, kind)
-        witness = _corr_loop(filled, entry)
+        witness = _entry_witness(filled, entry)
         if witness is None:
             passes += 1
         else:
             failures += 1
             if first is None:
-                a, b, x = witness
-                first = (
-                    i,
-                    {
-                        "general_frame": frame_to_json(frame),
-                        "filled_frame": frame_to_json(filled),
-                        "witness": {
-                            "a": mask_to_worlds(a),
-                            "b": None if b is None else mask_to_worlds(b),
-                            "world": x,
-                        },
-                    },
-                )
+                first = {
+                    "general_frame": frame_to_json(frame),
+                    "filled_frame": frame_to_json(filled),
+                    "witness": _witness_json(witness),
+                }
             if expect == "fail":
                 break
     return passes, failures, first
-
-
-def _persist_worker(args):
-    return _persist_sample_range(*args)
 
 
 def persistence_experiment(key: str, kind: FillInKind, samples: int = 200,
@@ -666,29 +641,12 @@ def persistence_experiment(key: str, kind: FillInKind, samples: int = 200,
     entry = AXIOMS[key]
     if not entry.has_correspondent:
         raise MissingCorrespondentError(f"axiom {key!r} has no frame correspondent")
-    passes = 0
-    failures = 0
-    first = None
-    if jobs > 1 and samples > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _persist_worker,
-                [
-                    (key, kind.value, seed, strong, expect, lo, hi)
-                    for lo, hi in _chunk_ranges(samples, jobs)
-                ],
-            )
-        for p, f, fst in parts:
-            passes += p
-            failures += f
-            if fst is not None and (first is None or fst[0] < first[0]):
-                first = fst
-    else:
-        passes, failures, first = _persist_sample_range(
-            key, kind.value, seed, strong, expect, 0, samples
-        )
+    parts = _run_chunks(_persist_sample_range, (key, kind.value, seed, strong, expect),
+                        samples, jobs)
+    passes = sum(p for p, _, _ in parts)
+    failures = sum(f for _, f, _ in parts)
+    # chunks arrive in index order, so the first counterexample is the earliest
+    first = next((c for _, _, c in parts if c is not None), None)
     total = passes + failures
     report = {
         "axiom": key,
@@ -699,7 +657,7 @@ def persistence_experiment(key: str, kind: FillInKind, samples: int = 200,
         "pass_rate": passes / total if total else None,
         "expect": expect,
         "strong": strong,
-        "counterexample": None if first is None else first[1],
+        "counterexample": first,
     }
     report["ok"] = (failures == 0) if expect == "pass" else (failures > 0)
     return report
@@ -729,7 +687,7 @@ def search_countermodel(preset: str, target: Formula, max_worlds: int = 2,
     conds = logic_frame_conditions(preset)
     checked = 0
     matching = 0
-    for frame in generate.enumerate_full_frames(min(2, max_worlds)):
+    for frame in _search_frames(max_worlds, samples, seed):
         checked += 1
         if not _conditions_hold(frame, conds):
             continue
@@ -738,17 +696,16 @@ def search_countermodel(preset: str, target: Formula, max_worlds: int = 2,
         if not verdict.valid:
             return SearchResult(True, frame, verdict.valuation, verdict.world,
                                 checked, matching)
-    if max_worlds > 2:
-        for i in range(samples):
-            rng = random.Random(f"{seed}:search:{i}")
-            n = 3 + (i % (max_worlds - 2))
-            frame = generate.random_full_frame(rng, n)
-            checked += 1
-            if not _conditions_hold(frame, conds):
-                continue
-            matching += 1
-            verdict = valid(frame, target)
-            if not verdict.valid:
-                return SearchResult(True, frame, verdict.valuation, verdict.world,
-                                    checked, matching)
     return SearchResult(False, frames_checked=checked, frames_matching=matching)
+
+
+def _search_frames(max_worlds: int, samples: int, seed: int):
+    """All frames with at most two worlds, then seeded random ones up to ``max_worlds``."""
+    exhaustive = generate.enumerate_full_frames(min(2, max_worlds))
+    if max_worlds <= 2:
+        return exhaustive
+    sampled = (
+        generate.random_full_frame(random.Random(f"{seed}:search:{i}"), 3 + i % (max_worlds - 2))
+        for i in range(samples)
+    )
+    return itertools.chain(exhaustive, sampled)

@@ -297,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("valid", help="exhaustive validity over valuations")
     p.add_argument("--frame", required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--admissible", action="store_true",
-                   help="quantify valuations over the admissible family "
-                        "(always the case; accepted for explicitness)")
     p.add_argument("--budget", type=int, default=semantics.DEFAULT_BUDGET)
     p.add_argument("--out", help="write the countermodel valuation here")
     p.set_defaults(fn=_cmd_valid)

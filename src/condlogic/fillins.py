@@ -166,30 +166,3 @@ def fill(g: GeneralFrame, kind: FillInKind) -> ConditionalFrame:
             relations[a] = _fill_rows(g, kind, a)
     return ConditionalFrame(g.order, relations)
 
-
-def fill_empty(g: GeneralFrame) -> ConditionalFrame:
-    return fill(g, FillInKind.EMPTY)
-
-
-def fill_reflexive(g: GeneralFrame) -> ConditionalFrame:
-    return fill(g, FillInKind.REFLEXIVE)
-
-
-def fill_principal(g: GeneralFrame) -> ConditionalFrame:
-    return fill(g, FillInKind.PRINCIPAL)
-
-
-def fill_total(g: GeneralFrame) -> ConditionalFrame:
-    return fill(g, FillInKind.TOTAL)
-
-
-def fill_union(g: GeneralFrame) -> ConditionalFrame:
-    return fill(g, FillInKind.UNION)
-
-
-def fill_transitive(g: GeneralFrame) -> ConditionalFrame:
-    return fill(g, FillInKind.TRANSITIVE)
-
-
-def fill_squeeze(g: GeneralFrame) -> ConditionalFrame:
-    return fill(g, FillInKind.SQUEEZE)

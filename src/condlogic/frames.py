@@ -7,6 +7,11 @@ bit-vector encoding.
 
 Validation is report-based rather than exception-based so callers (and the
 random-frame fuzzer) can catalog exactly which clause failed.
+
+Frames memoise the two operations evaluation needs, keyed by operand masks:
+``imp`` (the Heyting implication of the order) on every frame, and ``dto``
+(the conditional) on general frames or ``box`` (the modal box) on modal
+frames.  All three are :func:`order.box` over some relation.
 """
 
 from __future__ import annotations
@@ -18,12 +23,16 @@ from .errors import FrameFormatError, NotAdmissibleError
 from .order import (
     FinitePreorder,
     all_upsets,
+    box,
     heyting_imp,
+    image,
     is_upset,
     key_to_mask,
     mask_to_key,
     mask_to_worlds,
+    read_indices,
     up_closure,
+    worlds_to_mask,
 )
 
 Rows = Tuple[int, ...]
@@ -52,29 +61,14 @@ class FrameReport:
         return "; ".join(f"[{v.clause}] {v.detail}" for v in self.violations)
 
 
-def rel_image(rows: Rows, x: int) -> int:
-    return rows[x]
-
-
 def compose_up_rel(p: FinitePreorder, rows: Rows) -> Rows:
     """Diagrammatic composite of leq with the relation: first go up, then step."""
-    return tuple(_union_over(p.up[x], rows) for x in range(p.n))
+    return tuple(image(rows, up) for up in p.up)
 
 
 def compose_rel_up(p: FinitePreorder, rows: Rows) -> Rows:
     """First step the relation, then go up."""
-    return tuple(up_closure(p, rows[x]) for x in range(p.n))
-
-
-def _union_over(mask: int, rows: Rows) -> int:
-    out = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            out |= rows[i]
-        mask >>= 1
-        i += 1
-    return out
+    return tuple(up_closure(p, r) for r in rows)
 
 
 def rel_coherent(p: FinitePreorder, rows: Rows) -> bool:
@@ -84,8 +78,7 @@ def rel_coherent(p: FinitePreorder, rows: Rows) -> bool:
     rows[x].
     """
     for x in range(p.n):
-        bound = up_closure(p, rows[x])
-        if _union_over(p.up[x], rows) & ~bound:
+        if image(rows, p.up[x]) & ~up_closure(p, rows[x]):
             return False
     return True
 
@@ -93,13 +86,24 @@ def rel_coherent(p: FinitePreorder, rows: Rows) -> bool:
 def rel_strongly_coherent(p: FinitePreorder, rows: Rows) -> bool:
     """leq-then-step-then-leq equals the relation itself."""
     for x in range(p.n):
-        if up_closure(p, _union_over(p.up[x], rows)) != rows[x]:
+        if up_closure(p, image(rows, p.up[x])) != rows[x]:
             return False
     return True
 
 
+class _ImpMemo:
+    """The Heyting implication of ``self.order``, memoised per frame."""
+
+    def imp(self, a: int, b: int) -> int:
+        memo = self._imp_memo
+        got = memo.get((a, b))
+        if got is None:
+            got = memo[(a, b)] = heyting_imp(self.order, a, b)
+        return got
+
+
 @dataclass
-class GeneralFrame:
+class GeneralFrame(_ImpMemo):
     """Preorder plus relations indexed by an admissible family of upsets.
 
     Treated as immutable after construction; instances are read-shared
@@ -120,8 +124,8 @@ class GeneralFrame:
                 raise FrameFormatError(f"relation for {mask_to_key(a)!r} has wrong row count")
             if any(r & ~full for r in rows):
                 raise FrameFormatError(f"relation for {mask_to_key(a)!r} mentions unknown worlds")
-        # pure cache for the a |> b operation, keyed by (a, b)
-        object.__setattr__(self, "_dto_cache", {})
+        self._imp_memo: Dict[Tuple[int, int], int] = {}
+        self._dto_memo: Dict[Tuple[int, int], int] = {}
 
     @property
     def n(self) -> int:
@@ -139,17 +143,11 @@ class GeneralFrame:
 
     def dto(self, a: int, b: int) -> int:
         """The operation ``a |> b``: worlds whose R_a successors all lie in b."""
-        cache = self._dto_cache
-        got = cache.get((a, b))
-        if got is not None:
-            return got
-        rows = self.rel(a)
-        out = 0
-        for x in range(self.order.n):
-            if not rows[x] & ~b:
-                out |= 1 << x
-        cache[(a, b)] = out
-        return out
+        memo = self._dto_memo
+        got = memo.get((a, b))
+        if got is None:
+            got = memo[(a, b)] = box(self.rel(a), b)
+        return got
 
 
 class ConditionalFrame(GeneralFrame):
@@ -235,7 +233,7 @@ def strongly_coherent(g: GeneralFrame) -> bool:
 
 
 @dataclass
-class ModalFrame:
+class ModalFrame(_ImpMemo):
     """Preorder with a single boxed relation."""
 
     order: FinitePreorder
@@ -245,6 +243,13 @@ class ModalFrame:
         full = self.order.full_mask
         if len(self.rel) != self.order.n or any(r & ~full for r in self.rel):
             raise FrameFormatError("modal relation rows do not fit the world set")
+        self._imp_memo: Dict[Tuple[int, int], int] = {}
+
+    def box(self, a: int, b: int) -> int:
+        """The box of ``b``; ``a`` is ignored, so the box fills the binary
+        slot the conditional takes on general frames (compiled unary nodes
+        repeat their operand)."""
+        return box(self.rel, b)
 
 
 def validate_modal(m: ModalFrame) -> FrameReport:
@@ -285,12 +290,7 @@ def frame_to_json(g: GeneralFrame) -> dict:
 
 def _rows_from_pairs(n: int, pairs) -> Rows:
     rows = [0] * n
-    for pair in pairs:
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise FrameFormatError(f"bad relation pair {pair!r}")
-        i, j = pair
-        if not (0 <= i < n and 0 <= j < n):
-            raise FrameFormatError(f"relation pair ({i}, {j}) out of range")
+    for i, j in read_indices(pairs, n, "relation", pairs=True):
         rows[i] |= 1 << j
     return tuple(rows)
 
@@ -298,26 +298,24 @@ def _rows_from_pairs(n: int, pairs) -> Rows:
 def frame_from_json(obj: dict) -> GeneralFrame:
     """Load and re-validate a frame; raises FrameFormatError on any violation."""
     try:
-        n = int(obj["worlds"])
+        n = obj["worlds"]
         leq = obj["leq"]
         admissible = obj["admissible"]
         rel_obj = obj["relations"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FrameFormatError(f"malformed frame object: {exc}") from exc
+    if not isinstance(rel_obj, dict):
+        raise FrameFormatError("relations must map upset keys to pair lists")
     order = FinitePreorder.from_pairs(n, leq)
-    relations = {key_to_mask(k): _rows_from_pairs(n, v) for k, v in rel_obj.items()}
+    relations = {key_to_mask(k, n): _rows_from_pairs(n, v) for k, v in rel_obj.items()}
     if admissible == "all":
         frame: GeneralFrame = ConditionalFrame(order, relations)
         report = validate_conditional(frame)
     else:
-        masks = []
-        for worlds in admissible:
-            mask = 0
-            for w in worlds:
-                if not (0 <= int(w) < n):
-                    raise FrameFormatError(f"admissible world {w} out of range")
-                mask |= 1 << int(w)
-            masks.append(mask)
+        if not isinstance(admissible, list):
+            raise FrameFormatError('admissible must be "all" or a list of world lists')
+        masks = [worlds_to_mask(read_indices(worlds, n, "admissible world"))
+                 for worlds in admissible]
         frame = GeneralFrame(order, tuple(masks), relations)
         report = validate_general(frame)
     if not report.ok:

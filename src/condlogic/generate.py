@@ -1,12 +1,12 @@
 """Random and exhaustive generation of posets, frames and formulas.
 
 Coherence repair: left-composing an arbitrary relation with the order
-(``rows'[x] = union of rows[y] over y >= x``) always yields a relation
-satisfying the frame condition, because composing the order with itself
-changes nothing.  Sandwiching between two copies of the order additionally
-yields the strong coherence condition.  Constrained row modes keep their
-defining property under this repair, which is checked again after
-generation anyway.
+(``rows'[x] = union of rows[y] over y >= x``, :func:`frames.compose_up_rel`)
+always yields a relation satisfying the frame condition, because composing
+the order with itself changes nothing.  Sandwiching between two copies of
+the order additionally yields the strong coherence condition.  Constrained
+row modes keep their defining property under this repair, which is checked
+again after generation anyway.
 
 Exhaustive enumeration order is (world count, preorder as a big-endian
 matrix integer, relation assignment as a big-endian integer over the upset
@@ -17,11 +17,18 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Sequence
 
 from .errors import InfeasibleEnumerationError
-from .frames import ConditionalFrame, GeneralFrame, Rows, rel_coherent
-from .order import FinitePreorder, all_upsets, heyting_imp, up_closure
+from .frames import (
+    ConditionalFrame,
+    GeneralFrame,
+    Rows,
+    compose_rel_up,
+    compose_up_rel,
+    rel_coherent,
+)
+from .order import FinitePreorder, all_upsets, box, heyting_imp, intransitive_pair
 from .syntax import And, Bot, Box, Cond, Formula, Imp, Language, Or, Var
 
 RowSampler = Callable[[int], Rows]
@@ -30,28 +37,16 @@ RowSampler = Callable[[int], Rows]
 # --- repair ---------------------------------------------------------------
 
 
-def repair_coherent(p: FinitePreorder, rows: Sequence[int]) -> Rows:
-    out = []
-    for x in range(p.n):
-        acc = 0
-        for y in range(p.n):
-            if p.leq(x, y):
-                acc |= rows[y]
-        out.append(acc)
-    return tuple(out)
-
-
 def repair_strong(p: FinitePreorder, rows: Sequence[int]) -> Rows:
-    return tuple(up_closure(p, r) for r in repair_coherent(p, rows))
+    return compose_rel_up(p, compose_up_rel(p, rows))
 
 
 # --- random posets and relations -------------------------------------------
 
 
-def random_poset(rng: random.Random, n: int, edge_prob: Optional[float] = None) -> FinitePreorder:
+def random_poset(rng: random.Random, n: int) -> FinitePreorder:
     """Random poset: edges only from lower to higher index, then closed."""
-    if edge_prob is None:
-        edge_prob = rng.choice([0.2, 0.35, 0.5, 0.7])
+    edge_prob = rng.choice([0.2, 0.35, 0.5, 0.7])
     up = [1 << i for i in range(n)]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
@@ -88,7 +83,7 @@ def _mode_empty(rng, p):
 
 def _mode_random(rng, p):
     density = rng.choice([0.15, 0.3, 0.5])
-    return lambda a: repair_coherent(p, random_rows(rng, p, density))
+    return lambda a: compose_up_rel(p, random_rows(rng, p, density))
 
 
 def _mode_strong_random(rng, p):
@@ -98,7 +93,7 @@ def _mode_strong_random(rng, p):
 
 def _mode_subset(rng, p):
     density = rng.choice([0.3, 0.6])
-    return lambda a: repair_coherent(p, [r & a for r in random_rows(rng, p, density)])
+    return lambda a: compose_up_rel(p, [r & a for r in random_rows(rng, p, density)])
 
 
 def _mode_refl(rng, p):
@@ -113,7 +108,7 @@ def _mode_strength_sub(rng, p):
     density = rng.choice([0.4, 0.7])
     def sample(a):
         rows = [r & p.up[x] & a for x, r in enumerate(random_rows(rng, p, density))]
-        return repair_coherent(p, rows)
+        return compose_up_rel(p, rows)
     return sample
 
 
@@ -121,7 +116,7 @@ def _mode_up_within(rng, p):
     density = rng.choice([0.4, 0.7])
     def sample(a):
         rows = [r & p.up[x] for x, r in enumerate(random_rows(rng, p, density))]
-        return repair_coherent(p, rows)
+        return compose_up_rel(p, rows)
     return sample
 
 
@@ -132,7 +127,7 @@ def _mode_diag(rng, p):
         for x in range(p.n):
             if (a >> x) & 1:
                 rows[x] |= 1 << x
-        return repair_coherent(p, rows)
+        return compose_up_rel(p, rows)
     return sample
 
 
@@ -142,7 +137,7 @@ def _mode_diag_all(rng, p):
         rows = random_rows(rng, p, density)
         for x in range(p.n):
             rows[x] |= 1 << x
-        return repair_coherent(p, rows)
+        return compose_up_rel(p, rows)
     return sample
 
 
@@ -156,7 +151,7 @@ def _mode_const_meet(rng, p):
 
 def _mode_shared(rng, p):
     density = rng.choice([0.2, 0.4])
-    shared = repair_coherent(p, random_rows(rng, p, density))
+    shared = compose_up_rel(p, random_rows(rng, p, density))
     return lambda a: shared
 
 
@@ -191,7 +186,7 @@ def _mode_exf(rng, p):
             r if p.up[x] & a else 0
             for x, r in enumerate(random_rows(rng, p, density))
         ]
-        return repair_coherent(p, rows)
+        return compose_up_rel(p, rows)
     return sample
 
 
@@ -249,15 +244,6 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
     drawing a relation for every set the moment it enters the family."""
     admissible = sorted(set(seeds) | {0, p.full_mask})
     relations = {a: sampler(a) for a in admissible}
-
-    def dto(a: int, b: int) -> int:
-        rows = relations[a]
-        out = 0
-        for x in range(p.n):
-            if not rows[x] & ~b:
-                out |= 1 << x
-        return out
-
     changed = True
     while changed:
         changed = False
@@ -265,7 +251,7 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
         known = set(admissible)
         for a in current:
             for b in current:
-                for c in (a & b, a | b, heyting_imp(p, a, b), dto(a, b)):
+                for c in (a & b, a | b, heyting_imp(p, a, b), box(relations[a], b)):
                     if c not in known:
                         known.add(c)
                         relations[c] = sampler(c)
@@ -274,15 +260,17 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
     return tuple(admissible), relations
 
 
+_MAX_REGEN = 8
+
+
 def random_general_frame(rng: random.Random, n: int,
                          mode_names: Sequence[str] = ("random",),
                          force_subset: bool = False,
-                         strong: bool = False,
-                         want_gap: bool = True,
-                         max_regen: int = 8) -> GeneralFrame:
-    """Random valid general frame; prefers frames with non-admissible upsets."""
+                         strong: bool = False) -> GeneralFrame:
+    """Random valid general frame; prefers frames with non-admissible upsets,
+    redrawing up to :data:`_MAX_REGEN` times before settling for a full one."""
     frame = None
-    for _ in range(max_regen):
+    for _ in range(_MAX_REGEN):
         p = random_poset(rng, n)
         sampler = make_sampler(rng, p, mode_names, force_subset=force_subset, strong=strong)
         n_seeds = rng.randrange(0, 3)
@@ -290,7 +278,7 @@ def random_general_frame(rng: random.Random, n: int,
         seeds = [ups[rng.randrange(len(ups))] for _ in range(n_seeds)]
         admissible, relations = close_admissible(rng, p, seeds, sampler)
         frame = GeneralFrame(p, admissible, relations)
-        if not want_gap or len(admissible) < len(ups):
+        if len(admissible) < len(ups):
             return frame
     return frame
 
@@ -309,19 +297,7 @@ def enumerate_preorders(n: int) -> List[FinitePreorder]:
         for k, (i, j) in enumerate(offdiag):
             if (bits >> k) & 1:
                 up[i] |= 1 << j
-        ok = True
-        for i in range(n):
-            mask = up[i]
-            j = 0
-            rest = mask
-            while rest and ok:
-                if rest & 1 and up[j] & ~mask:
-                    ok = False
-                rest >>= 1
-                j += 1
-            if not ok:
-                break
-        if ok:
+        if intransitive_pair(up) is None:
             out.append(FinitePreorder(n, tuple(up)))
     out.sort(key=_matrix_int)
     return out
@@ -358,14 +334,6 @@ def enumerate_full_frames(max_worlds: int = 2) -> Iterator[ConditionalFrame]:
             rels = coherent_relations(p)
             for combo in itertools.product(rels, repeat=len(ups)):
                 yield ConditionalFrame(p, dict(zip(ups, combo)))
-
-
-def count_full_frames(max_worlds: int = 2) -> int:
-    total = 0
-    for n in range(1, max_worlds + 1):
-        for p in enumerate_preorders(n):
-            total += len(coherent_relations(p)) ** len(all_upsets(p))
-    return total
 
 
 # --- random formulas ----------------------------------------------------------

@@ -7,13 +7,20 @@ and cheap to compare; Python ints are all three.
 
 ``all_upsets`` enumerates all ``2^n`` subsets and filters, which caps the
 usable world count at :data:`MAX_WORLDS`.
+
+The bit kernels live here and nowhere else: :func:`set_bits` lists the set
+bits of a mask, :func:`image` unions relation rows over a set of worlds
+(up- and down-closure are images under the order), and :func:`box` keeps the
+worlds whose row lies within a set (the Heyting implication, the
+conditional and the modal box are all boxes).  :func:`read_indices` is the
+one strict reader for world indices and index pairs in JSON files.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, FrameFormatError
 
@@ -31,10 +38,7 @@ class FinitePreorder:
     up: Tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise FrameFormatError("a frame needs a nonempty world set")
-        if self.n > MAX_WORLDS:
-            raise CapExceededError(f"at most {MAX_WORLDS} worlds are supported")
+        _check_world_count(self.n)
         if len(self.up) != self.n:
             raise FrameFormatError("leq row count does not match world count")
         full = (1 << self.n) - 1
@@ -43,26 +47,19 @@ class FinitePreorder:
                 raise FrameFormatError(f"leq row {i} mentions unknown worlds")
             if not (row >> i) & 1:
                 raise FrameFormatError(f"leq is not reflexive at world {i}")
-        for i in range(self.n):
-            row = self.up[i]
-            j = 0
-            rest = row
-            while rest:
-                if rest & 1 and self.up[j] & ~row:
-                    raise FrameFormatError(f"leq is not transitive at ({i}, {j})")
-                rest >>= 1
-                j += 1
+        bad = intransitive_pair(self.up)
+        if bad is not None:
+            raise FrameFormatError(f"leq is not transitive at {bad}")
 
     @staticmethod
-    def from_pairs(n: int, pairs: Iterable[Sequence[int]]) -> "FinitePreorder":
+    def from_pairs(n: int, pairs: Sequence[Sequence[int]]) -> "FinitePreorder":
         """Build from explicit (i, j) pairs meaning ``i <= j``.
 
         Reflexive pairs may be omitted; transitivity is validated, not closed.
         """
+        _check_world_count(n)
         up = [1 << i for i in range(n)]
-        for i, j in pairs:
-            if not (0 <= i < n and 0 <= j < n):
-                raise FrameFormatError(f"leq pair ({i}, {j}) out of range")
+        for i, j in read_indices(pairs, n, "leq", pairs=True):
             up[i] |= 1 << j
         return FinitePreorder(n, tuple(up))
 
@@ -86,6 +83,59 @@ class FinitePreorder:
         )
 
 
+def _check_world_count(n) -> None:
+    if type(n) is not int:
+        raise FrameFormatError(f"world count {n!r} is not an int")
+    if n < 1:
+        raise FrameFormatError("a frame needs a nonempty world set")
+    if n > MAX_WORLDS:
+        raise CapExceededError(f"at most {MAX_WORLDS} worlds are supported")
+
+
+def intransitive_pair(up: Sequence[int]) -> Optional[Tuple[int, int]]:
+    """First ``(i, j)`` with ``i <= j`` but ``up[j]`` not within ``up[i]``, or None."""
+    for i, row in enumerate(up):
+        for j in set_bits(row):
+            if up[j] & ~row:
+                return i, j
+    return None
+
+
+@lru_cache(maxsize=4096)
+def set_bits(mask: int) -> Tuple[int, ...]:
+    """Indices of the set bits of ``mask``, ascending.
+
+    Memoised (bounded), because the loops over a frame meet the same few
+    masks again and again; a cache hit is cheaper than walking the bits.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def image(rows: Sequence[int], s: int) -> int:
+    """Union of ``rows[x]`` over the worlds ``x`` of mask ``s``."""
+    out = 0
+    for x in set_bits(s):
+        out |= rows[x]
+    return out
+
+
+def box(rows: Sequence[int], b: int) -> int:
+    """Worlds ``x`` whose row ``rows[x]`` lies within ``b``."""
+    outside = ~b
+    out = 0
+    bit = 1
+    for row in rows:
+        if not row & outside:
+            out |= bit
+        bit <<= 1
+    return out
+
+
 @lru_cache(maxsize=None)
 def _down_rows(p: FinitePreorder) -> Tuple[int, ...]:
     rows = [0] * p.n
@@ -98,26 +148,11 @@ def _down_rows(p: FinitePreorder) -> Tuple[int, ...]:
 
 def up_closure(p: FinitePreorder, s: int) -> int:
     """Least upset containing the worlds of mask ``s``."""
-    out = 0
-    i = 0
-    while s:
-        if s & 1:
-            out |= p.up[i]
-        s >>= 1
-        i += 1
-    return out
+    return image(p.up, s)
 
 
 def down_closure(p: FinitePreorder, s: int) -> int:
-    out = 0
-    down = _down_rows(p)
-    i = 0
-    while s:
-        if s & 1:
-            out |= down[i]
-        s >>= 1
-        i += 1
-    return out
+    return image(_down_rows(p), s)
 
 
 def is_upset(p: FinitePreorder, s: int) -> bool:
@@ -131,12 +166,9 @@ def all_upsets(p: FinitePreorder) -> Tuple[int, ...]:
 
 
 def heyting_imp(p: FinitePreorder, a: int, b: int) -> int:
-    """Relative pseudocomplement on upsets: ``{x | up(x) & a <= b}``."""
-    out = 0
-    for x in range(p.n):
-        if not (p.up[x] & a) & ~b:
-            out |= 1 << x
-    return out
+    """Relative pseudocomplement on upsets: ``{x | up(x) & a <= b}``, the box
+    of the order over ``(X minus a) | b``."""
+    return box(p.up, ~a | b)
 
 
 def heyting_imp_via_down(p: FinitePreorder, a: int, b: int) -> int:
@@ -145,14 +177,31 @@ def heyting_imp_via_down(p: FinitePreorder, a: int, b: int) -> int:
 
 
 def mask_to_worlds(mask: int) -> list:
+    return list(set_bits(mask))
+
+
+def read_indices(value, n: int, what: str, pairs: bool = False) -> list:
+    """Strictly read a list of world indices, or of ``[i, j]`` index pairs.
+
+    Every index must be an ``int`` (not a bool, float or string) in
+    ``0..n-1``; anything else raises FrameFormatError naming ``what``.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise FrameFormatError(f"{what} must be a list, not {value!r}")
+    if not pairs:
+        return [_read_index(v, n, what) for v in value]
     out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+    for pair in value:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise FrameFormatError(f"bad {what} pair {pair!r}")
+        out.append((_read_index(pair[0], n, what), _read_index(pair[1], n, what)))
     return out
+
+
+def _read_index(v, n: int, what: str) -> int:
+    if type(v) is not int or not 0 <= v < n:
+        raise FrameFormatError(f"{what} index {v!r} is not an int in 0..{n - 1}")
+    return v
 
 
 def worlds_to_mask(worlds: Iterable[int]) -> int:
@@ -167,10 +216,18 @@ def mask_to_key(mask: int) -> str:
     return ",".join(str(w) for w in mask_to_worlds(mask))
 
 
-def key_to_mask(key: str) -> int:
+def key_to_mask(key: str, n: int = MAX_WORLDS) -> int:
+    """Inverse of :func:`mask_to_key`; every world must lie below ``n``.
+
+    Only the canonical key is accepted, so two keys never name one upset.
+    """
     if key == "":
         return 0
     try:
-        return worlds_to_mask(int(part) for part in key.split(","))
-    except ValueError as exc:
+        worlds = [int(part) for part in key.split(",")]
+    except (AttributeError, ValueError) as exc:
         raise FrameFormatError(f"bad upset key {key!r}") from exc
+    mask = worlds_to_mask(read_indices(worlds, n, f"upset key {key!r}"))
+    if mask_to_key(mask) != key:
+        raise FrameFormatError(f"upset key {key!r} is not ascending and comma-joined")
+    return mask

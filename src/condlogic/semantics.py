@@ -8,9 +8,10 @@ substitution), in lexicographic order of (letter, upset encoding), so the
 reported countermodel is deterministic.
 
 Formulas are compiled once into a flat post-order program with shared
-subterms deduplicated; the validity loops then evaluate the program per
-valuation without touching the AST.  Implication and conditional results
-are memoised per frame, keyed by operand masks.
+subterms deduplicated; one interpreter evaluates the program per valuation
+without touching the AST, and one scan drives it over all valuations.
+Both take the frame's memoised operations as bound methods: ``imp`` plus
+``dto`` (the conditional) on general frames or ``box`` on modal frames.
 """
 
 from __future__ import annotations
@@ -18,17 +19,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
-from .errors import BudgetExceededError, LanguageError, NotAdmissibleError
+from .errors import BudgetExceededError, FrameFormatError, LanguageError, NotAdmissibleError
 from .frames import GeneralFrame, ModalFrame
 from .order import (
     FinitePreorder,
     all_upsets,
-    heyting_imp,
     is_upset,
     mask_to_key,
     mask_to_worlds,
+    read_indices,
+    set_bits,
     worlds_to_mask,
 )
 from .syntax import Formula, Language, proposition_letters
@@ -50,12 +52,13 @@ class Verdict:
 
 
 @lru_cache(maxsize=8192)
-def compile_formula(f: Formula) -> Tuple[Tuple[str, ...], Tuple, Tuple[int, ...]]:
-    """Flatten to (letters, program, var slots); shared subterms appear once.
+def compile_formula(f: Formula) -> Tuple[Tuple[str, ...], Tuple, int]:
+    """Flatten to (letters, program, result slot); shared subterms appear once.
 
     The program is a tuple of (op, left_slot, right_slot) triples writing
     into consecutive slots; variable slots come first, in sorted letter
-    order, then a slot for bot.
+    order, then a slot for bot.  Unary nodes repeat their operand, so every
+    node reads two slots.
     """
     letters = tuple(sorted(proposition_letters(f)))
     slot_of_letter = {name: i for i, name in enumerate(letters)}
@@ -71,20 +74,27 @@ def compile_formula(f: Formula) -> Tuple[Tuple[str, ...], Tuple, Tuple[int, ...]
             slot = slot_of_letter[node.name]
         elif node.op == "bot":
             slot = bot_slot
-        elif len(node.args) == 1:
-            arg = emit(node.args[0])
-            slot = bot_slot + 1 + len(program)
-            program.append((node.op, arg, arg))
         else:
-            left = emit(node.args[0])
-            right = emit(node.args[1])
+            operands = [emit(arg) for arg in node.args]
             slot = bot_slot + 1 + len(program)
-            program.append((node.op, left, right))
+            program.append((node.op, operands[0], operands[-1]))
         memo[id(node)] = slot
         return slot
 
     result_slot = emit(f)
-    return letters, tuple(program), (bot_slot, result_slot)
+    return letters, tuple(program), result_slot
+
+
+_LANGUAGE_ERRORS = {
+    Language.COND: "conditional frames interpret the conditional language only",
+    Language.MODAL: "modal frames interpret the box language only",
+}
+
+
+def _compile_for(f: Formula, language: Language):
+    if f.language is not language:
+        raise LanguageError(_LANGUAGE_ERRORS[language])
+    return compile_formula(f)
 
 
 def _check_valuation(order: FinitePreorder, v: Valuation, letters, admissible=None):
@@ -100,19 +110,12 @@ def _check_valuation(order: FinitePreorder, v: Valuation, letters, admissible=No
             )
 
 
-def _imp_cached(frame: GeneralFrame, a: int, b: int) -> int:
-    cache = frame._dto_cache
-    key = ("imp", a, b)
-    got = cache.get(key)
-    if got is None:
-        got = heyting_imp(frame.order, a, b)
-        cache[key] = got
-    return got
+def _run(program, result_slot: int, values, imp: Callable, modal: Callable) -> int:
+    """Evaluate a compiled program over one valuation.
 
-
-def _run_program(frame: GeneralFrame, program, slots, values) -> int:
-    """Evaluate a compiled conditional-language program over one valuation."""
-    bot_slot, result_slot = slots
+    ``modal`` interprets the one non-Boolean connective the language has:
+    the conditional on general frames, the box on modal frames.
+    """
     buf = list(values)
     buf.append(0)  # bot
     for op, left, right in program:
@@ -123,10 +126,30 @@ def _run_program(frame: GeneralFrame, program, slots, values) -> int:
         elif op == "or":
             buf.append(a | b)
         elif op == "imp":
-            buf.append(_imp_cached(frame, a, b))
-        else:  # cond
-            buf.append(frame.dto(a, b))
+            buf.append(imp(a, b))
+        else:
+            buf.append(modal(a, b))
     return buf[result_slot]
+
+
+def _scan(order: FinitePreorder, pool: Sequence[int], compiled, imp: Callable,
+          modal: Callable, budget: int) -> Verdict:
+    """Evaluate over every valuation drawn from ``pool``, in lexicographic
+    order; the first countermodel found, or a valid verdict."""
+    letters, program, result_slot = compiled
+    n = order.n
+    required = len(pool) ** len(letters) * n
+    if required > budget:
+        raise BudgetExceededError(required, budget)
+    full = order.full_mask
+    checked = 0
+    for values in itertools.product(pool, repeat=len(letters)):
+        ts = _run(program, result_slot, values, imp, modal)
+        checked += n
+        if ts != full:
+            world = set_bits(full & ~ts)[0]
+            return Verdict(False, dict(zip(letters, values)), world, checked)
+    return Verdict(True, None, None, checked)
 
 
 def truth_set(frame: GeneralFrame, valuation: Valuation, f: Formula) -> int:
@@ -136,13 +159,11 @@ def truth_set(frame: GeneralFrame, valuation: Valuation, f: Formula) -> int:
     closure properties of the admissible family keeps every intermediate
     truth set admissible as well.
     """
-    if f.language is not Language.COND:
-        raise LanguageError("conditional frames interpret the conditional language only")
-    letters, program, slots = compile_formula(f)
+    letters, program, result_slot = _compile_for(f, Language.COND)
     admissible = None if frame.is_full else set(frame.admissible)
     _check_valuation(frame.order, valuation, letters, admissible)
     values = [valuation[name] for name in letters]
-    return _run_program(frame, program, slots, values)
+    return _run(program, result_slot, values, frame.imp, frame.dto)
 
 
 def check(frame: GeneralFrame, valuation: Valuation, f: Formula, world: int) -> bool:
@@ -156,74 +177,18 @@ def valid(frame: GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> Verd
 
     Returns the first countermodel in enumeration order, or a valid verdict.
     """
-    if f.language is not Language.COND:
-        raise LanguageError("conditional frames interpret the conditional language only")
-    letters, program, slots = compile_formula(f)
-    pool = frame.admissible
-    required = len(pool) ** len(letters) * frame.n
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-    full = frame.order.full_mask
-    checked = 0
-    for values in itertools.product(pool, repeat=len(letters)):
-        ts = _run_program(frame, program, slots, values)
-        checked += frame.n
-        if ts != full:
-            world = _first_missing(ts, frame.n)
-            return Verdict(False, dict(zip(letters, values)), world, checked)
-    return Verdict(True, None, None, checked)
-
-
-def _first_missing(mask: int, n: int) -> int:
-    for w in range(n):
-        if not (mask >> w) & 1:
-            return w
-    raise AssertionError("mask was full")
+    return _scan(frame.order, frame.admissible, _compile_for(f, Language.COND),
+                 frame.imp, frame.dto, budget)
 
 
 # --- the unimodal language over modal frames ------------------------------
 
 
-def _box_set(frame: ModalFrame, arg: int) -> int:
-    out = 0
-    for x in range(frame.order.n):
-        if not frame.rel[x] & ~arg:
-            out |= 1 << x
-    return out
-
-
-def _run_modal(frame: ModalFrame, program, slots, values, imp_cache: dict) -> int:
-    bot_slot, result_slot = slots
-    buf = list(values)
-    buf.append(0)
-    for op, left, right in program:
-        a = buf[left]
-        b = buf[right]
-        if op == "and":
-            buf.append(a & b)
-        elif op == "or":
-            buf.append(a | b)
-        elif op == "imp":
-            key = (a, b)
-            got = imp_cache.get(key)
-            if got is None:
-                got = heyting_imp(frame.order, a, b)
-                imp_cache[key] = got
-            buf.append(got)
-        elif op == "box":
-            buf.append(_box_set(frame, a))
-        else:
-            raise LanguageError(f"connective {op!r} has no modal-frame interpretation")
-    return buf[result_slot]
-
-
 def truth_set_modal(frame: ModalFrame, valuation: Valuation, f: Formula) -> int:
-    if f.language is not Language.MODAL:
-        raise LanguageError("modal frames interpret the box language only")
-    letters, program, slots = compile_formula(f)
+    letters, program, result_slot = _compile_for(f, Language.MODAL)
     _check_valuation(frame.order, valuation, letters)
     values = [valuation[name] for name in letters]
-    return _run_modal(frame, program, slots, values, {})
+    return _run(program, result_slot, values, frame.imp, frame.box)
 
 
 def check_modal(frame: ModalFrame, valuation: Valuation, f: Formula, world: int) -> bool:
@@ -233,23 +198,8 @@ def check_modal(frame: ModalFrame, valuation: Valuation, f: Formula, world: int)
 
 
 def valid_modal(frame: ModalFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
-    if f.language is not Language.MODAL:
-        raise LanguageError("modal frames interpret the box language only")
-    letters, program, slots = compile_formula(f)
-    pool = all_upsets(frame.order)
-    required = len(pool) ** len(letters) * frame.order.n
-    if required > budget:
-        raise BudgetExceededError(required, budget)
-    full = frame.order.full_mask
-    checked = 0
-    imp_cache: dict = {}
-    for values in itertools.product(pool, repeat=len(letters)):
-        ts = _run_modal(frame, program, slots, values, imp_cache)
-        checked += frame.order.n
-        if ts != full:
-            return Verdict(False, dict(zip(letters, values)),
-                           _first_missing(ts, frame.order.n), checked)
-    return Verdict(True, None, None, checked)
+    return _scan(frame.order, all_upsets(frame.order), _compile_for(f, Language.MODAL),
+                 frame.imp, frame.box, budget)
 
 
 # --- valuation file format -------------------------------------------------
@@ -263,12 +213,10 @@ def valuation_to_json(v: Valuation) -> dict:
 
 def valuation_from_json(obj: dict, frame: GeneralFrame) -> Valuation:
     """Load a valuation, validating upsets (and admissibility on general frames)."""
-    v = {}
-    for name, worlds in obj.items():
-        mask = worlds_to_mask(int(w) for w in worlds)
-        if mask & ~frame.order.full_mask:
-            raise NotAdmissibleError(f"valuation of {name!r} mentions unknown worlds")
-        v[name] = mask
+    if not isinstance(obj, dict):
+        raise FrameFormatError("a valuation maps letters to world lists")
+    v = {name: worlds_to_mask(read_indices(worlds, frame.n, f"valuation of {name!r}"))
+         for name, worlds in obj.items()}
     admissible = None if frame.is_full else set(frame.admissible)
     _check_valuation(frame.order, v, (), admissible)
     return v

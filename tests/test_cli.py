@@ -241,6 +241,37 @@ class TestSearchCommand:
         assert json.loads(out)["result"]["found"] is False
 
 
+class TestMalformedInput:
+    """Malformed files are usage errors (exit 2), never a traceback or a guess."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("leq", [[0]]),  # a pair of one index
+        ("relations", {"": [], "1": [], "0,1": [[0, 0.5]]}),  # a fractional world
+        ("relations", {"": [], "1": [], "0,1": [], "1,0": [[0, 1]]}),  # two keys, one upset
+    ])
+    def test_frame(self, capsys, tmp_path, chain2, key, value):
+        obj = frame_to_json(full_frame(chain2))
+        obj[key] = value
+        frame_path = write(tmp_path / "f.json", obj)
+        code, _, err = run(capsys, "valid", "--frame", frame_path, "--formula", "p")
+        assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("worlds", ["0", [0.0]])
+    def test_valuation(self, capsys, one_world_files, tmp_path, worlds):
+        frame_path, _ = one_world_files
+        val_path = write(tmp_path / "bad_val.json", {"p": worlds})
+        code, _, err = run(capsys, "mc", "--frame", frame_path, "--val", val_path,
+                           "--formula", "p")
+        assert code == 2 and "error" in err
+
+    def test_algebra_leq_pair_of_one_index(self, capsys, tmp_path, single):
+        obj = algebra_to_json(complex_algebra(full_frame(single)))
+        obj["leq"] = [[0]]
+        alg_path = write(tmp_path / "a.json", obj)
+        code, _, err = run(capsys, "roundtrip", "--algebra", alg_path)
+        assert code == 2 and "error" in err
+
+
 class TestDeterminism:
     def test_search_reports_are_byte_identical(self, capsys):
         args = ("--json", "search", "--logic", "HLCflat",

@@ -8,9 +8,6 @@ from condlogic.fillins import (
     FillInKind,
     check_squeeze_precondition,
     fill,
-    fill_empty,
-    fill_squeeze,
-    fill_union,
 )
 from condlogic.frames import strongly_coherent, validate_conditional
 from condlogic.generate import random_formula, random_general_frame
@@ -61,20 +58,20 @@ class TestKinds:
 
 class TestFillRecipes:
     def test_union_on_antichain_example(self, anti2_gaps):
-        filled = fill_union(anti2_gaps)
+        filled = fill(anti2_gaps, FillInKind.UNION)
         # only the empty set sits inside {0}, so the union is empty
         assert filled.rel(m(0)) == (0, 0)
         assert filled.rel(m(1)) == (0, 0)
 
     def test_squeeze_on_antichain_example(self, anti2_gaps):
-        filled = fill_squeeze(anti2_gaps)
+        filled = fill(anti2_gaps, FillInKind.SQUEEZE)
         # at world 0 the full relation squeezes {0}: R_X[0] = {0} inside {0} inside X;
         # at world 1 nothing squeezes, so the upset itself is used
         assert filled.rel(m(0)) == (m(0), m(0))
         assert filled.rel(m(1)) == (m(1), m(1))
 
     def test_empty_gives_empty_rows(self, anti2_gaps):
-        filled = fill_empty(anti2_gaps)
+        filled = fill(anti2_gaps, FillInKind.EMPTY)
         assert filled.rel(m(0)) == (0, 0)
         assert filled.rel(m(1)) == (0, 0)
 
@@ -121,7 +118,7 @@ class TestWellFormedness:
         # stronger coherence condition everywhere
         for _ in range(100):
             g = random_general_frame(rng, rng.choice([2, 3]), strong=True)
-            assert strongly_coherent(fill_empty(g))
+            assert strongly_coherent(fill(g, FillInKind.EMPTY))
 
 
 class TestRefutationInheritance:
@@ -163,7 +160,7 @@ class TestSqueeze:
     def test_fill_refuses_on_violation(self, anti2):
         g = general_frame(anti2, (0, m(0, 1)), {0: (m(0), m(1)), m(0, 1): (0, 0)})
         with pytest.raises(SqueezePreconditionError) as err:
-            fill_squeeze(g)
+            fill(g, FillInKind.SQUEEZE)
         assert err.value.witness is not None
 
     def test_squeezer_images_agree_up_to_closure(self, rng):
