@@ -9,6 +9,10 @@ at carrier size :data:`PF_CAP`.
 Finitely, every upset of the prime-filter poset is the image of exactly
 one element, so the dual of an algebra is a full conditional frame and no
 topology object is needed.
+
+Satisfaction has no evaluator of its own: :func:`alg_satisfies` runs the
+program :func:`condlogic.semantics.compile_formula` makes through the same
+interpreter as frame validity, with table lookups for the connectives.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from typing import Dict, List, Optional, Tuple
 from .errors import BudgetExceededError, CapExceededError, DualityError, FrameFormatError, LanguageError
 from .frames import ConditionalFrame, GeneralFrame, strongly_coherent, validate_conditional
 from .order import FinitePreorder, all_upsets, heyting_imp, mask_to_key, read_indices
-from .syntax import Formula, Language, proposition_letters
+from .semantics import DEFAULT_BUDGET, _run, _steps, compile_formula
+from .syntax import Formula, Language
 
 PF_CAP = 20
 
@@ -195,42 +200,22 @@ class AlgVerdict:
         return self.satisfied
 
 
-def alg_satisfies(alg: FiniteCHA, f: Formula, budget: int = 10_000_000) -> AlgVerdict:
+def alg_satisfies(alg: FiniteCHA, f: Formula, budget: int = DEFAULT_BUDGET) -> AlgVerdict:
     """Exhaustive assignment check; reports a counter-assignment on failure."""
     if f.language is not Language.COND:
         raise LanguageError("algebras interpret the conditional language only")
-    letters = sorted(proposition_letters(f))
+    letters, program, result_slot = compile_formula(f)
     required = alg.size ** len(letters)
     if required > budget:
         raise BudgetExceededError(required, budget)
     meet, join = alg.lattice()
+    steps = _steps(program, lambda a, b: alg.imp[a][b], lambda a, b: alg.cond[a][b],
+                   meet=lambda a, b: meet[a][b], join=lambda a, b: join[a][b])
     checked = 0
-
-    def ev(node: Formula, env: Dict[str, int], cache: dict) -> int:
-        got = cache.get(node)
-        if got is not None:
-            return got
-        op = node.op
-        if op == "var":
-            out = env[node.name]
-        elif op == "bot":
-            out = alg.bot
-        elif op == "and":
-            out = meet[ev(node.args[0], env, cache)][ev(node.args[1], env, cache)]
-        elif op == "or":
-            out = join[ev(node.args[0], env, cache)][ev(node.args[1], env, cache)]
-        elif op == "imp":
-            out = alg.imp[ev(node.args[0], env, cache)][ev(node.args[1], env, cache)]
-        else:
-            out = alg.cond[ev(node.args[0], env, cache)][ev(node.args[1], env, cache)]
-        cache[node] = out
-        return out
-
     for values in itertools.product(range(alg.size), repeat=len(letters)):
-        env = dict(zip(letters, values))
         checked += 1
-        if ev(f, env, {}) != alg.top:
-            return AlgVerdict(False, env, checked)
+        if _run(steps, result_slot, values, alg.bot) != alg.top:
+            return AlgVerdict(False, dict(zip(letters, values)), checked)
     return AlgVerdict(True, None, checked)
 
 

@@ -11,13 +11,12 @@ Persistence is tested at the correspondent level: generate a random valid
 general frame whose correspondent holds on the admissible upsets, fill in,
 then re-check the correspondent over all upsets of the result.
 
-One quantifier loop (:func:`_corr_loop`) evaluates every correspondent,
-alone or as a conjunction for a named logic, and one runner
-(:func:`_run_chunks`) spreads sampling over worker processes.  Both
-sampling experiments seed each sample index separately, so the frames drawn
-do not depend on the job count; only a persistence run expecting failure,
-which stops each chunk at its first counterexample, counts more samples
-with more jobs.
+The correspondents and the quantifier loop that evaluates them, alone or
+as a conjunction for a named logic, live in :mod:`condlogic.correspondents`.
+One runner (:func:`_run_chunks`) spreads sampling over worker processes.
+Both sampling experiments seed each sample index separately, and a
+persistence run expecting failure ends at its first counterexample in index
+order, so neither the frames drawn nor the reports depend on the job count.
 """
 
 from __future__ import annotations
@@ -28,168 +27,14 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import generate
+from . import correspondents as cr, generate
+from .correspondents import ICC_CORR, _corr_loop, _upc_memo
 from .errors import GenerationBudgetError, MissingCorrespondentError
 from .fillins import ALL_KINDS, FillInKind, check_squeeze_precondition, fill
 from .frames import GeneralFrame, frame_to_json, strongly_coherent
-from .order import mask_to_worlds, set_bits, up_closure
+from .order import mask_to_worlds
 from .semantics import valid
 from .syntax import Formula, Language, parse
-
-
-# Each correspondent takes (order, rel, upc, a, b, x) where rel maps an
-# admissible upset to its successor rows and upc memoises up-closures.
-
-def _c_id(p, rel, upc, a, b, x):
-    return not rel(a)[x] & ~a
-
-
-def _c_mp(p, rel, upc, a, b, x):
-    return not (a >> x) & 1 or bool((upc(rel(a)[x]) >> x) & 1)
-
-
-def _c_str(p, rel, upc, a, b, x):
-    return not rel(a)[x] & ~(p.up[x] & a)
-
-
-def _c_unit(p, rel, upc, a, b, x):
-    return not rel(a)[x] & ~p.up[x]
-
-
-def _c_exf(p, rel, upc, a, b, x):
-    return bool(p.up[x] & a) or rel(a)[x] == 0
-
-
-def _c_tc(p, rel, upc, a, b, x):
-    return bool((upc(rel(a)[x]) >> x) & 1)
-
-
-def _c_cs(p, rel, upc, a, b, x):
-    return not (a >> x) & 1 or not rel(a)[x] & ~p.up[x]
-
-
-def _c_lin(p, rel, upc, a, b, x):
-    return not rel(a)[x] & ~b or not rel(b)[x] & ~a
-
-
-def _c_tr(p, rel, upc, a, b, x):
-    ra = rel(a)[x]
-    if ra & ~b:
-        return True
-    return not ra & ~upc(rel(b)[x])
-
-
-def _c_mon(p, rel, upc, a, b, x):
-    if a & ~b:
-        return True
-    return not rel(a)[x] & ~upc(rel(b)[x])
-
-
-def _c_ex(p, rel, upc, a, b, x):
-    target = upc(rel(a & b)[x])
-    rb = rel(b)
-    for y in set_bits(rel(a)[x]):
-        if rb[y] & ~target:
-            return False
-    return True
-
-
-def _c_red(p, rel, upc, a, b, x):
-    # up-closure form: without it the condition is too strong on frames
-    # whose relation rows are not upsets (cf. the tc row)
-    return bool((upc(rel(p.full_mask)[x]) >> x) & 1)
-
-
-def _c_vec_top(p, rel, upc, a, b, x):
-    return not rel(p.full_mask)[x] & ~p.up[x]
-
-
-def _c_expl(p, rel, upc, a, b, x):
-    return rel(0)[x] == 0
-
-
-def _c_re(p, rel, upc, a, b, x):
-    ra, rb = rel(a)[x], rel(b)[x]
-    if ra & ~b or rb & ~a:
-        return True
-    return upc(ra) == upc(rb)
-
-
-def _c_icc(p, rel, upc, a, b, x):
-    if b & ~a:
-        return True
-    ra = rel(a)[x]
-    if ra & ~b:
-        return True
-    return upc(ra) == upc(rel(b)[x])
-
-
-def _c_four(p, rel, upc, a, b, x):
-    rows = rel(a)
-    bound = upc(rows[x])
-    for y in set_bits(rows[x]):
-        if rows[y] & ~bound:
-            return False
-    return True
-
-
-def _c_c4(p, rel, upc, a, b, x):
-    rows = rel(a)
-    composite = 0
-    for y in set_bits(rows[x]):
-        composite |= rows[y]
-    return not rows[x] & ~upc(composite)
-
-
-def _c_box_tc(p, rel, upc, a, b, x):
-    rows = rel(a)
-    for y in set_bits(upc(rows[x])):
-        if not (upc(rows[y]) >> y) & 1:
-            return False
-    return True
-
-
-def _c_cem1(p, rel, upc, a, b, x):
-    return rel(a)[x].bit_count() <= 1
-
-
-def _c_cem2(p, rel, upc, a, b, x):
-    for y in set_bits(rel(a)[x]):
-        if p.up[y] != 1 << y:
-            return False
-    return True
-
-
-def _c_cem3(p, rel, upc, a, b, x):
-    rows = rel(a)
-    for y in set_bits(upc(rows[x])):
-        if not (upc(rows[y]) >> x) & 1:
-            return False
-    return True
-
-
-def _c_ecm1(p, rel, upc, a, b, x):
-    rows = rel(a)
-    below = 0
-    for y in range(p.n):
-        if p.leq(y, x):
-            below |= rows[y]
-    return not below & ~upc(rows[x])
-
-
-def _c_ecm2(p, rel, upc, a, b, x):
-    rows = rel(a)
-    succ = rows[x]
-    closure = upc(succ)
-    for z in set_bits(closure):
-        reach = upc(rows[z])
-        if succ & ~reach:
-            return False
-    return True
-
-
-def _c_true(p, rel, upc, a, b, x):
-    return True
 
 
 _E = FillInKind.EMPTY
@@ -234,36 +79,36 @@ _ALL = frozenset(ALL_KINDS)
 AXIOMS: Dict[str, AxiomEntry] = {
     e.key: e
     for e in (
-        _entry("id", "p ~> p", "ax", _c_id, {_E, _R, _TR}),
-        _entry("mp", "p & (p ~> q) -> q", "ax", _c_mp, {_P, _R, _T, _S}),
-        _entry("mpp", "(p ~> q) -> (p -> q)", "ax", _c_mp, {_P, _R, _T}),
-        _entry("str", "(p -> q) -> (p ~> q)", "ax", _c_str, {_E, _TR}),
-        _entry("unit", "p -> (q ~> p)", "ax", _c_unit, {_E, _P, _U}),
-        _entry("exf", "~p -> (p ~> q)", "ax", _c_exf, {_E, _U}),
-        _entry("tc", "(p ~> q) -> q", "ax", _c_tc, {_P, _T, _U}),
-        _entry("cs", "p & q -> (p ~> q)", "ax", _c_cs, {_E, _P}),
-        _entry("lin", "(p ~> q) | (q ~> p)", "abx", _c_lin, {_E}),
-        _entry("tr", "(p ~> q) & (q ~> r) -> (p ~> r)", "abx", _c_tr, {_T, _TR}),
-        _entry("mon", "(p ~> r) -> ((p & q) ~> r)", "abx", _c_mon, {_U}),
-        _entry("ex", "((p & q) ~> r) -> (p ~> (q ~> r))", "abx", _c_ex, {_E}),
-        _entry("red", "(true ~> p) -> p", "x", _c_red, _ALL),
-        _entry("vec_top", "p -> (true ~> p)", "x", _c_vec_top, _ALL),
-        _entry("expl", "false ~> p", "x", _c_expl, _ALL),
+        _entry("id", "p ~> p", "ax", cr._c_id, {_E, _R, _TR}),
+        _entry("mp", "p & (p ~> q) -> q", "ax", cr._c_mp, {_P, _R, _T, _S}),
+        _entry("mpp", "(p ~> q) -> (p -> q)", "ax", cr._c_mp, {_P, _R, _T}),
+        _entry("str", "(p -> q) -> (p ~> q)", "ax", cr._c_str, {_E, _TR}),
+        _entry("unit", "p -> (q ~> p)", "ax", cr._c_unit, {_E, _P, _U}),
+        _entry("exf", "~p -> (p ~> q)", "ax", cr._c_exf, {_E, _U}),
+        _entry("tc", "(p ~> q) -> q", "ax", cr._c_tc, {_P, _T, _U}),
+        _entry("cs", "p & q -> (p ~> q)", "ax", cr._c_cs, {_E, _P}),
+        _entry("lin", "(p ~> q) | (q ~> p)", "abx", cr._c_lin, {_E}),
+        _entry("tr", "(p ~> q) & (q ~> r) -> (p ~> r)", "abx", cr._c_tr, {_T, _TR}),
+        _entry("mon", "(p ~> r) -> ((p & q) ~> r)", "abx", cr._c_mon, {_U}),
+        _entry("ex", "((p & q) ~> r) -> (p ~> (q ~> r))", "abx", cr._c_ex, {_E}),
+        _entry("red", "(true ~> p) -> p", "x", cr._c_red, _ALL),
+        _entry("vec_top", "p -> (true ~> p)", "x", cr._c_vec_top, _ALL),
+        _entry("expl", "false ~> p", "x", cr._c_expl, _ALL),
         _entry("ct", "(p ~> q) & ((p & q) ~> r) -> (p ~> r)", None, None, set(),
                note="jointly with id and cm: id plus the cautious condition"),
         _entry("cm", "(p ~> q) & (p ~> r) -> ((p & q) ~> r)", None, None, set(),
                note="jointly with id and ct: id plus the cautious condition"),
         _entry("ca", "(p ~> q) -> (p ~> (p & q))", None, None, set(),
                note="no stated correspondent; semantically interchangeable with id"),
-        _entry("re", "(p ~> q) & (q ~> p) & (p ~> r) -> (q ~> r)", "abx", _c_re, {_S}),
-        _entry("four_c", "(p ~> q) -> (p ~> (p ~> q))", "ax", _c_four, {_E, _S}),
-        _entry("c4_c", "(p ~> (p ~> q)) -> (p ~> q)", "ax", _c_c4, {_E}),
-        _entry("box_tc", "p ~> ((p ~> q) -> q)", "ax", _c_box_tc, {_E}),
-        _entry("cem1", "(p ~> q) | (p ~> ~q)", "ax", _c_cem1, {_E}, strong_scope=True),
-        _entry("cem2", "p ~> (q | ~q)", "ax", _c_cem2, {_E}, strong_scope=True),
-        _entry("cem3", "q | (p ~> ~(p ~> q))", "ax", _c_cem3, {_E}, strong_scope=True),
-        _entry("ecm1", "(p ~> q) | ~(p ~> q)", "ax", _c_ecm1, {_E}, strong_scope=True),
-        _entry("ecm2", "(p ~> q) | (p ~> ~(p ~> q))", "ax", _c_ecm2, {_E}, strong_scope=True),
+        _entry("re", "(p ~> q) & (q ~> p) & (p ~> r) -> (q ~> r)", "abx", cr._c_re, {_S}),
+        _entry("four_c", "(p ~> q) -> (p ~> (p ~> q))", "ax", cr._c_four, {_E, _S}),
+        _entry("c4_c", "(p ~> (p ~> q)) -> (p ~> q)", "ax", cr._c_c4, {_E}),
+        _entry("box_tc", "p ~> ((p ~> q) -> q)", "ax", cr._c_box_tc, {_E}),
+        _entry("cem1", "(p ~> q) | (p ~> ~q)", "ax", cr._c_cem1, {_E}, strong_scope=True),
+        _entry("cem2", "p ~> (q | ~q)", "ax", cr._c_cem2, {_E}, strong_scope=True),
+        _entry("cem3", "q | (p ~> ~(p ~> q))", "ax", cr._c_cem3, {_E}, strong_scope=True),
+        _entry("ecm1", "(p ~> q) | ~(p ~> q)", "ax", cr._c_ecm1, {_E}, strong_scope=True),
+        _entry("ecm2", "(p ~> q) | (p ~> ~(p ~> q))", "ax", cr._c_ecm2, {_E}, strong_scope=True),
         _entry("clin1", "p ~> ((q -> r) | (r -> q))", None, None, {_E},
                note="schema only: no stated frame correspondent"),
         _entry("clin2", "(p ~> (q -> r)) | (p ~> (r -> q))", None, None, {_E},
@@ -276,25 +121,22 @@ AXIOMS: Dict[str, AxiomEntry] = {
                note="schema only: no stated frame correspondent"),
         _entry("or", "(p ~> r) & (q ~> r) -> ((p | q) ~> r)", None, None, set(),
                note="schema only: no stated frame correspondent"),
-        _entry("k_c", "(p ~> q & r) <-> (p ~> q) & (p ~> r)", "const", _c_true, _ALL,
+        _entry("k_c", "(p ~> q & r) <-> (p ~> q) & (p ~> r)", "const", cr._c_true, _ALL,
                note="holds on every valid frame"),
-        _entry("n_c", "(p ~> true) <-> true", "const", _c_true, _ALL,
+        _entry("n_c", "(p ~> true) <-> true", "const", cr._c_true, _ALL,
                note="holds on every valid frame"),
         _entry("simp", "(p ~> q & r) -> (p ~> q)", None, None, set(),
                note="half of k_c; schema only"),
         _entry("adj", "(p ~> q) & (p ~> r) -> (p ~> (q & r))", None, None, set(),
                note="half of k_c; schema only"),
-        _entry("unit_says", "q -> (p ~> q)", "ax", _c_unit, {_E, _P, _U},
+        _entry("unit_says", "q -> (p ~> q)", "ax", cr._c_unit, {_E, _P, _U},
                note="letter-renamed form of unit"),
         _entry("ck", "(p ~> (q -> r)) -> ((p ~> q) -> (p ~> r))", None, None, set(),
                note="schema only: no stated frame correspondent"),
-        _entry("bt", "p ~> ((p ~> q) -> q)", "ax", _c_box_tc, {_E},
+        _entry("bt", "p ~> ((p ~> q) -> q)", "ax", cr._c_box_tc, {_E},
                note="same schema and correspondent as box_tc"),
     )
 }
-
-# The joint cautious condition used by presets containing id, ct and cm.
-ICC_CORR = ("icc", "abx", _c_icc)
 
 PRESETS: Dict[str, Tuple[str, ...]] = {
     "ICK": (),
@@ -381,46 +223,6 @@ class CorrReport:
 
     def witness_json(self):
         return None if self.witness is None else _witness_json(self.witness)
-
-
-def _upc_memo(p) -> Callable[[int], int]:
-    """Up-closure in ``p``, memoised for the lifetime of the returned function."""
-    memo: Dict[int, int] = {}
-
-    def upc(mask: int) -> int:
-        got = memo.get(mask)
-        if got is None:
-            got = memo[mask] = up_closure(p, mask)
-        return got
-
-    return upc
-
-
-def _corr_loop(frame: GeneralFrame, quant: str, fn: Callable,
-               upc: Callable[[int], int]) -> Optional[Tuple]:
-    """First violating (a, b, x) triple in ascending order, or None."""
-    p = frame.order
-    rel = frame.rel
-    pool = frame.admissible
-    if quant == "const":
-        return None
-    if quant == "x":
-        for x in range(p.n):
-            if not fn(p, rel, upc, 0, None, x):
-                return (p.full_mask, None, x)
-        return None
-    if quant == "ax":
-        for a in pool:
-            for x in range(p.n):
-                if not fn(p, rel, upc, a, None, x):
-                    return (a, None, x)
-        return None
-    for a in pool:
-        for b in pool:
-            for x in range(p.n):
-                if not fn(p, rel, upc, a, b, x):
-                    return (a, b, x)
-    return None
 
 
 def _entry_witness(frame: GeneralFrame, entry: AxiomEntry) -> Optional[Tuple]:
@@ -643,6 +445,12 @@ def persistence_experiment(key: str, kind: FillInKind, samples: int = 200,
         raise MissingCorrespondentError(f"axiom {key!r} has no frame correspondent")
     parts = _run_chunks(_persist_sample_range, (key, kind.value, seed, strong, expect),
                         samples, jobs)
+    if expect == "fail":
+        # each chunk stops at its own first counterexample; a single job
+        # would have stopped at the first chunk's and run no later chunk
+        hits = [i for i, (_, _, c) in enumerate(parts) if c is not None]
+        if hits:
+            parts = parts[:hits[0] + 1]
     passes = sum(p for p, _, _ in parts)
     failures = sum(f for _, f, _ in parts)
     # chunks arrive in index order, so the first counterexample is the earliest

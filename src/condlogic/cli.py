@@ -65,6 +65,17 @@ def _emit(args, envelope: dict, lines) -> None:
 _LANGUAGES = {lang.value: lang for lang in Language}
 
 
+def _count(minimum: int):
+    """An argparse type: an int no smaller than ``minimum``."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _cmd_parse(args) -> int:
     f = parse(args.formula, _LANGUAGES[args.language])
     printed = print_formula(f)
@@ -279,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="workbench for intuitionistic conditional logic",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable report")
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    parser.add_argument("--jobs", type=_count(1), default=1, help="worker pool size")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse and reprint a formula")
@@ -309,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-correspondence",
                        help="validity iff correspondent, exhaustive plus sampled")
     p.add_argument("--axiom", required=True, choices=sorted(catalog.AXIOMS))
-    p.add_argument("--max-worlds", type=int, default=2)
-    p.add_argument("--samples", type=int, default=0)
+    p.add_argument("--max-worlds", type=_count(1), default=2)
+    p.add_argument("--samples", type=_count(0), default=0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_verify_correspondence)
 
@@ -325,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axiom", required=True, choices=sorted(catalog.AXIOMS))
     p.add_argument("--fillin", required=True,
                    choices=[k.value for k in fillins.FillInKind])
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_count(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--strong", action="store_true",
                    help="generate strongly coherent frames only")
@@ -352,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="countermodel search under a named logic")
     p.add_argument("--logic", required=True, choices=sorted(catalog.PRESETS))
     p.add_argument("--refute", required=True)
-    p.add_argument("--max-worlds", type=int, default=2)
-    p.add_argument("--samples", type=int, default=500)
+    p.add_argument("--max-worlds", type=_count(1), default=2)
+    p.add_argument("--samples", type=_count(0), default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="directory for countermodel files")
     p.set_defaults(fn=_cmd_search)
@@ -372,7 +383,8 @@ def main(argv=None) -> int:
     except ClcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # unreadable or unwritable paths: a directory, bad bytes, no permission
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except json.JSONDecodeError as exc:

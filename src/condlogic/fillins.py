@@ -6,14 +6,18 @@ the role the clopen upsets play in the topological picture; finitely it is
 the only faithful residue of the topology, which is why fill-ins take
 general frames rather than plain conditional frames (on the latter every
 fill-in would be vacuous).
+
+The squeeze recipe's precondition is the conjunction of two catalog
+correspondents, evaluated by :mod:`condlogic.correspondents`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
+from .correspondents import _c_icc, _c_id, _corr_loop, _upc_memo
 from .errors import SqueezeAmbiguityError, SqueezePreconditionError
 from .frames import ConditionalFrame, GeneralFrame, Rows
 from .order import all_upsets, mask_to_key, up_closure
@@ -41,48 +45,31 @@ ALL_KINDS: Tuple[FillInKind, ...] = tuple(FillInKind)
 
 @dataclass
 class SqueezeReport:
-    id_violations: List[Tuple[int, int]] = field(default_factory=list)
-    icc_violations: List[Tuple[int, int, int]] = field(default_factory=list)
+    # the first violation, as carried by SqueezePreconditionError:
+    # ("id-corr", a, x) or ("icc-corr", a, b, x) with upsets as keys
+    witness: Optional[Tuple] = None
 
     @property
     def holds(self) -> bool:
-        return not self.id_violations and not self.icc_violations
-
-    def first_witness(self):
-        if self.id_violations:
-            a, x = self.id_violations[0]
-            return ("id-corr", mask_to_key(a), x)
-        if self.icc_violations:
-            a, b, x = self.icc_violations[0]
-            return ("icc-corr", mask_to_key(a), mask_to_key(b), x)
-        return None
+        return self.witness is None
 
 
 def check_squeeze_precondition(g: GeneralFrame) -> SqueezeReport:
     """The cautious-conditional conditions over the admissible family.
 
     id-corr: R_a[x] within a.  icc-corr: R_a[x] within b within a forces
-    the up-closures of R_a[x] and R_b[x] to coincide.
+    the up-closures of R_a[x] and R_b[x] to coincide.  They are the id and
+    joint cautious correspondents of the catalog, checked in that order by
+    one quantifier loop sharing one up-closure memo.
     """
-    report = SqueezeReport()
-    p = g.order
-    for a in g.admissible:
-        rows = g.rel(a)
-        for x in range(p.n):
-            if rows[x] & ~a:
-                report.id_violations.append((a, x))
-    for a in g.admissible:
-        rows_a = g.rel(a)
-        for b in g.admissible:
-            if b & ~a:
-                continue  # need b within a
-            rows_b = g.rel(b)
-            for x in range(p.n):
-                if rows_a[x] & ~b:
-                    continue  # need R_a[x] within b
-                if up_closure(p, rows_a[x]) != up_closure(p, rows_b[x]):
-                    report.icc_violations.append((a, b, x))
-    return report
+    upc = _upc_memo(g.order)
+    for name, quant, fn in (("id-corr", "ax", _c_id), ("icc-corr", "abx", _c_icc)):
+        hit = _corr_loop(g, quant, fn, upc)
+        if hit is not None:
+            a, b, x = hit
+            masks = (a,) if b is None else (a, b)
+            return SqueezeReport((name, *map(mask_to_key, masks), x))
+    return SqueezeReport()
 
 
 def _fill_rows(g: GeneralFrame, kind: FillInKind, a: int) -> Rows:
@@ -154,7 +141,7 @@ def fill(g: GeneralFrame, kind: FillInKind) -> ConditionalFrame:
     if kind is FillInKind.SQUEEZE:
         pre = check_squeeze_precondition(g)
         if not pre.holds:
-            raise SqueezePreconditionError(pre.first_witness())
+            raise SqueezePreconditionError(pre.witness)
     admissible = set(g.admissible)
     relations: Dict[int, Rows] = dict(g.relations)
     for a in all_upsets(g.order):

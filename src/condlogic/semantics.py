@@ -8,15 +8,18 @@ substitution), in lexicographic order of (letter, upset encoding), so the
 reported countermodel is deterministic.
 
 Formulas are compiled once into a flat post-order program with shared
-subterms deduplicated; one interpreter evaluates the program per valuation
-without touching the AST, and one scan drives it over all valuations.
-Both take the frame's memoised operations as bound methods: ``imp`` plus
-``dto`` (the conditional) on general frames or ``box`` on modal frames.
+subterms deduplicated.  One interpreter runs the program per valuation on
+*bound steps*, each op paired with the function interpreting it, and one
+scan drives it over all valuations.  So one interpreter serves general
+frames (bitwise ``&`` and ``|``, the frame's memoised ``imp`` and ``dto``),
+modal frames (``box`` in the conditional's slot) and algebras (table
+lookups, see :func:`condlogic.algebra.alg_satisfies`).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -110,25 +113,23 @@ def _check_valuation(order: FinitePreorder, v: Valuation, letters, admissible=No
             )
 
 
-def _run(program, result_slot: int, values, imp: Callable, modal: Callable) -> int:
-    """Evaluate a compiled program over one valuation.
+def _steps(program, imp: Callable, modal: Callable, meet: Callable = operator.and_,
+           join: Callable = operator.or_) -> list:
+    """Bind each (op, left, right) of a program to the function interpreting op.
 
     ``modal`` interprets the one non-Boolean connective the language has:
-    the conditional on general frames, the box on modal frames.
+    the conditional on general frames and algebras, the box on modal frames.
     """
+    fns = {"and": meet, "or": join, "imp": imp}
+    return [(fns.get(op, modal), left, right) for op, left, right in program]
+
+
+def _run(steps, result_slot: int, values, bot) -> int:
+    """Evaluate bound steps over one valuation; ``bot`` fills the slot after the letters."""
     buf = list(values)
-    buf.append(0)  # bot
-    for op, left, right in program:
-        a = buf[left]
-        b = buf[right]
-        if op == "and":
-            buf.append(a & b)
-        elif op == "or":
-            buf.append(a | b)
-        elif op == "imp":
-            buf.append(imp(a, b))
-        else:
-            buf.append(modal(a, b))
+    buf.append(bot)
+    for fn, left, right in steps:
+        buf.append(fn(buf[left], buf[right]))
     return buf[result_slot]
 
 
@@ -142,9 +143,10 @@ def _scan(order: FinitePreorder, pool: Sequence[int], compiled, imp: Callable,
     if required > budget:
         raise BudgetExceededError(required, budget)
     full = order.full_mask
+    steps = _steps(program, imp, modal)
     checked = 0
     for values in itertools.product(pool, repeat=len(letters)):
-        ts = _run(program, result_slot, values, imp, modal)
+        ts = _run(steps, result_slot, values, 0)
         checked += n
         if ts != full:
             world = set_bits(full & ~ts)[0]
@@ -163,7 +165,7 @@ def truth_set(frame: GeneralFrame, valuation: Valuation, f: Formula) -> int:
     admissible = None if frame.is_full else set(frame.admissible)
     _check_valuation(frame.order, valuation, letters, admissible)
     values = [valuation[name] for name in letters]
-    return _run(program, result_slot, values, frame.imp, frame.dto)
+    return _run(_steps(program, frame.imp, frame.dto), result_slot, values, 0)
 
 
 def check(frame: GeneralFrame, valuation: Valuation, f: Formula, world: int) -> bool:
@@ -188,7 +190,7 @@ def truth_set_modal(frame: ModalFrame, valuation: Valuation, f: Formula) -> int:
     letters, program, result_slot = _compile_for(f, Language.MODAL)
     _check_valuation(frame.order, valuation, letters)
     values = [valuation[name] for name in letters]
-    return _run(program, result_slot, values, frame.imp, frame.box)
+    return _run(_steps(program, frame.imp, frame.box), result_slot, values, 0)
 
 
 def check_modal(frame: ModalFrame, valuation: Valuation, f: Formula, world: int) -> bool:

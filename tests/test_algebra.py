@@ -15,12 +15,19 @@ from condlogic.algebra import (
     prime_filters,
     validate_cha,
 )
+from condlogic.catalog import AXIOMS
 from condlogic.errors import CapExceededError, DualityError, FrameFormatError
-from condlogic.generate import random_formula, random_full_frame, random_general_frame
+from condlogic.generate import (
+    enumerate_full_frames,
+    random_formula,
+    random_full_frame,
+    random_general_frame,
+)
 from condlogic.semantics import valid
-from condlogic.syntax import Language, parse
+from condlogic.syntax import Language, parse, print_formula, proposition_letters
 
 from conftest import constant_full_frame, full_frame, m, preorder
+from test_cli_golden import ALGEBRA as GOLDEN_ALGEBRA
 
 
 def boolean2(cond_top_bot=1):
@@ -150,6 +157,76 @@ class TestAlgSatisfies:
         verdict = alg_satisfies(alg, parse("(true ~> p) -> p"))
         if not verdict.satisfied:
             assert set(verdict.assignment) == {"p"}
+
+
+def reference_alg_satisfies(alg, f):
+    """The recursive evaluator alg_satisfies used before it ran compiled
+    programs on the frame interpreter: (satisfied, assignment, checked)."""
+    letters = sorted(proposition_letters(f))
+    meet, join = alg.lattice()
+
+    def ev(node, env, cache):
+        got = cache.get(node)
+        if got is not None:
+            return got
+        op = node.op
+        if op == "var":
+            out = env[node.name]
+        elif op == "bot":
+            out = alg.bot
+        elif op == "and":
+            out = meet[ev(node.args[0], env, cache)][ev(node.args[1], env, cache)]
+        elif op == "or":
+            out = join[ev(node.args[0], env, cache)][ev(node.args[1], env, cache)]
+        elif op == "imp":
+            out = alg.imp[ev(node.args[0], env, cache)][ev(node.args[1], env, cache)]
+        else:
+            out = alg.cond[ev(node.args[0], env, cache)][ev(node.args[1], env, cache)]
+        cache[node] = out
+        return out
+
+    checked = 0
+    for values in itertools.product(range(alg.size), repeat=len(letters)):
+        env = dict(zip(letters, values))
+        checked += 1
+        if ev(f, env, {}) != alg.top:
+            return False, env, checked
+    return True, None, checked
+
+
+class TestAlgSatisfiesAgainstRecursiveEvaluator:
+    """Differential: the interpreter-backed alg_satisfies against the
+    recursive evaluator it replaced (verdict, first counter-assignment and
+    assignments checked)."""
+
+    def _agree(self, alg, formulas):
+        for f in formulas:
+            got = alg_satisfies(alg, f)
+            assert (got.satisfied, got.assignment, got.checked) == \
+                reference_alg_satisfies(alg, f), print_formula(f)
+
+    def _formulas(self, rng, count):
+        schemas = [entry.formula for entry in AXIOMS.values()]
+        randoms = [random_formula(rng, Language.COND, ["p", "q", "r"], rng.choice([2, 3, 4]))
+                   for _ in range(count)]
+        return schemas + randoms
+
+    def test_complex_algebras_of_small_frames(self, rng):
+        # every one-world frame, and a seeded tenth of a percent of the two-world ones
+        frames = [f for f in enumerate_full_frames(2) if f.n == 1 or rng.random() < 0.001]
+        assert len(frames) > 50
+        for frame in frames:
+            self._agree(complex_algebra(frame), self._formulas(rng, 6))
+
+    def test_complex_algebras_of_general_frames(self, rng):
+        for _ in range(40):
+            g = random_general_frame(rng, rng.choice([2, 3]))
+            self._agree(complex_algebra(g), self._formulas(rng, 3))
+
+    def test_file_algebras(self, rng):
+        for alg in (boolean2(), boolean2(0), chain3(), boolean4(),
+                    algebra_from_json(GOLDEN_ALGEBRA)):
+            self._agree(alg, self._formulas(rng, 20))
 
 
 class TestPrimeFilters:

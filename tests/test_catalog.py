@@ -155,6 +155,19 @@ class TestPersistence:
         b = persistence_experiment("unit", FillInKind.UNION, samples=24, seed=4, jobs=2)
         assert a == b
 
+    @pytest.mark.parametrize("key,kind,samples,seed,first", [
+        ("mp", FillInKind.EMPTY, 8, 1, 0),  # both chunks hold a counterexample
+        ("mon", FillInKind.SQUEEZE, 6, 0, 4),  # only the second chunk does
+    ])
+    def test_jobs_do_not_change_an_expected_failure(self, key, kind, samples, seed, first):
+        a = persistence_experiment(key, kind, samples=samples, seed=seed, expect="fail",
+                                   jobs=1)
+        b = persistence_experiment(key, kind, samples=samples, seed=seed, expect="fail",
+                                   jobs=2)
+        assert a == b
+        # the run ends at the first counterexample, whatever chunk finds it
+        assert (a["samples"], a["failures"]) == (first + 1, 1)
+
     def test_missing_correspondent(self):
         with pytest.raises(MissingCorrespondentError):
             persistence_experiment("or", FillInKind.EMPTY, samples=5)

@@ -271,6 +271,51 @@ class TestMalformedInput:
         code, _, err = run(capsys, "roundtrip", "--algebra", alg_path)
         assert code == 2 and "error" in err
 
+    def test_frame_path_is_a_directory(self, capsys, tmp_path):
+        code, _, err = run(capsys, "valid", "--frame", str(tmp_path), "--formula", "p")
+        assert code == 2 and "error" in err
+
+    def test_frame_file_is_not_utf8(self, capsys, tmp_path):
+        frame_path = tmp_path / "f.json"
+        frame_path.write_bytes(b'{"worlds": 1, "leq": "\xff"}')
+        code, _, err = run(capsys, "valid", "--frame", str(frame_path), "--formula", "p")
+        assert code == 2 and "error" in err
+
+    def test_out_path_is_a_directory(self, capsys, one_world_files, tmp_path):
+        frame_path, _ = one_world_files
+        code, _, err = run(capsys, "valid", "--frame", frame_path,
+                           "--formula", "(p ~> q) -> (p -> q)", "--out", str(tmp_path))
+        assert code == 2 and "error" in err
+
+
+class TestCountArguments:
+    """Counts out of range are rejected when the flags are parsed (exit 2)."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "0", "persist", "--axiom", "id", "--fillin", "empty", "--samples", "1"],
+        ["--jobs", "-3", "persist", "--axiom", "id", "--fillin", "empty", "--samples", "1"],
+        ["persist", "--axiom", "id", "--fillin", "empty", "--samples", "0"],
+        ["persist", "--axiom", "mp", "--fillin", "empty", "--samples", "-4",
+         "--expect", "fail"],
+        ["verify-correspondence", "--axiom", "id", "--max-worlds", "0"],
+        ["verify-correspondence", "--axiom", "id", "--samples", "-1"],
+        ["search", "--logic", "ICK", "--refute", "p", "--max-worlds", "0"],
+        ["search", "--logic", "ICK", "--refute", "p", "--samples", "-1"],
+        ["persist", "--axiom", "id", "--fillin", "empty", "--samples", "two"],
+    ])
+    def test_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and "error" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-correspondence", "--axiom", "id", "--max-worlds", "1", "--samples", "0"],
+        ["search", "--logic", "ICK", "--refute", "p -> p", "--max-worlds", "1",
+         "--samples", "0"],
+    ])
+    def test_zero_samples_stay_legal(self, capsys, argv):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+
 
 class TestDeterminism:
     def test_search_reports_are_byte_identical(self, capsys):

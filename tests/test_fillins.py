@@ -11,7 +11,7 @@ from condlogic.fillins import (
 )
 from condlogic.frames import strongly_coherent, validate_conditional
 from condlogic.generate import random_formula, random_general_frame
-from condlogic.order import all_upsets
+from condlogic.order import all_upsets, mask_to_key, up_closure
 from condlogic.semantics import check, valid
 from condlogic.syntax import Language
 
@@ -44,6 +44,36 @@ def cautious_pool(rng, count, sizes=(2, 3, 3, 4)):
             out.append(g)
     assert len(out) == count
     return out
+
+
+def reference_squeeze_witness(g):
+    """The collecting loops check_squeeze_precondition ran before it used the
+    catalog's correspondents: every id and icc violation, then the first."""
+    id_violations, icc_violations = [], []
+    p = g.order
+    for a in g.admissible:
+        rows = g.rel(a)
+        for x in range(p.n):
+            if rows[x] & ~a:
+                id_violations.append((a, x))
+    for a in g.admissible:
+        rows_a = g.rel(a)
+        for b in g.admissible:
+            if b & ~a:
+                continue
+            rows_b = g.rel(b)
+            for x in range(p.n):
+                if rows_a[x] & ~b:
+                    continue
+                if up_closure(p, rows_a[x]) != up_closure(p, rows_b[x]):
+                    icc_violations.append((a, b, x))
+    if id_violations:
+        a, x = id_violations[0]
+        return ("id-corr", mask_to_key(a), x)
+    if icc_violations:
+        a, b, x = icc_violations[0]
+        return ("icc-corr", mask_to_key(a), mask_to_key(b), x)
+    return None
 
 
 class TestKinds:
@@ -138,6 +168,33 @@ class TestRefutationInheritance:
                 assert not check(filled, verdict.valuation, f, verdict.world)
 
 
+class TestSqueezePreconditionAgainstCollectingLoops:
+    """Differential: the precondition on the shared correspondent loop
+    against the loops it replaced (verdict and first witness)."""
+
+    def _agree(self, frames):
+        for g in frames:
+            report = check_squeeze_precondition(g)
+            expected = reference_squeeze_witness(g)
+            assert (report.holds, report.witness) == (expected is None, expected)
+
+    def test_cautious_pool(self, rng):
+        self._agree(cautious_pool(rng, 60))
+
+    def test_random_general_frames(self, rng):
+        frames = [random_general_frame(rng, rng.choice([2, 3, 4])) for _ in range(150)]
+        # the cautious row modes make icc violations without id ones likelier
+        frames += [random_general_frame(rng, rng.choice([2, 3, 4]),
+                                        mode_names=("strength", "refl", "const_meet",
+                                                    "empty", "subset"),
+                                        force_subset=True)
+                   for _ in range(150)]
+        kinds = {None if w is None else w[0]
+                 for w in map(reference_squeeze_witness, frames)}
+        assert kinds == {None, "id-corr", "icc-corr"}
+        self._agree(frames)
+
+
 class TestSqueeze:
     def test_precondition_holds_for_empty_relations(self, anti2):
         g = general_frame(anti2, (0, m(0, 1)), {0: (0, 0), m(0, 1): (0, 0)})
@@ -152,7 +209,7 @@ class TestSqueeze:
         assert validate_general(g).ok
         report = check_squeeze_precondition(g)
         assert not report.holds
-        assert report.id_violations and report.id_violations[0] == (0, 0)
+        assert report.witness == ("id-corr", "", 0)
 
     def test_antichain_example_passes(self, anti2_gaps):
         assert check_squeeze_precondition(anti2_gaps).holds
@@ -167,8 +224,6 @@ class TestSqueeze:
         # construction-time invariant: whenever two admissible squeezers
         # apply, their rows have equal up-closures (asserted inside fill);
         # replay it here explicitly
-        from condlogic.order import up_closure
-
         for g in cautious_pool(rng, 100):
             ups = all_upsets(g.order)
             adm = set(g.admissible)
