@@ -3,8 +3,16 @@
 An algebra carries explicit implication and conditional tables; validation
 recomputes the implication from the lattice order (largest c with
 c meet a below b) and requires agreement, because files can lie about the
-algebraic laws.  Prime filters are found by a filtered subset scan, capped
-at carrier size :data:`PF_CAP`.
+algebraic laws.
+
+Everything the order alone decides (the order and bound checks, the meet
+and join tables, distributivity, the residual table and the prime filters)
+is derived on bitmasks once per ``(size, leq, top, bot)`` and memoised in
+:func:`_order_facts`; the implication and conditional tables are checked
+per algebra.  A prime filter of a finite lattice is the principal filter of
+a join-prime element other than bot, so it is found in O(k) per element
+rather than by a subset scan; :func:`prime_filters` still refuses carriers
+above :data:`PF_CAP`.
 
 Finitely, every upset of the prime-filter poset is the image of exactly
 one element, so the dual of an algebra is a full conditional frame and no
@@ -19,11 +27,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceededError, CapExceededError, DualityError, FrameFormatError, LanguageError
 from .frames import ConditionalFrame, GeneralFrame, strongly_coherent, validate_conditional
-from .order import FinitePreorder, all_upsets, heyting_imp, mask_to_key, read_indices
+from .order import FinitePreorder, all_upsets, box, heyting_imp, mask_to_key, read_indices, set_bits
 from .semantics import DEFAULT_BUDGET, _run, _steps, compile_formula
 from .syntax import Formula, Language
 
@@ -62,38 +71,100 @@ class FiniteCHA:
                 raise FrameFormatError(f"{name} table entry out of range")
         if not (0 <= self.top < self.size and 0 <= self.bot < self.size):
             raise FrameFormatError("top or bot out of range")
-        self._lattice: Optional[Tuple[Table, Table]] = None
 
     def le(self, i: int, j: int) -> bool:
         return bool((self.leq[i] >> j) & 1)
 
     def lattice(self) -> Tuple[Table, Table]:
         """Derived (meet, join) tables; raises if some pair has no glb or lub."""
-        if self._lattice is None:
-            meet = _bound_table(self, lower=True)
-            join = _bound_table(self, lower=False)
-            self._lattice = (meet, join)
-        return self._lattice
+        facts = _order_facts(self.size, self.leq, self.top, self.bot)
+        if facts.lattice_error is not None:
+            raise FrameFormatError(facts.lattice_error)
+        return facts.meet, facts.join
 
 
-def _bound_table(alg: FiniteCHA, lower: bool) -> Table:
-    size = alg.size
+class _OrderFacts(NamedTuple):
+    """What the order alone decides about one ``(size, leq, top, bot)``.
+
+    One instance is handed to every algebra on that order, so every field
+    is immutable.
+    """
+
+    meet: Optional[Table]
+    join: Optional[Table]
+    lattice_error: Optional[str]
+    violations: Tuple[str, ...]  # what validate_cha reports before the imp check
+    residual: Optional[Table]  # largest c with meet(c, i) <= j; None where not unique
+    prime_filters: Optional[Tuple[int, ...]]  # None unless a bounded lattice order
+
+
+def _greatest(cands: int, rows: Tuple[int, ...]) -> Optional[int]:
+    """The one element g of ``cands`` with ``cands`` within ``rows[g]``, or None."""
+    found = [g for g in set_bits(cands) if not cands & ~rows[g]]
+    return found[0] if len(found) == 1 else None
+
+
+def _bounds(size: int, rows: Tuple[int, ...]) -> Tuple[Optional[Table], Optional[Tuple[int, int]]]:
+    """The meet table from down-set rows, or the join table from up-set rows;
+    on failure None and the first pair without a bound."""
     out = []
     for i in range(size):
         row = []
         for j in range(size):
-            if lower:
-                candidates = [k for k in range(size) if alg.le(k, i) and alg.le(k, j)]
-                best = [g for g in candidates if all(alg.le(k, g) for k in candidates)]
-            else:
-                candidates = [k for k in range(size) if alg.le(i, k) and alg.le(j, k)]
-                best = [g for g in candidates if all(alg.le(g, k) for k in candidates)]
-            if len(best) != 1:
-                kind = "meet" if lower else "join"
-                raise FrameFormatError(f"elements {i}, {j} have no {kind}; not a lattice")
-            row.append(best[0])
+            g = _greatest(rows[i] & rows[j], rows)
+            if g is None:
+                return None, (i, j)
+            row.append(g)
         out.append(tuple(row))
-    return tuple(out)
+    return tuple(out), None
+
+
+@lru_cache(maxsize=1024)
+def _order_facts(size: int, leq: Tuple[int, ...], top: int, bot: int) -> _OrderFacts:
+    down = tuple(sum(1 << j for j in range(size) if (leq[j] >> i) & 1) for i in range(size))
+    bad = []
+    for i in range(size):
+        if not (leq[i] >> i) & 1:
+            bad.append(f"order not reflexive at {i}")
+        for j in set_bits(leq[i]):
+            if (leq[j] >> i) & 1 and i != j:
+                bad.append(f"order not antisymmetric at ({i}, {j})")
+            if leq[j] & ~leq[i]:
+                bad.append(f"order not transitive at ({i}, {j})")
+    for i in range(size):
+        if not (leq[bot] >> i) & 1:
+            bad.append(f"bot is not below element {i}")
+        if not (leq[i] >> top) & 1:
+            bad.append(f"element {i} is not below top")
+    meet, pair = _bounds(size, down)
+    join = lattice_error = None
+    if pair is None:
+        join, pair = _bounds(size, leq)
+    if pair is not None:
+        kind = "meet" if meet is None else "join"
+        meet = None
+        lattice_error = f"elements {pair[0]}, {pair[1]} have no {kind}; not a lattice"
+    if bad or lattice_error is not None:
+        return _OrderFacts(meet, join, lattice_error, tuple(bad) or (lattice_error,), None, None)
+    violations = ()
+    for i, j, k in itertools.product(range(size), repeat=3):
+        if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
+            violations = (f"distributivity fails at ({i}, {j}, {k})",)
+            break
+    residual = None
+    if not violations:
+        residual = tuple(
+            tuple(_greatest(sum(1 << c for c in range(size) if (down[j] >> meet[c][i]) & 1), down)
+                  for j in range(size))
+            for i in range(size)
+        )
+    # up(m) is a prime filter iff its complement is an ideal, and the ideals
+    # of a finite lattice are its nonempty principal down-sets (so m = bot,
+    # whose complement is empty, is left out)
+    ideals = set(down)
+    full = (1 << size) - 1
+    primes = tuple(sorted(leq[m] for m in range(size) if full & ~leq[m] in ideals))
+    return _OrderFacts(meet, join, None, violations, residual, primes)
 
 
 @dataclass
@@ -113,49 +184,24 @@ class AlgebraReport:
 
 def validate_cha(alg: FiniteCHA) -> AlgebraReport:
     """Exhaustively check every algebra invariant over the finite carrier."""
-    report = AlgebraReport()
-    size = alg.size
-    for i in range(size):
-        if not alg.le(i, i):
-            report.add(f"order not reflexive at {i}")
-        for j in range(size):
-            if alg.le(i, j) and alg.le(j, i) and i != j:
-                report.add(f"order not antisymmetric at ({i}, {j})")
-            if alg.le(i, j):
-                if alg.leq[j] & ~alg.leq[i]:
-                    report.add(f"order not transitive at ({i}, {j})")
-    for i in range(size):
-        if not alg.le(alg.bot, i):
-            report.add(f"bot is not below element {i}")
-        if not alg.le(i, alg.top):
-            report.add(f"element {i} is not below top")
+    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
+    report = AlgebraReport(list(facts.violations))
     if not report.ok:
         return report
-    try:
-        meet, join = alg.lattice()
-    except FrameFormatError as exc:
-        report.add(str(exc))
-        return report
-    for i in range(size):
+    size = alg.size
+    meet = facts.meet
+    for i, (imp_row, res_row) in enumerate(zip(alg.imp, facts.residual)):
         for j in range(size):
-            for k in range(size):
-                if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
-                    report.add(f"distributivity fails at ({i}, {j}, {k})")
-                    return report
-    # residuation: imp[i][j] must be the largest c with c meet i below j
-    for i in range(size):
-        for j in range(size):
-            candidates = [c for c in range(size) if alg.le(meet[c][i], j)]
-            best = [c for c in candidates if all(alg.le(d, c) for d in candidates)]
-            if len(best) != 1 or alg.imp[i][j] != best[0]:
+            if imp_row[j] != res_row[j]:
                 report.add(f"imp table disagrees with residuation at ({i}, {j})")
     # cond laws: meets preserved in the second argument, top preserved
-    for a in range(size):
-        if alg.cond[a][alg.top] != alg.top:
+    for a, row in enumerate(alg.cond):
+        if row[alg.top] != alg.top:
             report.add(f"cond({a}, top) is not top")
         for b in range(size):
+            meet_b, row_b = meet[b], meet[row[b]]
             for c in range(size):
-                if alg.cond[a][meet[b][c]] != meet[alg.cond[a][b]][alg.cond[a][c]]:
+                if row[meet_b[c]] != row_b[row[c]]:
                     report.add(f"cond does not preserve meet at ({a}, {b}, {c})")
                     return report
     return report
@@ -164,8 +210,16 @@ def validate_cha(alg: FiniteCHA) -> AlgebraReport:
 def complex_algebra(g: GeneralFrame) -> FiniteCHA:
     """The algebra of admissible upsets with the operations read off the frame."""
     masks = g.admissible
+    leq, imp, top, bot = _upset_algebra(g.order, masks)
     idx = {m: i for i, m in enumerate(masks)}
-    p = g.order
+    cond = tuple(tuple([idx[box(rows, b)] for b in masks]) for rows in map(g.rel, masks))
+    return FiniteCHA(size=len(masks), leq=leq, imp=imp, cond=cond, top=top, bot=bot, labels=masks)
+
+
+@lru_cache(maxsize=1024)
+def _upset_algebra(p: FinitePreorder, masks: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Table, int, int]:
+    """``leq``, ``imp``, ``top`` and ``bot`` of the upsets ``masks`` of ``p``."""
+    idx = {m: i for i, m in enumerate(masks)}
     size = len(masks)
     leq = tuple(
         sum(1 << j for j, mj in enumerate(masks) if not masks[i] & ~mj)
@@ -175,19 +229,7 @@ def complex_algebra(g: GeneralFrame) -> FiniteCHA:
         tuple(idx[heyting_imp(p, masks[i], masks[j])] for j in range(size))
         for i in range(size)
     )
-    cond = tuple(
-        tuple(idx[g.dto(masks[i], masks[j])] for j in range(size))
-        for i in range(size)
-    )
-    return FiniteCHA(
-        size=size,
-        leq=leq,
-        imp=imp,
-        cond=cond,
-        top=idx[p.full_mask],
-        bot=idx[0],
-        labels=masks,
-    )
+    return leq, imp, idx[p.full_mask], idx[0]
 
 
 @dataclass
@@ -220,64 +262,55 @@ def alg_satisfies(alg: FiniteCHA, f: Formula, budget: int = DEFAULT_BUDGET) -> A
 
 
 def prime_filters(alg: FiniteCHA, cap: int = PF_CAP) -> Tuple[int, ...]:
-    """All prime filters as carrier bitmasks, in ascending mask order."""
+    """All prime filters as carrier bitmasks, in ascending mask order.
+
+    Raises FrameFormatError unless the order is a bounded lattice order.
+    """
     if alg.size > cap:
         raise CapExceededError(
             f"prime filter scan is capped at carrier size {cap}, got {alg.size}"
         )
-    meet, join = alg.lattice()
-    out = []
-    for s in range(1, 1 << alg.size):
-        if (s >> alg.bot) & 1 or not (s >> alg.top) & 1:
-            continue
-        members = [i for i in range(alg.size) if (s >> i) & 1]
-        if any(alg.leq[i] & ~s for i in members):
-            continue  # not an upset of the lattice order
-        if any(not (s >> meet[i][j]) & 1 for i in members for j in members):
-            continue
-        prime = True
-        for a in range(alg.size):
-            for b in range(alg.size):
-                if (s >> join[a][b]) & 1 and not (s >> a) & 1 and not (s >> b) & 1:
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            out.append(s)
-    return tuple(out)
+    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
+    if facts.prime_filters is None:
+        raise FrameFormatError("; ".join(facts.violations))
+    return facts.prime_filters
 
 
-def _theta(alg: FiniteCHA, pfs: Tuple[int, ...]) -> Tuple[int, ...]:
-    return tuple(
-        sum(1 << k for k, pf in enumerate(pfs) if (pf >> i) & 1)
-        for i in range(alg.size)
+@lru_cache(maxsize=1024)
+def _prime_filter_poset(size: int, pfs: Tuple[int, ...]) -> Tuple[FinitePreorder, Tuple[int, ...], bool]:
+    """The inclusion order on ``pfs``, theta (each element to the filters
+    holding it) and whether theta is a bijection onto that order's upsets."""
+    n = len(pfs)
+    order = FinitePreorder(
+        n, tuple(sum(1 << l for l in range(n) if not pfs[k] & ~pfs[l]) for k in range(n))
     )
+    theta = tuple(
+        sum(1 << k for k, pf in enumerate(pfs) if (pf >> i) & 1)
+        for i in range(size)
+    )
+    onto = sorted(theta) == sorted(all_upsets(order)) and len(set(theta)) == len(theta)
+    return order, theta, onto
 
 
 def _dual_with_maps(alg: FiniteCHA):
     pfs = prime_filters(alg)
-    n = len(pfs)
-    if n == 0:
+    if not pfs:
         raise DualityError("algebra has no prime filters; carrier must be degenerate")
-    order = FinitePreorder(
-        n, tuple(sum(1 << l for l in range(n) if not pfs[k] & ~pfs[l]) for k in range(n))
-    )
-    theta = _theta(alg, pfs)
-    ups = all_upsets(order)
-    if sorted(theta) != sorted(ups) or len(set(theta)) != len(theta):
+    order, theta, onto = _prime_filter_poset(alg.size, pfs)
+    if not onto:
         raise DualityError(
             "theta is not a bijection onto the upsets of the prime-filter poset"
         )
+    # x steps to the prime filters holding every b with (a cond b) in x
+    full = order.full_mask
     relations = {}
-    for i in range(alg.size):
+    for i, cond_row in enumerate(alg.cond):
         rows = []
-        for k in range(n):
-            forced = [b for b in range(alg.size) if (pfs[k] >> alg.cond[i][b]) & 1]
-            succ = 0
-            for l in range(n):
-                if all((pfs[l] >> b) & 1 for b in forced):
-                    succ |= 1 << l
+        for pf in pfs:
+            succ = full
+            for c, t in zip(cond_row, theta):
+                if (pf >> c) & 1:
+                    succ &= t
             rows.append(succ)
         relations[theta[i]] = tuple(rows)
     return ConditionalFrame(order, relations), pfs, theta
@@ -327,7 +360,9 @@ def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
     if theta[alg.bot] != 0:
         report.add("theta does not preserve bot")
     meet, join = alg.lattice()
+    pos = [index[t] for t in theta]  # theta as indices into back's carrier
     for i in range(alg.size):
+        ti = pos[i]
         for j in range(alg.size):
             if theta[meet[i][j]] != theta[i] & theta[j]:
                 report.add(f"theta breaks meet at ({i}, {j})")
@@ -335,11 +370,11 @@ def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
             if theta[join[i][j]] != theta[i] | theta[j]:
                 report.add(f"theta breaks join at ({i}, {j})")
                 return report
-            if theta[alg.imp[i][j]] != heyting_imp(frame.order, theta[i], theta[j]):
+            tj = pos[j]
+            if pos[alg.imp[i][j]] != back.imp[ti][tj]:
                 report.add(f"theta breaks imp at ({i}, {j})")
                 return report
-            ti, tj = index[theta[i]], index[theta[j]]
-            if index[theta[alg.cond[i][j]]] != back.cond[ti][tj]:
+            if pos[alg.cond[i][j]] != back.cond[ti][tj]:
                 report.add(f"theta breaks cond at ({i}, {j})")
                 return report
     return report
@@ -384,19 +419,21 @@ def frame_roundtrip(f: ConditionalFrame) -> DualityReport:
             if f.order.leq(x, y) != (not eta[x] & ~eta[y]):
                 report.add(f"eta breaks the order at ({x}, {y})")
                 return report
+    world_of = [0] * f.n  # the world whose eta is each prime filter
+    for x, e in enumerate(eta):
+        world_of[pf_index[e]] = x
     for i, a in enumerate(labels):
         rows = f.rel(a)
         dual_rows = frame2.rel(theta[i])
-        for x in range(f.n):
-            for y in range(f.n):
-                lhs = bool((rows[x] >> y) & 1)
-                rhs = bool((dual_rows[pf_index[eta[x]]] >> pf_index[eta[y]]) & 1)
-                if lhs != rhs:
-                    report.add(
-                        f"relation at {{{mask_to_key(a)}}} disagrees with the dual "
-                        f"at worlds ({x}, {y})"
-                    )
-                    return report
+        for x, e in enumerate(eta):
+            diff = rows[x] ^ sum(1 << world_of[k] for k in set_bits(dual_rows[pf_index[e]]))
+            if diff:
+                y = (diff & -diff).bit_length() - 1
+                report.add(
+                    f"relation at {{{mask_to_key(a)}}} disagrees with the dual "
+                    f"at worlds ({x}, {y})"
+                )
+                return report
     return report
 
 

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import json
 
 import pytest
 
+from condlogic import algebra
 from condlogic.algebra import (
     FiniteCHA,
     alg_satisfies,
@@ -17,12 +19,14 @@ from condlogic.algebra import (
 )
 from condlogic.catalog import AXIOMS
 from condlogic.errors import CapExceededError, DualityError, FrameFormatError
+from condlogic.frames import ConditionalFrame
 from condlogic.generate import (
     enumerate_full_frames,
     random_formula,
     random_full_frame,
     random_general_frame,
 )
+from condlogic.order import all_upsets, mask_to_key
 from condlogic.semantics import valid
 from condlogic.syntax import Language, parse, print_formula, proposition_letters
 
@@ -230,38 +234,18 @@ class TestAlgSatisfiesAgainstRecursiveEvaluator:
 
 
 class TestPrimeFilters:
-    def _oracle(self, alg):
-        meet, join = alg.lattice()
-        found = []
-        for members in itertools.chain.from_iterable(
-            itertools.combinations(range(alg.size), k) for k in range(1, alg.size + 1)
-        ):
-            s = set(members)
-            if alg.bot in s or alg.top not in s:
-                continue
-            if any(alg.le(i, j) and i in s and j not in s
-                   for i in range(alg.size) for j in range(alg.size)):
-                continue
-            if any(meet[i][j] not in s for i in s for j in s):
-                continue
-            if any(join[i][j] in s and i not in s and j not in s
-                   for i in range(alg.size) for j in range(alg.size)):
-                continue
-            found.append(sum(1 << i for i in s))
-        return sorted(found)
-
     def test_two_element(self):
         assert prime_filters(boolean2()) == (0b10,)
 
     def test_three_chain(self):
         pfs = prime_filters(chain3())
-        assert pfs == tuple(self._oracle(chain3()))
+        assert pfs == tuple(reference_prime_filters(chain3()))
         assert len(pfs) == 2
 
     def test_boolean4_has_two_ultrafilters(self):
         alg = boolean4()
         pfs = prime_filters(alg)
-        assert pfs == tuple(self._oracle(alg))
+        assert pfs == tuple(reference_prime_filters(alg))
         assert len(pfs) == 2
 
     def test_cap(self):
@@ -272,6 +256,14 @@ class TestPrimeFilters:
         for _ in range(60):
             f = random_full_frame(rng, rng.choice([2, 3, 4]))
             assert len(prime_filters(complex_algebra(f))) == f.n
+
+    def test_order_that_is_not_a_bounded_partial_order_is_refused(self):
+        # a chain with top and bot swapped has both tables but no bounds
+        alg = FiniteCHA(2, (0b11, 0b10), ((1, 1), (0, 1)), ((1, 1), (1, 1)),
+                        top=0, bot=1)
+        assert alg.lattice()
+        with pytest.raises(FrameFormatError, match="bot is not below element 0"):
+            prime_filters(alg)
 
 
 class TestDualFrame:
@@ -310,6 +302,24 @@ class TestDualityRoundtrip:
         with pytest.raises(DualityError):
             check_duality_roundtrip(alg)
 
+    def test_a_wrong_imp_in_the_dual_is_reported_at_its_pair(self, monkeypatch):
+        # the imp check reads the dual's complex algebra through theta
+        real = algebra.complex_algebra
+        for alg in (chain3(), boolean4()):
+            frame, _, theta = algebra._dual_with_maps(alg)
+            labels = all_upsets(frame.order)
+            for i, j in itertools.product(range(alg.size), repeat=2):
+                ti, tj = labels.index(theta[i]), labels.index(theta[j])
+
+                def wrong(g):
+                    back = real(g)
+                    imp = [list(row) for row in back.imp]
+                    imp[ti][tj] = (imp[ti][tj] + 1) % back.size
+                    return dataclasses.replace(back, imp=tuple(map(tuple, imp)))
+
+                monkeypatch.setattr(algebra, "complex_algebra", wrong)
+                assert check_duality_roundtrip(alg).failures == [f"theta breaks imp at ({i}, {j})"]
+
 
 class TestFrameRoundtrip:
     def test_one_world_all_empty(self, single):
@@ -324,6 +334,28 @@ class TestFrameRoundtrip:
             f = random_full_frame(rng, rng.choice([2, 3]), strong=True)
             assert frame_roundtrip(f).ok
 
+    def test_a_flipped_dual_edge_is_reported_at_its_worlds(self, monkeypatch):
+        # world 1 below world 0, so eta lists the prime filters in reverse
+        f = constant_full_frame(preorder(2, [(1, 0)]), (0b01, 0b11))
+        labels = complex_algebra(f).labels
+        eta = [sum(1 << i for i, a in enumerate(labels) if (a >> x) & 1) for x in range(f.n)]
+        real = algebra._dual_with_maps
+        for i, x, y in itertools.product(range(len(labels)), range(f.n), range(f.n)):
+
+            def flipped(alg):
+                frame, pfs, theta = real(alg)
+                relations = dict(frame.relations)
+                rows = list(relations[theta[i]])
+                rows[pfs.index(eta[x])] ^= 1 << pfs.index(eta[y])
+                relations[theta[i]] = tuple(rows)
+                return ConditionalFrame(frame.order, relations), pfs, theta
+
+            monkeypatch.setattr(algebra, "_dual_with_maps", flipped)
+            assert frame_roundtrip(f).failures == [
+                f"relation at {{{mask_to_key(labels[i])}}} disagrees with the dual "
+                f"at worlds ({x}, {y})"
+            ]
+
     def test_preorder_refused(self):
         cluster = preorder(2, [(0, 1), (1, 0)])
         f = full_frame(cluster)
@@ -334,6 +366,209 @@ class TestFrameRoundtrip:
         f = full_frame(chain2, {m(0, 1): (m(0), 0)})
         with pytest.raises(DualityError):
             frame_roundtrip(f)
+
+
+# --- references: the order-only code before it was memoised on bitmasks ------
+
+
+def _bound_table(alg, lower):
+    size = alg.size
+    out = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            if lower:
+                candidates = [k for k in range(size) if alg.le(k, i) and alg.le(k, j)]
+                best = [g for g in candidates if all(alg.le(k, g) for k in candidates)]
+            else:
+                candidates = [k for k in range(size) if alg.le(i, k) and alg.le(j, k)]
+                best = [g for g in candidates if all(alg.le(g, k) for k in candidates)]
+            if len(best) != 1:
+                kind = "meet" if lower else "join"
+                raise FrameFormatError(f"elements {i}, {j} have no {kind}; not a lattice")
+            row.append(best[0])
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def reference_lattice(alg):
+    """(meet, join) by the O(k^3) scan, or the message it raised."""
+    try:
+        return _bound_table(alg, lower=True), _bound_table(alg, lower=False)
+    except FrameFormatError as exc:
+        return str(exc)
+
+
+def reference_order_violations(alg):
+    out = []
+    size = alg.size
+    for i in range(size):
+        if not alg.le(i, i):
+            out.append(f"order not reflexive at {i}")
+        for j in range(size):
+            if alg.le(i, j) and alg.le(j, i) and i != j:
+                out.append(f"order not antisymmetric at ({i}, {j})")
+            if alg.le(i, j):
+                if alg.leq[j] & ~alg.leq[i]:
+                    out.append(f"order not transitive at ({i}, {j})")
+    for i in range(size):
+        if not alg.le(alg.bot, i):
+            out.append(f"bot is not below element {i}")
+        if not alg.le(i, alg.top):
+            out.append(f"element {i} is not below top")
+    return out
+
+
+def reference_residual(alg, meet, i, j):
+    candidates = [c for c in range(alg.size) if alg.le(meet[c][i], j)]
+    best = [c for c in candidates if all(alg.le(d, c) for d in candidates)]
+    return best[0] if len(best) == 1 else None
+
+
+def reference_validate_cha(alg):
+    """validate_cha's violations, computed by per-pair scans with no memo."""
+    report = reference_order_violations(alg)
+    if report:
+        return report
+    tables = reference_lattice(alg)
+    if isinstance(tables, str):
+        return [tables]
+    meet, join = tables
+    size = alg.size
+    for i, j, k in itertools.product(range(size), repeat=3):
+        if meet[i][join[j][k]] != join[meet[i][j]][meet[i][k]]:
+            return [f"distributivity fails at ({i}, {j}, {k})"]
+    for i in range(size):
+        for j in range(size):
+            best = reference_residual(alg, meet, i, j)
+            if best is None or alg.imp[i][j] != best:
+                report.append(f"imp table disagrees with residuation at ({i}, {j})")
+    for a in range(size):
+        if alg.cond[a][alg.top] != alg.top:
+            report.append(f"cond({a}, top) is not top")
+        for b in range(size):
+            for c in range(size):
+                if alg.cond[a][meet[b][c]] != meet[alg.cond[a][b]][alg.cond[a][c]]:
+                    report.append(f"cond does not preserve meet at ({a}, {b}, {c})")
+                    return report
+    return report
+
+
+def reference_prime_filters(alg):
+    """Every subset that is a proper prime filter, ascending as a mask."""
+    meet, join = reference_lattice(alg)
+    found = []
+    for members in itertools.chain.from_iterable(
+        itertools.combinations(range(alg.size), k) for k in range(1, alg.size + 1)
+    ):
+        s = set(members)
+        if alg.bot in s or alg.top not in s:
+            continue
+        if any(alg.le(i, j) and i in s and j not in s
+               for i in range(alg.size) for j in range(alg.size)):
+            continue
+        if any(meet[i][j] not in s for i in s for j in s):
+            continue
+        if any(join[i][j] in s and i not in s and j not in s
+               for i in range(alg.size) for j in range(alg.size)):
+            continue
+        found.append(sum(1 << i for i in s))
+    return sorted(found)
+
+
+def reference_dual_relations(alg, pfs):
+    """The dual's relations by the (element, filter, filter) triple loop."""
+    n = len(pfs)
+    theta = [sum(1 << k for k, pf in enumerate(pfs) if (pf >> i) & 1) for i in range(alg.size)]
+    relations = {}
+    for i in range(alg.size):
+        rows = []
+        for k in range(n):
+            forced = [b for b in range(alg.size) if (pfs[k] >> alg.cond[i][b]) & 1]
+            succ = 0
+            for l in range(n):
+                if all((pfs[l] >> b) & 1 for b in forced):
+                    succ |= 1 << l
+            rows.append(succ)
+        relations[theta[i]] = tuple(rows)
+    return relations
+
+
+def _small_algebras():
+    """Every leq relation on 1-3 elements x every top and bot, each with two
+    imp/cond tables: a constant top imp with an arbitrary cond, and the
+    residual as both imp and cond where the order is a lattice (a valid
+    algebra when it is distributive), else the arbitrary table for both."""
+    for size in (1, 2, 3):
+        arbitrary = tuple(tuple((a + b) % size for b in range(size)) for a in range(size))
+        for leq in itertools.product(range(1 << size), repeat=size):
+            for top, bot in itertools.product(range(size), repeat=2):
+                yield FiniteCHA(size, leq, tuple((top,) * size for _ in range(size)),
+                                arbitrary, top, bot)
+                probe = FiniteCHA(size, leq, arbitrary, arbitrary, top, bot)
+                tables = reference_lattice(probe)
+                if isinstance(tables, str):
+                    yield probe
+                    continue
+                residual = tuple(
+                    tuple(reference_residual(probe, tables[0], i, j) or 0 for j in range(size))
+                    for i in range(size)
+                )
+                yield FiniteCHA(size, leq, residual, residual, top, bot)
+
+
+class TestOrderFactsAgainstScans:
+    """Differential: the memoised bitmask lattice tables, validation, prime
+    filters and dual relations against the per-pair scans they replaced."""
+
+    def _agree(self, alg):
+        tables = reference_lattice(alg)
+        try:
+            got = alg.lattice()
+        except FrameFormatError as exc:
+            got = str(exc)
+        assert got == tables
+        expected = reference_validate_cha(alg)
+        report = validate_cha(alg)
+        assert report.violations == expected
+        assert str(report) == ("; ".join(expected) or "valid")
+        if reference_order_violations(alg) or isinstance(tables, str):
+            with pytest.raises(FrameFormatError):
+                prime_filters(alg)
+            return
+        pfs = prime_filters(alg)
+        assert pfs == tuple(reference_prime_filters(alg))
+        try:
+            frame = dual_frame(alg)
+        except DualityError:
+            assert not report.ok or not pfs
+            return
+        assert frame.relations == reference_dual_relations(alg, pfs)
+
+    def test_every_small_relation(self):
+        algebras = list(_small_algebras())
+        assert len(algebras) == 9348
+        for alg in algebras:
+            self._agree(alg)
+
+    def test_complex_algebras_of_two_world_frames(self):
+        for frame in itertools.islice(enumerate_full_frames(2), 0, None, 7):
+            self._agree(complex_algebra(frame))
+
+    def test_complex_algebras_of_larger_frames(self, rng):
+        for _ in range(40):
+            n = rng.choice([3, 4])
+            self._agree(complex_algebra(random_full_frame(rng, n, strong=rng.random() < 0.5)))
+            self._agree(complex_algebra(random_general_frame(rng, n)))
+
+    def test_memoised_results_are_not_shared_mutably(self):
+        first, second = boolean2(), boolean2(cond_top_bot=0)
+        report = validate_cha(first)
+        report.add("x")
+        assert validate_cha(second).ok
+        meet, join = first.lattice()
+        assert isinstance(meet, tuple) and all(isinstance(row, tuple) for row in meet + join)
+        assert isinstance(prime_filters(first), tuple)
 
 
 class TestCaVersusId:
