@@ -18,9 +18,11 @@ Finitely, every upset of the prime-filter poset is the image of exactly
 one element, so the dual of an algebra is a full conditional frame and no
 topology object is needed.
 
-Satisfaction has no evaluator of its own: :func:`alg_satisfies` runs the
-program :func:`condlogic.semantics.compile_formula` makes through the same
-interpreter as frame validity, with table lookups for the connectives.
+Satisfaction runs the program :func:`condlogic.semantics.compile_formula`
+makes, one assignment at a time, with one table lookup per connective;
+the program's ops are bound to their tables once per call.  Frame
+validity runs the same programs bit-sliced over world sets, which algebra
+elements are not.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .errors import BudgetExceededError, CapExceededError, DualityError, FrameFormatError, LanguageError
 from .frames import ConditionalFrame, GeneralFrame, strongly_coherent, validate_conditional
 from .order import FinitePreorder, all_upsets, box, heyting_imp, mask_to_key, read_indices, set_bits
-from .semantics import DEFAULT_BUDGET, _run, _steps, compile_formula
+from .semantics import DEFAULT_BUDGET, compile_formula
 from .syntax import Formula, Language
 
 PF_CAP = 20
@@ -251,12 +253,16 @@ def alg_satisfies(alg: FiniteCHA, f: Formula, budget: int = DEFAULT_BUDGET) -> A
     if required > budget:
         raise BudgetExceededError(required, budget)
     meet, join = alg.lattice()
-    steps = _steps(program, lambda a, b: alg.imp[a][b], lambda a, b: alg.cond[a][b],
-                   meet=lambda a, b: meet[a][b], join=lambda a, b: join[a][b])
+    tables = {"and": meet, "or": join, "imp": alg.imp, "cond": alg.cond}
+    steps = [(tables[op], left, right) for op, left, right in program]
     checked = 0
     for values in itertools.product(range(alg.size), repeat=len(letters)):
         checked += 1
-        if _run(steps, result_slot, values, alg.bot) != alg.top:
+        buf = list(values)
+        buf.append(alg.bot)
+        for table, left, right in steps:
+            buf.append(table[buf[left]][buf[right]])
+        if buf[result_slot] != alg.top:
             return AlgVerdict(False, dict(zip(letters, values)), checked)
     return AlgVerdict(True, None, checked)
 

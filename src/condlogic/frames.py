@@ -7,11 +7,6 @@ bit-vector encoding.
 
 Validation is report-based rather than exception-based so callers (and the
 random-frame fuzzer) can catalog exactly which clause failed.
-
-Frames memoise the two operations evaluation needs, keyed by operand masks:
-``imp`` (the Heyting implication of the order) on every frame, and ``dto``
-(the conditional) on general frames or ``box`` (the modal box) on modal
-frames.  All three are :func:`order.box` over some relation.
 """
 
 from __future__ import annotations
@@ -91,19 +86,8 @@ def rel_strongly_coherent(p: FinitePreorder, rows: Rows) -> bool:
     return True
 
 
-class _ImpMemo:
-    """The Heyting implication of ``self.order``, memoised per frame."""
-
-    def imp(self, a: int, b: int) -> int:
-        memo = self._imp_memo
-        got = memo.get((a, b))
-        if got is None:
-            got = memo[(a, b)] = heyting_imp(self.order, a, b)
-        return got
-
-
 @dataclass
-class GeneralFrame(_ImpMemo):
+class GeneralFrame:
     """Preorder plus relations indexed by an admissible family of upsets.
 
     Treated as immutable after construction; instances are read-shared
@@ -124,8 +108,6 @@ class GeneralFrame(_ImpMemo):
                 raise FrameFormatError(f"relation for {mask_to_key(a)!r} has wrong row count")
             if any(r & ~full for r in rows):
                 raise FrameFormatError(f"relation for {mask_to_key(a)!r} mentions unknown worlds")
-        self._imp_memo: Dict[Tuple[int, int], int] = {}
-        self._dto_memo: Dict[Tuple[int, int], int] = {}
 
     @property
     def n(self) -> int:
@@ -143,11 +125,7 @@ class GeneralFrame(_ImpMemo):
 
     def dto(self, a: int, b: int) -> int:
         """The operation ``a |> b``: worlds whose R_a successors all lie in b."""
-        memo = self._dto_memo
-        got = memo.get((a, b))
-        if got is None:
-            got = memo[(a, b)] = box(self.rel(a), b)
-        return got
+        return box(self.rel(a), b)
 
 
 class ConditionalFrame(GeneralFrame):
@@ -233,7 +211,7 @@ def strongly_coherent(g: GeneralFrame) -> bool:
 
 
 @dataclass
-class ModalFrame(_ImpMemo):
+class ModalFrame:
     """Preorder with a single boxed relation."""
 
     order: FinitePreorder
@@ -243,13 +221,6 @@ class ModalFrame(_ImpMemo):
         full = self.order.full_mask
         if len(self.rel) != self.order.n or any(r & ~full for r in self.rel):
             raise FrameFormatError("modal relation rows do not fit the world set")
-        self._imp_memo: Dict[Tuple[int, int], int] = {}
-
-    def box(self, a: int, b: int) -> int:
-        """The box of ``b``; ``a`` is ignored, so the box fills the binary
-        slot the conditional takes on general frames (compiled unary nodes
-        repeat their operand)."""
-        return box(self.rel, b)
 
 
 def validate_modal(m: ModalFrame) -> FrameReport:

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from condlogic import order as order_module
 from condlogic.errors import CapExceededError, FrameFormatError
 from condlogic.order import (
     FinitePreorder,
@@ -110,6 +112,56 @@ class TestAllUpsets:
             ups = all_upsets(p)
             assert list(ups) == sorted(ups)
             assert all(is_upset(p, a) for a in ups)
+
+    def test_every_preorder_of_at_most_four_worlds_against_the_filter(self):
+        seen = 0
+        for n in range(1, 5):
+            for p in _all_preorders(n):
+                assert all_upsets.__wrapped__(p) == _filtered_upsets(p)
+                seen += 1
+        assert seen == 1 + 4 + 29 + 355  # labelled preorders on 1-4 worlds
+
+    def test_seeded_larger_preorders_against_the_filter(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            n = rng.randint(6, 12)
+            # a random relation of varying density, closed reflexively and transitively
+            density = rng.choice((0.03, 0.06, 0.1, 0.2))
+            up = [1 << i | sum(1 << j for j in range(n) if rng.random() < density)
+                  for i in range(n)]
+            for k in range(n):
+                for i in range(n):
+                    if up[i] >> k & 1:
+                        up[i] |= up[k]
+            p = FinitePreorder(n, tuple(up))
+            assert all_upsets.__wrapped__(p) == _filtered_upsets(p)
+
+    def test_twenty_chain_without_a_subset_scan(self, monkeypatch):
+        def no_subset_test(*args):
+            raise AssertionError("all_upsets tested a subset")
+
+        monkeypatch.setattr(order_module, "is_upset", no_subset_test)
+        monkeypatch.setattr(order_module, "up_closure", no_subset_test)
+        chain = preorder(20, [(i, j) for i in range(20) for j in range(i + 1, 20)])
+        ups = all_upsets.__wrapped__(chain)
+        # the upsets of a chain are its final segments
+        assert ups == tuple(sorted(((1 << 20) - 1) ^ ((1 << i) - 1) for i in range(21)))
+
+
+def _filtered_upsets(p):
+    """The old enumeration: every subset, filtered."""
+    return tuple(s for s in range(1 << p.n) if up_closure(p, s) == s)
+
+
+def _all_preorders(n):
+    """Every preorder on ``n`` labelled worlds: reflexive relations that are transitive."""
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for chosen in itertools.product((0, 1), repeat=len(pairs)):
+        up = [1 << i for i in range(n)]
+        for (i, j), bit in zip(pairs, chosen):
+            up[i] |= bit << j
+        if all(up[j] & ~up[i] == 0 for i in range(n) for j in range(n) if up[i] >> j & 1):
+            yield FinitePreorder(n, tuple(up))
 
 
 class TestHeytingImp:

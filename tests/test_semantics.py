@@ -1,14 +1,27 @@
+import itertools
+import operator
 import random
+from functools import reduce
 
 import pytest
 
+from condlogic import semantics
+from condlogic.catalog import AXIOMS
 from condlogic.errors import BudgetExceededError, LanguageError, NotAdmissibleError
 from condlogic.frames import GeneralFrame, ModalFrame, restrict
-from condlogic.generate import random_formula, random_full_frame
-from condlogic.order import all_upsets, is_upset
+from condlogic.generate import (
+    enumerate_full_frames,
+    random_formula,
+    random_full_frame,
+    random_general_frame,
+)
+from condlogic.order import all_upsets, box, heyting_imp, is_upset, set_bits
 from condlogic.semantics import (
+    DEFAULT_BUDGET,
+    Verdict,
     check,
     check_modal,
+    compile_formula,
     truth_set,
     truth_set_modal,
     valid,
@@ -16,7 +29,7 @@ from condlogic.semantics import (
     valuation_from_json,
     valuation_to_json,
 )
-from condlogic.syntax import Cond, Language, Var, parse, substitute
+from condlogic.syntax import And, Bot, Cond, Imp, Language, Var, parse, substitute
 
 from conftest import full_frame, general_frame, m
 
@@ -252,3 +265,246 @@ class TestValuationJson:
         g = general_frame(anti2, (0, m(0, 1)), {0: (0, 0), m(0, 1): (0, 0)})
         with pytest.raises(NotAdmissibleError):
             valuation_from_json({"p": [0]}, g)
+
+
+# --- the per-valuation scan the bit-sliced kernel replaced, kept as reference --
+
+
+def reference_scan(order, pool, compiled, imp, modal, budget=DEFAULT_BUDGET):
+    """Run the program once per valuation, in ``itertools.product`` order."""
+    letters, program, result_slot = compiled
+    n = order.n
+    required = len(pool) ** len(letters) * n
+    if required > budget:
+        raise BudgetExceededError(required, budget)
+    full = order.full_mask
+    fns = {"and": operator.and_, "or": operator.or_, "imp": imp}
+    steps = [(fns.get(op, modal), left, right) for op, left, right in program]
+    checked = 0
+    for values in itertools.product(pool, repeat=len(letters)):
+        buf = list(values)
+        buf.append(0)
+        for fn, left, right in steps:
+            buf.append(fn(buf[left], buf[right]))
+        ts = buf[result_slot]
+        checked += n
+        if ts != full:
+            world = set_bits(full & ~ts)[0]
+            return Verdict(False, dict(zip(letters, values)), world, checked)
+    return Verdict(True, None, None, checked)
+
+
+def _memo(fn):
+    """Per-frame memo of a binary mask operation, as the old frames kept."""
+    table = {}
+
+    def memoised(a, b):
+        got = table.get((a, b))
+        if got is None:
+            got = table[(a, b)] = fn(a, b)
+        return got
+
+    return memoised
+
+
+def reference_valid(frame, f, budget=DEFAULT_BUDGET):
+    order = frame.order
+    return reference_scan(order, frame.admissible, compile_formula(f),
+                          _memo(lambda a, b: heyting_imp(order, a, b)), _memo(frame.dto), budget)
+
+
+def reference_valid_modal(mf, f, budget=DEFAULT_BUDGET):
+    order = mf.order
+    return reference_scan(order, all_upsets(order), compile_formula(f),
+                          lambda a, b: heyting_imp(order, a, b), lambda a, b: box(mf.rel, b),
+                          budget)
+
+
+def reference_truth_set(frame, v, f):
+    letters, program, result_slot = compile_formula(f)
+    fns = {"and": operator.and_, "or": operator.or_,
+           "imp": lambda a, b: heyting_imp(frame.order, a, b)}
+    buf = [v[name] for name in letters] + [0]
+    for op, left, right in program:
+        buf.append(fns.get(op, frame.dto)(buf[left], buf[right]))
+    return buf[result_slot]
+
+
+def verdict_fields(verdict):
+    return verdict.valid, verdict.valuation, verdict.world, verdict.checked
+
+
+def outcome(fn, *args):
+    """The verdict's fields, or the type and message of the error raised."""
+    try:
+        return verdict_fields(fn(*args))
+    except (BudgetExceededError, NotAdmissibleError) as exc:
+        return type(exc), str(exc)
+
+
+def random_frames(rng, count):
+    """Seeded 3-5-world full and general frames with at most 20 admissible upsets."""
+    out = []
+    while len(out) < count:
+        n = rng.choice((3, 4, 5))
+        frame = (random_general_frame(rng, n) if rng.random() < 0.5
+                 else random_full_frame(rng, n))
+        if len(frame.admissible) <= 20:
+            out.append(frame)
+    return out
+
+
+LETTERLESS = ("true", "false", "true ~> false", "(true ~> false) -> false",
+              "~(false ~> false) | (true ~> true)")
+
+
+@pytest.fixture
+def narrow_chunks(monkeypatch):
+    """Tiny chunks, which put chunk boundaries everywhere in short scans."""
+    monkeypatch.setattr(semantics, "SINGLES", 2)
+    monkeypatch.setattr(semantics, "GROWTH", 2)
+    monkeypatch.setattr(semantics, "MAX_CHUNK", 16)
+    semantics._plan.cache_clear()
+    yield
+    semantics._plan.cache_clear()
+
+
+class TestKernelAgainstReference:
+    """Verdict, first valuation, world and ``checked`` equal the per-valuation scan's."""
+
+    def test_every_frame_of_at_most_two_worlds_and_every_axiom(self):
+        formulas = [AXIOMS[key].formula for key in sorted(AXIOMS)]
+        for frame in enumerate_full_frames(2):
+            order = frame.order
+            imp = _memo(lambda a, b: heyting_imp(order, a, b))
+            dto = _memo(frame.dto)
+            for f in formulas:
+                want = reference_scan(order, frame.admissible, compile_formula(f), imp, dto)
+                assert verdict_fields(valid(frame, f)) == verdict_fields(want), (frame, f)
+
+    def test_random_frames_and_formulas(self):
+        rng = random.Random(7)
+        letter_sets = (["p"], ["p", "q"], ["p", "q", "r"], ["p", "q", "r", "s"])
+        for frame in random_frames(rng, 240):
+            formulas = [parse(rng.choice(LETTERLESS))]
+            for letters in letter_sets:
+                if len(frame.admissible) ** len(letters) <= 20_000:
+                    formulas.append(random_formula(rng, Language.COND, letters, 4))
+            for f in formulas:
+                assert verdict_fields(valid(frame, f)) == verdict_fields(reference_valid(frame, f))
+
+    def test_four_letter_formulas_beyond_the_first_chunks(self):
+        # k^4 valuations: the singles, the growing chunks and the tiles all run
+        rng = random.Random(8)
+        formulas = [parse("(p ~> q) & (r ~> s) -> (p ~> s) | (r ~> q)"),
+                    parse("(p & q ~> r & s) -> (p ~> r)")]
+        for frame in random_frames(rng, 30):
+            for f in formulas + [random_formula(rng, Language.COND, ["p", "q", "r", "s"], 5)]:
+                if len(frame.admissible) ** 4 <= 40_000:
+                    got = valid(frame, f)
+                    assert verdict_fields(got) == verdict_fields(reference_valid(frame, f))
+
+    def test_valid_modal_on_restrictions(self):
+        rng = random.Random(9)
+        for frame in random_frames(rng, 120):
+            mf = restrict(frame, frame.admissible[rng.randrange(len(frame.admissible))])
+            for letters in (["q"], ["q", "r"], ["q", "r", "s"]):
+                f = random_formula(rng, Language.MODAL, letters, 4)
+                if len(all_upsets(mf.order)) ** len(letters) <= 20_000:
+                    assert (verdict_fields(valid_modal(mf, f))
+                            == verdict_fields(reference_valid_modal(mf, f)))
+
+    def test_truth_set_on_random_admissible_valuations(self):
+        rng = random.Random(10)
+        for frame in random_frames(rng, 300):
+            f = random_formula(rng, Language.COND, ["p", "q", "r"], 4)
+            v = {name: rng.choice(frame.admissible) for name in ("p", "q", "r")}
+            assert truth_set(frame, v, f) == reference_truth_set(frame, v, f)
+
+    @pytest.mark.parametrize("chunks", ["default", "narrow"])
+    def test_frames_not_closed_under_the_connectives(self, chunks, request):
+        # an antecedent whose truth set has no relation raises at the same
+        # valuation as before, unless an earlier valuation refutes the formula
+        if chunks == "narrow":
+            request.getfixturevalue("narrow_chunks")
+        rng = random.Random(11)
+        for _ in range(400):
+            n = rng.choice((2, 3))
+            order = random_full_frame(rng, n).order
+            ups = all_upsets(order)
+            admissible = {0, order.full_mask} | set(rng.sample(ups, rng.randrange(len(ups))))
+            relations = {a: tuple(rng.randrange(1 << n) for _ in range(n)) for a in admissible}
+            frame = GeneralFrame(order, tuple(admissible), relations)
+            f = random_formula(rng, Language.COND, ["p", "q", "r"], 4)
+            assert outcome(valid, frame, f) == outcome(reference_valid, frame, f)
+
+
+def _minterm(letters, bits):
+    """Refuted at exactly one valuation of a one-world frame: letter j true iff bit j."""
+    literals = [Var(name) if bit else Imp(Var(name), Bot()) for name, bit in zip(letters, bits)]
+    return Imp(reduce(And, literals), Bot())
+
+
+class TestChunkBoundaries:
+    LETTERS = [f"p{j:02d}" for j in range(16)]
+
+    def boundaries(self, frame, count):
+        """The first valuation of every chunk of a scan over ``count`` letters."""
+        pool, n = frame.admissible, frame.n
+        plan = semantics._plan(pool, n, count)
+        widths = [width for width, _, _ in plan]
+        total = len(pool) ** count
+        starts = {semantics.SINGLES} | set(widths) | set(range(widths[-1], total, widths[-1]))
+        return sorted(b for b in starts if 0 < b < total)
+
+    def test_first_countermodel_on_either_side_of_every_boundary(self, single):
+        frame = full_frame(single)  # pool (0, 1): valuation i sets letter j to bit j of i
+        starts = self.boundaries(frame, len(self.LETTERS))
+        assert len(starts) >= 3  # after the singles: two growing chunks and a tile
+        # the tiles are the widest chunks a plane may hold: 2^15 valuations
+        assert semantics._plan(frame.admissible, 1, 16)[-1][0] == semantics.MAX_CHUNK
+        for index in sorted({0} | {b - 1 for b in starts} | set(starts) | {40_000, 65_535}):
+            bits = [index >> (15 - j) & 1 for j in range(16)]
+            verdict = valid(frame, _minterm(self.LETTERS, bits))
+            assert verdict_fields(verdict) == (
+                False, dict(zip(self.LETTERS, bits)), 0, index + 1)
+
+    def test_valid_formula_scans_every_chunk(self, single):
+        frame = full_frame(single)
+        f = Imp(reduce(And, map(Var, self.LETTERS)), Var(self.LETTERS[0]))
+        assert verdict_fields(valid(frame, f)) == (True, None, None, 1 << 16)
+
+    def test_narrow_chunks_against_the_reference(self, narrow_chunks):
+        rng = random.Random(12)
+        for frame in random_frames(rng, 120):
+            for letters in (["p", "q"], ["p", "q", "r"]):
+                f = random_formula(rng, Language.COND, letters, 4)
+                if len(frame.admissible) ** len(letters) <= 20_000:
+                    got = valid(frame, f)
+                    assert verdict_fields(got) == verdict_fields(reference_valid(frame, f))
+
+    def test_last_valuation_just_after_the_singles(self, chain2, narrow_chunks):
+        # three valuations, two of them singles: only p = {0, 1} refutes
+        frame = full_frame(chain2, {m(0, 1): (m(1), 0)})
+        assert verdict_fields(valid(frame, parse("p ~> false"))) == (
+            False, {"p": m(0, 1)}, 0, 3 * 2)
+
+    def test_budget_is_checked_before_any_plane_is_built(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a plane was built before the budget check")
+
+        for name in ("_plan", "_run", "_run_one", "_fixed_planes"):
+            monkeypatch.setattr(semantics, name, unreachable)
+        rng = random.Random(13)
+        frame = random_full_frame(rng, 3)
+        f = parse("(p ~> q) -> (r ~> q)")
+        k = len(frame.admissible)
+        for budget in (0, 5, k ** 3 * 3 - 1):
+            with pytest.raises(BudgetExceededError) as got:
+                valid(frame, f, budget=budget)
+            with pytest.raises(BudgetExceededError) as want:
+                reference_valid(frame, f, budget=budget)
+            assert (got.value.required, got.value.budget) == (k ** 3 * 3, budget)
+            assert (got.value.required, got.value.budget) == (want.value.required,
+                                                              want.value.budget)
+            assert str(got.value) == str(want.value)
