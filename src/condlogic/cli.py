@@ -7,11 +7,19 @@ invocations produce byte-identical ``--json`` output.
 
 Exit codes: 0 success or property holds; 1 refuted or counterexample
 found; 2 usage or validation error.
+
+``main`` builds its argument parser once per process, on its first call,
+and reuses it, so it can be called repeatedly in one process (tests,
+benchmarks, library callers) with the same exit codes and bytes as a fresh
+``clc`` process.  ``build_parser`` still returns a new parser on each call.
+Each input file is read once; its ``sha256`` in the report is that of the
+bytes loaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -27,14 +35,17 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 
 
-def _digest(path: str) -> dict:
-    data = Path(path).read_bytes()
-    return {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
+def _load_input(path: str):
+    """The decoded JSON of the file at ``path`` and the digest of the same bytes.
 
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    The file is read once, so the digest names exactly the bytes loaded.
+    The bytes are decoded as a UTF-8 text-mode read would decode them
+    (universal newlines), so error messages match ``json.load`` on ``open``.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text), {"path": path, "sha256": hashlib.sha256(data).hexdigest()}
 
 
 def _save_json(path: str, obj) -> None:
@@ -90,8 +101,10 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    frame = frames.frame_from_json(_load_json(args.frame))
-    valuation = semantics.valuation_from_json(_load_json(args.val), frame)
+    frame_json, frame_digest = _load_input(args.frame)
+    frame = frames.frame_from_json(frame_json)
+    val_json, val_digest = _load_input(args.val)
+    valuation = semantics.valuation_from_json(val_json, frame)
     f = parse(args.formula, Language.COND)
     ts = semantics.truth_set(frame, valuation, f)
     holds_everywhere = ts == frame.order.full_mask
@@ -107,8 +120,8 @@ def _cmd_mc(args) -> int:
         "holds": holds,
     }
     inputs = {
-        "frame": _digest(args.frame),
-        "val": _digest(args.val),
+        "frame": frame_digest,
+        "val": val_digest,
         "formula": args.formula,
     }
     where = f"at world {args.world}" if args.world is not None else "at every world"
@@ -119,10 +132,11 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_valid(args) -> int:
-    frame = frames.frame_from_json(_load_json(args.frame))
+    frame_json, frame_digest = _load_input(args.frame)
+    frame = frames.frame_from_json(frame_json)
     f = parse(args.formula, Language.COND)
     verdict = semantics.valid(frame, f, budget=args.budget)
-    inputs = {"frame": _digest(args.frame), "formula": args.formula}
+    inputs = {"frame": frame_digest, "formula": args.formula}
     if verdict.valid:
         result = {"valid": True, "checked": verdict.checked}
         _emit(args, _envelope("valid", None, inputs, result), ["valid"])
@@ -141,9 +155,10 @@ def _cmd_valid(args) -> int:
 
 
 def _cmd_correspond(args) -> int:
-    frame = frames.frame_from_json(_load_json(args.frame))
+    frame_json, frame_digest = _load_input(args.frame)
+    frame = frames.frame_from_json(frame_json)
     report = catalog.correspondent_holds(frame, args.axiom)
-    inputs = {"frame": _digest(args.frame), "axiom": args.axiom}
+    inputs = {"frame": frame_digest, "axiom": args.axiom}
     result = {"axiom": args.axiom, "holds": report.holds, "witness": report.witness_json()}
     lines = ["holds"] if report.holds else [f"violated at {report.witness_json()}"]
     _emit(args, _envelope("correspond", None, inputs, result), lines)
@@ -168,11 +183,12 @@ def _cmd_verify_correspondence(args) -> int:
 
 
 def _cmd_fillin(args) -> int:
-    frame = frames.frame_from_json(_load_json(args.frame))
+    frame_json, frame_digest = _load_input(args.frame)
+    frame = frames.frame_from_json(frame_json)
     kind = fillins.FillInKind.from_name(args.kind)
     filled = fillins.fill(frame, kind)
     _save_json(args.out, frames.frame_to_json(filled))
-    inputs = {"frame": _digest(args.frame), "kind": args.kind}
+    inputs = {"frame": frame_digest, "kind": args.kind}
     result = {"kind": args.kind, "out": args.out,
               "upsets": len(filled.admissible),
               "admissible_before": len(frame.admissible)}
@@ -200,10 +216,11 @@ def _cmd_persist(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
-    alg = algebra.algebra_from_json(_load_json(args.algebra))
+    alg_json, alg_digest = _load_input(args.algebra)
+    alg = algebra.algebra_from_json(alg_json)
     frame = algebra.dual_frame(alg)
     _save_json(args.out, frames.frame_to_json(frame))
-    inputs = {"algebra": _digest(args.algebra)}
+    inputs = {"algebra": alg_digest}
     result = {"worlds": frame.n, "out": args.out}
     _emit(args, _envelope("dualize", None, inputs, result),
           [f"wrote dual frame with {frame.n} worlds to {args.out}"])
@@ -214,15 +231,17 @@ def _cmd_roundtrip(args) -> int:
     if (args.frame is None) == (args.algebra is None):
         raise ClcError("roundtrip takes exactly one of --frame or --algebra")
     if args.frame is not None:
-        frame = frames.frame_from_json(_load_json(args.frame))
+        frame_json, frame_digest = _load_input(args.frame)
+        frame = frames.frame_from_json(frame_json)
         if not isinstance(frame, frames.ConditionalFrame):
             raise ClcError("frame round-trips need a full conditional frame")
         report = algebra.frame_roundtrip(frame)
-        inputs = {"frame": _digest(args.frame)}
+        inputs = {"frame": frame_digest}
     else:
-        alg = algebra.algebra_from_json(_load_json(args.algebra))
+        alg_json, alg_digest = _load_input(args.algebra)
+        alg = algebra.algebra_from_json(alg_json)
         report = algebra.check_duality_roundtrip(alg)
-        inputs = {"algebra": _digest(args.algebra)}
+        inputs = {"algebra": alg_digest}
     result = {"ok": report.ok, "failures": report.failures}
     _emit(args, _envelope("roundtrip", None, inputs, result), [str(report)])
     return EXIT_OK if report.ok else EXIT_REFUTED
@@ -372,10 +391,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on the first call, not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

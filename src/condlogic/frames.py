@@ -223,13 +223,6 @@ class ModalFrame:
             raise FrameFormatError("modal relation rows do not fit the world set")
 
 
-def validate_modal(m: ModalFrame) -> FrameReport:
-    report = FrameReport()
-    if not rel_coherent(m.order, m.rel):
-        report.add("coherence", "modal relation violates leq-compatibility")
-    return report
-
-
 def restrict(f: GeneralFrame, a: int) -> ModalFrame:
     """Keep only the relation indexed by ``a``; errors if ``a`` is not admissible."""
     return ModalFrame(f.order, f.rel(a))

@@ -188,11 +188,6 @@ def heyting_imp(p: FinitePreorder, a: int, b: int) -> int:
     return box(p.up, ~a | b)
 
 
-def heyting_imp_via_down(p: FinitePreorder, a: int, b: int) -> int:
-    """Same operation computed as ``X minus down(a minus b)``; cross-check route."""
-    return p.full_mask & ~down_closure(p, a & ~b)
-
-
 def mask_to_worlds(mask: int) -> list:
     return list(set_bits(mask))
 

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +293,50 @@ class TestMalformedInput:
         assert code == 2 and "error" in err
 
 
+class TestLoadInput:
+    """Each input is read once: the JSON and the digest come from the same bytes."""
+
+    @pytest.mark.parametrize("data", [
+        b'{"p": [0],\r\n "q": []}\r\n',
+        b'{"p": [0],\r\n "q": }\r\n',  # CRLF before the error: same line and column
+        b'{"p":\r [0,]}',
+        b'\xef\xbb\xbf{"p": []}',  # a BOM is refused, as text-mode json.load refuses it
+        b'{"p": "\xff"}',
+    ])
+    def test_same_result_as_json_load_in_text_mode(self, tmp_path, data):
+        path = tmp_path / "in.json"
+        path.write_bytes(data)
+
+        def outcome(load):
+            try:
+                return load()
+            except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+                return type(exc), str(exc)
+
+        def text_mode():
+            with open(path, "r", encoding="utf-8") as handle:
+                return json.load(handle)
+
+        assert outcome(lambda: cli._load_input(str(path))[0]) == outcome(text_mode)
+
+    def test_digest_is_of_the_loaded_bytes(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_bytes(b'{"p": [0]}\r\n')
+        obj, digest = cli._load_input(str(path))
+        assert obj == {"p": [0]}
+        assert digest == {"path": str(path),
+                          "sha256": hashlib.sha256(b'{"p": [0]}\r\n').hexdigest()}
+
+
+    def test_fillin_over_its_own_input_reports_the_loaded_bytes(self, capsys, tmp_path, anti2):
+        g = general_frame(anti2, (0, m(0, 1)), {0: (0, 0), m(0, 1): (m(0), m(1))})
+        frame_path = write(tmp_path / "g.json", frame_to_json(g))
+        loaded = hashlib.sha256((tmp_path / "g.json").read_bytes()).hexdigest()
+        code, out, _ = run(capsys, "--json", "fillin", "--frame", frame_path,
+                           "--kind", "empty", "--out", frame_path)
+        assert code == 0
+        assert json.loads(out)["inputs"]["frame"]["sha256"] == loaded
+
 class TestCountArguments:
     """Counts out of range are rejected when the flags are parsed (exit 2)."""
 
@@ -339,3 +388,74 @@ class TestDeterminism:
         code, _, err = run(capsys, "mc", "--frame", "/nonexistent.json",
                            "--val", "/nonexistent2.json", "--formula", "p")
         assert code == 2
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser per process: calls must not affect each other."""
+
+    CASES = {
+        "valid-holds": ["valid", "--frame", "f.json", "--formula", "p ~> true"],
+        "valid": ["--json", "valid", "--frame", "f.json", "--formula", "(p ~> q) -> (p -> q)"],
+        "translate": ["translate", "--mode", "gmt", "[]q"],
+        "parse": ["--json", "parse", "p ~> (q & r)"],
+        "mc": ["mc", "--frame", "f.json", "--val", "v.json", "--formula", "p ~> p",
+               "--world", "0"],
+        "correspond": ["--json", "correspond", "--frame", "f.json", "--axiom", "mp"],
+        "missing-flag": ["valid", "--frame", "f.json"],
+        "unknown-command": ["frobnicate", "--frame", "f.json"],
+        "help": ["-h"],
+        "valid-help": ["valid", "-h"],
+        "jobs-zero": ["--jobs", "0", "parse", "p"],
+        "parse-error": ["parse", "p @ q"],
+        "missing-file": ["valid", "--frame", "missing.json", "--formula", "p"],
+        "malformed-frame": ["valid", "--frame", "bad.json", "--formula", "p"],
+    }
+    FIRST = list(CASES)
+    SECOND = FIRST[1::2][::-1] + FIRST[0::2]
+    # also checked against a fresh interpreter: plain and --json successes,
+    # a usage error and a load error
+    FRESH = ("valid-holds", "valid", "missing-flag", "malformed-frame")
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch, chain2):
+        write(tmp_path / "f.json", frame_to_json(full_frame(chain2)))
+        write(tmp_path / "v.json", {"p": [1], "q": []})
+        bad = frame_to_json(full_frame(chain2))
+        bad["leq"] = [[0]]
+        write(tmp_path / "bad.json", bad)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        return tmp_path
+
+    def call(self, capsysbinary, name):
+        code = cli.main(list(self.CASES[name]))
+        captured = capsysbinary.readouterr()
+        return code, captured.out, captured.err.decode()
+
+    def test_same_results_in_any_order(self, capsysbinary, workdir):
+        first = {}
+        for name in self.FIRST:
+            first[name] = self.call(capsysbinary, name)
+        assert {code for code, _, _ in first.values()} == {0, 1, 2}
+        assert sorted(self.SECOND) == sorted(self.FIRST)
+        for name in self.SECOND + self.FIRST:
+            assert self.call(capsysbinary, name) == first[name], name
+
+    def test_same_results_as_a_fresh_process(self, capsysbinary, workdir):
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for name in self.FIRST:  # warm the in-process parser on every case first
+            self.call(capsysbinary, name)
+        for name in self.FRESH:
+            fresh = subprocess.run([sys.executable, "-m", "condlogic.cli", *self.CASES[name]],
+                                   cwd=workdir, env=env, capture_output=True, timeout=60)
+            expected = (fresh.returncode, fresh.stdout, fresh.stderr.decode())
+            assert self.call(capsysbinary, name) == expected, name
+
+    def test_build_parser_returns_a_parser_main_does_not_share(self, capsys):
+        parser = cli.build_parser()
+        assert parser is not cli.build_parser()
+        parser.set_defaults(json=True)
+        code, out, _ = run(capsys, "parse", "p ~> p")
+        assert code == 0 and out == "p ~> p\n"

@@ -5,6 +5,7 @@ import pytest
 from condlogic.errors import FrameFormatError, NotAdmissibleError
 from condlogic.frames import (
     ConditionalFrame,
+    FrameReport,
     ModalFrame,
     check_strong_coherence,
     compose_rel_up,
@@ -16,12 +17,19 @@ from condlogic.frames import (
     strongly_coherent,
     validate_conditional,
     validate_general,
-    validate_modal,
 )
 from condlogic.generate import random_general_frame, random_full_frame
 from condlogic.order import all_upsets, heyting_imp
 
 from conftest import full_frame, general_frame, m, preorder
+
+
+def validate_modal(m: ModalFrame) -> FrameReport:
+    """Oracle for the coherence of a restricted relation: the modal frame report."""
+    report = FrameReport()
+    if not rel_coherent(m.order, m.rel):
+        report.add("coherence", "modal relation violates leq-compatibility")
+    return report
 
 
 def identity_rows(n):

@@ -10,7 +10,6 @@ from condlogic.order import (
     all_upsets,
     down_closure,
     heyting_imp,
-    heyting_imp_via_down,
     is_upset,
     key_to_mask,
     mask_to_key,
@@ -18,6 +17,12 @@ from condlogic.order import (
 )
 
 from conftest import m, preorder
+
+
+def heyting_imp_via_down(p: FinitePreorder, a: int, b: int) -> int:
+    """Oracle for ``heyting_imp``: ``X minus down(a minus b)``, a second route."""
+    return p.full_mask & ~down_closure(p, a & ~b)
+
 
 # a small zoo of preorders covering chains, antichains, forks and a cluster
 def _zoo():
