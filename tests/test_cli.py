@@ -293,6 +293,65 @@ class TestMalformedInput:
         assert code == 2 and "error" in err
 
 
+CHAIN2_FRAME = {"worlds": 2, "leq": [[0, 0], [0, 1], [1, 1]], "admissible": "all",
+                "relations": {"": [], "1": [], "0,1": []}}
+
+
+def _chain2_with(entries=None, **fields):
+    """The 2-chain frame with relation ``entries`` added or replaced, then
+    top-level ``fields`` replaced."""
+    obj = json.loads(json.dumps(CHAIN2_FRAME))
+    obj["relations"].update(entries or {})
+    obj.update(fields)
+    return obj
+
+
+class TestFrameErrorMessages:
+    """The loader's exact message for each kind of malformed frame, and which
+    error wins when a file has several: the first in file order, a key before
+    its own pairs."""
+
+    @pytest.mark.parametrize("obj,line", [
+        (_chain2_with({"0,1": [[0, True]]}),
+         "relation index True is not an int in 0..1"),
+        (_chain2_with(leq=[[0, 1.0]]),
+         "leq index 1.0 is not an int in 0..1"),
+        (_chain2_with({"1": [[0, 2]]}),
+         "relation index 2 is not an int in 0..1"),
+        (_chain2_with(leq=[[0, 1, 1]]),
+         "bad leq pair [0, 1, 1]"),
+        (_chain2_with({"1": {"0": 1}}),
+         "relation must be a list, not {'0': 1}"),
+        (_chain2_with({"1,0": []}),
+         "upset key '1,0' is not ascending and comma-joined"),
+        (_chain2_with({" 1": []}),
+         "upset key ' 1' is not ascending and comma-joined"),
+        (_chain2_with({"2": []}),
+         "upset key '2' index 2 is not an int in 0..1"),
+        (_chain2_with({"": [[1, 0]]}),
+         "frame fails validation: [coherence] relation at {} violates leq-compatibility"),
+        (_chain2_with(relations={"": [], "0,1": []}),
+         "a conditional frame needs a relation for every upset; missing ['1']"),
+        ({"worlds": 3, "leq": [[0, 1], [1, 2]], "admissible": "all", "relations": {}},
+         "leq is not transitive at (0, 1)"),
+        (_chain2_with(relations={"": [[0, 5]], "x": []}),
+         "relation index 5 is not an int in 0..1"),
+        (_chain2_with(relations={"x": [[0, 5]]}),
+         "bad upset key 'x'"),
+        (_chain2_with({"0": []}),
+         "a conditional frame needs a relation for every upset; missing []"),
+        (_chain2_with({"1": [[1, 0]]}, admissible=[[], [1], [0, 1]]),
+         "frame fails validation: [coherence] relation at {1} violates leq-compatibility; "
+         "[closure-cond] {1} |> {} = {0} is not admissible; "
+         "[closure-cond] {1} |> {1} = {0} is not admissible"),
+    ])
+    def test_exit_2_with_exact_message(self, capsys, tmp_path, obj, line):
+        frame_path = write(tmp_path / "f.json", obj)
+        code, out, err = run(capsys, "--json", "valid", "--frame", frame_path,
+                             "--formula", "p")
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
 class TestLoadInput:
     """Each input is read once: the JSON and the digest come from the same bytes."""
 
