@@ -34,7 +34,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceededError, CapExceededError, DualityError, FrameFormatError, LanguageError
 from .frames import ConditionalFrame, GeneralFrame, strongly_coherent, validate_conditional
-from .order import FinitePreorder, all_upsets, box, heyting_imp, mask_to_key, read_indices, set_bits
+from .order import (
+    FinitePreorder, all_upsets, box, heyting_imp, mask_to_key, read_indices, read_pair_rows,
+    set_bits,
+)
 from .semantics import DEFAULT_BUDGET, compile_formula
 from .syntax import Formula, Language
 
@@ -475,9 +478,7 @@ def algebra_from_json(obj: dict) -> FiniteCHA:
     imp = tuple(tuple(read_indices(row, size, "imp entry")) for row in imp_rows)
     cond = tuple(tuple(read_indices(row, size, "cond entry")) for row in cond_rows)
     top, bot = read_indices(top_bot, size, "top/bot")
-    leq = [1 << i for i in range(size)]
-    for i, j in read_indices(leq_pairs, size, "leq", pairs=True):
-        leq[i] |= 1 << j
+    leq = [row | 1 << i for i, row in enumerate(read_pair_rows(leq_pairs, size, "leq"))]
     alg = FiniteCHA(size, tuple(leq), imp, cond, top, bot)
     report = validate_cha(alg)
     if not report.ok:

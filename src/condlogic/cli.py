@@ -6,7 +6,8 @@ randomness from the seed (default 0, always printed), so identical
 invocations produce byte-identical ``--json`` output.
 
 Exit codes: 0 success or property holds; 1 refuted or counterexample
-found; 2 usage or validation error.
+found; 2 usage or validation error, including input nested deeper than
+the interpreter's recursion limit allows.
 
 ``main`` builds its argument parser once per process, on its first call,
 and reuses it, so it can be called repeatedly in one process (tests,
@@ -413,6 +414,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"error: bad JSON input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        # the JSON decoder, the parser and the evaluator recurse once or more
+        # per nesting level, so the interpreter's recursion limit is the cap
+        print("error: input nested too deeply", file=sys.stderr)
         return EXIT_USAGE
 
 

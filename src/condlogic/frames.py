@@ -12,6 +12,7 @@ random-frame fuzzer) can catalog exactly which clause failed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple
 
 from .errors import FrameFormatError, NotAdmissibleError
@@ -26,6 +27,8 @@ from .order import (
     mask_to_key,
     mask_to_worlds,
     read_indices,
+    read_pair_rows,
+    strict_successors,
     up_closure,
     worlds_to_mask,
 )
@@ -70,11 +73,14 @@ def rel_coherent(p: FinitePreorder, rows: Rows) -> bool:
     """The frame condition: leq-then-step is contained in step-then-leq.
 
     Equivalently, x <= y implies rows[y] is contained in the up-closure of
-    rows[x].
+    rows[x].  Only ``y != x`` needs checking, since ``rows[x]`` always lies
+    within its own up-closure, so worlds with no strict successor are skipped.
     """
-    for x in range(p.n):
-        if image(rows, p.up[x]) & ~up_closure(p, rows[x]):
-            return False
+    for x, above in strict_successors(p.up):
+        allowed = up_closure(p, rows[x])
+        for y in above:
+            if rows[y] & ~allowed:
+                return False
     return True
 
 
@@ -100,14 +106,20 @@ class GeneralFrame:
 
     def __post_init__(self):
         self.admissible = tuple(sorted(set(self.admissible)))
+        self._check_keys()
+        n = self.order.n
+        outside = ~self.order.full_mask
+        for a, rows in self.relations.items():
+            if len(rows) != n:
+                raise FrameFormatError(f"relation for {mask_to_key(a)!r} has wrong row count")
+            for r in rows:
+                if r & outside:
+                    raise FrameFormatError(
+                        f"relation for {mask_to_key(a)!r} mentions unknown worlds")
+
+    def _check_keys(self) -> None:
         if set(self.relations) != set(self.admissible):
             raise FrameFormatError("relations must be keyed exactly by the admissible upsets")
-        full = self.order.full_mask
-        for a, rows in self.relations.items():
-            if len(rows) != self.order.n:
-                raise FrameFormatError(f"relation for {mask_to_key(a)!r} has wrong row count")
-            if any(r & ~full for r in rows):
-                raise FrameFormatError(f"relation for {mask_to_key(a)!r} mentions unknown worlds")
 
     @property
     def n(self) -> int:
@@ -132,13 +144,14 @@ class ConditionalFrame(GeneralFrame):
     """A general frame whose admissible family is all upsets."""
 
     def __init__(self, order: FinitePreorder, relations: Mapping[int, Rows]):
-        ups = all_upsets(order)
-        if set(relations) != set(ups):
-            missing = [mask_to_key(u) for u in ups if u not in relations]
+        super().__init__(order, all_upsets(order), dict(relations))
+
+    def _check_keys(self) -> None:
+        if set(self.relations) != set(self.admissible):
+            missing = [mask_to_key(u) for u in self.admissible if u not in self.relations]
             raise FrameFormatError(
                 f"a conditional frame needs a relation for every upset; missing {missing}"
             )
-        super().__init__(order, ups, dict(relations))
 
 
 def validate_general(g: GeneralFrame) -> FrameReport:
@@ -252,11 +265,10 @@ def frame_to_json(g: GeneralFrame) -> dict:
     }
 
 
-def _rows_from_pairs(n: int, pairs) -> Rows:
-    rows = [0] * n
-    for i, j in read_indices(pairs, n, "relation", pairs=True):
-        rows[i] |= 1 << j
-    return tuple(rows)
+@lru_cache(maxsize=256)
+def _upset_keys(p: FinitePreorder) -> Dict[str, int]:
+    """Canonical file key to mask, for every upset of ``p``; not to be mutated."""
+    return {mask_to_key(a): a for a in all_upsets(p)}
 
 
 def frame_from_json(obj: dict) -> GeneralFrame:
@@ -271,7 +283,15 @@ def frame_from_json(obj: dict) -> GeneralFrame:
     if not isinstance(rel_obj, dict):
         raise FrameFormatError("relations must map upset keys to pair lists")
     order = FinitePreorder.from_pairs(n, leq)
-    relations = {key_to_mask(k, n): _rows_from_pairs(n, v) for k, v in rel_obj.items()}
+    keys = _upset_keys(order)
+    relations = {}
+    for k, v in rel_obj.items():
+        # keys that name no upset go through the strict parser, which
+        # rejects malformed ones and returns the mask of well-formed ones
+        a = keys.get(k)
+        if a is None:
+            a = key_to_mask(k, n)
+        relations[a] = tuple(read_pair_rows(v, n, "relation"))
     if admissible == "all":
         frame: GeneralFrame = ConditionalFrame(order, relations)
         report = validate_conditional(frame)

@@ -12,8 +12,9 @@ The bit kernels live here and nowhere else: :func:`set_bits` lists the set
 bits of a mask, :func:`image` unions relation rows over a set of worlds
 (up- and down-closure are images under the order), and :func:`box` keeps the
 worlds whose row lies within a set (the Heyting implication, the
-conditional and the modal box are all boxes).  :func:`read_indices` is the
-one strict reader for world indices and index pairs in JSON files.
+conditional and the modal box are all boxes).  :func:`read_indices` and
+:func:`read_pair_rows` are the strict readers for world indices and index
+pairs in JSON files.
 """
 
 from __future__ import annotations
@@ -58,10 +59,8 @@ class FinitePreorder:
         Reflexive pairs may be omitted; transitivity is validated, not closed.
         """
         _check_world_count(n)
-        up = [1 << i for i in range(n)]
-        for i, j in read_indices(pairs, n, "leq", pairs=True):
-            up[i] |= 1 << j
-        return FinitePreorder(n, tuple(up))
+        rows = read_pair_rows(pairs, n, "leq")
+        return FinitePreorder(n, tuple(row | 1 << i for i, row in enumerate(rows)))
 
     @property
     def full_mask(self) -> int:
@@ -158,6 +157,17 @@ def is_upset(p: FinitePreorder, s: int) -> bool:
     return up_closure(p, s) == s
 
 
+@lru_cache(maxsize=256)
+def strict_successors(rows: Tuple[int, ...]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """``(x, the worlds y != x in rows[x])`` for every ``x`` whose row has any, ascending.
+
+    Keyed by the rows tuple, whose hash and equality run in C, so a lookup
+    stays cheap next to the short loops it serves.
+    """
+    return tuple((x, set_bits(row & ~(1 << x)))
+                 for x, row in enumerate(rows) if row & ~(1 << x))
+
+
 @lru_cache(maxsize=None)
 def all_upsets(p: FinitePreorder) -> Tuple[int, ...]:
     """Every upset exactly once, ascending as integers.
@@ -192,22 +202,38 @@ def mask_to_worlds(mask: int) -> list:
     return list(set_bits(mask))
 
 
-def read_indices(value, n: int, what: str, pairs: bool = False) -> list:
-    """Strictly read a list of world indices, or of ``[i, j]`` index pairs.
+def read_indices(value, n: int, what: str) -> list:
+    """Strictly read a list of world indices.
 
     Every index must be an ``int`` (not a bool, float or string) in
     ``0..n-1``; anything else raises FrameFormatError naming ``what``.
     """
     if not isinstance(value, (list, tuple)):
         raise FrameFormatError(f"{what} must be a list, not {value!r}")
-    if not pairs:
-        return [_read_index(v, n, what) for v in value]
-    out = []
+    return [_read_index(v, n, what) for v in value]
+
+
+def read_pair_rows(value, n: int, what: str) -> list:
+    """Strictly read a list of ``[i, j]`` index pairs into successor rows.
+
+    Returns ``n`` bitmasks; pair ``[i, j]`` sets bit ``j`` of row ``i``.
+    Each pair must be a two-element list or tuple of indices as in
+    :func:`read_indices`; the first bad pair or index, in list order and
+    ``i`` before ``j``, raises FrameFormatError naming ``what``.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise FrameFormatError(f"{what} must be a list, not {value!r}")
+    rows = [0] * n
     for pair in value:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise FrameFormatError(f"bad {what} pair {pair!r}")
-        out.append((_read_index(pair[0], n, what), _read_index(pair[1], n, what)))
-    return out
+        i, j = pair
+        if type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n:
+            rows[i] |= 1 << j
+        else:  # one of the two fails; report the first, as _read_index words it
+            _read_index(i, n, what)
+            _read_index(j, n, what)
+    return rows
 
 
 def _read_index(v, n: int, what: str) -> int:

@@ -170,6 +170,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<lpar>\()"
     r"|(?P<rpar>\))"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<bad>.)",  # anything else, so the matches tile the text
+    re.DOTALL,
 )
 
 _PREFIX_OP = {"neg": None, "box": "box", "boxi": "boxi", "boxm": "boxm"}
@@ -177,15 +179,12 @@ _PREFIX_OP = {"neg": None, "box": "box", "boxi": "boxi", "boxm": "boxm"}
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "ws":
             continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
         tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
     return tokens

@@ -352,6 +352,33 @@ class TestFrameErrorMessages:
         assert (code, out, err) == (2, "", f"error: {line}\n")
 
 
+class TestDeepNesting:
+    """Input nested past the recursion limit is a usage error, not a traceback."""
+
+    NESTED = "error: input nested too deeply\n"
+
+    def test_frame_file(self, capsys, tmp_path):
+        frame_path = tmp_path / "f.json"
+        frame_path.write_text("[" * 200000 + "]" * 200000)
+        code, out, err = run(capsys, "valid", "--frame", str(frame_path), "--formula", "p")
+        assert (code, out, err) == (2, "", self.NESTED)
+
+    @pytest.mark.parametrize("formula", ["(" * 5000 + "p" + ")" * 5000, "~" * 3000 + "p"],
+                             ids=["parentheses", "negations"])
+    def test_formula(self, capsys, one_world_files, formula):
+        frame_path, _ = one_world_files
+        code, out, err = run(capsys, "valid", "--frame", frame_path, "--formula", formula)
+        assert (code, out, err) == (2, "", self.NESTED)
+
+    def test_valuation_file(self, capsys, one_world_files, tmp_path):
+        frame_path, _ = one_world_files
+        val_path = tmp_path / "v.json"
+        val_path.write_text('{"p": ' + "[" * 200000 + "]" * 200000 + "}")
+        code, out, err = run(capsys, "mc", "--frame", frame_path, "--val", str(val_path),
+                             "--formula", "p")
+        assert (code, out, err) == (2, "", self.NESTED)
+
+
 class TestLoadInput:
     """Each input is read once: the JSON and the digest come from the same bytes."""
 

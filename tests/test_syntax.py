@@ -90,6 +90,18 @@ class TestParse:
             parse("p @ q")
         assert err.value.pos == 2
 
+    @pytest.mark.parametrize("text,pos", [
+        ("@p", 0),             # start
+        ("p ~> \u00e9 & q", 5),  # middle, a letter outside the identifier set
+        ("p & q\n;", 6),       # after a newline
+        ("p & q$", 5),         # end
+    ])
+    def test_unexpected_character(self, text, pos):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"unexpected character {text[pos]!r} (at position {pos})"
+        assert err.value.pos == pos
+
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("p q")
