@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condlogic.errors import LanguageError, ParseError
+from condlogic.errors import ClcError, LanguageError, ParseError
 from condlogic.syntax import (
     And,
     Bot,
@@ -101,6 +101,39 @@ class TestParse:
             parse(text)
         assert str(err.value) == f"unexpected character {text[pos]!r} (at position {pos})"
         assert err.value.pos == pos
+
+    @pytest.mark.parametrize("text,language,error,message,pos", [
+        ("", Language.COND, ParseError, "empty input (at position 0)", 0),
+        ("  \t\n", Language.COND, ParseError, "empty input (at position 0)", 0),
+        ("p q", Language.COND, ParseError, "unexpected trailing input 'q' (at position 2)", 2),
+        ("(p ~> q", Language.COND, ParseError,
+         "expected rpar, found 'end of input' (at position 7)", 7),
+        ("((p) & q", Language.COND, ParseError,
+         "expected rpar, found 'end of input' (at position 8)", 8),
+        ("p & ~", Language.COND, ParseError,
+         "expected an atom, found 'end of input' (at position 5)", 5),
+        ("p & ) q", Language.COND, ParseError, "expected an atom, found ')' (at position 4)", 4),
+        ("p ~> q", Language.MODAL, LanguageError,
+         "connective for 'cond' is not in the modal language (at position 2)", None),
+        ("q & ([]p ~> )", Language.MODAL, LanguageError,
+         "connective for 'cond' is not in the modal language (at position 9)", None),
+        ("p ~> []q", Language.COND, LanguageError,
+         "connective for 'box' is not in the cond language (at position 5)", None),
+        ("[I]q", Language.MODAL, LanguageError,
+         "connective for 'boxi' is not in the modal language (at position 0)", None),
+        ("p | [M]q", Language.MODAL, LanguageError,
+         "connective for 'boxm' is not in the modal language (at position 4)", None),
+        ("[I][]q", Language.BIMODAL, LanguageError,
+         "connective for 'box' is not in the bimodal language (at position 3)", None),
+    ], ids=["empty", "whitespace", "trailing", "missing-rpar", "missing-outer-rpar",
+            "atom-at-end", "atom-in-middle", "cond-in-modal", "cond-before-atom-error",
+            "box-in-cond", "boxi-in-modal", "boxm-in-modal", "box-in-bimodal"])
+    def test_error_message(self, text, language, error, message, pos):
+        with pytest.raises(ClcError) as err:
+            parse(text, language)
+        assert type(err.value) is error
+        assert str(err.value) == message
+        assert getattr(err.value, "pos", None) == pos
 
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
