@@ -22,6 +22,11 @@ Grammar (whitespace insignificant between tokens)::
 
 Binding, tightest first: prefixes, ``&``, ``|``, ``~>``, ``<->``, ``->``;
 ``->`` and ``~>`` associate to the right, ``&`` and ``|`` to the left.
+
+The grammar is the language's specification.  The code holds it as one
+table of infix rows (symbol, precedence, associativity) and one of
+prefixes; the precedence-climbing parser and the minimal-parenthesis
+printer both read those tables, so they cannot disagree.
 """
 
 from __future__ import annotations
@@ -174,7 +179,26 @@ _TOKEN_RE = re.compile(
     re.DOTALL,
 )
 
-_PREFIX_OP = {"neg": None, "box": "box", "boxi": "boxi", "boxm": "boxm"}
+# Concrete syntax of the connectives, read by both the parser and the printer.
+# Infix: token kind -> (symbol, precedence, right-associative, builder); a
+# higher precedence binds tighter.  ``iff`` is sugar, so only the parser
+# reads its row; the other kinds are also the node ops they build.
+_INFIX = {
+    "imp": ("->", 10, True, Imp),
+    "iff": ("<->", 20, False, Iff),
+    "cond": ("~>", 30, True, Cond),
+    "or": ("|", 40, False, Or),
+    "and": ("&", 50, False, And),
+}
+
+# Prefix: token kind -> (symbol, builder); all bind tighter than any infix.
+_PREFIX = {"neg": ("~", Neg), "box": ("[]", Box), "boxi": ("[I]", BoxI), "boxm": ("[M]", BoxM)}
+
+_PREC_UNARY = 60
+_PREC_ATOM = 70  # never needs parentheses
+
+# The operator tokens each language accepts: its connectives plus the sugar.
+_ACCEPTS = {lang: ops | {"iff", "neg"} for lang, ops in ALLOWED_OPS.items()}
 
 
 def _tokenize(text: str):
@@ -190,110 +214,6 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, language: Language):
-        self.text = text
-        self.language = language
-        self.tokens = _tokenize(text)
-        self.idx = 0
-
-    def peek(self):
-        return self.tokens[self.idx]
-
-    def advance(self):
-        tok = self.tokens[self.idx]
-        self.idx += 1
-        return tok
-
-    def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
-        return self.advance()
-
-    def check_connective(self, op: str, pos: int):
-        if op not in ALLOWED_OPS[self.language]:
-            raise LanguageError(
-                f"connective for {op!r} is not in the {self.language.value} "
-                f"language (at position {pos})"
-            )
-
-    def parse_formula(self) -> Formula:
-        return self.parse_imp()
-
-    def parse_imp(self) -> Formula:
-        left = self.parse_iff()
-        if self.peek()[0] == "imp":
-            self.advance()
-            right = self.parse_imp()
-            return Imp(left, right)
-        return left
-
-    def parse_iff(self) -> Formula:
-        left = self.parse_cond()
-        while self.peek()[0] == "iff":
-            self.advance()
-            right = self.parse_cond()
-            left = Iff(left, right)
-        return left
-
-    def parse_cond(self) -> Formula:
-        left = self.parse_disj()
-        if self.peek()[0] == "cond":
-            pos = self.peek()[2]
-            self.check_connective("cond", pos)
-            self.advance()
-            right = self.parse_cond()
-            return Cond(left, right)
-        return left
-
-    def parse_disj(self) -> Formula:
-        left = self.parse_conj()
-        while self.peek()[0] == "or":
-            self.advance()
-            left = Or(left, self.parse_conj())
-        return left
-
-    def parse_conj(self) -> Formula:
-        left = self.parse_unary()
-        while self.peek()[0] == "and":
-            self.advance()
-            left = And(left, self.parse_unary())
-        return left
-
-    def parse_unary(self) -> Formula:
-        kind, _text, pos = self.peek()
-        if kind in _PREFIX_OP:
-            if kind != "neg":
-                self.check_connective(_PREFIX_OP[kind], pos)
-            self.advance()
-            arg = self.parse_unary()
-            if kind == "neg":
-                return Neg(arg)
-            if kind == "box":
-                return Box(arg)
-            if kind == "boxi":
-                return BoxI(arg)
-            return BoxM(arg)
-        return self.parse_atom()
-
-    def parse_atom(self) -> Formula:
-        kind, text, pos = self.peek()
-        if kind == "lpar":
-            self.advance()
-            inner = self.parse_formula()
-            self.expect("rpar")
-            return inner
-        if kind == "ident":
-            self.advance()
-            if text == "false":
-                return Bot(self.language)
-            if text == "true":
-                return Top(self.language)
-            return Var(text, self.language)
-        raise ParseError(f"expected an atom, found {text or 'end of input'!r}", pos)
-
-
 def parse(text: str, language: Language = Language.COND) -> Formula:
     """Parse ``text`` into a formula of ``language``.
 
@@ -302,68 +222,92 @@ def parse(text: str, language: Language = Language.COND) -> Formula:
     """
     if not text or not text.strip():
         raise ParseError("empty input", 0)
-    parser = _Parser(text, language)
-    result = parser.parse_formula()
-    kind, tok, pos = parser.peek()
+    tokens = _tokenize(text)
+    accepts = _ACCEPTS[language]
+    at = 0
+
+    def take(kind, pos):
+        # consume an operator token, refusing connectives outside the language
+        nonlocal at
+        if kind not in accepts:
+            raise LanguageError(
+                f"connective for {kind!r} is not in the {language.value} "
+                f"language (at position {pos})"
+            )
+        at += 1
+
+    def binary(min_prec: int) -> Formula:
+        # precedence climbing: fold infix operators binding at least min_prec
+        left = unary()
+        while True:
+            kind, _tok, pos = tokens[at]
+            row = _INFIX.get(kind)
+            if row is None or row[1] < min_prec:
+                return left
+            _sym, prec, right_assoc, build = row
+            take(kind, pos)
+            left = build(left, binary(prec if right_assoc else prec + 1))
+
+    def unary() -> Formula:
+        nonlocal at
+        kind, tok, pos = tokens[at]
+        if kind in _PREFIX:
+            take(kind, pos)
+            return _PREFIX[kind][1](unary())
+        if kind == "ident":
+            at += 1
+            if tok == "false":
+                return Bot(language)
+            if tok == "true":
+                return Top(language)
+            return Var(tok, language)
+        if kind == "lpar":
+            at += 1
+            inner = binary(0)
+            kind, tok, pos = tokens[at]
+            if kind != "rpar":
+                raise ParseError(f"expected rpar, found {tok or 'end of input'!r}", pos)
+            at += 1
+            return inner
+        raise ParseError(f"expected an atom, found {tok or 'end of input'!r}", pos)
+
+    result = binary(0)
+    kind, tok, pos = tokens[at]
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {tok!r}", pos)
     return result
 
 
-# Printer precedence levels; anything >= _ATOM never needs parentheses.
-_PREC_IMP = 10
-_PREC_COND = 30
-_PREC_OR = 40
-_PREC_AND = 50
-_PREC_UNARY = 60
-_PREC_ATOM = 70
-
-_PREFIX_TEXT = {"box": "[]", "boxi": "[I]", "boxm": "[M]"}
-
-
 def _render(f: Formula):
     """Return (text, precedence) with minimal parentheses."""
-    if f.op == "var":
+    op, args = f.op, f.args
+    if op == "var":
         return f.name, _PREC_ATOM
-    if f.op == "bot":
+    if op == "bot":
         return "false", _PREC_ATOM
-    if f.op == "imp":
-        left, right = f.args
-        if left.op == "bot" and right.op == "bot":
+    if op in _PREFIX:
+        sym, arg = _PREFIX[op][0], args[0]
+    elif op == "imp" and args[1].op == "bot":
+        if args[0].op == "bot":
             return "true", _PREC_ATOM
-        if right.op == "bot":
-            s, p = _render(left)
-            if p < _PREC_UNARY:
-                s = f"({s})"
-            return f"~{s}", _PREC_UNARY
-        return _binary(left, right, "->", _PREC_IMP, right_assoc=True)
-    if f.op == "cond":
-        return _binary(f.args[0], f.args[1], "~>", _PREC_COND, right_assoc=True)
-    if f.op == "or":
-        return _binary(f.args[0], f.args[1], "|", _PREC_OR, right_assoc=False)
-    if f.op == "and":
-        return _binary(f.args[0], f.args[1], "&", _PREC_AND, right_assoc=False)
-    # prefix boxes
-    s, p = _render(f.args[0])
+        sym, arg = _PREFIX["neg"][0], args[0]
+    else:
+        # parenthesise an operand the parser would not read back in place:
+        # binary() reads a right operand down to prec (right-associative)
+        # or prec + 1, and a left operand of equal prec only when the
+        # operator associates to the left
+        sym, prec, right_assoc, _build = _INFIX[op]
+        ls, lp = _render(args[0])
+        rs, rp = _render(args[1])
+        if lp < (prec + 1 if right_assoc else prec):
+            ls = f"({ls})"
+        if rp < (prec if right_assoc else prec + 1):
+            rs = f"({rs})"
+        return f"{ls} {sym} {rs}", prec
+    s, p = _render(arg)
     if p < _PREC_UNARY:
         s = f"({s})"
-    return f"{_PREFIX_TEXT[f.op]}{s}", _PREC_UNARY
-
-
-def _binary(left, right, sym, prec, right_assoc):
-    ls, lp = _render(left)
-    rs, rp = _render(right)
-    if right_assoc:
-        if lp <= prec:
-            ls = f"({ls})"
-        if rp < prec:
-            rs = f"({rs})"
-    else:
-        if lp < prec:
-            ls = f"({ls})"
-        if rp <= prec:
-            rs = f"({rs})"
-    return f"{ls} {sym} {rs}", prec
+    return f"{sym}{s}", _PREC_UNARY
 
 
 def print_formula(f: Formula) -> str:

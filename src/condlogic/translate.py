@@ -20,19 +20,7 @@ from .errors import LanguageError
 from .frames import ConditionalFrame, GeneralFrame, restrict
 from .order import all_upsets, mask_to_key
 from .semantics import check, check_modal, valid, valid_modal
-from .syntax import (
-    And,
-    Bot,
-    BoxI,
-    BoxM,
-    Cond,
-    Formula,
-    Imp,
-    Language,
-    Or,
-    Var,
-    proposition_letters,
-)
+from .syntax import Bot, BoxI, BoxM, Cond, Formula, Language, Var, proposition_letters
 
 # Mixing axiom of the companion logic, recorded as documentation only: the
 # inner bare box makes it ill-formed in the two-box language, so it is kept
@@ -57,13 +45,8 @@ def p_translate(f: Formula, letter: str) -> Formula:
             return Bot(Language.COND)
         if op == "box":
             return Cond(Var(letter, Language.COND), go(node.args[0]))
-        left = go(node.args[0])
-        right = go(node.args[1])
-        if op == "and":
-            return And(left, right)
-        if op == "or":
-            return Or(left, right)
-        return Imp(left, right)
+        # and, or, imp: the same connective over the translated arguments
+        return Formula(op, (go(node.args[0]), go(node.args[1])), None, Language.COND)
 
     return go(f)
 
@@ -85,13 +68,8 @@ def gmt_translate(f: Formula, normalize: bool = False) -> Formula:
             return BoxI(Bot(Language.BIMODAL))
         if op == "box":
             return BoxI(BoxM(go(node.args[0])))
-        left = go(node.args[0])
-        right = go(node.args[1])
-        if op == "and":
-            return BoxI(And(left, right))
-        if op == "or":
-            return BoxI(Or(left, right))
-        return BoxI(Imp(left, right))
+        # and, or, imp: the same connective over the translated arguments, boxed
+        return BoxI(Formula(op, (go(node.args[0]), go(node.args[1])), None, Language.BIMODAL))
 
     out = go(f)
     if normalize:

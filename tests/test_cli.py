@@ -370,6 +370,21 @@ class TestDeepNesting:
         code, out, err = run(capsys, "valid", "--frame", frame_path, "--formula", formula)
         assert (code, out, err) == (2, "", self.NESTED)
 
+    def test_parentheses_below_the_cap(self, capsys, one_world_files):
+        # each parenthesis level costs the parser two stack frames, so 300
+        # levels parse under the default limit and change nothing
+        frame_path, _ = one_world_files
+        nested = "(" * 300 + "p" + ")" * 300
+        reports = []
+        for formula in ("p", nested):
+            code, out, err = run(capsys, "--json", "valid", "--frame", frame_path,
+                                 "--formula", formula)
+            report = json.loads(out)
+            assert report["inputs"].pop("formula") == formula
+            reports.append((code, report, err))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 1
+
     def test_valuation_file(self, capsys, one_world_files, tmp_path):
         frame_path, _ = one_world_files
         val_path = tmp_path / "v.json"

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condlogic import syntax
 from condlogic.errors import ClcError, LanguageError, ParseError
 from condlogic.syntax import (
+    ALLOWED_OPS,
     And,
     Bot,
     Box,
@@ -282,3 +286,295 @@ class TestFormulaInvariants:
         f1 = parse("(p ~> q) & (q ~> r) -> p ~> r")
         f2 = parse("(p ~> q) & (q ~> r) -> p ~> r")
         assert f1 == f2 and hash(f1) == hash(f2)
+
+
+# The recursive-descent parser and the printer the table-driven ones
+# replaced, kept as the oracle: one method per grammar level, and the
+# printer's precedences as separate constants.
+
+_REF_PREFIX_OP = {"neg": None, "box": "box", "boxi": "boxi", "boxm": "boxm"}
+
+
+class _ReferenceParser:
+    def __init__(self, text, language):
+        self.text = text
+        self.language = language
+        self.tokens = syntax._tokenize(text)
+        self.idx = 0
+
+    def peek(self):
+        return self.tokens[self.idx]
+
+    def advance(self):
+        tok = self.tokens[self.idx]
+        self.idx += 1
+        return tok
+
+    def expect(self, kind):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
+        return self.advance()
+
+    def check_connective(self, op, pos):
+        if op not in ALLOWED_OPS[self.language]:
+            raise LanguageError(
+                f"connective for {op!r} is not in the {self.language.value} "
+                f"language (at position {pos})"
+            )
+
+    def parse_formula(self):
+        return self.parse_imp()
+
+    def parse_imp(self):
+        left = self.parse_iff()
+        if self.peek()[0] == "imp":
+            self.advance()
+            right = self.parse_imp()
+            return Imp(left, right)
+        return left
+
+    def parse_iff(self):
+        left = self.parse_cond()
+        while self.peek()[0] == "iff":
+            self.advance()
+            right = self.parse_cond()
+            left = Iff(left, right)
+        return left
+
+    def parse_cond(self):
+        left = self.parse_disj()
+        if self.peek()[0] == "cond":
+            pos = self.peek()[2]
+            self.check_connective("cond", pos)
+            self.advance()
+            right = self.parse_cond()
+            return Cond(left, right)
+        return left
+
+    def parse_disj(self):
+        left = self.parse_conj()
+        while self.peek()[0] == "or":
+            self.advance()
+            left = Or(left, self.parse_conj())
+        return left
+
+    def parse_conj(self):
+        left = self.parse_unary()
+        while self.peek()[0] == "and":
+            self.advance()
+            left = And(left, self.parse_unary())
+        return left
+
+    def parse_unary(self):
+        kind, _text, pos = self.peek()
+        if kind in _REF_PREFIX_OP:
+            if kind != "neg":
+                self.check_connective(_REF_PREFIX_OP[kind], pos)
+            self.advance()
+            arg = self.parse_unary()
+            if kind == "neg":
+                return Neg(arg)
+            if kind == "box":
+                return Box(arg)
+            if kind == "boxi":
+                return BoxI(arg)
+            return BoxM(arg)
+        return self.parse_atom()
+
+    def parse_atom(self):
+        kind, text, pos = self.peek()
+        if kind == "lpar":
+            self.advance()
+            inner = self.parse_formula()
+            self.expect("rpar")
+            return inner
+        if kind == "ident":
+            self.advance()
+            if text == "false":
+                return Bot(self.language)
+            if text == "true":
+                return Top(self.language)
+            return Var(text, self.language)
+        raise ParseError(f"expected an atom, found {text or 'end of input'!r}", pos)
+
+
+def reference_parse(text, language=Language.COND):
+    if not text or not text.strip():
+        raise ParseError("empty input", 0)
+    parser = _ReferenceParser(text, language)
+    result = parser.parse_formula()
+    kind, tok, pos = parser.peek()
+    if kind != "eof":
+        raise ParseError(f"unexpected trailing input {tok!r}", pos)
+    return result
+
+
+_REF_PREC_IMP = 10
+_REF_PREC_COND = 30
+_REF_PREC_OR = 40
+_REF_PREC_AND = 50
+_REF_PREC_UNARY = 60
+_REF_PREC_ATOM = 70
+
+_REF_PREFIX_TEXT = {"box": "[]", "boxi": "[I]", "boxm": "[M]"}
+
+
+def _reference_render(f):
+    if f.op == "var":
+        return f.name, _REF_PREC_ATOM
+    if f.op == "bot":
+        return "false", _REF_PREC_ATOM
+    if f.op == "imp":
+        left, right = f.args
+        if left.op == "bot" and right.op == "bot":
+            return "true", _REF_PREC_ATOM
+        if right.op == "bot":
+            s, p = _reference_render(left)
+            if p < _REF_PREC_UNARY:
+                s = f"({s})"
+            return f"~{s}", _REF_PREC_UNARY
+        return _reference_binary(left, right, "->", _REF_PREC_IMP, right_assoc=True)
+    if f.op == "cond":
+        return _reference_binary(f.args[0], f.args[1], "~>", _REF_PREC_COND, right_assoc=True)
+    if f.op == "or":
+        return _reference_binary(f.args[0], f.args[1], "|", _REF_PREC_OR, right_assoc=False)
+    if f.op == "and":
+        return _reference_binary(f.args[0], f.args[1], "&", _REF_PREC_AND, right_assoc=False)
+    s, p = _reference_render(f.args[0])
+    if p < _REF_PREC_UNARY:
+        s = f"({s})"
+    return f"{_REF_PREFIX_TEXT[f.op]}{s}", _REF_PREC_UNARY
+
+
+def _reference_binary(left, right, sym, prec, right_assoc):
+    ls, lp = _reference_render(left)
+    rs, rp = _reference_render(right)
+    if right_assoc:
+        if lp <= prec:
+            ls = f"({ls})"
+        if rp < prec:
+            rs = f"({rs})"
+    else:
+        if lp < prec:
+            ls = f"({ls})"
+        if rp <= prec:
+            rs = f"({rs})"
+    return f"{ls} {sym} {rs}", prec
+
+
+# Every token of the three languages, and pieces that tokenize differently
+# when glued to a neighbour or match no token at all (drawn rarely, as any
+# bad character fails the whole input).
+_TOKENS = ["p", "q", "true", "false", "~", "[]", "[I]", "[M]", "&", "|", "->", "<->", "~>",
+           "(", ")", "(", ")"]
+_PIECES = ["-", ">", "<", "[", "]", "I", "@"]
+
+
+def _random_token(rng):
+    return rng.choice(_PIECES if rng.random() < 0.03 else _TOKENS)
+
+
+_LANGUAGES = list(Language)
+
+
+def _outcome(parse_fn, text, language):
+    try:
+        return parse_fn(text, language)
+    except ClcError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+_UNARY_BUILDERS = {Language.COND: [Neg], Language.MODAL: [Neg, Box],
+                   Language.BIMODAL: [Neg, BoxI, BoxM]}
+_BINARY_BUILDERS = {Language.COND: [And, Or, Imp, Imp, Cond], Language.MODAL: [And, Or, Imp, Imp],
+                    Language.BIMODAL: [And, Or, Imp, Imp]}
+
+
+def _random_formula(rng, language, depth):
+    # Bot is common, so the printer's "~" and "true" sugar is too
+    if depth == 0 or rng.random() < 0.2:
+        return Bot(language) if rng.random() < 0.3 else Var(rng.choice("pqr"), language)
+    unary = _UNARY_BUILDERS[language]
+    build = rng.choice(unary + _BINARY_BUILDERS[language])
+    if build in unary:
+        return build(_random_formula(rng, language, depth - 1))
+    return build(_random_formula(rng, language, depth - 1),
+                 _random_formula(rng, language, depth - 1))
+
+
+def _random_text(rng):
+    tokens = [_random_token(rng) for _ in range(rng.randint(0, 14))]
+    glue = rng.choice(["", " ", None])
+    if glue is None:
+        return "".join(tok + rng.choice(["", " "]) for tok in tokens)
+    return glue.join(tokens)
+
+
+_INFIX_TOKENS = ["&", "|", "->", "<->", "~>"]
+_PREFIX_TOKENS = ["~", "[]", "[I]", "[M]"]
+
+
+def _well_formed_tokens(rng, depth):
+    # operand (infix operand)*, any infix in any order: always well formed
+    # when every connective is in the language, with no regard to binding
+    def operand(depth):
+        roll = rng.random()
+        if depth == 0 or roll < 0.4:
+            return [rng.choice(["p", "q", "r", "true", "false"])]
+        if roll < 0.65:
+            return [rng.choice(_PREFIX_TOKENS)] + operand(depth - 1)
+        return ["("] + expr(depth - 1) + [")"]
+
+    def expr(depth):
+        out = operand(depth)
+        for _ in range(rng.randint(0, 3)):
+            out += [rng.choice(_INFIX_TOKENS)] + operand(depth)
+        return out
+
+    return expr(depth)
+
+
+def _mutated_text(rng):
+    # a well-formed text with up to two tokens deleted, inserted or
+    # replaced, so many inputs parse and the rest fail late
+    tokens = _well_formed_tokens(rng, 3)
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randrange(len(tokens) + 1)
+        action = rng.randrange(3)
+        if action == 0 and at < len(tokens):
+            del tokens[at]
+        elif action == 1:
+            tokens.insert(at, _random_token(rng))
+        elif at < len(tokens):
+            tokens[at] = _random_token(rng)
+    return " ".join(tokens)
+
+
+class TestAgainstReferenceParser:
+    """The table-driven parser and printer against the ones they replaced."""
+
+    def test_random_token_strings(self):
+        rng = random.Random(8)
+        for _ in range(12000):
+            text = _random_text(rng)
+            language = rng.choice(_LANGUAGES)
+            assert _outcome(parse, text, language) == _outcome(reference_parse, text, language), \
+                (text, language)
+
+    def test_mutated_well_formed_texts(self):
+        rng = random.Random(9)
+        for _ in range(8000):
+            text = _mutated_text(rng)
+            language = rng.choice(_LANGUAGES)
+            assert _outcome(parse, text, language) == _outcome(reference_parse, text, language), \
+                (text, language)
+
+    def test_printed_formulas(self):
+        rng = random.Random(10)
+        for _ in range(6000):
+            language = rng.choice(_LANGUAGES)
+            f = _random_formula(rng, language, rng.randint(1, 6))
+            printed = print_formula(f)
+            assert printed == _reference_render(f)[0]
+            assert parse(printed, language) == f
