@@ -272,9 +272,9 @@ def logic_frame_conditions(preset: str) -> List[Tuple[str, str, Callable]]:
 
 
 def _chunk_ranges(total: int, jobs: int):
-    jobs = max(1, min(jobs, total)) if total else 1
-    step = (total + jobs - 1) // jobs if total else 0
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)] if total else []
+    """At most ``jobs`` nonempty ``(lo, hi)`` chunks tiling ``range(total)``."""
+    step = (total + jobs - 1) // jobs
+    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def _run_chunks(worker: Callable, args: Tuple, total: int, jobs: int) -> list:

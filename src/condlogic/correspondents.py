@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from .frames import GeneralFrame
-from .order import set_bits, up_closure
+from .order import down_closure, image, set_bits, up_closure
 
 
 def _c_id(p, rel, upc, a, b, x):
@@ -145,11 +145,7 @@ def _c_cem3(p, rel, upc, a, b, x):
 
 def _c_ecm1(p, rel, upc, a, b, x):
     rows = rel(a)
-    below = 0
-    for y in range(p.n):
-        if p.leq(y, x):
-            below |= rows[y]
-    return not below & ~upc(rows[x])
+    return not image(rows, down_closure(p, 1 << x)) & ~upc(rows[x])
 
 
 def _c_ecm2(p, rel, upc, a, b, x):

@@ -1,7 +1,8 @@
 """The seven fill-in constructors: from a general frame to a full conditional frame.
 
 A fill-in keeps every admissible relation untouched and assigns relations
-to the remaining upsets by a uniform recipe.  The admissible family plays
+to the remaining upsets by a uniform recipe, one entry of one table
+(:data:`_RECIPES`, kind to ``fn(frame, upset)``).  The admissible family plays
 the role the clopen upsets play in the topological picture; finitely it is
 the only faithful residue of the topology, which is why fill-ins take
 general frames rather than plain conditional frames (on the latter every
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .correspondents import _c_icc, _c_id, _corr_loop, _upc_memo
 from .errors import SqueezeAmbiguityError, SqueezePreconditionError
-from .frames import ConditionalFrame, GeneralFrame, Rows
+from .frames import ConditionalFrame, GeneralFrame, Rows, compose_up_rel
 from .order import all_upsets, mask_to_key, up_closure
 
 
@@ -72,39 +73,24 @@ def check_squeeze_precondition(g: GeneralFrame) -> SqueezeReport:
     return SqueezeReport()
 
 
-def _fill_rows(g: GeneralFrame, kind: FillInKind, a: int) -> Rows:
-    """Relation assigned to the non-admissible upset ``a``."""
-    p = g.order
-    n = p.n
-    if kind is FillInKind.EMPTY:
-        return (0,) * n
-    if kind is FillInKind.REFLEXIVE:
-        return (a,) * n
-    if kind is FillInKind.PRINCIPAL:
-        return tuple(p.up[x] for x in range(n))
-    if kind is FillInKind.TOTAL:
-        return g.rel(p.full_mask)
-    if kind is FillInKind.UNION:
-        rows = []
-        for x in range(n):
-            acc = 0
-            for c in g.admissible:
-                if not c & ~a:
-                    acc |= g.rel(c)[x]
-            rows.append(acc)
-        return tuple(rows)
-    if kind is FillInKind.TRANSITIVE:
-        rows = []
-        for x in range(n):
-            acc = 0
-            for c in g.admissible:
-                rel_c = g.rel(c)
-                for y in range(n):
-                    if p.leq(x, y) and not rel_c[y] & ~a:
-                        acc |= rel_c[y]
-            rows.append(acc)
-        return tuple(rows)
-    raise AssertionError(kind)
+def _or_rows(n: int, relations) -> Rows:
+    """Worldwise union of the given relations (no relation: the empty one)."""
+    out = [0] * n
+    for rows in relations:
+        for x, r in enumerate(rows):
+            out[x] |= r
+    return tuple(out)
+
+
+def _union_rows(g: GeneralFrame, a: int) -> Rows:
+    """Union of the relations of the admissible upsets within ``a``."""
+    return _or_rows(g.order.n, (g.rel(c) for c in g.admissible if not c & ~a))
+
+
+def _transitive_rows(g: GeneralFrame, a: int) -> Rows:
+    """Go up, then step by any admissible relation's row that lies within ``a``."""
+    inside = ([r if not r & ~a else 0 for r in g.rel(c)] for c in g.admissible)
+    return compose_up_rel(g.order, _or_rows(g.order.n, inside))
 
 
 def _squeeze_rows(g: GeneralFrame, a: int) -> Rows:
@@ -131,6 +117,18 @@ def _squeeze_rows(g: GeneralFrame, a: int) -> Rows:
     return tuple(rows)
 
 
+# The relation each recipe assigns to a non-admissible upset ``a``.
+_RECIPES: Dict[FillInKind, Callable[[GeneralFrame, int], Rows]] = {
+    FillInKind.EMPTY: lambda g, a: (0,) * g.order.n,
+    FillInKind.REFLEXIVE: lambda g, a: (a,) * g.order.n,
+    FillInKind.PRINCIPAL: lambda g, a: tuple(g.order.up),
+    FillInKind.TOTAL: lambda g, a: g.rel(g.order.full_mask),
+    FillInKind.UNION: _union_rows,
+    FillInKind.TRANSITIVE: _transitive_rows,
+    FillInKind.SQUEEZE: _squeeze_rows,
+}
+
+
 def fill(g: GeneralFrame, kind: FillInKind) -> ConditionalFrame:
     """Extend ``g`` to a full conditional frame by the given recipe.
 
@@ -142,14 +140,9 @@ def fill(g: GeneralFrame, kind: FillInKind) -> ConditionalFrame:
         pre = check_squeeze_precondition(g)
         if not pre.holds:
             raise SqueezePreconditionError(pre.witness)
-    admissible = set(g.admissible)
+    recipe = _RECIPES[kind]
     relations: Dict[int, Rows] = dict(g.relations)
     for a in all_upsets(g.order):
-        if a in admissible:
-            continue
-        if kind is FillInKind.SQUEEZE:
-            relations[a] = _squeeze_rows(g, a)
-        else:
-            relations[a] = _fill_rows(g, kind, a)
+        if a not in g.relations:
+            relations[a] = recipe(g, a)
     return ConditionalFrame(g.order, relations)
-

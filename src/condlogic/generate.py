@@ -1,5 +1,8 @@
 """Random and exhaustive generation of posets, frames and formulas.
 
+Random frames draw their relations through row modes, one table
+(:data:`MODES`) of one-line entries over a few shape helpers.
+
 Coherence repair: left-composing an arbitrary relation with the order
 (``rows'[x] = union of rows[y] over y >= x``, :func:`frames.compose_up_rel`)
 always yields a relation satisfying the frame condition, because composing
@@ -7,6 +10,12 @@ the order with itself changes nothing.  Sandwiching between two copies of
 the order additionally yields the strong coherence condition.  Constrained
 row modes keep their defining property under this repair, which is checked
 again after generation anyway.
+
+Every random draw, and the order of the draws, is part of the output
+contract: a seed must give the same frames from one version to the next,
+because the golden CLI corpus (``persist``, ``search``, sampled
+``verify-correspondence``) and the benchmark's output digests pin what
+seeded runs produce.
 
 Exhaustive enumeration order is (world count, preorder as a big-endian
 matrix integer, relation assignment as a big-endian integer over the upset
@@ -55,19 +64,19 @@ def random_poset(rng: random.Random, n: int) -> FinitePreorder:
     return FinitePreorder(n, tuple(up))
 
 
+def _random_mask(rng: random.Random, n: int, density: float) -> int:
+    mask = 0
+    for j in range(n):
+        if rng.random() < density:
+            mask |= 1 << j
+    return mask
+
+
 def random_rows(rng: random.Random, p: FinitePreorder, density: float) -> List[int]:
-    full = p.full_mask
-    rows = []
-    for _ in range(p.n):
-        mask = 0
-        for j in range(p.n):
-            if rng.random() < density:
-                mask |= 1 << j
-        rows.append(mask & full)
-    return rows
+    return [_random_mask(rng, p.n, density) for _ in range(p.n)]
 
 
-# --- constrained row modes --------------------------------------------------
+# --- row modes --------------------------------------------------------------
 #
 # Each mode is a factory: given (rng, order) it fixes any per-frame
 # randomness and returns a sampler mapping the indexing upset to rows.
@@ -76,137 +85,70 @@ def random_rows(rng: random.Random, p: FinitePreorder, density: float) -> List[i
 # acceptance likely, not certain.
 
 
-def _mode_empty(rng, p):
-    zero = (0,) * p.n
-    return lambda a: zero
+def _drawn(densities: Sequence[float], shape: Callable) -> Callable:
+    """Density drawn once per frame; per upset ``a``, random rows with row
+    ``x`` replaced by ``shape(p, a, x, row)``, then repaired."""
+    def factory(rng, p):
+        density = rng.choice(densities)
+        return lambda a: compose_up_rel(
+            p, [shape(p, a, x, r) for x, r in enumerate(random_rows(rng, p, density))])
+    return factory
 
 
-def _mode_random(rng, p):
-    density = rng.choice([0.15, 0.3, 0.5])
-    return lambda a: compose_up_rel(p, random_rows(rng, p, density))
+def _same_row(row: Callable) -> Callable:
+    """Every world gets the row ``row(p, a)``; no randomness."""
+    return lambda rng, p: lambda a: (row(p, a),) * p.n
 
 
-def _mode_strong_random(rng, p):
-    density = rng.choice([0.15, 0.3, 0.5])
-    return lambda a: repair_strong(p, random_rows(rng, p, density))
+def _one_world(candidates: Callable) -> Callable:
+    """Per upset: no successors (probability 0.3, or no candidate at all),
+    else one world drawn from ``candidates(p)`` as every world's row."""
+    def factory(rng, p):
+        worlds = candidates(p)
+        def sample(a):
+            if not worlds or rng.random() < 0.3:
+                return (0,) * p.n
+            return (1 << rng.choice(worlds),) * p.n
+        return sample
+    return factory
 
 
-def _mode_subset(rng, p):
-    density = rng.choice([0.3, 0.6])
-    return lambda a: compose_up_rel(p, [r & a for r in random_rows(rng, p, density)])
+_random = _drawn((0.15, 0.3, 0.5), lambda p, a, x, r: r)
 
 
-def _mode_refl(rng, p):
-    return lambda a: (a,) * p.n
+def _strong_random(rng, p):
+    sample = _random(rng, p)
+    return lambda a: compose_rel_up(p, sample(a))
 
 
-def _mode_strength(rng, p):
-    return lambda a: tuple(p.up[x] & a for x in range(p.n))
+def _const_meet(rng, p):
+    m0 = _random_mask(rng, p.n, 0.5)
+    return lambda a: (a & m0,) * p.n
 
 
-def _mode_strength_sub(rng, p):
-    density = rng.choice([0.4, 0.7])
-    def sample(a):
-        rows = [r & p.up[x] & a for x, r in enumerate(random_rows(rng, p, density))]
-        return compose_up_rel(p, rows)
-    return sample
+def _shared(rng, p):
+    rows = compose_up_rel(p, random_rows(rng, p, rng.choice((0.2, 0.4))))
+    return lambda a: rows
 
 
-def _mode_up_within(rng, p):
-    density = rng.choice([0.4, 0.7])
-    def sample(a):
-        rows = [r & p.up[x] for x, r in enumerate(random_rows(rng, p, density))]
-        return compose_up_rel(p, rows)
-    return sample
-
-
-def _mode_diag(rng, p):
-    density = rng.choice([0.0, 0.2, 0.4])
-    def sample(a):
-        rows = random_rows(rng, p, density)
-        for x in range(p.n):
-            if (a >> x) & 1:
-                rows[x] |= 1 << x
-        return compose_up_rel(p, rows)
-    return sample
-
-
-def _mode_diag_all(rng, p):
-    density = rng.choice([0.0, 0.2, 0.4])
-    def sample(a):
-        rows = random_rows(rng, p, density)
-        for x in range(p.n):
-            rows[x] |= 1 << x
-        return compose_up_rel(p, rows)
-    return sample
-
-
-def _mode_const_meet(rng, p):
-    m0 = 0
-    for j in range(p.n):
-        if rng.random() < 0.5:
-            m0 |= 1 << j
-    return lambda a: ((a & m0),) * p.n
-
-
-def _mode_shared(rng, p):
-    density = rng.choice([0.2, 0.4])
-    shared = compose_up_rel(p, random_rows(rng, p, density))
-    return lambda a: shared
-
-
-def _mode_singleton(rng, p):
-    def sample(a):
-        if rng.random() < 0.3:
-            return (0,) * p.n
-        h = rng.randrange(p.n)
-        return ((1 << h),) * p.n
-    return sample
-
-
-def _mode_maximal_singleton(rng, p):
-    maximal = [x for x in range(p.n) if p.up[x] == 1 << x]
-    def sample(a):
-        if not maximal or rng.random() < 0.3:
-            return (0,) * p.n
-        h = rng.choice(maximal)
-        return ((1 << h),) * p.n
-    return sample
-
-
-def _mode_total_rows(rng, p):
-    full = p.full_mask
-    return lambda a: (full,) * p.n
-
-
-def _mode_exf(rng, p):
-    density = rng.choice([0.3, 0.6])
-    def sample(a):
-        rows = [
-            r if p.up[x] & a else 0
-            for x, r in enumerate(random_rows(rng, p, density))
-        ]
-        return compose_up_rel(p, rows)
-    return sample
-
-
-MODES: Dict[str, Callable] = {
-    "empty": _mode_empty,
-    "random": _mode_random,
-    "strong_random": _mode_strong_random,
-    "subset": _mode_subset,
-    "refl": _mode_refl,
-    "strength": _mode_strength,
-    "strength_sub": _mode_strength_sub,
-    "up_within": _mode_up_within,
-    "diag": _mode_diag,
-    "diag_all": _mode_diag_all,
-    "const_meet": _mode_const_meet,
-    "shared": _mode_shared,
-    "singleton": _mode_singleton,
-    "maximal_singleton": _mode_maximal_singleton,
-    "total_rows": _mode_total_rows,
-    "exf": _mode_exf,
+MODES: Dict[str, Callable[[random.Random, FinitePreorder], RowSampler]] = {
+    "empty": _same_row(lambda p, a: 0),
+    "random": _random,
+    "strong_random": _strong_random,
+    "subset": _drawn((0.3, 0.6), lambda p, a, x, r: r & a),
+    "refl": _same_row(lambda p, a: a),
+    "strength": lambda rng, p: lambda a: tuple(u & a for u in p.up),
+    "strength_sub": _drawn((0.4, 0.7), lambda p, a, x, r: r & p.up[x] & a),
+    "up_within": _drawn((0.4, 0.7), lambda p, a, x, r: r & p.up[x]),
+    "diag": _drawn((0.0, 0.2, 0.4), lambda p, a, x, r: r | (a & 1 << x)),
+    "diag_all": _drawn((0.0, 0.2, 0.4), lambda p, a, x, r: r | 1 << x),
+    "const_meet": _const_meet,
+    "shared": _shared,
+    "singleton": _one_world(lambda p: range(p.n)),
+    "maximal_singleton": _one_world(
+        lambda p: [x for x in range(p.n) if p.up[x] == 1 << x]),
+    "total_rows": _same_row(lambda p, a: p.full_mask),
+    "exf": _drawn((0.3, 0.6), lambda p, a, x, r: r if p.up[x] & a else 0),
 }
 
 
@@ -287,28 +229,21 @@ def random_general_frame(rng: random.Random, n: int,
 
 
 def enumerate_preorders(n: int) -> List[FinitePreorder]:
-    """All preorders on n labelled worlds, ordered by matrix integer."""
+    """All preorders on n labelled worlds, ascending by matrix integer (the
+    first off-diagonal pair in row-major order is the top bit of ``bits``)."""
     if n > 3:
         raise InfeasibleEnumerationError("preorder enumeration is only used for n <= 3")
     out = []
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    top = len(offdiag) - 1
     for bits in range(1 << len(offdiag)):
         up = [1 << i for i in range(n)]
         for k, (i, j) in enumerate(offdiag):
-            if (bits >> k) & 1:
+            if (bits >> (top - k)) & 1:
                 up[i] |= 1 << j
         if intransitive_pair(up) is None:
             out.append(FinitePreorder(n, tuple(up)))
-    out.sort(key=_matrix_int)
     return out
-
-
-def _matrix_int(p: FinitePreorder) -> int:
-    value = 0
-    for i in range(p.n):
-        for j in range(p.n):
-            value = (value << 1) | (1 if p.leq(i, j) else 0)
-    return value
 
 
 def coherent_relations(p: FinitePreorder) -> List[Rows]:

@@ -125,6 +125,16 @@ class TestVerifyCorrespondence:
             verify_correspondence("clin1")
 
 
+def test_parallel_chunks_tile_the_range():
+    # the parallel runner asks for chunks only with jobs > 1 and total > 1
+    for total in range(2, 61):
+        for jobs in range(2, 9):
+            chunks = catalog._chunk_ranges(total, jobs)
+            assert 1 <= len(chunks) <= jobs
+            assert all(lo < hi for lo, hi in chunks)
+            assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(total))
+
+
 class TestPersistence:
     def test_id_empty_passes(self):
         report = persistence_experiment("id", FillInKind.EMPTY, samples=40, seed=2)
