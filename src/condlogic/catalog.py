@@ -277,11 +277,34 @@ def _chunk_ranges(total: int, jobs: int):
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
+# In a pool worker, the shared lowest ``lo`` of a chunk that has stopped at
+# a counterexample it was told to expect (see :func:`_run_chunks`); None
+# in-process, where a single call covers the whole range.
+_first_failed_lo = None
+
+
+def _share_first_failed_lo(flag) -> None:
+    global _first_failed_lo
+    _first_failed_lo = flag
+
+
+def _earlier_chunk_failed(lo: int) -> bool:
+    return _first_failed_lo is not None and _first_failed_lo.value < lo
+
+
+def _mark_chunk_failed(lo: int) -> None:
+    if _first_failed_lo is not None:
+        with _first_failed_lo.get_lock():
+            _first_failed_lo.value = min(_first_failed_lo.value, lo)
+
+
 def _run_chunks(worker: Callable, args: Tuple, total: int, jobs: int) -> list:
     """``worker(*args, lo, hi)`` over the chunks of ``range(total)``, in chunk order.
 
     With ``jobs > 1`` the chunks run in a process pool; otherwise a single
-    in-process call covers the whole range.
+    in-process call covers the whole range.  Pool workers share
+    ``_first_failed_lo``, through which a worker that stops at its first
+    counterexample tells the chunks after it to stop too.
     """
     if jobs > 1 and total > 1:
         import multiprocessing
@@ -289,7 +312,10 @@ def _run_chunks(worker: Callable, args: Tuple, total: int, jobs: int) -> list:
 
         los, his = zip(*_chunk_ranges(total, jobs))
         spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+        first_failed_lo = spawn.Value("q", total)
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn,
+                                 initializer=_share_first_failed_lo,
+                                 initargs=(first_failed_lo,)) as pool:
             return list(pool.map(partial(worker, *args), los, his))
     return [worker(*args, 0, total)]
 
@@ -407,6 +433,8 @@ def _persist_sample_range(key: str, kind_name: str, seed: int, strong: bool,
     failures = 0
     first = None  # the first counterexample in index order
     for i in range(lo, hi):
+        if _earlier_chunk_failed(lo):
+            break  # the report ends at an earlier chunk's counterexample
         rng = random.Random(f"{seed}:{key}:{kind.value}:{i}")
         frame = _generate_precondition_frame(rng, key, kind, strong)
         if frame is None:
@@ -426,6 +454,7 @@ def _persist_sample_range(key: str, kind_name: str, seed: int, strong: bool,
                     "witness": _witness_json(witness),
                 }
             if expect == "fail":
+                _mark_chunk_failed(lo)
                 break
     return passes, failures, first
 
@@ -446,8 +475,9 @@ def persistence_experiment(key: str, kind: FillInKind, samples: int = 200,
     parts = _run_chunks(_persist_sample_range, (key, kind.value, seed, strong, expect),
                         samples, jobs)
     if expect == "fail":
-        # each chunk stops at its own first counterexample; a single job
-        # would have stopped at the first chunk's and run no later chunk
+        # a chunk stops at its own first counterexample, or early once an
+        # earlier chunk has stopped at one; a single job would have run no
+        # chunk after the first that holds one
         hits = [i for i, (_, _, c) in enumerate(parts) if c is not None]
         if hits:
             parts = parts[:hits[0] + 1]

@@ -183,23 +183,36 @@ def random_full_frame(rng: random.Random, n: int, strong: bool = False,
 def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int],
                      sampler: RowSampler):
     """Close a seed family under meet, join, imp and the cond operation,
-    drawing a relation for every set the moment it enters the family."""
-    admissible = sorted(set(seeds) | {0, p.full_mask})
-    relations = {a: sampler(a) for a in admissible}
-    changed = True
-    while changed:
-        changed = False
-        current = list(admissible)
-        known = set(admissible)
+    drawing a relation for every set the moment it enters the family.
+
+    Semi-naive: a round combines only the ordered pairs with at least one
+    *fresh* member, one that entered in the round before (every seed is
+    fresh in the first round).  A pair of older members was combined in an
+    earlier round and can only give sets already known, so each ordered
+    pair of the final family is combined exactly once.  The pairs left run
+    in the order of combining every pair in every round: ``a`` over the
+    sorted family, ``b`` over the family if ``a`` is fresh and over the
+    fresh members otherwise, both in sorted order.  New sets therefore
+    enter, and draw their relations, in the same order, and a seed gives
+    the same frame.
+    """
+    known = set(seeds) | {0, p.full_mask}
+    relations = {a: sampler(a) for a in sorted(known)}
+    fresh = set(known)
+    while fresh:
+        current = sorted(known)
+        fresh_sorted = [b for b in current if b in fresh]
+        entered = set()
         for a in current:
-            for b in current:
-                for c in (a & b, a | b, heyting_imp(p, a, b), box(relations[a], b)):
+            rows = relations[a]
+            for b in current if a in fresh else fresh_sorted:
+                for c in (a & b, a | b, heyting_imp(p, a, b), box(rows, b)):
                     if c not in known:
                         known.add(c)
+                        entered.add(c)
                         relations[c] = sampler(c)
-                        changed = True
-        admissible = sorted(known)
-    return tuple(admissible), relations
+        fresh = entered
+    return tuple(sorted(known)), relations
 
 
 _MAX_REGEN = 8

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from condlogic import catalog
@@ -172,11 +174,31 @@ class TestPersistence:
     def test_jobs_do_not_change_an_expected_failure(self, key, kind, samples, seed, first):
         a = persistence_experiment(key, kind, samples=samples, seed=seed, expect="fail",
                                    jobs=1)
-        b = persistence_experiment(key, kind, samples=samples, seed=seed, expect="fail",
-                                   jobs=2)
-        assert a == b
+        # four workers on fewer cores: chunks stop on a shared flag
+        for jobs in (2, 4):
+            b = persistence_experiment(key, kind, samples=samples, seed=seed, expect="fail",
+                                       jobs=jobs)
+            assert a == b, jobs
         # the run ends at the first counterexample, whatever chunk finds it
         assert (a["samples"], a["failures"]) == (first + 1, 1)
+
+    def test_a_chunk_after_a_failed_one_runs_no_sample(self, monkeypatch):
+        def no_sample(*args):
+            raise AssertionError("a sample ran")
+
+        monkeypatch.setattr(catalog, "_first_failed_lo", multiprocessing.Value("q", 2))
+        monkeypatch.setattr(catalog, "_generate_precondition_frame", no_sample)
+        run = catalog._persist_sample_range("mon", "squeeze", 0, False, "fail", 3, 6)
+        assert run == (0, 0, None)
+
+    def test_a_failed_chunk_tells_later_chunks(self, monkeypatch):
+        flag = multiprocessing.Value("q", 6)
+        monkeypatch.setattr(catalog, "_first_failed_lo", flag)
+        # index 3 of mon/squeeze at seed 0 passes and index 4 fails
+        passes, failures, first = catalog._persist_sample_range(
+            "mon", "squeeze", 0, False, "fail", 3, 6)
+        assert (passes, failures) == (1, 1) and first is not None
+        assert flag.value == 3
 
     def test_missing_correspondent(self):
         with pytest.raises(MissingCorrespondentError):

@@ -1,9 +1,11 @@
-"""Row modes, fill-in recipes and preorder enumeration against the code they replaced.
+"""Row modes, fill-in recipes, the admissible closure and preorder
+enumeration against the code they replaced.
 
 A seed's draws are part of the output contract: the golden CLI corpus and
 the benchmark digests pin what seeded runs produce.  The references below
 are the per-mode factories, the ``_fill_rows`` if-chain and the sorted
-preorder enumeration as they were before the mode and recipe tables.  On
+preorder enumeration as they were before the mode and recipe tables, and
+the closure that combined every pair of the family in every round.  On
 every input both must give the same rows and leave the generator in the
 same state, or fail with the same exception type and message.
 """
@@ -16,17 +18,19 @@ import pytest
 from condlogic import catalog, fillins, generate
 from condlogic.errors import SqueezePreconditionError
 from condlogic.fillins import ALL_KINDS, FillInKind, check_squeeze_precondition, fill
-from condlogic.frames import ConditionalFrame, GeneralFrame, compose_up_rel
+from condlogic.frames import ConditionalFrame, GeneralFrame, compose_up_rel, validate_general
 from condlogic.generate import (
     MODES,
+    close_admissible,
     enumerate_preorders,
+    make_sampler,
     random_full_frame,
     random_general_frame,
     random_poset,
     random_rows,
     repair_strong,
 )
-from condlogic.order import FinitePreorder, all_upsets, intransitive_pair
+from condlogic.order import FinitePreorder, all_upsets, box, heyting_imp, intransitive_pair
 
 
 # --- reference row modes -------------------------------------------------------
@@ -245,6 +249,32 @@ def old_matrix_int(p):
     return value
 
 
+# --- reference admissible closure ----------------------------------------------------
+
+
+def old_close_admissible(rng, p, seeds, sampler, rounds=None):
+    """Every round combines every ordered pair of the family; ``rounds``, if
+    given, gets one entry per round."""
+    admissible = sorted(set(seeds) | {0, p.full_mask})
+    relations = {a: sampler(a) for a in admissible}
+    changed = True
+    while changed:
+        if rounds is not None:
+            rounds.append(len(admissible))
+        changed = False
+        current = list(admissible)
+        known = set(admissible)
+        for a in current:
+            for b in current:
+                for c in (a & b, a | b, heyting_imp(p, a, b), box(relations[a], b)):
+                    if c not in known:
+                        known.add(c)
+                        relations[c] = sampler(c)
+                        changed = True
+        admissible = sorted(known)
+    return tuple(admissible), relations
+
+
 # --- the comparisons ---------------------------------------------------------------
 
 
@@ -355,3 +385,84 @@ def test_fill_as_before():
 def test_preorders_in_the_same_order(n):
     assert enumerate_preorders(n) == old_enumerate_preorders(n)
     assert len(enumerate_preorders(n)) == (1, 4, 29)[n - 1]
+
+
+# the catalog's lists, ``("random",)`` (the default of random_general_frame)
+CLOSURE_MODE_LISTS = sorted({*CATALOG_MODE_LISTS, ("random",)})
+
+
+def _closure_case(seed):
+    """A generator, an order, a seed family and a sampler, all from one seed."""
+    rng = random.Random(f"closure:{seed}")
+    p = _orders(rng)
+    ups = all_upsets(p)
+    seeds = [rng.choice(ups) for _ in range(rng.randrange(0, 4))]
+    modes = rng.choice(CLOSURE_MODE_LISTS)
+    sampler = make_sampler(rng, p, modes, force_subset=rng.random() < 0.5,
+                           strong=rng.random() < 0.5)
+    return rng, p, seeds, sampler
+
+
+def test_closure_as_before():
+    depths = Counter()
+    for seed in range(600):
+        rng, p, seeds, sampler = _closure_case(seed)
+        new = close_admissible(rng, p, seeds, sampler)
+        old_rng, old_p, old_seeds, old_sampler = _closure_case(seed)
+        rounds = []
+        old = old_close_admissible(old_rng, old_p, old_seeds, old_sampler, rounds)
+        assert new == old, seed
+        assert rng.getstate() == old_rng.getstate(), seed
+        depths[len(rounds)] += 1
+    # the multi-round path: a later round still adds sets
+    assert sum(count for depth, count in depths.items() if depth >= 3) >= 10, depths
+
+
+def test_closure_combines_each_pair_once(monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(generate, "heyting_imp", counted("imp", heyting_imp))
+    monkeypatch.setattr(generate, "box", counted("cond", box))
+    for seed in range(600):
+        rng, p, seeds, sampler = _closure_case(seed)
+        calls.clear()
+        admissible, _ = close_admissible(rng, p, seeds, counted("draw", sampler))
+        k = len(admissible)
+        # meet and join are evaluated in the same tuple as imp and cond
+        assert calls == {"imp": k * k, "cond": k * k, "draw": k}, (seed, k)
+
+
+@pytest.mark.parametrize("modes", CLOSURE_MODE_LISTS, ids="+".join)
+def test_random_general_frames_as_before(modes, monkeypatch):
+    """Same frames and generator state as the full-product closure, and every
+    frame passes ``validate_general``, a closure check outside the generator
+    (it takes the cond operation through ``GeneralFrame.dto``)."""
+    depths = Counter()
+
+    def draw(close, n, seed, force_subset, strong):
+        monkeypatch.setattr(generate, "close_admissible", close)
+        rng = random.Random(f"{seed}:{n}:{force_subset}:{strong}")
+        g = random_general_frame(rng, n, modes, force_subset=force_subset, strong=strong)
+        return g, rng.getstate()
+
+    def old(rng, p, seeds, sampler):
+        rounds = []
+        closed = old_close_admissible(rng, p, seeds, sampler, rounds)
+        depths[len(rounds)] += 1
+        return closed
+
+    for n in range(1, 6):
+        for seed in range(6):
+            for force_subset in (False, True):
+                for strong in (False, True):
+                    args = (n, seed, force_subset, strong)
+                    new = draw(close_admissible, *args)
+                    assert new == draw(old, *args), (modes, args)
+                    assert validate_general(new[0]).ok, (modes, args)
+    assert max(depths) >= 3, (modes, depths)
