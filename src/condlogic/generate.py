@@ -195,11 +195,20 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
     fresh members otherwise, both in sorted order.  New sets therefore
     enter, and draw their relations, in the same order, and a seed gives
     the same frame.
+
+    Early stop: the closure returns the moment the family holds every
+    upset of ``p``.  Every member is an upset: the seeds are, the meet,
+    join and Heyting implication of two upsets are upsets, and
+    ``box(R_a, b)`` of a coherent relation over an upset ``b`` is an upset.
+    So once the family holds every upset, no later pair can add a set and
+    no further relation is drawn: the family, the relations and the
+    generator state are those the full loop would leave.
     """
+    ups = all_upsets(p)
     known = set(seeds) | {0, p.full_mask}
     relations = {a: sampler(a) for a in sorted(known)}
     fresh = set(known)
-    while fresh:
+    while fresh and len(known) < len(ups):
         current = sorted(known)
         fresh_sorted = [b for b in current if b in fresh]
         entered = set()
@@ -211,6 +220,8 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
                         known.add(c)
                         entered.add(c)
                         relations[c] = sampler(c)
+                        if len(known) == len(ups):
+                            return ups, relations
         fresh = entered
     return tuple(sorted(known)), relations
 
@@ -223,8 +234,13 @@ def random_general_frame(rng: random.Random, n: int,
                          force_subset: bool = False,
                          strong: bool = False) -> GeneralFrame:
     """Random valid general frame; prefers frames with non-admissible upsets,
-    redrawing up to :data:`_MAX_REGEN` times before settling for a full one."""
-    frame = None
+    redrawing up to :data:`_MAX_REGEN` times before settling for a full one.
+
+    Only the draw returned is built into a :class:`GeneralFrame`: the first
+    with a non-admissible upset, or else the last.  Building draws nothing
+    from ``rng``, so skipping it for the discarded draws leaves the
+    generator state unchanged.
+    """
     for _ in range(_MAX_REGEN):
         p = random_poset(rng, n)
         sampler = make_sampler(rng, p, mode_names, force_subset=force_subset, strong=strong)
@@ -232,10 +248,9 @@ def random_general_frame(rng: random.Random, n: int,
         ups = all_upsets(p)
         seeds = [ups[rng.randrange(len(ups))] for _ in range(n_seeds)]
         admissible, relations = close_admissible(rng, p, seeds, sampler)
-        frame = GeneralFrame(p, admissible, relations)
         if len(admissible) < len(ups):
-            return frame
-    return frame
+            break
+    return GeneralFrame(p, admissible, relations)
 
 
 # --- exhaustive enumeration ---------------------------------------------------

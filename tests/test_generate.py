@@ -5,7 +5,8 @@ A seed's draws are part of the output contract: the golden CLI corpus and
 the benchmark digests pin what seeded runs produce.  The references below
 are the per-mode factories, the ``_fill_rows`` if-chain and the sorted
 preorder enumeration as they were before the mode and recipe tables, and
-the closure that combined every pair of the family in every round.  On
+the closure that combined every pair of the family in every round, and
+the general-frame draw that built a frame for every attempt.  On
 every input both must give the same rows and leave the generator in the
 same state, or fail with the same exception type and message.
 """
@@ -275,6 +276,22 @@ def old_close_admissible(rng, p, seeds, sampler, rounds=None):
     return tuple(admissible), relations
 
 
+def old_random_general_frame(rng, n, mode_names, force_subset, strong, close):
+    """Builds a frame for every attempt, kept or not; ``close`` is the closure."""
+    frame = None
+    for _ in range(generate._MAX_REGEN):
+        p = random_poset(rng, n)
+        sampler = make_sampler(rng, p, mode_names, force_subset=force_subset, strong=strong)
+        n_seeds = rng.randrange(0, 3)
+        ups = all_upsets(p)
+        seeds = [ups[rng.randrange(len(ups))] for _ in range(n_seeds)]
+        admissible, relations = close(rng, p, seeds, sampler)
+        frame = GeneralFrame(p, admissible, relations)
+        if len(admissible) < len(ups):
+            return frame
+    return frame
+
+
 # --- the comparisons ---------------------------------------------------------------
 
 
@@ -403,8 +420,16 @@ def _closure_case(seed):
     return rng, p, seeds, sampler
 
 
+def _starts_below_and_fills(p, seeds, admissible):
+    """Whether the closure began below all upsets and ended holding them all,
+    so that it stopped early inside its loop."""
+    n_ups = len(all_upsets(p))
+    return len(set(seeds) | {0, p.full_mask}) < n_ups == len(admissible)
+
+
 def test_closure_as_before():
     depths = Counter()
+    fills = 0
     for seed in range(600):
         rng, p, seeds, sampler = _closure_case(seed)
         new = close_admissible(rng, p, seeds, sampler)
@@ -414,8 +439,12 @@ def test_closure_as_before():
         assert new == old, seed
         assert rng.getstate() == old_rng.getstate(), seed
         depths[len(rounds)] += 1
+        fills += _starts_below_and_fills(p, seeds, new[0])
     # the multi-round path: a later round still adds sets
     assert sum(count for depth, count in depths.items() if depth >= 3) >= 10, depths
+    # the early stop: 98 of the 600 cases grow to every upset (169 more
+    # start with every upset, 128 of them on one-world orders)
+    assert fills >= 50, fills
 
 
 def test_closure_combines_each_pair_once(monkeypatch):
@@ -429,40 +458,69 @@ def test_closure_combines_each_pair_once(monkeypatch):
 
     monkeypatch.setattr(generate, "heyting_imp", counted("imp", heyting_imp))
     monkeypatch.setattr(generate, "box", counted("cond", box))
+    at_last_draw = Counter()
+
+    def draw(sampler):
+        def wrapper(a):
+            calls["draw"] += 1
+            at_last_draw.clear()
+            at_last_draw.update(calls)
+            return sampler(a)
+        return wrapper
+
+    fills = 0
     for seed in range(600):
         rng, p, seeds, sampler = _closure_case(seed)
         calls.clear()
-        admissible, _ = close_admissible(rng, p, seeds, counted("draw", sampler))
+        admissible, _ = close_admissible(rng, p, seeds, draw(sampler))
         k = len(admissible)
-        # meet and join are evaluated in the same tuple as imp and cond
-        assert calls == {"imp": k * k, "cond": k * k, "draw": k}, (seed, k)
+        if k < len(all_upsets(p)):
+            # meet and join are evaluated in the same tuple as imp and cond
+            assert calls == {"imp": k * k, "cond": k * k, "draw": k}, (seed, k)
+        else:
+            # one draw per upset, and no pair combined after the last of them
+            assert calls["draw"] == k, (seed, k)
+            assert at_last_draw == calls, (seed, k)
+            fills += _starts_below_and_fills(p, seeds, admissible)
+    assert fills >= 50, fills
 
 
 @pytest.mark.parametrize("modes", CLOSURE_MODE_LISTS, ids="+".join)
-def test_random_general_frames_as_before(modes, monkeypatch):
-    """Same frames and generator state as the full-product closure, and every
-    frame passes ``validate_general``, a closure check outside the generator
-    (it takes the cond operation through ``GeneralFrame.dto``)."""
+def test_random_general_frames_as_before(modes):
+    """Same frames and generator state as the full-product closure in the
+    old draw, and every frame passes ``validate_general``, a closure check
+    outside the generator (it takes the cond operation through
+    ``GeneralFrame.dto``)."""
     depths = Counter()
+    closures = []
 
-    def draw(close, n, seed, force_subset, strong):
-        monkeypatch.setattr(generate, "close_admissible", close)
+    def draw(generate_frame, n, seed, force_subset, strong):
         rng = random.Random(f"{seed}:{n}:{force_subset}:{strong}")
-        g = random_general_frame(rng, n, modes, force_subset=force_subset, strong=strong)
+        g = generate_frame(rng, n, modes, force_subset=force_subset, strong=strong)
         return g, rng.getstate()
 
-    def old(rng, p, seeds, sampler):
+    def close(rng, p, seeds, sampler):
         rounds = []
         closed = old_close_admissible(rng, p, seeds, sampler, rounds)
         depths[len(rounds)] += 1
+        closures.append(closed)
         return closed
 
+    def old(rng, n, mode_names, force_subset, strong):
+        closures.clear()
+        return old_random_general_frame(rng, n, mode_names, force_subset, strong, close)
+
+    redraws = 0
     for n in range(1, 6):
         for seed in range(6):
             for force_subset in (False, True):
                 for strong in (False, True):
                     args = (n, seed, force_subset, strong)
-                    new = draw(close_admissible, *args)
+                    new = draw(random_general_frame, *args)
                     assert new == draw(old, *args), (modes, args)
                     assert validate_general(new[0]).ok, (modes, args)
+                    # every closure but the last filled every upset
+                    redraws += len(closures) - 1
     assert max(depths) >= 3, (modes, depths)
+    # the discarded draws: the frame returned is the last one drawn
+    assert redraws >= 1, (modes, redraws)
