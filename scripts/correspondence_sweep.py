@@ -11,14 +11,15 @@ import sys
 import time
 
 from condlogic import catalog
+from condlogic.cli import _count
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=200)
+    parser.add_argument("--samples", type=_count(0), default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-worlds", type=int, default=2)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--max-worlds", type=_count(1), default=2)
+    parser.add_argument("--jobs", type=_count(1), default=1)
     args = parser.parse_args()
 
     keys = [k for k, e in sorted(catalog.AXIOMS.items())

@@ -11,11 +11,12 @@ import json
 import sys
 
 from condlogic import catalog
+from condlogic.cli import _count
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--samples", type=int, default=300)
+    parser.add_argument("--samples", type=_count(1), default=300)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--strong", action="store_true")
     parser.add_argument("--json", action="store_true")

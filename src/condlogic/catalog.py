@@ -13,15 +13,18 @@ then re-check the correspondent over all upsets of the result.
 
 The correspondents and the quantifier loop that evaluates them, alone or
 as a conjunction for a named logic, live in :mod:`condlogic.correspondents`.
-One runner (:func:`_run_chunks`) spreads sampling over worker processes.
-Both sampling experiments seed each sample index separately, and a
-persistence run expecting failure ends at its first counterexample in index
-order, so neither the frames drawn nor the reports depend on the job count.
+Both sampling experiments map one function over the sample indices in
+index order (:func:`_map_samples`), in this process or in a pool of at most
+one worker per core.  Each sample index is seeded separately, so neither
+the frames drawn nor the reports depend on the job count.  A persistence
+run expecting failure ends at its first counterexample in index order, so
+it always runs in this process and draws no sample after that one.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -271,64 +274,29 @@ def logic_frame_conditions(preset: str) -> List[Tuple[str, str, Callable]]:
 # --- correspondence verification ---------------------------------------------
 
 
-def _chunk_ranges(total: int, jobs: int):
-    """At most ``jobs`` nonempty ``(lo, hi)`` chunks tiling ``range(total)``."""
-    step = (total + jobs - 1) // jobs
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
+def _map_samples(fn: Callable, total: int, jobs: int):
+    """``fn(i)`` for every sample index ``i`` in ``range(total)``, in index order.
 
-
-# In a pool worker, the shared lowest ``lo`` of a chunk that has stopped at
-# a counterexample it was told to expect (see :func:`_run_chunks`); None
-# in-process, where a single call covers the whole range.
-_first_failed_lo = None
-
-
-def _share_first_failed_lo(flag) -> None:
-    global _first_failed_lo
-    _first_failed_lo = flag
-
-
-def _earlier_chunk_failed(lo: int) -> bool:
-    return _first_failed_lo is not None and _first_failed_lo.value < lo
-
-
-def _mark_chunk_failed(lo: int) -> None:
-    if _first_failed_lo is not None:
-        with _first_failed_lo.get_lock():
-            _first_failed_lo.value = min(_first_failed_lo.value, lo)
-
-
-def _run_chunks(worker: Callable, args: Tuple, total: int, jobs: int) -> list:
-    """``worker(*args, lo, hi)`` over the chunks of ``range(total)``, in chunk order.
-
-    With ``jobs > 1`` the chunks run in a process pool; otherwise a single
-    in-process call covers the whole range.  Pool workers share
-    ``_first_failed_lo``, through which a worker that stops at its first
-    counterexample tells the chunks after it to stop too.
+    With one job (or one core, or one sample) the results come lazily from
+    this process, so a caller that stops early runs no further sample.
+    Otherwise a spawn pool of ``min(jobs, total, cpu count)`` workers maps
+    the indices in as many contiguous chunks.
     """
-    if jobs > 1 and total > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    jobs = min(jobs, total, os.cpu_count() or 1)
+    if jobs <= 1:
+        return map(fn, range(total))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        los, his = zip(*_chunk_ranges(total, jobs))
-        spawn = multiprocessing.get_context("spawn")
-        first_failed_lo = spawn.Value("q", total)
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn,
-                                 initializer=_share_first_failed_lo,
-                                 initargs=(first_failed_lo,)) as pool:
-            return list(pool.map(partial(worker, *args), los, his))
-    return [worker(*args, 0, total)]
+    with ProcessPoolExecutor(max_workers=jobs,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return list(pool.map(fn, range(total), chunksize=-(-total // jobs)))
 
 
-def _verify_sample_range(key: str, seed: int, lo: int, hi: int) -> Tuple[int, List[dict]]:
+def _verify_sample(key: str, seed: int, i: int) -> Optional[dict]:
     entry = AXIOMS[key]
-    schema = entry.formula
-    discrepancies: List[dict] = []
-    for i in range(lo, hi):
-        rng = random.Random(f"{seed}:{key}:{i}")
-        frame = _sample_frame_for_correspondence(rng, entry)
-        _compare(frame, entry, schema, discrepancies)
-    return hi - lo, discrepancies
+    frame = _sample_frame_for_correspondence(random.Random(f"{seed}:{key}:{i}"), entry)
+    return _compare(frame, entry)
 
 
 def verify_correspondence(key: str, max_worlds: int = 2, samples: int = 0,
@@ -343,25 +311,20 @@ def verify_correspondence(key: str, max_worlds: int = 2, samples: int = 0,
     entry = AXIOMS[key]
     if not entry.has_correspondent:
         raise MissingCorrespondentError(f"axiom {key!r} has no frame correspondent")
-    schema = entry.formula
-    discrepancies: List[dict] = []
-    checked_exhaustive = 0
+    exhaustive = []
     skipped = 0
     for frame in generate.enumerate_full_frames(max_worlds):
         if entry.strong_scope and not (frame.order.is_poset and strongly_coherent(frame)):
             skipped += 1
             continue
-        checked_exhaustive += 1
-        _compare(frame, entry, schema, discrepancies)
-    checked_sampled = 0
-    for count, part in _run_chunks(_verify_sample_range, (key, seed), samples, jobs):
-        checked_sampled += count
-        discrepancies.extend(part)
+        exhaustive.append(_compare(frame, entry))
+    sampled = list(_map_samples(partial(_verify_sample, key, seed), samples, jobs))
+    discrepancies = [d for d in exhaustive + sampled if d is not None]
     return {
         "axiom": key,
-        "exhaustive_frames": checked_exhaustive,
+        "exhaustive_frames": len(exhaustive),
         "exhaustive_skipped": skipped,
-        "sampled_frames": checked_sampled,
+        "sampled_frames": len(sampled),
         "strong_scope": entry.strong_scope,
         "discrepancies": discrepancies,
         "ok": not discrepancies,
@@ -384,17 +347,13 @@ def _sample_frame_for_correspondence(rng: random.Random, entry: AxiomEntry):
         n = 3
 
 
-def _compare(frame, entry, schema, discrepancies):
+def _compare(frame: GeneralFrame, entry: AxiomEntry) -> Optional[dict]:
+    """The discrepancy between schema validity and correspondent, or None."""
     corr = _entry_witness(frame, entry) is None
-    verdict = valid(frame, schema)
-    if corr != verdict.valid:
-        discrepancies.append(
-            {
-                "frame": frame_to_json(frame),
-                "valid": verdict.valid,
-                "correspondent": corr,
-            }
-        )
+    verdict = valid(frame, entry.formula)
+    if corr == verdict.valid:
+        return None
+    return {"frame": frame_to_json(frame), "valid": verdict.valid, "correspondent": corr}
 
 
 # --- persistence experiments ---------------------------------------------------
@@ -425,38 +384,18 @@ def _generate_precondition_frame(rng: random.Random, key: str, kind: FillInKind,
     return None
 
 
-def _persist_sample_range(key: str, kind_name: str, seed: int, strong: bool,
-                          expect: str, lo: int, hi: int):
-    entry = AXIOMS[key]
-    kind = FillInKind.from_name(kind_name)
-    passes = 0
-    failures = 0
-    first = None  # the first counterexample in index order
-    for i in range(lo, hi):
-        if _earlier_chunk_failed(lo):
-            break  # the report ends at an earlier chunk's counterexample
-        rng = random.Random(f"{seed}:{key}:{kind.value}:{i}")
-        frame = _generate_precondition_frame(rng, key, kind, strong)
-        if frame is None:
-            raise GenerationBudgetError(
-                f"could not generate a frame satisfying the {key!r} precondition"
-            )
-        filled = fill(frame, kind)
-        witness = _entry_witness(filled, entry)
-        if witness is None:
-            passes += 1
-        else:
-            failures += 1
-            if first is None:
-                first = {
-                    "general_frame": frame_to_json(frame),
-                    "filled_frame": frame_to_json(filled),
-                    "witness": _witness_json(witness),
-                }
-            if expect == "fail":
-                _mark_chunk_failed(lo)
-                break
-    return passes, failures, first
+def _persist_sample(key: str, kind: FillInKind, seed: int, strong: bool,
+                    i: int) -> Optional[Tuple[GeneralFrame, GeneralFrame, Tuple]]:
+    """None if sample ``i`` persists, else (general frame, filled frame, witness)."""
+    rng = random.Random(f"{seed}:{key}:{kind.value}:{i}")
+    frame = _generate_precondition_frame(rng, key, kind, strong)
+    if frame is None:
+        raise GenerationBudgetError(
+            f"could not generate a frame satisfying the {key!r} precondition"
+        )
+    filled = fill(frame, kind)
+    witness = _entry_witness(filled, AXIOMS[key])
+    return None if witness is None else (frame, filled, witness)
 
 
 def persistence_experiment(key: str, kind: FillInKind, samples: int = 200,
@@ -467,24 +406,30 @@ def persistence_experiment(key: str, kind: FillInKind, samples: int = 200,
 
     For pairs the tables mark persistent the expectation is a 100% pass
     rate; for the refuted pairs the runner reports the first finite
-    counterexample frame it finds.
+    counterexample frame it finds, and stops there.  That run is always in
+    this process, since it ends at the first counterexample in index order.
     """
     entry = AXIOMS[key]
     if not entry.has_correspondent:
         raise MissingCorrespondentError(f"axiom {key!r} has no frame correspondent")
-    parts = _run_chunks(_persist_sample_range, (key, kind.value, seed, strong, expect),
-                        samples, jobs)
-    if expect == "fail":
-        # a chunk stops at its own first counterexample, or early once an
-        # earlier chunk has stopped at one; a single job would have run no
-        # chunk after the first that holds one
-        hits = [i for i, (_, _, c) in enumerate(parts) if c is not None]
-        if hits:
-            parts = parts[:hits[0] + 1]
-    passes = sum(p for p, _, _ in parts)
-    failures = sum(f for _, f, _ in parts)
-    # chunks arrive in index order, so the first counterexample is the earliest
-    first = next((c for _, _, c in parts if c is not None), None)
+    passes = 0
+    failures = 0
+    first = None  # the first counterexample in index order
+    sample = partial(_persist_sample, key, kind, seed, strong)
+    for hit in _map_samples(sample, samples, jobs if expect == "pass" else 1):
+        if hit is None:
+            passes += 1
+            continue
+        failures += 1
+        if first is None:
+            frame, filled, witness = hit
+            first = {
+                "general_frame": frame_to_json(frame),
+                "filled_frame": frame_to_json(filled),
+                "witness": _witness_json(witness),
+            }
+        if expect == "fail":
+            break
     total = passes + failures
     report = {
         "axiom": key,

@@ -313,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="workbench for intuitionistic conditional logic",
     )
     parser.add_argument("--json", action="store_true", help="machine-readable report")
-    parser.add_argument("--jobs", type=_count(1), default=1, help="worker pool size")
+    parser.add_argument("--jobs", type=_count(1), default=1,
+                        help="worker processes for sampling, at most one per CPU core")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse and reprint a formula")

@@ -72,15 +72,15 @@ def _c_ex(p, rel, upc, a, b, x):
 def _c_red(p, rel, upc, a, b, x):
     # up-closure form: without it the condition is too strong on frames
     # whose relation rows are not upsets (cf. the tc row)
-    return bool((upc(rel(p.full_mask)[x]) >> x) & 1)
+    return bool((upc(rel(a)[x]) >> x) & 1)
 
 
 def _c_vec_top(p, rel, upc, a, b, x):
-    return not rel(p.full_mask)[x] & ~p.up[x]
+    return not rel(a)[x] & ~p.up[x]
 
 
 def _c_expl(p, rel, upc, a, b, x):
-    return rel(0)[x] == 0
+    return rel(a)[x] == 0
 
 
 def _c_re(p, rel, upc, a, b, x):
@@ -189,9 +189,11 @@ def _corr_loop(frame: GeneralFrame, quant: str, fn: Callable,
     if quant == "const":
         return None
     if quant == "x":
+        # the one upset the condition reads: R_W for red and vec_top, R_empty for expl
+        a = 0 if fn is _c_expl else p.full_mask
         for x in range(p.n):
-            if not fn(p, rel, upc, 0, None, x):
-                return (p.full_mask, None, x)
+            if not fn(p, rel, upc, a, None, x):
+                return (a, None, x)
         return None
     if quant == "ax":
         for a in pool:

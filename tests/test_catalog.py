@@ -1,5 +1,3 @@
-import multiprocessing
-
 import pytest
 
 from condlogic import catalog
@@ -69,6 +67,16 @@ class TestCorrespondentHolds:
         assert not report.holds
         assert report.witness == (0, None, 0)  # first triple in order
 
+    @pytest.mark.parametrize("key,a,rows", [
+        ("expl", 0, (m(0), 0)),  # R_empty[0] is not empty
+        ("red", m(0, 1), (0, m(1))),  # 0 is not above R_W[0]
+        ("vec_top", m(0, 1), (m(1), m(1))),  # R_W[0] leaves the up-set of 0
+    ])
+    def test_world_conditions_report_the_upset_they_read(self, anti2, key, a, rows):
+        report = correspondent_holds(full_frame(anti2, {a: rows}), key)
+        assert not report.holds
+        assert report.witness == (a, None, 0)
+
     def test_identity_relations_satisfy_mp(self, anti2):
         f = constant_full_frame(anti2, identity_rows(2))
         assert correspondent_holds(f, "mp").holds
@@ -127,14 +135,51 @@ class TestVerifyCorrespondence:
             verify_correspondence("clin1")
 
 
-def test_parallel_chunks_tile_the_range():
-    # the parallel runner asks for chunks only with jobs > 1 and total > 1
-    for total in range(2, 61):
-        for jobs in range(2, 9):
-            chunks = catalog._chunk_ranges(total, jobs)
-            assert 1 <= len(chunks) <= jobs
-            assert all(lo < hi for lo, hi in chunks)
-            assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(total))
+@pytest.fixture
+def pools(monkeypatch):
+    """[workers, chunks] of every pool started, each a fake executor that maps
+    in this process."""
+    import concurrent.futures
+
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            self.record = [max_workers]
+            started.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, indices, chunksize):
+            indices = list(indices)
+            self.record.append(len(range(0, len(indices), chunksize)))
+            return map(fn, indices)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return started
+
+
+class TestMapSamples:
+    def test_results_come_in_index_order(self, monkeypatch):
+        # three real spawn workers, whatever the machine
+        monkeypatch.setattr(catalog.os, "cpu_count", lambda: 3)
+        assert list(catalog._map_samples(str, 7, 3)) == list(map(str, range(7)))
+
+    @pytest.mark.parametrize("jobs,total,cpus,started", [
+        (5000, 5000, 4, [[4, 4]]),  # capped by the cores
+        (3, 2, 8, [[2, 2]]),  # capped by the samples
+        (8, 10, 4, [[4, 4]]),
+        (2, 10, None, []),  # an unknown core count is one core: no pool
+    ])
+    def test_the_pool_is_bounded_by_the_machine(self, monkeypatch, pools, jobs, total,
+                                                cpus, started):
+        monkeypatch.setattr(catalog.os, "cpu_count", lambda: cpus)
+        assert list(catalog._map_samples(str, total, jobs)) == list(map(str, range(total)))
+        assert pools == started
 
 
 class TestPersistence:
@@ -168,37 +213,37 @@ class TestPersistence:
         assert a == b
 
     @pytest.mark.parametrize("key,kind,samples,seed,first", [
-        ("mp", FillInKind.EMPTY, 8, 1, 0),  # both chunks hold a counterexample
-        ("mon", FillInKind.SQUEEZE, 6, 0, 4),  # only the second chunk does
+        ("mp", FillInKind.EMPTY, 8, 1, 0),  # the first sample is a counterexample
+        ("mon", FillInKind.SQUEEZE, 6, 0, 4),  # the fifth is the first
     ])
     def test_jobs_do_not_change_an_expected_failure(self, key, kind, samples, seed, first):
         a = persistence_experiment(key, kind, samples=samples, seed=seed, expect="fail",
                                    jobs=1)
-        # four workers on fewer cores: chunks stop on a shared flag
+        # every job count runs in this process
         for jobs in (2, 4):
             b = persistence_experiment(key, kind, samples=samples, seed=seed, expect="fail",
                                        jobs=jobs)
             assert a == b, jobs
-        # the run ends at the first counterexample, whatever chunk finds it
+        # the run ends at the first counterexample in index order
         assert (a["samples"], a["failures"]) == (first + 1, 1)
 
-    def test_a_chunk_after_a_failed_one_runs_no_sample(self, monkeypatch):
-        def no_sample(*args):
-            raise AssertionError("a sample ran")
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    def test_an_expected_failure_stops_at_its_sample_in_this_process(
+            self, monkeypatch, pools, jobs):
+        drawn = []
+        generate = catalog._generate_precondition_frame
 
-        monkeypatch.setattr(catalog, "_first_failed_lo", multiprocessing.Value("q", 2))
-        monkeypatch.setattr(catalog, "_generate_precondition_frame", no_sample)
-        run = catalog._persist_sample_range("mon", "squeeze", 0, False, "fail", 3, 6)
-        assert run == (0, 0, None)
+        def counted(*args):
+            drawn.append(args[0])
+            return generate(*args)
 
-    def test_a_failed_chunk_tells_later_chunks(self, monkeypatch):
-        flag = multiprocessing.Value("q", 6)
-        monkeypatch.setattr(catalog, "_first_failed_lo", flag)
-        # index 3 of mon/squeeze at seed 0 passes and index 4 fails
-        passes, failures, first = catalog._persist_sample_range(
-            "mon", "squeeze", 0, False, "fail", 3, 6)
-        assert (passes, failures) == (1, 1) and first is not None
-        assert flag.value == 3
+        monkeypatch.setattr(catalog, "_generate_precondition_frame", counted)
+        # index 4 of mon/squeeze at seed 0 is its first counterexample
+        report = persistence_experiment("mon", FillInKind.SQUEEZE, samples=6, seed=0,
+                                        expect="fail", jobs=jobs)
+        assert report["ok"] and report["samples"] == 5
+        assert len(drawn) == 5
+        assert pools == []
 
     def test_missing_correspondent(self):
         with pytest.raises(MissingCorrespondentError):

@@ -127,6 +127,16 @@ class TestCorrespondCommand:
         witness = json.loads(out)["result"]["witness"]
         assert witness == {"a": [], "b": None, "world": 0}
 
+    def test_expl_names_the_empty_upset(self, capsys, tmp_path):
+        frame_path = write(tmp_path / "f.json", {
+            "worlds": 1, "leq": [[0, 0]], "admissible": "all",
+            "relations": {"": [[0, 0]], "0": []}})
+        code, out, _ = run(capsys, "--json", "correspond", "--frame", frame_path,
+                           "--axiom", "expl")
+        assert code == 1
+        witness = json.loads(out)["result"]["witness"]
+        assert witness == {"a": [], "b": None, "world": 0}
+
 
 class TestVerifyCorrespondenceCommand:
     def test_exhaustive_two_worlds(self, capsys):
