@@ -18,6 +18,13 @@ Finitely, every upset of the prime-filter poset is the image of exactly
 one element, so the dual of an algebra is a full conditional frame and no
 topology object is needed.
 
+A value built here from inputs that were validated when they were made (a
+complex algebra from a frame, a dual frame from an algebra) skips its
+constructor's checks, through :func:`_unchecked`: the construction already
+guarantees what those checks test, and on the small carriers of a duality
+sweep the checks cost about as much as the construction.  Everything that
+reads outside input (the loaders, direct construction) runs every check.
+
 Satisfaction runs the program :func:`condlogic.semantics.compile_formula`
 makes, one assignment at a time, with one table lookup per connective;
 the program's ops are bound to their tables once per call.  Frame
@@ -212,13 +219,37 @@ def validate_cha(alg: FiniteCHA) -> AlgebraReport:
     return report
 
 
+def _unchecked(cls, **fields):
+    """An instance of ``cls`` holding ``fields``, built without its constructor.
+
+    Only :func:`complex_algebra` and :func:`_dual_with_maps` call this, and
+    only with values on which the skipped checks cannot fail:
+
+    - a complex algebra's ``imp``, ``cond``, ``top`` and ``bot`` are
+      ``idx[...]`` lookups into its carrier, so every entry lies in
+      ``0..size-1``; its tables are ``size x size`` and its ``leq`` rows are
+      built over the carrier, one per element;
+    - a dual frame's relation keys are theta, already checked to be a
+      bijection onto ``all_upsets(order)``, which is also its admissible
+      family; it has one row per prime filter, that is per world, and
+      every row is built as ``full & ...``.
+
+    A lookup that misses (a family not closed under the operations) raises
+    before this is reached, as it does before the checking constructor.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__ = fields
+    return obj
+
+
 def complex_algebra(g: GeneralFrame) -> FiniteCHA:
     """The algebra of admissible upsets with the operations read off the frame."""
     masks = g.admissible
     leq, imp, top, bot = _upset_algebra(g.order, masks)
     idx = {m: i for i, m in enumerate(masks)}
     cond = tuple(tuple([idx[box(rows, b)] for b in masks]) for rows in map(g.rel, masks))
-    return FiniteCHA(size=len(masks), leq=leq, imp=imp, cond=cond, top=top, bot=bot, labels=masks)
+    return _unchecked(FiniteCHA, size=len(masks), leq=leq, imp=imp, cond=cond, top=top,
+                      bot=bot, labels=masks)
 
 
 @lru_cache(maxsize=1024)
@@ -322,7 +353,9 @@ def _dual_with_maps(alg: FiniteCHA):
                     succ &= t
             rows.append(succ)
         relations[theta[i]] = tuple(rows)
-    return ConditionalFrame(order, relations), pfs, theta
+    frame = _unchecked(ConditionalFrame, order=order, admissible=all_upsets(order),
+                       relations=relations)
+    return frame, pfs, theta
 
 
 def dual_frame(alg: FiniteCHA) -> ConditionalFrame:
@@ -389,10 +422,11 @@ def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
     return report
 
 
-def frame_roundtrip(f: ConditionalFrame) -> DualityReport:
+def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     """Check that the frame is isomorphic to the dual of its complex algebra.
 
-    Requires a poset order and the strong coherence condition; those are
+    Requires a full frame (every upset admissible, however the family was
+    spelled), a poset order and the strong coherence condition; those are
     exactly the frames that arise as finite stand-ins for the topological
     duals, and the relation equivalence below fails without them.
     """

@@ -282,7 +282,9 @@ def _map_samples(fn: Callable, total: int, jobs: int):
     Otherwise a spawn pool of ``min(jobs, total, cpu count)`` workers maps
     the indices in as many contiguous chunks.
     """
-    jobs = min(jobs, total, os.cpu_count() or 1)
+    jobs = min(jobs, total)
+    if jobs > 1:
+        jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         return map(fn, range(total))
     import multiprocessing

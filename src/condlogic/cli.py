@@ -237,7 +237,7 @@ def _cmd_roundtrip(args) -> int:
         raise ClcError("roundtrip takes exactly one of --frame or --algebra")
     if args.frame is not None:
         frame, frame_digest = _load_frame(args.frame)
-        if not isinstance(frame, frames.ConditionalFrame):
+        if not frame.is_full:
             raise ClcError("frame round-trips need a full conditional frame")
         report = algebra.frame_roundtrip(frame)
         inputs = {"frame": frame_digest}

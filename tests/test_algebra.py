@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import json
+import random
+from collections import Counter
 
 import pytest
 
@@ -32,6 +34,7 @@ from condlogic.syntax import Language, parse, print_formula, proposition_letters
 
 from conftest import constant_full_frame, full_frame, m, preorder
 from test_cli_golden import ALGEBRA as GOLDEN_ALGEBRA
+from test_generate import _orders, _unclosed_frame
 
 
 def boolean2(cond_top_bot=1):
@@ -595,3 +598,117 @@ class TestAlgebraJson:
         obj["cond"] = [[1, 1], [1, 0]]  # breaks cond(top, top) = top
         with pytest.raises(FrameFormatError):
             algebra_from_json(obj)
+
+
+class TestConstructorMessages:
+    """Each check of ``FiniteCHA.__post_init__``, through direct construction
+    and through the loader.  The loader's strict readers catch some defects
+    first (a file cannot spell a row bitmask or an empty carrier with a
+    table); for those the loader's own message for the same defect is pinned."""
+
+    @pytest.mark.parametrize("fields,direct,in_file,loaded", [
+        (dict(size=0, leq=(), imp=(), cond=()), "an algebra needs a nonempty carrier",
+         dict(size=0), "algebra size 0 does not fit its imp table"),
+        (dict(leq=(0b11,)), "leq rows do not fit the carrier",
+         dict(leq=[[0, 0], [1, 1], [0, 2]]), "leq index 2 is not an int in 0..1"),
+        (dict(leq=(0b111, 0b10)), "leq rows do not fit the carrier",
+         dict(leq=[[2, 0]]), "leq index 2 is not an int in 0..1"),
+        (dict(imp=((1, 1), (0, 1), (1, 1))), "imp table is not size x size",
+         dict(imp=[[1, 1], [0, 1], [1, 1]]), "imp table is not size x size"),
+        (dict(imp=((1, 1, 1), (0, 1))), "imp table is not size x size",
+         dict(imp=[[1, 1, 1], [0, 1]]), "imp table is not size x size"),
+        (dict(cond=((1, 1),)), "cond table is not size x size",
+         dict(cond=[[1, 1]]), "cond table is not size x size"),
+        (dict(cond=((1, 1), (1,))), "cond table is not size x size",
+         dict(cond=[[1, 1], [1]]), "cond table is not size x size"),
+        (dict(imp=((1, 2), (0, 1))), "imp table entry out of range",
+         dict(imp=[[1, 2], [0, 1]]), "imp entry index 2 is not an int in 0..1"),
+        (dict(cond=((1, 1), (-1, 1))), "cond table entry out of range",
+         dict(cond=[[1, 1], [-1, 1]]), "cond entry index -1 is not an int in 0..1"),
+        (dict(top=2), "top or bot out of range",
+         dict(top=2), "top/bot index 2 is not an int in 0..1"),
+        (dict(bot=-1), "top or bot out of range",
+         dict(bot=-1), "top/bot index -1 is not an int in 0..1"),
+    ])
+    def test_direct_and_loaded(self, fields, direct, in_file, loaded):
+        good = dataclasses.asdict(boolean2())
+        with pytest.raises(FrameFormatError) as exc:
+            FiniteCHA(**{**good, **fields})
+        assert str(exc.value) == direct
+        with pytest.raises(FrameFormatError) as exc:
+            algebra_from_json({**algebra_to_json(boolean2()), **in_file})
+        assert str(exc.value) == loaded
+
+
+def _checked(cls, **fields):
+    """What ``algebra._unchecked`` stands in for: the checking constructor."""
+    if cls is ConditionalFrame:
+        return ConditionalFrame(fields["order"], fields["relations"])
+    return cls(**fields)
+
+
+def _outcome(fn, arg):
+    try:
+        return ("value", fn(arg))
+    except Exception as exc:  # both paths must fail alike, whatever the type
+        return ("error", type(exc), str(exc))
+
+
+def _both_paths(fn, arg):
+    """``fn(arg)`` as built, then with every value through its checking constructor."""
+    built = _outcome(fn, arg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_unchecked", _checked)
+        checked = _outcome(fn, arg)
+    return built, checked
+
+
+def _incoherent_full_frame(rng):
+    """Every upset admissible, each with arbitrary rows."""
+    p = _orders(rng)
+    return ConditionalFrame(p, {a: tuple(rng.randrange(p.full_mask + 1) for _ in range(p.n))
+                                for a in all_upsets(p)})
+
+
+class TestBuiltWithoutChecks:
+    """``complex_algebra`` and ``_dual_with_maps`` skip the constructor checks;
+    on every frame they must return what the checking constructors return,
+    and fail where those fail, with the same exception and message."""
+
+    @staticmethod
+    def _agree(frame, seen):
+        built, checked = _both_paths(complex_algebra, frame)
+        assert built == checked, frame
+        seen[built[0]] += 1
+        if built[0] == "value":
+            alg = built[1]
+            assert type(alg) is FiniteCHA
+            dual, dual_checked = _both_paths(algebra._dual_with_maps, alg)
+            assert dual == dual_checked, alg
+            if dual[0] == "value":
+                assert type(dual[1][0]) is ConditionalFrame
+                seen["dual"] += 1
+
+    def test_every_frame_of_at_most_two_worlds(self):
+        seen = Counter()
+        for frame in enumerate_full_frames(2):
+            self._agree(frame, seen)
+        assert seen == {"value": 68302, "dual": 68302}
+
+    def test_seeded_frames(self):
+        seen = Counter()
+        for i in range(200):
+            rng = random.Random(f"unchecked:{i}")
+            self._agree(random_full_frame(rng, rng.choice((3, 4)), strong=i % 2 == 0), seen)
+            self._agree(random_general_frame(rng, rng.choice((2, 3, 3, 4))), seen)
+        assert seen == {"value": 400, "dual": 400}
+
+    def test_unclosed_and_incoherent_families(self):
+        seen = Counter()
+        for i in range(300):
+            rng = random.Random(f"unchecked-bad:{i}")
+            self._agree(_unclosed_frame(rng), seen)
+            self._agree(_incoherent_full_frame(rng), seen)
+        # both outcomes are reached; two 5-world full families exceed the
+        # prime filter cap, on both paths alike
+        assert seen["error"] > 100 and seen["value"] > 100 and seen["dual"] > 100

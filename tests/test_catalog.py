@@ -181,6 +181,15 @@ class TestMapSamples:
         assert list(catalog._map_samples(str, total, jobs)) == list(map(str, range(total)))
         assert pools == started
 
+    @pytest.mark.parametrize("jobs,total", [(1, 7), (4, 1), (3, 0)])
+    def test_one_worker_does_not_ask_for_the_cores(self, monkeypatch, pools, jobs, total):
+        def cpu_count():
+            raise AssertionError("cpu_count called for a single worker")
+
+        monkeypatch.setattr(catalog.os, "cpu_count", cpu_count)
+        assert list(catalog._map_samples(str, total, jobs)) == list(map(str, range(total)))
+        assert pools == []
+
 
 class TestPersistence:
     def test_id_empty_passes(self):

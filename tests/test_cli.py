@@ -221,6 +221,21 @@ class TestDualizeAndRoundtrip:
         code3, _, _ = run(capsys, "roundtrip", "--algebra", alg_path)
         assert code3 == 0
 
+    def test_frame_roundtrip_reads_a_listed_full_family_as_all(self, capsys, tmp_path):
+        spelled = {}
+        for name, admissible in (("all", "all"), ("listed", [[], [1], [0, 1]])):
+            path = write(tmp_path / f"{name}.json", _chain2_with(admissible=admissible))
+            code, out, err = run(capsys, "roundtrip", "--frame", path)
+            code_json, out_json, _ = run(capsys, "--json", "roundtrip", "--frame", path)
+            spelled[name] = (code, out, err, code_json, json.loads(out_json)["result"])
+        assert spelled["listed"] == spelled["all"]
+        assert spelled["all"][:3] == (0, "success\n", "")
+
+    def test_frame_roundtrip_refuses_a_general_frame(self, capsys, tmp_path):
+        obj = _chain2_with(admissible=[[], [0, 1]], relations={"": [], "0,1": []})
+        code, out, err = run(capsys, "roundtrip", "--frame", write(tmp_path / "g.json", obj))
+        assert (code, out, err) == (2, "", "error: frame round-trips need a full conditional frame\n")
+
     def test_roundtrip_needs_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "roundtrip")
         assert code == 2

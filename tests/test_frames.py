@@ -6,6 +6,7 @@ from condlogic.errors import FrameFormatError, NotAdmissibleError
 from condlogic.frames import (
     ConditionalFrame,
     FrameReport,
+    GeneralFrame,
     ModalFrame,
     check_strong_coherence,
     compose_rel_up,
@@ -22,6 +23,7 @@ from condlogic.generate import random_general_frame, random_full_frame
 from condlogic.order import all_upsets, heyting_imp
 
 from conftest import full_frame, general_frame, m, preorder
+from test_cli import CHAIN2_FRAME
 
 
 def validate_modal(m: ModalFrame) -> FrameReport:
@@ -194,6 +196,45 @@ class TestJson:
     def test_malformed_rejected(self):
         with pytest.raises(FrameFormatError):
             frame_from_json({"worlds": 2})
+
+
+class TestConstructorMessages:
+    """Each check of ``GeneralFrame.__post_init__`` and ``ConditionalFrame``,
+    through direct construction and through the loader.  A file names worlds
+    by index, so rows of the wrong length or with unknown worlds reach the
+    loader as out-of-range indices; for those the reader's message is pinned."""
+
+    @pytest.mark.parametrize("cls,admissible,relations,direct,in_file,loaded", [
+        (GeneralFrame, (0, 2, 3), {0: (0, 0), 2: (0,), 3: (0, 0)},
+         "relation for '1' has wrong row count",
+         dict(relations={"": [], "1": [[2, 0]], "0,1": []}),
+         "relation index 2 is not an int in 0..1"),
+        (GeneralFrame, (0, 2, 3), {0: (0, 0), 2: (0, 0b100), 3: (0, 0)},
+         "relation for '1' mentions unknown worlds",
+         dict(relations={"": [], "1": [[0, 2]], "0,1": []}),
+         "relation index 2 is not an int in 0..1"),
+        (GeneralFrame, (0, 3), {0: (0, 0), 2: (0, 0), 3: (0, 0)},
+         "relations must be keyed exactly by the admissible upsets",
+         dict(admissible=[[], [0, 1]]),
+         "relations must be keyed exactly by the admissible upsets"),
+        (GeneralFrame, (0, 2, 3), {0: (0, 0), 3: (0, 0)},
+         "relations must be keyed exactly by the admissible upsets",
+         dict(admissible=[[], [1], [0, 1]], relations={"": [], "0,1": []}),
+         "relations must be keyed exactly by the admissible upsets"),
+        (ConditionalFrame, None, {0: (0, 0), 3: (0, 0)},
+         "a conditional frame needs a relation for every upset; missing ['1']",
+         dict(relations={"": [], "0,1": []}),
+         "a conditional frame needs a relation for every upset; missing ['1']"),
+    ])
+    def test_direct_and_loaded(self, chain2, cls, admissible, relations, direct, in_file,
+                               loaded):
+        args = (chain2, relations) if admissible is None else (chain2, admissible, relations)
+        with pytest.raises(FrameFormatError) as exc:
+            cls(*args)
+        assert str(exc.value) == direct
+        with pytest.raises(FrameFormatError) as exc:
+            frame_from_json({**CHAIN2_FRAME, **in_file})
+        assert str(exc.value) == loaded
 
 
 class TestModalFrame:
