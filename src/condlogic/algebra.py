@@ -234,7 +234,7 @@ def _unchecked(cls, **fields):
       family; it has one row per prime filter, that is per world, and
       every row is built as ``full & ...``.
 
-    A lookup that misses (a family not closed under the operations) raises
+    A family not closed under the operations raises FrameFormatError
     before this is reached, as it does before the checking constructor.
     """
     obj = object.__new__(cls)
@@ -247,25 +247,49 @@ def complex_algebra(g: GeneralFrame) -> FiniteCHA:
     masks = g.admissible
     leq, imp, top, bot = _upset_algebra(g.order, masks)
     idx = {m: i for i, m in enumerate(masks)}
-    cond = tuple(tuple([idx[box(rows, b)] for b in masks]) for rows in map(g.rel, masks))
+    try:
+        cond = tuple(tuple([idx[box(rows, b)] for b in masks]) for rows in map(g.rel, masks))
+    except KeyError:
+        raise _not_closed(masks, "cond", g.dto) from None
     return _unchecked(FiniteCHA, size=len(masks), leq=leq, imp=imp, cond=cond, top=top,
                       bot=bot, labels=masks)
 
 
 @lru_cache(maxsize=1024)
 def _upset_algebra(p: FinitePreorder, masks: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Table, int, int]:
-    """``leq``, ``imp``, ``top`` and ``bot`` of the upsets ``masks`` of ``p``."""
+    """``leq``, ``imp``, ``top`` and ``bot`` of the upsets ``masks`` of ``p``;
+    FrameFormatError unless ``masks`` is closed under imp and holds both bounds."""
     idx = {m: i for i, m in enumerate(masks)}
     size = len(masks)
     leq = tuple(
         sum(1 << j for j, mj in enumerate(masks) if not masks[i] & ~mj)
         for i in range(size)
     )
-    imp = tuple(
-        tuple(idx[heyting_imp(p, masks[i], masks[j])] for j in range(size))
-        for i in range(size)
-    )
+    try:
+        imp = tuple(
+            tuple(idx[heyting_imp(p, masks[i], masks[j])] for j in range(size))
+            for i in range(size)
+        )
+    except KeyError:
+        raise _not_closed(masks, "imp", lambda a, b: heyting_imp(p, a, b)) from None
+    for m, what in ((p.full_mask, "the full world set"), (0, "the empty set")):
+        if m not in idx:
+            raise FrameFormatError(f"admissible family must contain {what}")
     return leq, imp, idx[p.full_mask], idx[0]
+
+
+def _not_closed(masks: Tuple[int, ...], name: str, op) -> FrameFormatError:
+    """The error for the first pair of ``masks``, in table order, that ``op``
+    takes outside ``masks``."""
+    inside = set(masks)
+    for a in masks:
+        for b in masks:
+            c = op(a, b)
+            if c not in inside:
+                return FrameFormatError(
+                    f"admissible family is not closed under {name}: {{{mask_to_key(a)}}}, "
+                    f"{{{mask_to_key(b)}}} give {{{mask_to_key(c)}}}"
+                )
 
 
 @dataclass
@@ -282,7 +306,7 @@ def alg_satisfies(alg: FiniteCHA, f: Formula, budget: int = DEFAULT_BUDGET) -> A
     """Exhaustive assignment check; reports a counter-assignment on failure."""
     if f.language is not Language.COND:
         raise LanguageError("algebras interpret the conditional language only")
-    letters, program, result_slot = compile_formula(f)
+    letters, program, result_slot, _ = compile_formula(f)
     required = alg.size ** len(letters)
     if required > budget:
         raise BudgetExceededError(required, budget)

@@ -47,6 +47,26 @@ So a plane never holds more than :data:`MAX_CHUNK` bits: a chunk's memory
 is bounded by its width times ``n`` times the program's slot count,
 whatever the budget allows.
 
+*The one-valuation phase.*  :func:`_run_one` interprets a program at one
+valuation: it dispatches on each op's name and calls :func:`box` per
+connective.  After a program's first :data:`HOT_SCANS` scans, a scan at
+``n`` worlds runs its singles instead through a Python function generated
+for ``(program, n)`` (a partial evaluation of the interpreter: Futamura,
+"Partial evaluation of computation process", 1971).  Its slots are
+locals, each ``and``/``or`` is one expression, and each box is unrolled
+over the ``n`` worlds, so no op name is looked at and no call is made per
+connective; a 2-world scan takes about half the time.  Generating costs
+as much as 7 to 30 interpreted 2-world scans, though.  Generating on first
+use would make a program scanned once (a ``clc valid`` process, a random
+formula of a sampling experiment) many times slower, and it raised the
+peak memory of the fill-in benchmark by over 10 %.  So only programs that
+recur, as the axioms of a frame sweep do, are generated.  The scan count
+and the functions live in the program's :func:`compile_formula` cache
+entry, so that cache bounds them.  The generated source holds slot
+numbers and fixed templates only, never text from the input.
+:func:`_run_one` stays the reference; it alone serves :func:`truth_set`
+and the chunk phase's re-run of a valuation that has no relation.
+
 Algebras, whose elements are not world sets, run the same compiled
 programs through table lookups (see :func:`condlogic.algebra.alg_satisfies`).
 """
@@ -78,6 +98,12 @@ DEFAULT_BUDGET = 10_000_000
 SINGLES = 16  # valuations a scan evaluates one at a time before its first chunk
 GROWTH = 64  # how many times wider each chunk of a scan is than the last, at least
 MAX_CHUNK = 1 << 15  # valuations in a chunk, at most: the bits of one plane
+# Scans of one program that interpret its one-valuation phase before that
+# phase is generated.  Generating the program of a catalog axiom (1-8 ops)
+# at 2 or 3 worlds costs 160-690 us, about 350 in the median, and saves
+# about 12.7 us of a 24 us scan of a 2-world frame (2-core VM, Python
+# 3.11.7), so it pays for itself after about 28 scans; 32 rounds that up.
+HOT_SCANS = 32
 
 Valuation = Dict[str, int]
 
@@ -93,23 +119,37 @@ class Verdict:
         return self.valid
 
 
+class _ScanState:
+    """How often :func:`_scan` has interpreted a program's one-valuation
+    phase, and that phase as generated per world count (see :func:`_generate`)."""
+
+    __slots__ = ("scans", "runs")
+
+    def __init__(self):
+        self.scans = 0
+        self.runs = {}
+
+
 @lru_cache(maxsize=8192)
-def compile_formula(f: Formula) -> Tuple[Tuple[str, ...], Tuple, int]:
-    """Flatten to (letters, program, result slot); shared subterms appear once.
+def compile_formula(f: Formula) -> Tuple[Tuple[str, ...], Tuple, int, _ScanState]:
+    """Flatten to (letters, program, result slot, scan state); equal subterms
+    appear once.
 
     The program is a tuple of (op, left_slot, right_slot) triples writing
     into consecutive slots; variable slots come first, in sorted letter
     order, then a slot for bot.  Unary nodes repeat their operand, so every
-    node reads two slots.
+    node reads two slots.  Subterms are shared by equality, not identity:
+    two separately built copies of ``p ~> q`` are one op.  The scan state
+    belongs to :func:`_scan` alone.
     """
     letters = tuple(sorted(proposition_letters(f)))
     slot_of_letter = {name: i for i, name in enumerate(letters)}
     bot_slot = len(letters)
     program = []
-    memo: Dict[int, int] = {}
+    memo: Dict[Formula, int] = {}
 
     def emit(node: Formula) -> int:
-        got = memo.get(id(node))
+        got = memo.get(node)
         if got is not None:
             return got
         if node.op == "var":
@@ -120,11 +160,11 @@ def compile_formula(f: Formula) -> Tuple[Tuple[str, ...], Tuple, int]:
             operands = [emit(arg) for arg in node.args]
             slot = bot_slot + 1 + len(program)
             program.append((node.op, operands[0], operands[-1]))
-        memo[id(node)] = slot
+        memo[node] = slot
         return slot
 
     result_slot = emit(f)
-    return letters, tuple(program), result_slot
+    return letters, tuple(program), result_slot, _ScanState()
 
 
 _LANGUAGE_ERRORS = {
@@ -231,9 +271,80 @@ def _run_one(program, result_slot: int, values, order: FinitePreorder, rel) -> i
         else:
             rows = rel.get(a)
             if rows is None:
-                raise NotAdmissibleError(f"no relation for upset {{{mask_to_key(a)}}}")
+                _no_relation(a)
             buf.append(box(rows, b))
     return buf[result_slot]
+
+
+def _run_singles(program, result_slot: int, valuations, order: FinitePreorder, rel, full: int):
+    """``(index, values, refuted worlds)`` of the first of ``valuations``
+    that refutes the program, or None; the reference for :func:`_generate`."""
+    for index, values in enumerate(valuations):
+        bad = full ^ _run_one(program, result_slot, values, order, rel)
+        if bad:
+            return index, values, bad
+    return None
+
+
+def _no_relation(a: int):
+    raise NotAdmissibleError(f"no relation for upset {{{mask_to_key(a)}}}")
+
+
+# op -> (the lines that set slot ``out``, the row of world ``x`` in its box).
+# A box over ``b`` is unrolled over the worlds: ``o`` holds the worlds
+# outside ``b`` (for imp, inside ``a`` and outside ``b``), and world ``x``
+# is in the box iff its row misses ``o``.
+_TEMPLATES = {
+    "and": (("s{out} = s{a} & s{b}",), None),
+    "or": (("s{out} = s{a} | s{b}",), None),
+    "imp": (("o = s{a} & ~s{b}", "s{out} = {box}"), "U{x}"),
+    "box": (("o = ~s{b}", "s{out} = {box}"), "M{x}"),
+    "cond": (("o = ~s{b}", "s{out} = {box}"), "R[{x}]"),
+}
+# sets R, the relation a cond's box reads, to that of antecedent slot ``a``
+_LOOKUP = ("R = get(s{a})", "if R is None:", "    _no_relation(s{a})")
+_GENERATED = {"_no_relation": _no_relation}  # the globals of every generated function
+
+
+def _generate(program, result_slot: int, count: int, n: int):
+    """The one-valuation phase of ``program`` at ``n`` worlds, as a function.
+
+    ``run(valuations, up, rel, full)`` returns what
+    ``_run_singles(program, result_slot, valuations, order, rel, full)``
+    returns, and raises what it raises, for an order with rows ``up``.
+    The source is built from :data:`_TEMPLATES` and slot numbers alone; an
+    op without a template raises here, before anything runs.
+    """
+    ops = {op for op, _, _ in program}
+    lines = ["def run(valuations, up, rel, full):"]
+    if "imp" in ops:
+        lines.append("    " + "".join(f"U{x}, " for x in range(n)) + "= up")
+    if "box" in ops:
+        lines.append("    " + "".join(f"M{x}, " for x in range(n)) + "= rel")
+    if "cond" in ops:
+        lines.append("    get = rel.get")
+    lines.append(f"    s{count} = 0")
+    lines.append("    for index, values in enumerate(valuations):")
+    if count:
+        lines.append("        " + "".join(f"s{i}, " for i in range(count)) + "= values")
+    looked_up = None  # the antecedent slot whose relation R holds
+    for out, (op, a, b) in enumerate(program, count + 1):
+        if op not in _TEMPLATES:
+            raise ValueError(f"no template for op {op!r}")
+        if op == "cond" and a != looked_up:
+            lines.extend("        " + line.format(a=a) for line in _LOOKUP)
+            looked_up = a
+        body, row = _TEMPLATES[op]
+        unrolled = row and " | ".join(f"(0 if {row.format(x=x)} & o else {1 << x})"
+                                      for x in range(n))
+        lines.extend("        " + line.format(out=out, a=a, b=b, box=unrolled) for line in body)
+    lines.append(f"        bad = full ^ s{result_slot}")
+    lines.append("        if bad:")
+    lines.append("            return index, values, bad")
+    lines.append("    return None")
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<one-valuation phase>", "exec"), _GENERATED, namespace)
+    return namespace["run"]
 
 
 def _run(program, result_slot: int, buf: list, ones: int, order: FinitePreorder, rel):
@@ -303,18 +414,25 @@ def _run(program, result_slot: int, buf: list, ones: int, order: FinitePreorder,
 def _scan(order: FinitePreorder, pool: Tuple[int, ...], compiled, rel, budget: int) -> Verdict:
     """Evaluate over every valuation drawn from ``pool``, chunk by chunk; the
     first countermodel in enumeration order, or a valid verdict."""
-    letters, program, result_slot = compiled
+    letters, program, result_slot, state = compiled
     n, k, count = order.n, len(pool), len(letters)
     total = k ** count
     if total * n > budget:
         raise BudgetExceededError(total * n, budget)
     full = order.full_mask
     singles = itertools.islice(itertools.product(pool, repeat=count), SINGLES)
-    for index, values in enumerate(singles):
-        bad = full ^ _run_one(program, result_slot, values, order, rel)
-        if bad:
-            world = (bad & -bad).bit_length() - 1
-            return Verdict(False, dict(zip(letters, values)), world, (index + 1) * n)
+    run = state.runs.get(n)
+    if run is None and state.scans >= HOT_SCANS:
+        run = state.runs[n] = _generate(program, result_slot, count, n)
+    if run is None:
+        state.scans += 1
+        found = _run_singles(program, result_slot, singles, order, rel, full)
+    else:
+        found = run(singles, order.up, rel, full)
+    if found is not None:
+        index, values, bad = found
+        world = (bad & -bad).bit_length() - 1
+        return Verdict(False, dict(zip(letters, values)), world, (index + 1) * n)
     if total <= SINGLES:
         return Verdict(True, None, None, total * n)
     plan = _plan(pool, n, count)
@@ -346,7 +464,7 @@ def _scan(order: FinitePreorder, pool: Tuple[int, ...], compiled, rel, budget: i
 
 def _truth_set(order: FinitePreorder, compiled, valuation: Valuation, rel) -> int:
     """Evaluate at one valuation: a chunk of width one, whose result is the truth set."""
-    letters, program, result_slot = compiled
+    letters, program, result_slot, _ = compiled
     return _run_one(program, result_slot, [valuation[name] for name in letters], order, rel)
 
 

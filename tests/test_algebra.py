@@ -32,7 +32,7 @@ from condlogic.order import all_upsets, mask_to_key
 from condlogic.semantics import valid
 from condlogic.syntax import Language, parse, print_formula, proposition_letters
 
-from conftest import constant_full_frame, full_frame, m, preorder
+from conftest import constant_full_frame, full_frame, general_frame, m, preorder
 from test_cli_golden import ALGEBRA as GOLDEN_ALGEBRA
 from test_generate import _orders, _unclosed_frame
 
@@ -712,3 +712,33 @@ class TestBuiltWithoutChecks:
         # both outcomes are reached; two 5-world full families exceed the
         # prime filter cap, on both paths alike
         assert seen["error"] > 100 and seen["value"] > 100 and seen["dual"] > 100
+
+
+class TestUnclosedFamilies:
+    """A family not closed under the operations is refused with the operation
+    and the first pair of upsets it takes outside the family."""
+
+    def test_imp(self):
+        g = _unclosed_frame(random.Random("unchecked-bad:0"))
+        assert g.admissible == (5, 22, 24, 26, 28, 29)
+        with pytest.raises(FrameFormatError) as exc:
+            complex_algebra(g)
+        assert str(exc.value) == ("admissible family is not closed under imp: "
+                                  "{0,2}, {0,2} give {0,1,2,3,4}")
+
+    def test_cond(self, anti2):
+        # the relation at the empty set puts world 0 alone outside its box
+        g = general_frame(anti2, (0, m(0, 1)), {0: (m(0), 0), m(0, 1): (0, 0)})
+        with pytest.raises(FrameFormatError) as exc:
+            complex_algebra(g)
+        assert str(exc.value) == "admissible family is not closed under cond: {}, {} give {1}"
+
+    @pytest.mark.parametrize("admissible, what", [
+        ((), "the full world set"),
+        ((m(0, 1),), "the empty set"),
+    ])
+    def test_missing_bounds(self, anti2, admissible, what):
+        g = general_frame(anti2, admissible, {a: (0, 0) for a in admissible})
+        with pytest.raises(FrameFormatError) as exc:
+            complex_algebra(g)
+        assert str(exc.value) == f"admissible family must contain {what}"

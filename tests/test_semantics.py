@@ -272,7 +272,7 @@ class TestValuationJson:
 
 def reference_scan(order, pool, compiled, imp, modal, budget=DEFAULT_BUDGET):
     """Run the program once per valuation, in ``itertools.product`` order."""
-    letters, program, result_slot = compiled
+    letters, program, result_slot, _ = compiled
     n = order.n
     required = len(pool) ** len(letters) * n
     if required > budget:
@@ -321,7 +321,7 @@ def reference_valid_modal(mf, f, budget=DEFAULT_BUDGET):
 
 
 def reference_truth_set(frame, v, f):
-    letters, program, result_slot = compile_formula(f)
+    letters, program, result_slot, _ = compile_formula(f)
     fns = {"and": operator.and_, "or": operator.or_,
            "imp": lambda a, b: heyting_imp(frame.order, a, b)}
     buf = [v[name] for name in letters] + [0]
@@ -508,3 +508,119 @@ class TestChunkBoundaries:
             assert (got.value.required, got.value.budget) == (want.value.required,
                                                               want.value.budget)
             assert str(got.value) == str(want.value)
+
+
+def _one_by_one(program, result_slot, valuations, order, rel):
+    """Per valuation, the worlds ``_run_one`` refutes, or the error it raises."""
+    out = []
+    for values in valuations:
+        try:
+            out.append(order.full_mask ^ semantics._run_one(program, result_slot, values,
+                                                             order, rel))
+        except NotAdmissibleError as exc:
+            out.append((type(exc), str(exc)))
+            break
+    return out
+
+
+def _generated_one_by_one(program, result_slot, count, valuations, order, rel):
+    """The same through the function generated for the program at ``order.n`` worlds."""
+    run = semantics._generate(program, result_slot, count, order.n)
+    out = []
+    for values in valuations:
+        try:
+            found = run([values], order.up, rel, order.full_mask)
+        except NotAdmissibleError as exc:
+            out.append((type(exc), str(exc)))
+            break
+        out.append(0 if found is None else found[2])
+    return out
+
+
+def _unclosed_general_frame(rng, n):
+    """Random relations on a random family holding the empty and the full set,
+    drawn as in ``test_frames_not_closed_under_the_connectives``."""
+    order = random_full_frame(rng, n).order
+    ups = all_upsets(order)
+    admissible = {0, order.full_mask} | set(rng.sample(ups, rng.randrange(len(ups))))
+    relations = {a: tuple(rng.randrange(1 << n) for _ in range(n)) for a in admissible}
+    return GeneralFrame(order, tuple(admissible), relations)
+
+
+class TestGeneratedSingles:
+    """The one-valuation phase generated for hot programs against ``_run_one``."""
+
+    @staticmethod
+    def _agree(rng, f, order, pool, rel, seen):
+        letters, program, result_slot, _ = compile_formula(f)
+        valuations = [tuple(rng.choice(pool) for _ in letters) for _ in range(8)]
+        want = _one_by_one(program, result_slot, valuations, order, rel)
+        got = _generated_one_by_one(program, result_slot, len(letters), valuations, order, rel)
+        assert got == want, (f, order, rel)
+        seen["raised" if isinstance(want[-1], tuple) else "evaluated"] += 1
+
+    def test_conditional_and_modal_programs_on_seeded_frames(self):
+        rng = random.Random(14)
+        seen = {"evaluated": 0, "raised": 0}
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(60):
+                frame = (random_general_frame(rng, n) if rng.random() < 0.5
+                         else random_full_frame(rng, n))
+                f = random_formula(rng, Language.COND, ["p", "q", "r"], 4)
+                self._agree(rng, f, frame.order, frame.admissible, frame.relations, seen)
+                mf = restrict(frame, rng.choice(frame.admissible))
+                g = random_formula(rng, Language.MODAL, ["p", "q", "r"], 4)
+                self._agree(rng, g, mf.order, all_upsets(mf.order), mf.rel, seen)
+        assert seen == {"evaluated": 600, "raised": 0}
+
+    def test_unclosed_frames_raise_alike(self):
+        rng = random.Random(15)
+        seen = {"evaluated": 0, "raised": 0}
+        for n in (1, 2, 3, 4, 5):
+            for _ in range(80):
+                frame = _unclosed_general_frame(rng, n)
+                f = random_formula(rng, Language.COND, ["p", "q", "r"], 4)
+                self._agree(rng, f, frame.order, frame.admissible, frame.relations, seen)
+        assert seen["raised"] > 50 and seen["evaluated"] > 50
+
+    def test_promotion_keeps_every_verdict(self):
+        # four_c refutes some of these frames and holds on others; its first
+        # HOT_SCANS scans run the interpreter, the later ones generated code
+        semantics.compile_formula.cache_clear()
+        f = AXIOMS["four_c"].formula
+        state = compile_formula(f)[3]
+        frames = list(itertools.islice(enumerate_full_frames(2), 3 * semantics.HOT_SCANS))
+        ones = [frame for frame in frames if frame.n == 1]
+        frames += ones  # promoted at 2 worlds first, at 1 world on its next scan there
+        first = []
+        for i, frame in enumerate(frames):
+            first.append(verdict_fields(valid(frame, f)))
+            if i + 1 == semantics.HOT_SCANS:
+                assert state.runs == {}
+        assert set(state.runs) == {1, 2}
+        assert {fields[0] for fields in first} == {True, False}
+        again = [verdict_fields(valid(frame, f)) for frame in frames]
+        assert again == first
+        assert first == [verdict_fields(reference_valid(frame, f)) for frame in frames]
+
+    @pytest.mark.parametrize("text, language", [
+        ("(zebra ~> quokka) -> quokka | zebra", Language.COND),
+        ("[] zebra -> quokka & zebra", Language.MODAL),
+    ])
+    def test_generated_code_holds_no_input_text(self, text, language):
+        letters, program, result_slot, _ = compile_formula(parse(text, language))
+        code = semantics._generate(program, result_slot, len(letters), 3).__code__
+        names = repr((code.co_names, code.co_varnames, code.co_consts))
+        assert "zebra" not in names and "quokka" not in names
+
+    def test_an_op_without_a_template_raises_when_generated(self):
+        with pytest.raises(ValueError, match="no template for op 'xor'"):
+            semantics._generate((("and", 0, 0), ("xor", 0, 2)), 3, 1, 2)
+
+
+@pytest.mark.parametrize("key, ops", [
+    ("four_c", 3), ("c4_c", 3), ("ecm1", 3), ("ecm2", 4), ("n_c", 5),
+])
+def test_equal_subterms_compile_to_one_op(key, ops):
+    # each axiom repeats a subterm that its parse builds twice
+    assert len(compile_formula(AXIOMS[key].formula)[1]) == ops
