@@ -6,13 +6,15 @@ c meet a below b) and requires agreement, because files can lie about the
 algebraic laws.
 
 Everything the order alone decides (the order and bound checks, the meet
-and join tables, distributivity, the residual table and the prime filters)
-is derived on bitmasks once per ``(size, leq, top, bot)`` and memoised in
-:func:`_order_facts`; the implication and conditional tables are checked
-per algebra.  A prime filter of a finite lattice is the principal filter of
-a join-prime element other than bot, so it is found in O(k) per element
-rather than by a subset scan; :func:`prime_filters` still refuses carriers
-above :data:`PF_CAP`.
+and join tables, distributivity, the residual table, the prime filters and,
+on carriers within :data:`PF_CAP`, their poset, theta and the order-only
+half of the duality round trip) is derived on bitmasks once per
+``(size, leq, top, bot)`` and memoised in :func:`_order_facts`; the
+implication and conditional tables are checked per algebra.  A prime filter
+of a finite lattice is the principal filter of a join-prime element other
+than bot, so it is found in O(k) per element rather than by a subset scan;
+:func:`prime_filters` still refuses carriers above :data:`PF_CAP`, and
+larger carriers still load and validate.
 
 Finitely, every upset of the prime-filter poset is the image of exactly
 one element, so the dual of an algebra is a full conditional frame and no
@@ -99,7 +101,11 @@ class _OrderFacts(NamedTuple):
     """What the order alone decides about one ``(size, leq, top, bot)``.
 
     One instance is handed to every algebra on that order, so every field
-    is immutable.
+    is immutable.  The fields from ``pf_order`` on are the dual's part: they
+    are filled only for a bounded lattice order with prime filters and at
+    most :data:`PF_CAP` elements, because the poset refuses more than
+    ``MAX_WORLDS`` worlds and a larger carrier must still load and validate;
+    :func:`prime_filters` refuses it before anything reads them.
     """
 
     meet: Optional[Table]
@@ -108,6 +114,10 @@ class _OrderFacts(NamedTuple):
     violations: Tuple[str, ...]  # what validate_cha reports before the imp check
     residual: Optional[Table]  # largest c with meet(c, i) <= j; None where not unique
     prime_filters: Optional[Tuple[int, ...]]  # None unless a bounded lattice order
+    pf_order: Optional[FinitePreorder] = None  # inclusion order on the prime filters
+    theta: Optional[Tuple[int, ...]] = None  # each element to the filters holding it
+    onto: bool = False  # theta is a bijection onto the upsets of pf_order
+    roundtrip: Optional[Tuple[str, ...]] = None  # _theta_failures; None unless distributive
 
 
 def _greatest(cands: int, rows: Tuple[int, ...]) -> Optional[int]:
@@ -176,7 +186,42 @@ def _order_facts(size: int, leq: Tuple[int, ...], top: int, bot: int) -> _OrderF
     ideals = set(down)
     full = (1 << size) - 1
     primes = tuple(sorted(leq[m] for m in range(size) if full & ~leq[m] in ideals))
-    return _OrderFacts(meet, join, None, violations, residual, primes)
+    n = len(primes)
+    if not n or size > PF_CAP:
+        return _OrderFacts(meet, join, None, violations, residual, primes)
+    pf_order = FinitePreorder(
+        n, tuple(sum(1 << l for l in range(n) if not primes[k] & ~primes[l]) for k in range(n))
+    )
+    theta = tuple(sum(1 << k for k, pf in enumerate(primes) if (pf >> i) & 1) for i in range(size))
+    onto = sorted(theta) == list(all_upsets(pf_order))
+    roundtrip = (None if residual is None
+                 else _theta_failures(pf_order, theta, top, bot, meet, join, residual))
+    return _OrderFacts(meet, join, None, violations, residual, primes, pf_order, theta, onto,
+                       roundtrip)
+
+
+def _theta_failures(pf_order: FinitePreorder, theta: Tuple[int, ...], top: int, bot: int,
+                    meet: Table, join: Table, residual: Table) -> Tuple[str, ...]:
+    """The order-only half of :func:`check_duality_roundtrip`: whether theta
+    preserves top, then bot, then the first pair, in row-major order, where it
+    breaks meet, join or imp (checked in that order).  On a distributive
+    lattice these are theorems, so the result is empty unless theta, the
+    tables or the Heyting implication of the poset are computed wrongly."""
+    out = []
+    if theta[top] != pf_order.full_mask:
+        out.append("theta does not preserve top")
+    if theta[bot] != 0:
+        out.append("theta does not preserve bot")
+    for i, j in itertools.product(range(len(theta)), repeat=2):
+        ti, tj = theta[i], theta[j]
+        broken = ("meet" if theta[meet[i][j]] != ti & tj
+                  else "join" if theta[join[i][j]] != ti | tj
+                  else "imp" if theta[residual[i][j]] != heyting_imp(pf_order, ti, tj)
+                  else None)
+        if broken:
+            out.append(f"theta breaks {broken} at ({i}, {j})")
+            break
+    return tuple(out)
 
 
 @dataclass
@@ -340,31 +385,16 @@ def prime_filters(alg: FiniteCHA, cap: int = PF_CAP) -> Tuple[int, ...]:
     return facts.prime_filters
 
 
-@lru_cache(maxsize=1024)
-def _prime_filter_poset(size: int, pfs: Tuple[int, ...]) -> Tuple[FinitePreorder, Tuple[int, ...], bool]:
-    """The inclusion order on ``pfs``, theta (each element to the filters
-    holding it) and whether theta is a bijection onto that order's upsets."""
-    n = len(pfs)
-    order = FinitePreorder(
-        n, tuple(sum(1 << l for l in range(n) if not pfs[k] & ~pfs[l]) for k in range(n))
-    )
-    theta = tuple(
-        sum(1 << k for k, pf in enumerate(pfs) if (pf >> i) & 1)
-        for i in range(size)
-    )
-    onto = sorted(theta) == sorted(all_upsets(order)) and len(set(theta)) == len(theta)
-    return order, theta, onto
-
-
 def _dual_with_maps(alg: FiniteCHA):
     pfs = prime_filters(alg)
     if not pfs:
         raise DualityError("algebra has no prime filters; carrier must be degenerate")
-    order, theta, onto = _prime_filter_poset(alg.size, pfs)
-    if not onto:
+    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
+    if not facts.onto:
         raise DualityError(
             "theta is not a bijection onto the upsets of the prime-filter poset"
         )
+    order, theta = facts.pf_order, facts.theta
     # x steps to the prime filters holding every b with (a cond b) in x
     full = order.full_mask
     relations = {}
@@ -409,38 +439,25 @@ class DualityReport:
 
 def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
     """Verify theta carries the algebra isomorphically onto the complex algebra
-    of its dual frame, conditional operation included."""
+    of its dual frame, conditional operation included.
+
+    The order-only half (top, bot, meet, join and imp, which equals the
+    residual table once the algebra validates) is checked once per lattice
+    in :func:`_order_facts`.  Per algebra, theta of each ``a cond b`` is
+    compared with the box of the dual's relation at theta(a) over theta(b),
+    which is the complex algebra's cond without building it; the first pair,
+    in row-major order, that breaks it is reported after the order-only
+    failures.
+    """
     pre = validate_cha(alg)
     if not pre.ok:
         raise DualityError(f"refusing invalid algebra: {pre}")
-    report = DualityReport()
     frame, _pfs, theta = _dual_with_maps(alg)
-    back = complex_algebra(frame)
-    labels = back.labels
-    index = {m: i for i, m in enumerate(labels)}
-    if len(set(theta)) != alg.size or back.size != alg.size:
-        report.add("theta is not a bijection")
-        return report
-    if theta[alg.top] != frame.order.full_mask:
-        report.add("theta does not preserve top")
-    if theta[alg.bot] != 0:
-        report.add("theta does not preserve bot")
-    meet, join = alg.lattice()
-    pos = [index[t] for t in theta]  # theta as indices into back's carrier
-    for i in range(alg.size):
-        ti = pos[i]
-        for j in range(alg.size):
-            if theta[meet[i][j]] != theta[i] & theta[j]:
-                report.add(f"theta breaks meet at ({i}, {j})")
-                return report
-            if theta[join[i][j]] != theta[i] | theta[j]:
-                report.add(f"theta breaks join at ({i}, {j})")
-                return report
-            tj = pos[j]
-            if pos[alg.imp[i][j]] != back.imp[ti][tj]:
-                report.add(f"theta breaks imp at ({i}, {j})")
-                return report
-            if pos[alg.cond[i][j]] != back.cond[ti][tj]:
+    report = DualityReport(list(_order_facts(alg.size, alg.leq, alg.top, alg.bot).roundtrip))
+    for i, row in enumerate(alg.cond):
+        rows = frame.rel(theta[i])
+        for j, tj in enumerate(theta):
+            if theta[row[j]] != box(rows, tj):
                 report.add(f"theta breaks cond at ({i}, {j})")
                 return report
     return report

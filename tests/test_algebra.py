@@ -28,7 +28,7 @@ from condlogic.generate import (
     random_full_frame,
     random_general_frame,
 )
-from condlogic.order import all_upsets, mask_to_key
+from condlogic.order import FinitePreorder, all_upsets, mask_to_key
 from condlogic.semantics import valid
 from condlogic.syntax import Language, parse, print_formula, proposition_letters
 
@@ -305,23 +305,166 @@ class TestDualityRoundtrip:
         with pytest.raises(DualityError):
             check_duality_roundtrip(alg)
 
-    def test_a_wrong_imp_in_the_dual_is_reported_at_its_pair(self, monkeypatch):
-        # the imp check reads the dual's complex algebra through theta
-        real = algebra.complex_algebra
+    def test_a_wrong_imp_in_the_dual_is_reported_at_its_pair(self, monkeypatch, fresh_facts):
+        # the imp check compares theta of each residual with the Heyting
+        # implication of the prime-filter poset, once per lattice
+        real = algebra.heyting_imp
         for alg in (chain3(), boolean4()):
-            frame, _, theta = algebra._dual_with_maps(alg)
-            labels = all_upsets(frame.order)
+            theta = algebra._dual_with_maps(alg)[2]
             for i, j in itertools.product(range(alg.size), repeat=2):
-                ti, tj = labels.index(theta[i]), labels.index(theta[j])
 
-                def wrong(g):
-                    back = real(g)
-                    imp = [list(row) for row in back.imp]
-                    imp[ti][tj] = (imp[ti][tj] + 1) % back.size
-                    return dataclasses.replace(back, imp=tuple(map(tuple, imp)))
+                def wrong(p, a, b):
+                    c = real(p, a, b)
+                    return c ^ p.full_mask if (a, b) == (theta[i], theta[j]) else c
 
-                monkeypatch.setattr(algebra, "complex_algebra", wrong)
+                monkeypatch.setattr(algebra, "heyting_imp", wrong)
+                algebra._order_facts.cache_clear()
                 assert check_duality_roundtrip(alg).failures == [f"theta breaks imp at ({i}, {j})"]
+
+    @pytest.mark.parametrize("kind", ["top", "bot", "meet", "join", "imp", "cond"])
+    def test_every_failure_message_fires_at_its_pair(self, kind, fresh_facts):
+        for alg in (chain3(), boolean4(), algebra_from_json(GOLDEN_ALGEBRA)):
+            if kind in ("top", "bot"):
+                with pytest.MonkeyPatch.context() as patch:
+                    _inject_order_fault(patch, kind, None)
+                    assert check_duality_roundtrip(alg).failures == [
+                        f"theta does not preserve {kind}"]
+                algebra._order_facts.cache_clear()
+                continue
+            for i, j in itertools.product(range(alg.size), repeat=2):
+                with pytest.MonkeyPatch.context() as patch:
+                    if kind == "cond":
+                        _inject_cond_fault(patch, i * alg.size + j)
+                    else:
+                        _inject_order_fault(patch, kind, (i, j))
+                    assert check_duality_roundtrip(alg).failures == [
+                        f"theta breaks {kind} at ({i}, {j})"]
+                algebra._order_facts.cache_clear()
+
+    def test_order_only_failures_come_before_cond(self, monkeypatch, fresh_facts):
+        alg = algebra_from_json(GOLDEN_ALGEBRA)
+        _inject_order_fault(monkeypatch, "meet", (2, 3))
+        _inject_cond_fault(monkeypatch, 0)
+        assert check_duality_roundtrip(alg).failures == [
+            "theta breaks meet at (2, 3)", "theta breaks cond at (0, 0)"]
+
+    def test_agrees_with_the_check_through_the_complex_algebra_of_the_dual(
+            self, monkeypatch, fresh_facts):
+        algs = [complex_algebra(f) for f in enumerate_full_frames(2)]
+        for i in range(200):
+            rng = random.Random(f"roundtrip:{i}")
+            algs.append(complex_algebra(random_full_frame(rng, rng.choice((3, 4)),
+                                                          strong=i % 2 == 0)))
+        algs += [boolean2(), boolean2(0), chain3(), boolean4(), algebra_from_json(GOLDEN_ALGEBRA)]
+        calls = Counter()
+        for name in ("complex_algebra", "_theta_failures"):
+            real = getattr(algebra, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(algebra, name, counted)
+        algebra._order_facts.cache_clear()  # loading the golden algebra filled it
+        for alg in algs:
+            assert check_duality_roundtrip(alg).failures == \
+                reference_check_duality_roundtrip(alg).failures == [], alg
+        lattices = {(alg.size, alg.leq, alg.top, alg.bot) for alg in algs}
+        assert calls["complex_algebra"] == 0
+        assert calls["_theta_failures"] == len(lattices)
+
+    def test_large_carriers_load_and_validate_but_are_not_dualised(self):
+        k = 25  # 24 prime filters, more than a frame may have worlds
+        alg = algebra_from_json({
+            "size": k, "leq": [[i, j] for i in range(k) for j in range(i, k)],
+            "imp": [[k - 1 if i <= j else j for j in range(k)] for i in range(k)],
+            "cond": [[k - 1] * k] * k, "top": k - 1, "bot": 0,
+        })
+        assert validate_cha(alg).ok
+        assert len(prime_filters(alg, cap=k)) == k - 1
+        for fn in (dual_frame, check_duality_roundtrip):
+            with pytest.raises(CapExceededError) as exc:
+                fn(alg)
+            assert str(exc.value) == "prime filter scan is capped at carrier size 20, got 25"
+
+
+@pytest.fixture
+def fresh_facts():
+    """A fault injected below ``_order_facts`` is memoised with the lattice,
+    so the memo is emptied before and after each test that injects one."""
+    algebra._order_facts.cache_clear()
+    yield
+    algebra._order_facts.cache_clear()
+
+
+def _inject_order_fault(patch, kind, at):
+    """Hand the order-only check a wrong ``top`` or ``bot`` (``at`` None), or
+    a ``meet``, ``join`` or residual (``imp``) table wrong at the pair ``at``."""
+    real = algebra._theta_failures
+
+    def faulty(pf_order, theta, top, bot, meet, join, residual):
+        args = {"top": top, "bot": bot, "meet": meet, "join": join, "imp": residual}
+        if at is None:
+            args[kind] = (args[kind] + 1) % len(theta)
+        else:
+            rows = [list(row) for row in args[kind]]
+            rows[at[0]][at[1]] = (rows[at[0]][at[1]] + 1) % len(theta)
+            args[kind] = tuple(map(tuple, rows))
+        return real(pf_order, theta, *args.values())
+
+    patch.setattr(algebra, "_theta_failures", faulty)
+    algebra._order_facts.cache_clear()
+
+
+def _inject_cond_fault(patch, call):
+    """Make the box the cond check takes at call number ``call`` (counting
+    from 0) wrong; the check boxes once per pair, in row-major order."""
+    real = algebra.box
+    calls = itertools.count()
+
+    def faulty(rows, b):
+        out = real(rows, b)
+        return ~out if next(calls) == call else out
+
+    patch.setattr(algebra, "box", faulty)
+
+
+def _moved(mask, perm):
+    return sum(1 << perm[x] for x in range(len(perm)) if (mask >> x) & 1)
+
+
+def relabel(frame, perm):
+    """``frame`` with world ``x`` renamed ``perm[x]``."""
+    def moved_rows(rows):
+        out = [0] * frame.n
+        for x, row in enumerate(rows):
+            out[perm[x]] = _moved(row, perm)
+        return tuple(out)
+
+    return ConditionalFrame(FinitePreorder(frame.n, moved_rows(frame.order.up)),
+                            {_moved(a, perm): moved_rows(frame.rel(a)) for a in frame.admissible})
+
+
+class TestRelabelling:
+    """Renaming worlds gives an isomorphic frame, so both round trips still
+    hold and the complex algebras are isomorphic through the renamed labels:
+    an oracle that does not descend from the duality code."""
+
+    def test_strongly_coherent_poset_frames(self):
+        for i in range(300):
+            rng = random.Random(f"relabel:{i}")
+            frame = random_full_frame(rng, rng.choice((3, 4)), strong=True)
+            perm = rng.sample(range(frame.n), frame.n)
+            moved = relabel(frame, perm)
+            a, b = complex_algebra(frame), complex_algebra(moved)
+            assert frame_roundtrip(moved).ok and check_duality_roundtrip(b).ok
+            h = [b.labels.index(_moved(label, perm)) for label in a.labels]
+            assert sorted(h) == list(range(b.size))
+            assert (h[a.top], h[a.bot]) == (b.top, b.bot)
+            for x, y in itertools.product(range(a.size), repeat=2):
+                assert a.le(x, y) == b.le(h[x], h[y])
+                assert h[a.imp[x][y]] == b.imp[h[x]][h[y]]
+                assert h[a.cond[x][y]] == b.cond[h[x]][h[y]]
 
 
 class TestFrameRoundtrip:
@@ -371,7 +514,7 @@ class TestFrameRoundtrip:
             frame_roundtrip(f)
 
 
-# --- references: the order-only code before it was memoised on bitmasks ------
+# --- references: the code before it was memoised on bitmasks or on lattices -
 
 
 def _bound_table(alg, lower):
@@ -477,6 +620,45 @@ def reference_prime_filters(alg):
             continue
         found.append(sum(1 << i for i in s))
     return sorted(found)
+
+
+def reference_check_duality_roundtrip(alg):
+    """The round trip through the complex algebra of the dual frame, read
+    back through theta as indices into its carrier."""
+    pre = validate_cha(alg)
+    if not pre.ok:
+        raise DualityError(f"refusing invalid algebra: {pre}")
+    report = algebra.DualityReport()
+    frame, _pfs, theta = algebra._dual_with_maps(alg)
+    back = complex_algebra(frame)
+    labels = back.labels
+    index = {m: i for i, m in enumerate(labels)}
+    if len(set(theta)) != alg.size or back.size != alg.size:
+        report.add("theta is not a bijection")
+        return report
+    if theta[alg.top] != frame.order.full_mask:
+        report.add("theta does not preserve top")
+    if theta[alg.bot] != 0:
+        report.add("theta does not preserve bot")
+    meet, join = alg.lattice()
+    pos = [index[t] for t in theta]  # theta as indices into back's carrier
+    for i in range(alg.size):
+        ti = pos[i]
+        for j in range(alg.size):
+            if theta[meet[i][j]] != theta[i] & theta[j]:
+                report.add(f"theta breaks meet at ({i}, {j})")
+                return report
+            if theta[join[i][j]] != theta[i] | theta[j]:
+                report.add(f"theta breaks join at ({i}, {j})")
+                return report
+            tj = pos[j]
+            if pos[alg.imp[i][j]] != back.imp[ti][tj]:
+                report.add(f"theta breaks imp at ({i}, {j})")
+                return report
+            if pos[alg.cond[i][j]] != back.cond[ti][tj]:
+                report.add(f"theta breaks cond at ({i}, {j})")
+                return report
+    return report
 
 
 def reference_dual_relations(alg, pfs):
