@@ -22,9 +22,10 @@ topology object is needed.
 
 A value built here from inputs that were validated when they were made (a
 complex algebra from a frame, a dual frame from an algebra) skips its
-constructor's checks, through :func:`_unchecked`: the construction already
-guarantees what those checks test, and on the small carriers of a duality
-sweep the checks cost about as much as the construction.  Everything that
+constructor's checks, through :func:`condlogic.frames._unchecked`: the
+construction already guarantees what those checks test, and on the small
+carriers of a duality sweep the checks cost about as much as the
+construction.  Everything that
 reads outside input (the loaders, direct construction) runs every check.
 
 Satisfaction runs the program :func:`condlogic.semantics.compile_formula`
@@ -42,7 +43,9 @@ from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceededError, CapExceededError, DualityError, FrameFormatError, LanguageError
-from .frames import ConditionalFrame, GeneralFrame, strongly_coherent, validate_conditional
+from .frames import (
+    ConditionalFrame, GeneralFrame, _unchecked, strongly_coherent, validate_conditional,
+)
 from .order import (
     FinitePreorder, all_upsets, box, heyting_imp, mask_to_key, read_indices, read_pair_rows,
     set_bits,
@@ -262,29 +265,6 @@ def validate_cha(alg: FiniteCHA) -> AlgebraReport:
                     report.add(f"cond does not preserve meet at ({a}, {b}, {c})")
                     return report
     return report
-
-
-def _unchecked(cls, **fields):
-    """An instance of ``cls`` holding ``fields``, built without its constructor.
-
-    Only :func:`complex_algebra` and :func:`_dual_with_maps` call this, and
-    only with values on which the skipped checks cannot fail:
-
-    - a complex algebra's ``imp``, ``cond``, ``top`` and ``bot`` are
-      ``idx[...]`` lookups into its carrier, so every entry lies in
-      ``0..size-1``; its tables are ``size x size`` and its ``leq`` rows are
-      built over the carrier, one per element;
-    - a dual frame's relation keys are theta, already checked to be a
-      bijection onto ``all_upsets(order)``, which is also its admissible
-      family; it has one row per prime filter, that is per world, and
-      every row is built as ``full & ...``.
-
-    A family not closed under the operations raises FrameFormatError
-    before this is reached, as it does before the checking constructor.
-    """
-    obj = object.__new__(cls)
-    obj.__dict__ = fields
-    return obj
 
 
 def complex_algebra(g: GeneralFrame) -> FiniteCHA:

@@ -31,7 +31,7 @@ from functools import lru_cache, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import correspondents as cr, generate
-from .correspondents import ICC_CORR, _corr_loop, _upc_memo
+from .correspondents import ICC_CORR, _corr_loop
 from .errors import GenerationBudgetError, MissingCorrespondentError
 from .fillins import ALL_KINDS, FillInKind, check_squeeze_precondition, fill
 from .frames import GeneralFrame, frame_to_json, strongly_coherent
@@ -53,7 +53,9 @@ _S = FillInKind.SQUEEZE
 class AxiomEntry:
     key: str
     source: str
-    quantifier: Optional[str]  # None, 'const', 'x', 'ax' or 'abx'
+    # None, 'const', 'ax', 'abx', or '0x' / 'Wx' (a fixed to the empty or
+    # the full upset); see condlogic.correspondents
+    quantifier: Optional[str]
     corr: Optional[Callable]
     persistence: frozenset
     strong_scope: bool = False
@@ -82,36 +84,36 @@ _ALL = frozenset(ALL_KINDS)
 AXIOMS: Dict[str, AxiomEntry] = {
     e.key: e
     for e in (
-        _entry("id", "p ~> p", "ax", cr._c_id, {_E, _R, _TR}),
-        _entry("mp", "p & (p ~> q) -> q", "ax", cr._c_mp, {_P, _R, _T, _S}),
-        _entry("mpp", "(p ~> q) -> (p -> q)", "ax", cr._c_mp, {_P, _R, _T}),
-        _entry("str", "(p -> q) -> (p ~> q)", "ax", cr._c_str, {_E, _TR}),
-        _entry("unit", "p -> (q ~> p)", "ax", cr._c_unit, {_E, _P, _U}),
-        _entry("exf", "~p -> (p ~> q)", "ax", cr._c_exf, {_E, _U}),
-        _entry("tc", "(p ~> q) -> q", "ax", cr._c_tc, {_P, _T, _U}),
-        _entry("cs", "p & q -> (p ~> q)", "ax", cr._c_cs, {_E, _P}),
-        _entry("lin", "(p ~> q) | (q ~> p)", "abx", cr._c_lin, {_E}),
-        _entry("tr", "(p ~> q) & (q ~> r) -> (p ~> r)", "abx", cr._c_tr, {_T, _TR}),
-        _entry("mon", "(p ~> r) -> ((p & q) ~> r)", "abx", cr._c_mon, {_U}),
-        _entry("ex", "((p & q) ~> r) -> (p ~> (q ~> r))", "abx", cr._c_ex, {_E}),
-        _entry("red", "(true ~> p) -> p", "x", cr._c_red, _ALL),
-        _entry("vec_top", "p -> (true ~> p)", "x", cr._c_vec_top, _ALL),
-        _entry("expl", "false ~> p", "x", cr._c_expl, _ALL),
+        _entry("id", "p ~> p", "ax", cr._k_id, {_E, _R, _TR}),
+        _entry("mp", "p & (p ~> q) -> q", "ax", cr._k_mp, {_P, _R, _T, _S}),
+        _entry("mpp", "(p ~> q) -> (p -> q)", "ax", cr._k_mp, {_P, _R, _T}),
+        _entry("str", "(p -> q) -> (p ~> q)", "ax", cr._k_str, {_E, _TR}),
+        _entry("unit", "p -> (q ~> p)", "ax", cr._k_unit, {_E, _P, _U}),
+        _entry("exf", "~p -> (p ~> q)", "ax", cr._k_exf, {_E, _U}),
+        _entry("tc", "(p ~> q) -> q", "ax", cr._k_tc, {_P, _T, _U}),
+        _entry("cs", "p & q -> (p ~> q)", "ax", cr._k_cs, {_E, _P}),
+        _entry("lin", "(p ~> q) | (q ~> p)", "abx", cr._k_lin, {_E}),
+        _entry("tr", "(p ~> q) & (q ~> r) -> (p ~> r)", "abx", cr._k_tr, {_T, _TR}),
+        _entry("mon", "(p ~> r) -> ((p & q) ~> r)", "abx", cr._k_mon, {_U}),
+        _entry("ex", "((p & q) ~> r) -> (p ~> (q ~> r))", "abx", cr._k_ex, {_E}),
+        _entry("red", "(true ~> p) -> p", "Wx", cr._k_tc, _ALL),
+        _entry("vec_top", "p -> (true ~> p)", "Wx", cr._k_unit, _ALL),
+        _entry("expl", "false ~> p", "0x", cr._k_expl, _ALL),
         _entry("ct", "(p ~> q) & ((p & q) ~> r) -> (p ~> r)", None, None, set(),
                note="jointly with id and cm: id plus the cautious condition"),
         _entry("cm", "(p ~> q) & (p ~> r) -> ((p & q) ~> r)", None, None, set(),
                note="jointly with id and ct: id plus the cautious condition"),
         _entry("ca", "(p ~> q) -> (p ~> (p & q))", None, None, set(),
                note="no stated correspondent; semantically interchangeable with id"),
-        _entry("re", "(p ~> q) & (q ~> p) & (p ~> r) -> (q ~> r)", "abx", cr._c_re, {_S}),
-        _entry("four_c", "(p ~> q) -> (p ~> (p ~> q))", "ax", cr._c_four, {_E, _S}),
-        _entry("c4_c", "(p ~> (p ~> q)) -> (p ~> q)", "ax", cr._c_c4, {_E}),
-        _entry("box_tc", "p ~> ((p ~> q) -> q)", "ax", cr._c_box_tc, {_E}),
-        _entry("cem1", "(p ~> q) | (p ~> ~q)", "ax", cr._c_cem1, {_E}, strong_scope=True),
-        _entry("cem2", "p ~> (q | ~q)", "ax", cr._c_cem2, {_E}, strong_scope=True),
-        _entry("cem3", "q | (p ~> ~(p ~> q))", "ax", cr._c_cem3, {_E}, strong_scope=True),
-        _entry("ecm1", "(p ~> q) | ~(p ~> q)", "ax", cr._c_ecm1, {_E}, strong_scope=True),
-        _entry("ecm2", "(p ~> q) | (p ~> ~(p ~> q))", "ax", cr._c_ecm2, {_E}, strong_scope=True),
+        _entry("re", "(p ~> q) & (q ~> p) & (p ~> r) -> (q ~> r)", "abx", cr._k_re, {_S}),
+        _entry("four_c", "(p ~> q) -> (p ~> (p ~> q))", "ax", cr._k_four, {_E, _S}),
+        _entry("c4_c", "(p ~> (p ~> q)) -> (p ~> q)", "ax", cr._k_c4, {_E}),
+        _entry("box_tc", "p ~> ((p ~> q) -> q)", "ax", cr._k_box_tc, {_E}),
+        _entry("cem1", "(p ~> q) | (p ~> ~q)", "ax", cr._k_cem1, {_E}, strong_scope=True),
+        _entry("cem2", "p ~> (q | ~q)", "ax", cr._k_cem2, {_E}, strong_scope=True),
+        _entry("cem3", "q | (p ~> ~(p ~> q))", "ax", cr._k_cem3, {_E}, strong_scope=True),
+        _entry("ecm1", "(p ~> q) | ~(p ~> q)", "ax", cr._k_ecm1, {_E}, strong_scope=True),
+        _entry("ecm2", "(p ~> q) | (p ~> ~(p ~> q))", "ax", cr._k_ecm2, {_E}, strong_scope=True),
         _entry("clin1", "p ~> ((q -> r) | (r -> q))", None, None, {_E},
                note="schema only: no stated frame correspondent"),
         _entry("clin2", "(p ~> (q -> r)) | (p ~> (r -> q))", None, None, {_E},
@@ -124,19 +126,19 @@ AXIOMS: Dict[str, AxiomEntry] = {
                note="schema only: no stated frame correspondent"),
         _entry("or", "(p ~> r) & (q ~> r) -> ((p | q) ~> r)", None, None, set(),
                note="schema only: no stated frame correspondent"),
-        _entry("k_c", "(p ~> q & r) <-> (p ~> q) & (p ~> r)", "const", cr._c_true, _ALL,
+        _entry("k_c", "(p ~> q & r) <-> (p ~> q) & (p ~> r)", "const", cr._k_true, _ALL,
                note="holds on every valid frame"),
-        _entry("n_c", "(p ~> true) <-> true", "const", cr._c_true, _ALL,
+        _entry("n_c", "(p ~> true) <-> true", "const", cr._k_true, _ALL,
                note="holds on every valid frame"),
         _entry("simp", "(p ~> q & r) -> (p ~> q)", None, None, set(),
                note="half of k_c; schema only"),
         _entry("adj", "(p ~> q) & (p ~> r) -> (p ~> (q & r))", None, None, set(),
                note="half of k_c; schema only"),
-        _entry("unit_says", "q -> (p ~> q)", "ax", cr._c_unit, {_E, _P, _U},
+        _entry("unit_says", "q -> (p ~> q)", "ax", cr._k_unit, {_E, _P, _U},
                note="letter-renamed form of unit"),
         _entry("ck", "(p ~> (q -> r)) -> ((p ~> q) -> (p ~> r))", None, None, set(),
                note="schema only: no stated frame correspondent"),
-        _entry("bt", "p ~> ((p ~> q) -> q)", "ax", cr._c_box_tc, {_E},
+        _entry("bt", "p ~> ((p ~> q) -> q)", "ax", cr._k_box_tc, {_E},
                note="same schema and correspondent as box_tc"),
     )
 }
@@ -229,7 +231,7 @@ class CorrReport:
 
 
 def _entry_witness(frame: GeneralFrame, entry: AxiomEntry) -> Optional[Tuple]:
-    return _corr_loop(frame, entry.quantifier, entry.corr, _upc_memo(frame.order))
+    return _corr_loop(frame, entry.quantifier, entry.corr)
 
 
 def correspondent_holds(frame: GeneralFrame, key: str) -> CorrReport:
@@ -242,8 +244,7 @@ def correspondent_holds(frame: GeneralFrame, key: str) -> CorrReport:
 
 
 def _conditions_hold(frame: GeneralFrame, conds: Sequence[Tuple[str, str, Callable]]) -> bool:
-    upc = _upc_memo(frame.order)
-    return all(_corr_loop(frame, quant, fn, upc) is None for _name, quant, fn in conds)
+    return all(_corr_loop(frame, quant, fn) is None for _name, quant, fn in conds)
 
 
 def logic_frame_conditions(preset: str) -> List[Tuple[str, str, Callable]]:

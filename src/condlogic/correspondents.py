@@ -1,209 +1,251 @@
 """Frame correspondents and the one quantifier loop that evaluates them.
 
-Each correspondent ``fn(order, rel, upc, a, b, x)`` says whether its
-condition holds at admissible upsets a (and b where used) and world x;
-``rel`` maps an admissible upset to its rows and ``upc`` memoises
-up-closures.  The axiom registry (:mod:`condlogic.catalog`) and the squeeze
-precondition (:mod:`condlogic.fillins`) both evaluate their conditions here.
+A correspondent is a first-order condition on admissible upsets a (and b
+where used) and a world x.  Each is evaluated here as a kernel
+``fn(rels, rel, up, down, a, b)`` that checks every world at once for one
+(a, b) and returns the lowest world at which the condition fails, or None.
+``rels`` is the frame's relation table, read directly at a and b, which
+the loop only draws from the admissible family; any other upset, such as
+``a & b``, is looked up through ``rel`` (the frame's :meth:`rel`), which
+raises NotAdmissibleError when the family lacks it.  ``up`` and ``down``
+are the rows of the order and of its converse, so that world ``x`` lies in
+the up-closure of a set ``s`` iff ``s & down[x]``, and ``image(up, s)`` is
+that up-closure.
+
+The quantifier says which (a, b) the loop visits: every a ('ax'), every
+pair a, b ('abx'), the empty upset alone ('0x') or the full one ('Wx'),
+each ascending with b inside a, so the first (a, b, x) witness is the
+lowest in that order; 'const' conditions hold on every frame.  The axiom
+registry (:mod:`condlogic.catalog`) and the squeeze precondition
+(:mod:`condlogic.fillins`) both evaluate their conditions here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .frames import GeneralFrame
-from .order import down_closure, image, set_bits, up_closure
+from .order import _down_rows, image, set_bits
 
 
-def _c_id(p, rel, upc, a, b, x):
-    return not rel(a)[x] & ~a
+def _k_id(rels, rel, up, down, a, b):
+    for x, r in enumerate(rels[a]):
+        if r & ~a:
+            return x
+    return None
 
 
-def _c_mp(p, rel, upc, a, b, x):
-    return not (a >> x) & 1 or bool((upc(rel(a)[x]) >> x) & 1)
+def _k_mp(rels, rel, up, down, a, b):
+    for x, r in enumerate(rels[a]):
+        if a >> x & 1 and not r & down[x]:
+            return x
+    return None
 
 
-def _c_str(p, rel, upc, a, b, x):
-    return not rel(a)[x] & ~(p.up[x] & a)
+def _k_str(rels, rel, up, down, a, b):
+    for x, r in enumerate(rels[a]):
+        if r & ~(up[x] & a):
+            return x
+    return None
 
 
-def _c_unit(p, rel, upc, a, b, x):
-    return not rel(a)[x] & ~p.up[x]
+def _k_unit(rels, rel, up, down, a, b):
+    """unit, and vec_top at a = W."""
+    for x, r in enumerate(rels[a]):
+        if r & ~up[x]:
+            return x
+    return None
 
 
-def _c_exf(p, rel, upc, a, b, x):
-    return bool(p.up[x] & a) or rel(a)[x] == 0
+def _k_exf(rels, rel, up, down, a, b):
+    for x, r in enumerate(rels[a]):
+        if r and not up[x] & a:
+            return x
+    return None
 
 
-def _c_tc(p, rel, upc, a, b, x):
-    return bool((upc(rel(a)[x]) >> x) & 1)
+def _k_tc(rels, rel, up, down, a, b):
+    """tc, and red at a = W, in up-closure form: without it the condition
+    is too strong on frames whose relation rows are not upsets."""
+    for x, r in enumerate(rels[a]):
+        if not r & down[x]:
+            return x
+    return None
 
 
-def _c_cs(p, rel, upc, a, b, x):
-    return not (a >> x) & 1 or not rel(a)[x] & ~p.up[x]
+def _k_cs(rels, rel, up, down, a, b):
+    for x, r in enumerate(rels[a]):
+        if a >> x & 1 and r & ~up[x]:
+            return x
+    return None
 
 
-def _c_lin(p, rel, upc, a, b, x):
-    return not rel(a)[x] & ~b or not rel(b)[x] & ~a
+def _k_lin(rels, rel, up, down, a, b):
+    rb = rels[b]
+    for x, r in enumerate(rels[a]):
+        if r & ~b and rb[x] & ~a:
+            return x
+    return None
 
 
-def _c_tr(p, rel, upc, a, b, x):
-    ra = rel(a)[x]
-    if ra & ~b:
-        return True
-    return not ra & ~upc(rel(b)[x])
+def _k_tr(rels, rel, up, down, a, b):
+    rb = rels[b]
+    for x, r in enumerate(rels[a]):
+        if not r & ~b and r & ~image(up, rb[x]):
+            return x
+    return None
 
 
-def _c_mon(p, rel, upc, a, b, x):
+def _k_mon(rels, rel, up, down, a, b):
     if a & ~b:
-        return True
-    return not rel(a)[x] & ~upc(rel(b)[x])
+        return None
+    rb = rels[b]
+    for x, r in enumerate(rels[a]):
+        if r & ~image(up, rb[x]):
+            return x
+    return None
 
 
-def _c_ex(p, rel, upc, a, b, x):
-    target = upc(rel(a & b)[x])
-    rb = rel(b)
-    for y in set_bits(rel(a)[x]):
-        if rb[y] & ~target:
-            return False
-    return True
+def _k_ex(rels, rel, up, down, a, b):
+    meet = rel(a & b)
+    rb = rels[b]
+    for x, r in enumerate(rels[a]):
+        if image(rb, r) & ~image(up, meet[x]):
+            return x
+    return None
 
 
-def _c_red(p, rel, upc, a, b, x):
-    # up-closure form: without it the condition is too strong on frames
-    # whose relation rows are not upsets (cf. the tc row)
-    return bool((upc(rel(a)[x]) >> x) & 1)
+def _k_expl(rels, rel, up, down, a, b):
+    for x, r in enumerate(rels[a]):
+        if r:
+            return x
+    return None
 
 
-def _c_vec_top(p, rel, upc, a, b, x):
-    return not rel(a)[x] & ~p.up[x]
+def _k_re(rels, rel, up, down, a, b):
+    rb = rels[b]
+    for x, r in enumerate(rels[a]):
+        s = rb[x]
+        if not r & ~b and not s & ~a and image(up, r) != image(up, s):
+            return x
+    return None
 
 
-def _c_expl(p, rel, upc, a, b, x):
-    return rel(a)[x] == 0
-
-
-def _c_re(p, rel, upc, a, b, x):
-    ra, rb = rel(a)[x], rel(b)[x]
-    if ra & ~b or rb & ~a:
-        return True
-    return upc(ra) == upc(rb)
-
-
-def _c_icc(p, rel, upc, a, b, x):
+def _k_icc(rels, rel, up, down, a, b):
     if b & ~a:
-        return True
-    ra = rel(a)[x]
-    if ra & ~b:
-        return True
-    return upc(ra) == upc(rel(b)[x])
+        return None
+    rb = rels[b]
+    for x, r in enumerate(rels[a]):
+        if not r & ~b and image(up, r) != image(up, rb[x]):
+            return x
+    return None
 
 
-def _c_four(p, rel, upc, a, b, x):
-    rows = rel(a)
-    bound = upc(rows[x])
-    for y in set_bits(rows[x]):
-        if rows[y] & ~bound:
-            return False
-    return True
+def _k_four(rels, rel, up, down, a, b):
+    rows = rels[a]
+    for x, r in enumerate(rows):
+        if image(rows, r) & ~image(up, r):
+            return x
+    return None
 
 
-def _c_c4(p, rel, upc, a, b, x):
-    rows = rel(a)
-    composite = 0
-    for y in set_bits(rows[x]):
-        composite |= rows[y]
-    return not rows[x] & ~upc(composite)
+def _k_c4(rels, rel, up, down, a, b):
+    rows = rels[a]
+    for x, r in enumerate(rows):
+        if r & ~image(up, image(rows, r)):
+            return x
+    return None
 
 
-def _c_box_tc(p, rel, upc, a, b, x):
-    rows = rel(a)
-    for y in set_bits(upc(rows[x])):
-        if not (upc(rows[y]) >> y) & 1:
-            return False
-    return True
+def _k_box_tc(rels, rel, up, down, a, b):
+    rows = rels[a]
+    # the worlds y in the up-closure of their own row
+    looped = 0
+    for y, r in enumerate(rows):
+        if r & down[y]:
+            looped |= 1 << y
+    for x, r in enumerate(rows):
+        if image(up, r) & ~looped:
+            return x
+    return None
 
 
-def _c_cem1(p, rel, upc, a, b, x):
-    return rel(a)[x].bit_count() <= 1
+def _k_cem1(rels, rel, up, down, a, b):
+    for x, r in enumerate(rels[a]):
+        if r.bit_count() > 1:
+            return x
+    return None
 
 
-def _c_cem2(p, rel, upc, a, b, x):
-    for y in set_bits(rel(a)[x]):
-        if p.up[y] != 1 << y:
-            return False
-    return True
+def _k_cem2(rels, rel, up, down, a, b):
+    maximal = 0
+    for y, u in enumerate(up):
+        if u == 1 << y:
+            maximal |= u
+    for x, r in enumerate(rels[a]):
+        if r & ~maximal:
+            return x
+    return None
 
 
-def _c_cem3(p, rel, upc, a, b, x):
-    rows = rel(a)
-    for y in set_bits(upc(rows[x])):
-        if not (upc(rows[y]) >> x) & 1:
-            return False
-    return True
+def _k_cem3(rels, rel, up, down, a, b):
+    rows = rels[a]
+    for x, r in enumerate(rows):
+        dx = down[x]
+        for y in set_bits(image(up, r)):
+            if not rows[y] & dx:
+                return x
+    return None
 
 
-def _c_ecm1(p, rel, upc, a, b, x):
-    rows = rel(a)
-    return not image(rows, down_closure(p, 1 << x)) & ~upc(rows[x])
+def _k_ecm1(rels, rel, up, down, a, b):
+    rows = rels[a]
+    for x, r in enumerate(rows):
+        if image(rows, down[x]) & ~image(up, r):
+            return x
+    return None
 
 
-def _c_ecm2(p, rel, upc, a, b, x):
-    rows = rel(a)
-    succ = rows[x]
-    closure = upc(succ)
-    for z in set_bits(closure):
-        reach = upc(rows[z])
-        if succ & ~reach:
-            return False
-    return True
+def _k_ecm2(rels, rel, up, down, a, b):
+    rows = rels[a]
+    for x, r in enumerate(rows):
+        for z in set_bits(image(up, r)):
+            if r & ~image(up, rows[z]):
+                return x
+    return None
 
 
-def _c_true(p, rel, upc, a, b, x):
-    return True
+def _k_true(rels, rel, up, down, a, b):
+    return None
 
 
 # The joint cautious condition used by presets containing id, ct and cm.
-ICC_CORR = ("icc", "abx", _c_icc)
+ICC_CORR = ("icc", "abx", _k_icc)
 
 
-def _upc_memo(p) -> Callable[[int], int]:
-    """Up-closure in ``p``, memoised for the lifetime of the returned function."""
-    memo: Dict[int, int] = {}
-
-    def upc(mask: int) -> int:
-        got = memo.get(mask)
-        if got is None:
-            got = memo[mask] = up_closure(p, mask)
-        return got
-
-    return upc
-
-
-def _corr_loop(frame: GeneralFrame, quant: str, fn: Callable,
-               upc: Callable[[int], int]) -> Optional[Tuple]:
+def _corr_loop(frame: GeneralFrame, quant: str, fn: Callable) -> Optional[Tuple]:
     """First violating (a, b, x) triple in ascending order, or None."""
-    p = frame.order
-    rel = frame.rel
-    pool = frame.admissible
     if quant == "const":
         return None
-    if quant == "x":
-        # the one upset the condition reads: R_W for red and vec_top, R_empty for expl
-        a = 0 if fn is _c_expl else p.full_mask
-        for x in range(p.n):
-            if not fn(p, rel, upc, a, None, x):
-                return (a, None, x)
-        return None
-    if quant == "ax":
+    p = frame.order
+    rels = frame.relations
+    rel = frame.rel
+    up = p.up
+    down = _down_rows(up)
+    pool = frame.admissible
+    if quant == "abx":
         for a in pool:
-            for x in range(p.n):
-                if not fn(p, rel, upc, a, None, x):
-                    return (a, None, x)
-        return None
-    for a in pool:
-        for b in pool:
-            for x in range(p.n):
-                if not fn(p, rel, upc, a, b, x):
+            for b in pool:
+                x = fn(rels, rel, up, down, a, b)
+                if x is not None:
                     return (a, b, x)
+        return None
+    if quant != "ax":
+        a = 0 if quant == "0x" else p.full_mask
+        rel(a)  # NotAdmissibleError unless the fixed upset is admissible
+        pool = (a,)
+    for a in pool:
+        x = fn(rels, rel, up, down, a, None)
+        if x is not None:
+            return (a, None, x)
     return None

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-from .correspondents import _c_icc, _c_id, _corr_loop, _upc_memo
+from .correspondents import _corr_loop, _k_icc, _k_id
 from .errors import SqueezeAmbiguityError, SqueezePreconditionError
 from .frames import ConditionalFrame, GeneralFrame, Rows, compose_up_rel
 from .order import all_upsets, mask_to_key, up_closure
@@ -61,11 +61,10 @@ def check_squeeze_precondition(g: GeneralFrame) -> SqueezeReport:
     id-corr: R_a[x] within a.  icc-corr: R_a[x] within b within a forces
     the up-closures of R_a[x] and R_b[x] to coincide.  They are the id and
     joint cautious correspondents of the catalog, checked in that order by
-    one quantifier loop sharing one up-closure memo.
+    the one quantifier loop.
     """
-    upc = _upc_memo(g.order)
-    for name, quant, fn in (("id-corr", "ax", _c_id), ("icc-corr", "abx", _c_icc)):
-        hit = _corr_loop(g, quant, fn, upc)
+    for name, quant, fn in (("id-corr", "ax", _k_id), ("icc-corr", "abx", _k_icc)):
+        hit = _corr_loop(g, quant, fn)
         if hit is not None:
             a, b, x = hit
             masks = (a,) if b is None else (a, b)

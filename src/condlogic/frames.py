@@ -154,6 +154,42 @@ class ConditionalFrame(GeneralFrame):
             )
 
 
+def _unchecked(cls, **fields):
+    """An instance of ``cls`` holding ``fields``, built without its constructor.
+
+    Only these callers use it, and only with values on which the skipped
+    checks cannot fail:
+
+    - :func:`condlogic.algebra.complex_algebra`: a complex algebra's
+      ``imp``, ``cond``, ``top`` and ``bot`` are ``idx[...]`` lookups into
+      its carrier, so every entry lies in ``0..size-1``; its tables are
+      ``size x size`` and its ``leq`` rows are built over the carrier, one
+      per element;
+    - :func:`condlogic.algebra._dual_with_maps`: a dual frame's relation
+      keys are theta, already checked to be a bijection onto
+      ``all_upsets(order)``, which is also its admissible family; it has one
+      row per prime filter, that is per world, and every row is built as
+      ``full & ...``;
+    - :func:`condlogic.generate.enumerate_full_frames`: its admissible
+      family is ``all_upsets(order)``, sorted and unique, its relations are
+      keyed by exactly those upsets, and every relation is one of
+      ``coherent_relations(order)``, ``n`` rows within the world set.  The
+      enumeration builds 68 302 frames at two worlds, and the checks cost
+      more than the rest of the enumeration.
+
+    A family not closed under the operations raises FrameFormatError
+    before this is reached, as it does before the checking constructor.
+
+    The fields are set one by one, not as a new ``__dict__``, so that the
+    instance shares its attribute keys with its class as constructed ones
+    do: a frame kept this way takes 330 bytes, not 470.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        setattr(obj, name, value)
+    return obj
+
+
 def validate_general(g: GeneralFrame) -> FrameReport:
     """Check the general-frame invariants; empty report iff well formed."""
     report = FrameReport()

@@ -33,6 +33,7 @@ from .frames import (
     ConditionalFrame,
     GeneralFrame,
     Rows,
+    _unchecked,
     compose_rel_up,
     compose_up_rel,
     rel_coherent,
@@ -285,7 +286,11 @@ def coherent_relations(p: FinitePreorder) -> List[Rows]:
 
 
 def enumerate_full_frames(max_worlds: int = 2) -> Iterator[ConditionalFrame]:
-    """Every valid full conditional frame with at most ``max_worlds`` worlds."""
+    """Every valid full conditional frame with at most ``max_worlds`` worlds.
+
+    Built without the constructor's checks (:func:`frames._unchecked`): the
+    fields are already what those checks test.
+    """
     if max_worlds > 2:
         raise InfeasibleEnumerationError(
             "exhaustive frame enumeration is feasible for at most 2 worlds; "
@@ -296,7 +301,8 @@ def enumerate_full_frames(max_worlds: int = 2) -> Iterator[ConditionalFrame]:
             ups = all_upsets(p)
             rels = coherent_relations(p)
             for combo in itertools.product(rels, repeat=len(ups)):
-                yield ConditionalFrame(p, dict(zip(ups, combo)))
+                yield _unchecked(ConditionalFrame, order=p, admissible=ups,
+                                 relations=dict(zip(ups, combo)))
 
 
 # --- random formulas ----------------------------------------------------------

@@ -136,9 +136,11 @@ def box(rows: Sequence[int], b: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _down_rows(p: FinitePreorder) -> Tuple[int, ...]:
-    rows = [0] * p.n
-    for j, row in enumerate(p.up):
+def _down_rows(up: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The rows of the converse of the order with rows ``up``: ``{j | j <= i}``
+    for world ``i``.  Keyed by the rows tuple, whose hash runs in C."""
+    rows = [0] * len(up)
+    for j, row in enumerate(up):
         for i in set_bits(row):
             rows[i] |= 1 << j
     return tuple(rows)
@@ -150,7 +152,7 @@ def up_closure(p: FinitePreorder, s: int) -> int:
 
 
 def down_closure(p: FinitePreorder, s: int) -> int:
-    return image(_down_rows(p), s)
+    return image(_down_rows(p.up), s)
 
 
 def is_upset(p: FinitePreorder, s: int) -> bool:
@@ -177,7 +179,7 @@ def all_upsets(p: FinitePreorder) -> Tuple[int, ...]:
     its up-set in and leaving it out forces its down-set out, so no branch
     dead-ends and the work is ``n`` steps per upset, not a ``2^n`` scan.
     """
-    down = _down_rows(p)
+    down = _down_rows(p.up)
     out = []
     stack = [(p.n - 1, 0, 0)]  # (world to decide, forced in, forced out)
     while stack:

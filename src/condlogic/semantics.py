@@ -35,22 +35,24 @@ and the conditional the box of the one relation the antecedent selects;
 
 *Chunks.*  A scan first evaluates its :data:`SINGLES` lowest valuations
 one at a time, since a wide chunk costs about as much as a dozen single
-ones on small frames and most refutations come early.  It then runs
-chunks of ``k^m`` valuations from valuation 0, in which the last ``m``
-letters vary and the earlier ones are fixed, so a fixed letter's planes
-are all ones or zero and a varying letter's depend only on ``(pool, n,
-m)`` (:func:`_plan`, a small bounded cache).  Each chunk is at least
-:data:`GROWTH` times wider than the one before (the singles counting as a
-chunk of :data:`SINGLES`), until the widest power of ``k`` within
-:data:`MAX_CHUNK` valuations, whose chunks then tile the rest of the scan.
-So a plane never holds more than :data:`MAX_CHUNK` bits: a chunk's memory
-is bounded by its width times ``n`` times the program's slot count,
-whatever the budget allows.
+ones on small frames and most refutations come early.  A hot program (see
+below) evaluates every valuation one at a time when there are at most
+:data:`WHOLE_SCAN` of them.  Any other scan then runs chunks of ``k^m``
+valuations from valuation 0, in which the last ``m`` letters vary and the
+earlier ones are fixed, so a fixed letter's planes are all ones or zero
+and a varying letter's depend only on ``(pool, n, m)`` (:func:`_plan`, a
+small bounded cache).  Each chunk is at least :data:`GROWTH` times wider
+than the one before (the singles counting as a chunk of :data:`SINGLES`),
+until the widest power of ``k`` within :data:`MAX_CHUNK` valuations, whose
+chunks then tile the rest of the scan.  So a plane never holds more than
+:data:`MAX_CHUNK` bits: a chunk's memory is bounded by its width times
+``n`` times the program's slot count, whatever the budget allows.
 
 *The one-valuation phase.*  :func:`_run_one` interprets a program at one
 valuation: it dispatches on each op's name and calls :func:`box` per
 connective.  After a program's first :data:`HOT_SCANS` scans, a scan at
-``n`` worlds runs its singles instead through a Python function generated
+``n`` worlds runs its singles instead, or its whole scan when that has at
+most :data:`WHOLE_SCAN` valuations, through a Python function generated
 for ``(program, n)`` (a partial evaluation of the interpreter: Futamura,
 "Partial evaluation of computation process", 1971).  Its slots are
 locals, each ``and``/``or`` is one expression, and each box is unrolled
@@ -62,10 +64,14 @@ formula of a sampling experiment) many times slower, and it raised the
 peak memory of the fill-in benchmark by over 10 %.  So only programs that
 recur, as the axioms of a frame sweep do, are generated.  The scan count
 and the functions live in the program's :func:`compile_formula` cache
-entry, so that cache bounds them.  The generated source holds slot
-numbers and fixed templates only, never text from the input.
-:func:`_run_one` stays the reference; it alone serves :func:`truth_set`
-and the chunk phase's re-run of a valuation that has no relation.
+entry, so that cache bounds them.  The generated source, and the file name
+each function is compiled under (so that a profile tells them apart),
+hold slot numbers, op names and fixed templates only, never text from the
+input.  A whole scan in generated code stops at its first refuted
+valuation, or raises at its first valuation with an antecedent that has
+no relation, as the chunks would report.  :func:`_run_one` stays the
+reference; it alone serves :func:`truth_set` and the chunk phase's re-run
+of a valuation that has no relation.
 
 Algebras, whose elements are not world sets, run the same compiled
 programs through table lookups (see :func:`condlogic.algebra.alg_satisfies`).
@@ -104,6 +110,16 @@ MAX_CHUNK = 1 << 15  # valuations in a chunk, at most: the bits of one plane
 # about 12.7 us of a 24 us scan of a 2-world frame (2-core VM, Python
 # 3.11.7), so it pays for itself after about 28 scans; 32 rounds that up.
 HOT_SCANS = 32
+# Valuations of a scan, at most, that a hot program runs through its
+# generated function alone, with no chunk; at least SINGLES.  The chunk
+# phase after the singles costs a ``_plan`` lookup, fresh planes and one
+# ``_run`` of the program over the whole chunk.  On hot 2-5-world scans
+# (2-core VM, Python 3.11.7) a valid scan of 64 valuations took 0.8-1.25
+# times as long in generated code, but one refuted after the singles stops
+# there instead of paying for a chunk: the 2-world tr scans of a frame
+# sweep took 16 % less.  Valid scans of 100-216 valuations took 1.25-3.5
+# times as long, so the cap stays at 64.
+WHOLE_SCAN = 64
 
 Valuation = Dict[str, int]
 
@@ -343,8 +359,18 @@ def _generate(program, result_slot: int, count: int, n: int):
     lines.append("            return index, values, bad")
     lines.append("    return None")
     namespace: dict = {}
-    exec(compile("\n".join(lines), "<one-valuation phase>", "exec"), _GENERATED, namespace)
+    exec(compile("\n".join(lines), _file_name(program, result_slot, count, n), "exec"),
+         _GENERATED, namespace)
     return namespace["run"]
+
+
+def _file_name(program, result_slot: int, count: int, n: int) -> str:
+    """The file name a generated function is compiled under, one per program
+    and world count, so that a profile keeps each function apart.  Only slot
+    numbers, op names and ``n`` go into it."""
+    ops = " ".join(f"s{out}={op}(s{a},s{b})"
+                   for out, (op, a, b) in enumerate(program, count + 1))
+    return f"<scan n={n} letters={count} {ops} -> s{result_slot}>"
 
 
 def _run(program, result_slot: int, buf: list, ones: int, order: FinitePreorder, rel):
@@ -420,20 +446,24 @@ def _scan(order: FinitePreorder, pool: Tuple[int, ...], compiled, rel, budget: i
     if total * n > budget:
         raise BudgetExceededError(total * n, budget)
     full = order.full_mask
-    singles = itertools.islice(itertools.product(pool, repeat=count), SINGLES)
     run = state.runs.get(n)
     if run is None and state.scans >= HOT_SCANS:
         run = state.runs[n] = _generate(program, result_slot, count, n)
+    # the singles, or every valuation of a scan that needs no chunk
+    whole = total <= (SINGLES if run is None else WHOLE_SCAN)
+    first = itertools.product(pool, repeat=count)
+    if not whole:
+        first = itertools.islice(first, SINGLES)
     if run is None:
         state.scans += 1
-        found = _run_singles(program, result_slot, singles, order, rel, full)
+        found = _run_singles(program, result_slot, first, order, rel, full)
     else:
-        found = run(singles, order.up, rel, full)
+        found = run(first, order.up, rel, full)
     if found is not None:
         index, values, bad = found
         world = (bad & -bad).bit_length() - 1
         return Verdict(False, dict(zip(letters, values)), world, (index + 1) * n)
-    if total <= SINGLES:
+    if whole:
         return Verdict(True, None, None, total * n)
     plan = _plan(pool, n, count)
     top, top_planes, fixed = plan[-1]

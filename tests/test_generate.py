@@ -11,6 +11,7 @@ every input both must give the same rows and leave the generator in the
 same state, or fail with the same exception type and message.
 """
 
+import itertools
 import random
 from collections import Counter
 
@@ -23,6 +24,8 @@ from condlogic.frames import ConditionalFrame, GeneralFrame, compose_up_rel, val
 from condlogic.generate import (
     MODES,
     close_admissible,
+    coherent_relations,
+    enumerate_full_frames,
     enumerate_preorders,
     make_sampler,
     random_full_frame,
@@ -402,6 +405,18 @@ def test_fill_as_before():
 def test_preorders_in_the_same_order(n):
     assert enumerate_preorders(n) == old_enumerate_preorders(n)
     assert len(enumerate_preorders(n)) == (1, 4, 29)[n - 1]
+
+
+def test_full_frames_as_the_checking_constructor_builds_them():
+    # enumerate_full_frames builds without the constructor's checks
+    checked = (ConditionalFrame(p, dict(zip(all_upsets(p), rows)))
+               for n in (1, 2) for p in enumerate_preorders(n)
+               for rows in itertools.product(coherent_relations(p), repeat=len(all_upsets(p))))
+    count = 0
+    for got, want in itertools.zip_longest(enumerate_full_frames(2), checked):
+        assert type(got) is ConditionalFrame and vars(got) == vars(want), (got, want)
+        count += 1
+    assert count == 68_302
 
 
 # the catalog's lists, ``("random",)`` (the default of random_general_frame)

@@ -15,7 +15,7 @@ from condlogic.generate import (
     random_full_frame,
     random_general_frame,
 )
-from condlogic.order import all_upsets, box, heyting_imp, is_upset, set_bits
+from condlogic.order import FinitePreorder, all_upsets, box, heyting_imp, is_upset, set_bits
 from condlogic.semantics import (
     DEFAULT_BUDGET,
     Verdict,
@@ -616,6 +616,111 @@ class TestGeneratedSingles:
     def test_an_op_without_a_template_raises_when_generated(self):
         with pytest.raises(ValueError, match="no template for op 'xor'"):
             semantics._generate((("and", 0, 0), ("xor", 0, 2)), 3, 1, 2)
+
+
+class TestWholeScans:
+    """Once a program is hot, a scan of at most ``WHOLE_SCAN`` valuations runs
+    its generated function over every valuation, with no chunk; the verdict,
+    or the error, is that of the interpreted reference."""
+
+    # letters to a formula refuted at exactly the valuations where p is an
+    # upset whose relation has an empty row inside it (see _frame)
+    FORMULAS = {
+        1: "(p ~> false) -> ~p",
+        2: "(p ~> false) -> ~p | q & ~q",
+        3: "(p ~> false) -> ~p | q & r & ~q",
+    }
+
+    @staticmethod
+    def _frame(rng, k):
+        """Incomparable worlds with a family of ``k`` of their sets, at most half
+        of them, so the family is not closed.  Every row is nonempty except,
+        on three frames in four, one row of one random member, at a world
+        inside it."""
+        worlds = k.bit_length()
+        order = FinitePreorder(worlds, tuple(1 << i for i in range(worlds)))
+        family = sorted(rng.sample(range(1 << worlds), k))
+        target = rng.choice(family) if rng.random() < 0.75 else None
+        relations = {}
+        for a in family:
+            rows = [rng.randrange(1, 1 << worlds) for _ in range(worlds)]
+            if a == target and a:
+                rows[(a & -a).bit_length() - 1] = 0
+            relations[a] = tuple(rows)
+        return GeneralFrame(order, tuple(family), relations)
+
+    @staticmethod
+    def _counting_chunks(monkeypatch):
+        calls = []
+        run = semantics._run
+
+        def counted(*args):
+            calls.append(1)
+            return run(*args)
+
+        monkeypatch.setattr(semantics, "_run", counted)
+        return calls
+
+    @pytest.mark.parametrize("k, letters", [
+        (semantics.SINGLES + 1, 1),  # cold: singles and a chunk; hot: whole
+        (semantics.WHOLE_SCAN, 1),
+        (round(semantics.WHOLE_SCAN ** 0.5), 2),
+        (round(semantics.WHOLE_SCAN ** (1 / 3)), 3),
+        (semantics.WHOLE_SCAN + 1, 1),  # singles and chunks, hot or cold
+    ])
+    def test_promotion_across_hot_scans(self, k, letters, monkeypatch):
+        rng = random.Random(f"whole:{k}:{letters}")
+        total = k ** letters
+        assert total in (semantics.SINGLES + 1, semantics.WHOLE_SCAN, semantics.WHOLE_SCAN + 1)
+        semantics.compile_formula.cache_clear()
+        f = parse(self.FORMULAS[letters])
+        state = compile_formula(f)[3]
+        chunks = self._counting_chunks(monkeypatch)
+        seen = {"valid": 0, "after singles": 0}
+        for i in range(2 * semantics.HOT_SCANS):
+            frame = self._frame(rng, k)
+            del chunks[:]
+            got = verdict_fields(valid(frame, f))
+            assert got == verdict_fields(reference_valid(frame, f)), (i, frame)
+            hot = i >= semantics.HOT_SCANS
+            assert bool(state.runs) == hot
+            refuted_at = None if got[0] else got[3] // frame.n - 1
+            whole = total <= (semantics.WHOLE_SCAN if hot else semantics.SINGLES)
+            assert bool(chunks) == (not whole and (got[0] or refuted_at >= semantics.SINGLES))
+            seen["valid"] += got[0]
+            seen["after singles"] += not got[0] and refuted_at >= semantics.SINGLES
+        assert min(seen.values()) >= 4, seen
+
+    @pytest.mark.parametrize("k, letters", [
+        (semantics.WHOLE_SCAN, 1),
+        (round(semantics.WHOLE_SCAN ** (1 / 3)), 3),
+        (semantics.WHOLE_SCAN + 1, 1),
+    ])
+    def test_unclosed_families_raise_at_the_same_valuation(self, k, letters):
+        rng = random.Random(f"whole:unclosed:{k}:{letters}")
+        names = ["p", "q", "r"][:letters]
+        raised = [0, 0]  # cold, hot
+        for _ in range(6):
+            semantics.compile_formula.cache_clear()
+            f = random_formula(rng, Language.COND, names, 4)
+            while set(compile_formula(f)[0]) != set(names):
+                f = random_formula(rng, Language.COND, names, 4)
+            for i in range(2 * semantics.HOT_SCANS):
+                frame = self._frame(rng, k)
+                got = outcome(valid, frame, f)
+                assert got == outcome(reference_valid, frame, f), (f, frame)
+                raised[i >= semantics.HOT_SCANS] += got[0] is NotAdmissibleError
+        assert min(raised) >= 10, raised
+
+    def test_each_program_compiles_under_its_own_file_name(self):
+        names = set()
+        for text in ("(p ~> q) -> q", "(p ~> q) -> p", "(p ~> q) & q", "p ~> p"):
+            letters, program, result_slot, _ = compile_formula(parse(text))
+            for n in (2, 3):
+                run = semantics._generate(program, result_slot, len(letters), n)
+                names.add(run.__code__.co_filename)
+        assert len(names) == 8
+        assert "<scan n=2 letters=2 s3=cond(s0,s1) s4=imp(s3,s1) -> s4>" in names
 
 
 @pytest.mark.parametrize("key, ops", [
