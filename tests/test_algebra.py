@@ -502,6 +502,12 @@ class TestFrameRoundtrip:
                 f"at worlds ({x}, {y})"
             ]
 
+    def test_more_upsets_than_the_cap_raise_the_cap_error(self):
+        # the 5-world antichain has 32 upsets, more than PF_CAP
+        with pytest.raises(CapExceededError) as exc:
+            frame_roundtrip(full_frame(preorder(5)))
+        assert str(exc.value) == "prime filter scan is capped at carrier size 20, got 32"
+
     def test_preorder_refused(self):
         cluster = preorder(2, [(0, 1), (1, 0)])
         f = full_frame(cluster)

@@ -12,7 +12,7 @@ from condlogic.algebra import algebra_to_json, complex_algebra
 from condlogic.frames import frame_from_json, frame_to_json
 from condlogic.generate import random_full_frame
 
-from conftest import full_frame, general_frame, m
+from conftest import full_frame, general_frame, m, preorder
 
 
 def run(capsys, *argv):
@@ -235,6 +235,12 @@ class TestDualizeAndRoundtrip:
         obj = _chain2_with(admissible=[[], [0, 1]], relations={"": [], "0,1": []})
         code, out, err = run(capsys, "roundtrip", "--frame", write(tmp_path / "g.json", obj))
         assert (code, out, err) == (2, "", "error: frame round-trips need a full conditional frame\n")
+
+    def test_frame_roundtrip_above_the_cap_is_a_usage_error(self, capsys, tmp_path):
+        path = write(tmp_path / "anti5.json", frame_to_json(full_frame(preorder(5))))
+        code, out, err = run(capsys, "--json", "roundtrip", "--frame", path)
+        assert (code, out, err) == (
+            2, "", "error: prime filter scan is capped at carrier size 20, got 32\n")
 
     def test_roundtrip_needs_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "roundtrip")
