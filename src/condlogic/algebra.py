@@ -20,6 +20,16 @@ Finitely, every upset of the prime-filter poset is the image of exactly
 one element, so the dual of an algebra is a full conditional frame and no
 topology object is needed.
 
+The frame round trip has an order-only half of its own, memoised per frame
+order (keyed by its rows) in :func:`_frame_order`: the poset check, the
+upsets, the prime filters and theta of their lattice, eta, and the checks
+that eta maps the worlds onto the prime filters, preserving and reflecting
+the order.  A duality sweep meets thousands of frames on a handful of
+orders, and for a finite poset the prime filters of the upset lattice are
+exactly the eta(x) (Birkhoff), so per frame only the relations are left:
+each dual row is computed from the complex algebra's ``cond`` row and read
+off by world.  Neither the complex algebra nor a dual frame is built.
+
 A value built here from inputs that were validated when they were made (a
 complex algebra from a frame, a dual frame from an algebra) skips its
 constructor's checks, through :func:`condlogic.frames._unchecked`: the
@@ -355,38 +365,62 @@ def prime_filters(alg: FiniteCHA, cap: int = PF_CAP) -> Tuple[int, ...]:
 
     Raises FrameFormatError unless the order is a bounded lattice order.
     """
-    if alg.size > cap:
-        raise CapExceededError(
-            f"prime filter scan is capped at carrier size {cap}, got {alg.size}"
-        )
-    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
+    return _lattice_facts(alg.size, alg.leq, alg.top, alg.bot, cap).prime_filters
+
+
+def _lattice_facts(size: int, leq: Tuple[int, ...], top: int, bot: int,
+                   cap: int = PF_CAP) -> _OrderFacts:
+    """:func:`_order_facts` of a bounded lattice order of at most ``cap``
+    elements; the cap is checked first, so a larger carrier is not scanned."""
+    _check_cap(size, cap)
+    facts = _order_facts(size, leq, top, bot)
     if facts.prime_filters is None:
         raise FrameFormatError("; ".join(facts.violations))
-    return facts.prime_filters
+    return facts
 
 
-def _dual_with_maps(alg: FiniteCHA):
-    pfs = prime_filters(alg)
-    if not pfs:
+def _check_cap(size: int, cap: int = PF_CAP) -> None:
+    if size > cap:
+        raise CapExceededError(
+            f"prime filter scan is capped at carrier size {cap}, got {size}"
+        )
+
+
+def _require_dual(facts: _OrderFacts) -> None:
+    """Refuse a lattice without a dual frame: no prime filter, or theta not
+    a bijection onto the upsets of the prime-filter poset."""
+    if not facts.prime_filters:
         raise DualityError("algebra has no prime filters; carrier must be degenerate")
-    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
     if not facts.onto:
         raise DualityError(
             "theta is not a bijection onto the upsets of the prime-filter poset"
         )
+
+
+def _dual_rows(cond_row: Tuple[int, ...], filters, theta, full: int) -> Tuple[int, ...]:
+    """The dual relation at theta(a), given ``cond_row`` = ``a cond b`` for
+    every b: one row per prime filter of ``filters`` (carrier bitmasks), the
+    meet over every b with ``a cond b`` in that filter of ``theta[b]``, a
+    set of dual worlds."""
+    rows = []
+    for pf in filters:
+        succ = full
+        for c, t in zip(cond_row, theta):
+            if (pf >> c) & 1:
+                succ &= t
+        rows.append(succ)
+    return tuple(rows)
+
+
+def _dual_with_maps(alg: FiniteCHA):
+    pfs = prime_filters(alg)
+    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
+    _require_dual(facts)
     order, theta = facts.pf_order, facts.theta
     # x steps to the prime filters holding every b with (a cond b) in x
     full = order.full_mask
-    relations = {}
-    for i, cond_row in enumerate(alg.cond):
-        rows = []
-        for pf in pfs:
-            succ = full
-            for c, t in zip(cond_row, theta):
-                if (pf >> c) & 1:
-                    succ &= t
-            rows.append(succ)
-        relations[theta[i]] = tuple(rows)
+    relations = {theta[i]: _dual_rows(cond_row, pfs, theta, full)
+                 for i, cond_row in enumerate(alg.cond)}
     frame = _unchecked(ConditionalFrame, order=order, admissible=all_upsets(order),
                        relations=relations)
     return frame, pfs, theta
@@ -443,6 +477,79 @@ def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
     return report
 
 
+class _FrameOrder(NamedTuple):
+    """The order-only half of :func:`frame_roundtrip` for one poset order.
+
+    ``error`` is the exception class and message the dual raises on the
+    complex algebra of the order, and ``failures`` what the round trip
+    reports before any relation is compared; both wait until the frame's
+    own checks have passed.  ``eta`` and ``theta`` are listed by world, not
+    by prime filter: ``eta[x]`` is the prime filter of world x, and
+    ``theta[i]`` the worlds whose prime filter holds upset ``i``, so the
+    dual rows computed from them are indexed, and read, by world.
+    """
+
+    poset: bool
+    upsets: Tuple[int, ...] = ()
+    idx: Optional[Dict[int, int]] = None  # upset to carrier index; not to be mutated
+    error: Optional[Tuple[type, str]] = None
+    failures: Tuple[str, ...] = ()
+    eta: Tuple[int, ...] = ()
+    theta: Tuple[int, ...] = ()
+
+
+def _eta(upsets: Tuple[int, ...], n: int) -> Tuple[int, ...]:
+    """eta(x) for each world x: the upsets holding x, as a carrier bitmask."""
+    return tuple(sum(1 << i for i, m in enumerate(upsets) if (m >> x) & 1) for x in range(n))
+
+
+def _eta_failure(p: FinitePreorder, pfs: Tuple[int, ...], pf_index: Dict[int, int],
+                 eta: Tuple[int, ...]) -> Optional[str]:
+    """The first way eta fails to be an order isomorphism onto the prime
+    filters ``pfs``, or None."""
+    if len(pfs) != p.n:
+        return f"expected {p.n} prime filters, found {len(pfs)}"
+    for x, e in enumerate(eta):
+        if e not in pf_index:
+            return f"eta({x}) is not a prime filter"
+    if len(set(eta)) != p.n:
+        return "eta is not injective"
+    for x, y in itertools.product(range(p.n), repeat=2):
+        if p.leq(x, y) != (not eta[x] & ~eta[y]):
+            return f"eta breaks the order at ({x}, {y})"
+    return None
+
+
+@lru_cache(maxsize=1024)
+def _frame_order(up: Tuple[int, ...]) -> _FrameOrder:
+    """:class:`_FrameOrder` of the order with rows ``up``.  Keyed by the rows
+    tuple, whose hash runs in C; a duality sweep meets few distinct orders."""
+    n = len(up)
+    p = FinitePreorder(n, up)
+    if not p.is_poset:
+        return _FrameOrder(False)
+    ups = all_upsets(p)
+    idx = {m: i for i, m in enumerate(ups)}
+    try:
+        _check_cap(len(ups))  # before the lattice of a large carrier is built
+        leq, _imp, top, bot = _upset_algebra(p, ups)
+        facts = _lattice_facts(len(ups), leq, top, bot)
+        _require_dual(facts)
+    except (CapExceededError, DualityError, FrameFormatError) as exc:
+        return _FrameOrder(True, ups, idx, (type(exc), str(exc)))
+    pfs = facts.prime_filters
+    eta = _eta(ups, n)
+    pf_index = {pf: k for k, pf in enumerate(pfs)}
+    failure = _eta_failure(p, pfs, pf_index, eta)
+    if failure is not None:
+        return _FrameOrder(True, ups, idx, failures=(failure,))
+    world_of = [0] * n  # the world whose eta is each prime filter
+    for x, e in enumerate(eta):
+        world_of[pf_index[e]] = x
+    theta = tuple(sum(1 << world_of[k] for k in set_bits(t)) for t in facts.theta)
+    return _FrameOrder(True, ups, idx, eta=eta, theta=theta)
+
+
 def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     """Check that the frame is isomorphic to the dual of its complex algebra.
 
@@ -450,48 +557,56 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     spelled), a poset order and the strong coherence condition; those are
     exactly the frames that arise as finite stand-ins for the topological
     duals, and the relation equivalence below fails without them.
+
+    Everything the order alone decides is memoised per order in
+    :func:`_frame_order`: the poset check, the upsets, the dual's prime
+    filters and theta, eta, and the checks that eta is a bijection onto the
+    prime filters that preserves and reflects the order.  A duality sweep
+    meets thousands of frames on a handful of orders.  For a finite poset
+    the prime filters of its upset lattice are exactly the eta(x)
+    (Birkhoff), so per frame only the relations are left to compare: the
+    dual relation at each upset a is computed, per world, from the row
+    ``a cond b`` of the complex algebra, and compared with R_a.  Neither
+    the complex algebra nor the dual frame is built.
+
+    Strong coherence (R = leq;R;leq) implies coherence.  Write R[S] for
+    the union of the rows of R over the worlds of S.  If x <= y, then up(y)
+    lies within up(x), so R[y] = up(R[up(y)]) lies within up(R[up(x)]) =
+    R[x], which is an upset: R[y] lies within up(R[x]), which is coherence.
+    So once strong coherence holds, :func:`validate_conditional` can only
+    report that the frame is not full, and it is called only then, for the
+    same message.
     """
-    if not f.order.is_poset:
+    order = _frame_order(f.order.up)
+    if not order.poset:
         raise DualityError("frame order must be a poset (otherwise eta is not injective)")
     if not strongly_coherent(f):
         raise DualityError(
             "frame must satisfy the strong coherence condition for the round-trip"
         )
-    check = validate_conditional(f)
-    if not check.ok:
-        raise DualityError(f"refusing invalid frame: {check}")
-    report = DualityReport()
-    alg = complex_algebra(f)
-    frame2, pfs, theta = _dual_with_maps(alg)
-    labels = alg.labels
-    eta = []
-    for x in range(f.n):
-        eta.append(sum(1 << i for i, m in enumerate(labels) if (m >> x) & 1))
-    pf_index = {pf: k for k, pf in enumerate(pfs)}
-    if len(pfs) != f.n:
-        report.add(f"expected {f.n} prime filters, found {len(pfs)}")
+    ups = order.upsets
+    if tuple(f.admissible) != ups:
+        raise DualityError(f"refusing invalid frame: {validate_conditional(f)}")
+    idx = order.idx
+    rels = [f.rel(a) for a in ups]
+    try:
+        conds = [[idx[box(rows, b)] for b in ups] for rows in rels]
+    except KeyError:
+        raise _not_closed(ups, "cond", f.dto) from None
+    if order.error is not None:
+        cls, message = order.error
+        raise cls(message)
+    report = DualityReport(list(order.failures))
+    if order.failures:
         return report
-    for x, e in enumerate(eta):
-        if e not in pf_index:
-            report.add(f"eta({x}) is not a prime filter")
-            return report
-    if len(set(eta)) != f.n:
-        report.add("eta is not injective")
-        return report
-    for x in range(f.n):
-        for y in range(f.n):
-            if f.order.leq(x, y) != (not eta[x] & ~eta[y]):
-                report.add(f"eta breaks the order at ({x}, {y})")
-                return report
-    world_of = [0] * f.n  # the world whose eta is each prime filter
-    for x, e in enumerate(eta):
-        world_of[pf_index[e]] = x
-    for i, a in enumerate(labels):
-        rows = f.rel(a)
-        dual_rows = frame2.rel(theta[i])
-        for x, e in enumerate(eta):
-            diff = rows[x] ^ sum(1 << world_of[k] for k in set_bits(dual_rows[pf_index[e]]))
-            if diff:
+    eta, theta, full = order.eta, order.theta, f.order.full_mask
+    for a, rows, cond_row in zip(ups, rels, conds):
+        dual = _dual_rows(cond_row, eta, theta, full)
+        if dual == rows:
+            continue
+        for x, (row, succ) in enumerate(zip(rows, dual)):
+            if row != succ:
+                diff = row ^ succ
                 y = (diff & -diff).bit_length() - 1
                 report.add(
                     f"relation at {{{mask_to_key(a)}}} disagrees with the dual "

@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .correspondents import _corr_loop, _k_icc, _k_id
 from .errors import SqueezeAmbiguityError, SqueezePreconditionError
-from .frames import ConditionalFrame, GeneralFrame, Rows, compose_up_rel
+from .frames import ConditionalFrame, GeneralFrame, Rows, _unchecked, compose_up_rel
 from .order import all_upsets, mask_to_key, up_closure
 
 
@@ -133,7 +133,9 @@ def fill(g: GeneralFrame, kind: FillInKind) -> ConditionalFrame:
 
     The result agrees with ``g`` on every admissible upset.  The squeeze
     recipe additionally requires the cautious-conditional precondition and
-    raises with a witness when it fails.
+    raises with a witness when it fails.  The result is built without the
+    constructor's checks (:func:`condlogic.frames._unchecked`), which it
+    cannot fail once its keys are exactly the upsets.
     """
     if kind is FillInKind.SQUEEZE:
         pre = check_squeeze_precondition(g)
@@ -141,7 +143,10 @@ def fill(g: GeneralFrame, kind: FillInKind) -> ConditionalFrame:
             raise SqueezePreconditionError(pre.witness)
     recipe = _RECIPES[kind]
     relations: Dict[int, Rows] = dict(g.relations)
-    for a in all_upsets(g.order):
+    upsets = all_upsets(g.order)
+    for a in upsets:
         if a not in g.relations:
             relations[a] = recipe(g, a)
-    return ConditionalFrame(g.order, relations)
+    if len(relations) != len(upsets):  # g admits a set that is not an upset
+        return ConditionalFrame(g.order, relations)  # which refuses it
+    return _unchecked(ConditionalFrame, order=g.order, admissible=upsets, relations=relations)

@@ -86,8 +86,19 @@ def rel_coherent(p: FinitePreorder, rows: Rows) -> bool:
 
 def rel_strongly_coherent(p: FinitePreorder, rows: Rows) -> bool:
     """leq-then-step-then-leq equals the relation itself."""
-    for x in range(p.n):
-        if up_closure(p, image(rows, p.up[x])) != rows[x]:
+    return _strongly_coherent_rows(tuple(p.up), tuple(rows))
+
+
+@lru_cache(maxsize=4096)
+def _strongly_coherent_rows(up: Rows, rows: Rows) -> bool:
+    """:func:`rel_strongly_coherent` on the order's rows ``up``, memoised.
+
+    Keyed by the two rows tuples, whose hashes run in C (callers pass
+    tuples, never lists): the same few relations recur across the frames
+    of a sweep, and a round trip tests its frame again.
+    """
+    for x, above in enumerate(up):
+        if image(up, image(rows, above)) != rows[x]:
             return False
     return True
 
@@ -175,7 +186,13 @@ def _unchecked(cls, **fields):
       keyed by exactly those upsets, and every relation is one of
       ``coherent_relations(order)``, ``n`` rows within the world set.  The
       enumeration builds 68 302 frames at two worlds, and the checks cost
-      more than the rest of the enumeration.
+      more than the rest of the enumeration;
+    - :func:`condlogic.fillins.fill`, when its keys are exactly
+      ``all_upsets(order)``, sorted and unique as the admissible family: it
+      copies the input frame's relations, whose rows its own constructor
+      checked, and every recipe row lies within the world set (the empty
+      set, an upset, the order's rows, or unions, up-closures and copies of
+      checked rows).
 
     A family not closed under the operations raises FrameFormatError
     before this is reached, as it does before the checking constructor.
@@ -256,7 +273,10 @@ def check_strong_coherence(g: GeneralFrame) -> Dict[int, bool]:
 
 
 def strongly_coherent(g: GeneralFrame) -> bool:
-    return all(check_strong_coherence(g).values())
+    """Whether every admissible relation is strongly coherent; stops at the
+    first that is not."""
+    up = tuple(g.order.up)
+    return all(_strongly_coherent_rows(up, tuple(g.rel(a))) for a in g.admissible)
 
 
 @dataclass

@@ -1,0 +1,90 @@
+"""The frame round trip as it was before its order-only half was memoised.
+
+This is the oracle for :func:`condlogic.algebra.frame_roundtrip`: it builds
+the complex algebra of the frame and every relation of the dual frame of
+that algebra, recomputes eta, the prime-filter index and the order check
+for every frame, and tests strong coherence and coherence on every
+relation.  On any frame both must give equal failures, or the same
+exception type and message.
+"""
+
+from condlogic.algebra import DualityReport, _order_facts, complex_algebra, prime_filters
+from condlogic.errors import DualityError
+from condlogic.frames import check_strong_coherence, validate_conditional
+from condlogic.order import mask_to_key, set_bits
+
+
+def reference_dual_with_maps(alg):
+    """The dual frame's relations keyed by theta, its prime filters and theta."""
+    pfs = prime_filters(alg)
+    if not pfs:
+        raise DualityError("algebra has no prime filters; carrier must be degenerate")
+    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
+    if not facts.onto:
+        raise DualityError(
+            "theta is not a bijection onto the upsets of the prime-filter poset"
+        )
+    theta = facts.theta
+    full = facts.pf_order.full_mask
+    relations = {}
+    for i, cond_row in enumerate(alg.cond):
+        rows = []
+        for pf in pfs:
+            succ = full
+            for c, t in zip(cond_row, theta):
+                if (pf >> c) & 1:
+                    succ &= t
+            rows.append(succ)
+        relations[theta[i]] = tuple(rows)
+    return relations, pfs, theta
+
+
+def reference_frame_roundtrip(f):
+    if not f.order.is_poset:
+        raise DualityError("frame order must be a poset (otherwise eta is not injective)")
+    if not all(check_strong_coherence(f).values()):
+        raise DualityError(
+            "frame must satisfy the strong coherence condition for the round-trip"
+        )
+    check = validate_conditional(f)
+    if not check.ok:
+        raise DualityError(f"refusing invalid frame: {check}")
+    report = DualityReport()
+    alg = complex_algebra(f)
+    relations, pfs, theta = reference_dual_with_maps(alg)
+    labels = alg.labels
+    eta = []
+    for x in range(f.n):
+        eta.append(sum(1 << i for i, m in enumerate(labels) if (m >> x) & 1))
+    pf_index = {pf: k for k, pf in enumerate(pfs)}
+    if len(pfs) != f.n:
+        report.add(f"expected {f.n} prime filters, found {len(pfs)}")
+        return report
+    for x, e in enumerate(eta):
+        if e not in pf_index:
+            report.add(f"eta({x}) is not a prime filter")
+            return report
+    if len(set(eta)) != f.n:
+        report.add("eta is not injective")
+        return report
+    for x in range(f.n):
+        for y in range(f.n):
+            if f.order.leq(x, y) != (not eta[x] & ~eta[y]):
+                report.add(f"eta breaks the order at ({x}, {y})")
+                return report
+    world_of = [0] * f.n  # the world whose eta is each prime filter
+    for x, e in enumerate(eta):
+        world_of[pf_index[e]] = x
+    for i, a in enumerate(labels):
+        rows = f.rel(a)
+        dual_rows = relations[theta[i]]
+        for x, e in enumerate(eta):
+            diff = rows[x] ^ sum(1 << world_of[k] for k in set_bits(dual_rows[pf_index[e]]))
+            if diff:
+                y = (diff & -diff).bit_length() - 1
+                report.add(
+                    f"relation at {{{mask_to_key(a)}}} disagrees with the dual "
+                    f"at worlds ({x}, {y})"
+                )
+                return report
+    return report

@@ -481,26 +481,45 @@ class TestFrameRoundtrip:
             assert frame_roundtrip(f).ok
 
     def test_a_flipped_dual_edge_is_reported_at_its_worlds(self, monkeypatch):
-        # world 1 below world 0, so eta lists the prime filters in reverse
+        # world 1 below world 0, so eta lists the prime filters in reverse;
+        # the dual rows come per world, one call per upset in label order
         f = constant_full_frame(preorder(2, [(1, 0)]), (0b01, 0b11))
-        labels = complex_algebra(f).labels
-        eta = [sum(1 << i for i, a in enumerate(labels) if (a >> x) & 1) for x in range(f.n)]
-        real = algebra._dual_with_maps
+        labels = all_upsets(f.order)
+        real = algebra._dual_rows
         for i, x, y in itertools.product(range(len(labels)), range(f.n), range(f.n)):
+            calls = itertools.count()
 
-            def flipped(alg):
-                frame, pfs, theta = real(alg)
-                relations = dict(frame.relations)
-                rows = list(relations[theta[i]])
-                rows[pfs.index(eta[x])] ^= 1 << pfs.index(eta[y])
-                relations[theta[i]] = tuple(rows)
-                return ConditionalFrame(frame.order, relations), pfs, theta
+            def flipped(*args):
+                rows = list(real(*args))
+                if next(calls) == i:
+                    rows[x] ^= 1 << y
+                return tuple(rows)
 
-            monkeypatch.setattr(algebra, "_dual_with_maps", flipped)
+            monkeypatch.setattr(algebra, "_dual_rows", flipped)
             assert frame_roundtrip(f).failures == [
                 f"relation at {{{mask_to_key(labels[i])}}} disagrees with the dual "
                 f"at worlds ({x}, {y})"
             ]
+
+    @pytest.mark.parametrize("wrong, failure", [
+        (lambda eta: (eta[1], eta[0]), "eta breaks the order at (0, 1)"),
+        (lambda eta: (eta[0], eta[0]), "eta is not injective"),
+        (lambda eta: (0, eta[1]), "eta(0) is not a prime filter"),
+    ])
+    def test_a_wrong_eta_is_memoised_with_the_order_and_reported(
+            self, monkeypatch, chain2, wrong, failure):
+        real = algebra._eta
+        monkeypatch.setattr(algebra, "_eta", lambda ups, n: wrong(real(ups, n)))
+        algebra._frame_order.cache_clear()
+        try:
+            for _ in range(2):  # computed once, then read from the memo
+                assert frame_roundtrip(constant_full_frame(chain2, tuple(chain2.up))).failures \
+                    == [failure]
+            # the frame's own checks still come first
+            with pytest.raises(DualityError, match="strong coherence"):
+                frame_roundtrip(full_frame(chain2, {m(0, 1): (m(0), 0)}))
+        finally:
+            algebra._frame_order.cache_clear()
 
     def test_more_upsets_than_the_cap_raise_the_cap_error(self):
         # the 5-world antichain has 32 upsets, more than PF_CAP

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from condlogic.errors import SqueezePreconditionError
+from condlogic.errors import FrameFormatError, SqueezePreconditionError
 from condlogic.fillins import (
     ALL_KINDS,
     FillInKind,
     check_squeeze_precondition,
     fill,
 )
-from condlogic.frames import strongly_coherent, validate_conditional
+from condlogic.frames import ConditionalFrame, strongly_coherent, validate_conditional
 from condlogic.generate import random_formula, random_general_frame
 from condlogic.order import all_upsets, mask_to_key, up_closure
 from condlogic.semantics import check, valid
@@ -128,6 +128,33 @@ class TestAgreement:
                 filled = fill(g, kind)
                 for a in g.admissible:
                     assert filled.rel(a) == g.rel(a)
+
+
+class TestUncheckedConstruction:
+    """``fill`` builds its result without the constructor's checks."""
+
+    def test_every_kind_equals_the_checking_constructors_frame(self):
+        frames = [random_general_frame(random.Random(f"fill-unchecked:{i}"), 2 + i % 3)
+                  for i in range(150)]
+        frames += cautious_pool(random.Random("fill-unchecked-squeeze"), 50)
+        built = 0
+        for g in frames:
+            for kind in ALL_KINDS:
+                if kind is FillInKind.SQUEEZE and not check_squeeze_precondition(g).holds:
+                    continue
+                filled = fill(g, kind)
+                checked = ConditionalFrame(filled.order, filled.relations)
+                assert type(filled) is ConditionalFrame
+                assert vars(filled) == vars(checked)
+                assert list(vars(filled)) == list(vars(checked))
+                built += 1
+        assert built > 1000
+
+    def test_a_family_with_a_non_upset_is_still_refused(self, chain2):
+        # {0} is not an upset when 0 <= 1; the constructor does not test it
+        g = general_frame(chain2, (0, m(0), m(0, 1)), {0: (0, 0), m(0): (0, 0), m(0, 1): (0, 0)})
+        with pytest.raises(FrameFormatError, match="needs a relation for every upset"):
+            fill(g, FillInKind.EMPTY)
 
 
 class TestWellFormedness:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -139,6 +140,28 @@ class TestCoherence:
         f = full_frame(chain2, {m(0, 1): rows})
         assert check_strong_coherence(f)[m(0, 1)] is False
         assert not strongly_coherent(f)
+
+    def test_strongly_coherent_agrees_with_every_relation_checked(self):
+        # strongly_coherent memoises each relation's test and stops at the
+        # first failing relation; check_strong_coherence tests them all
+        seen = set()
+        for i in range(400):
+            rng = random.Random(f"strong:{i}")
+            n = rng.choice((2, 3, 4))
+            g = (random_general_frame(rng, n, strong=i % 3 == 0) if i % 2
+                 else random_full_frame(rng, n, strong=i % 3 == 0))
+            got = strongly_coherent(g)
+            assert got == all(check_strong_coherence(g).values())
+            seen.add(got)
+        assert seen == {True, False}
+
+    def test_rows_given_as_lists_are_tested_like_tuples(self, chain2):
+        # the memo is keyed by rows tuples; list rows must not reach it as lists
+        for rows, holds in (([m(1), m(1)], True), ([m(0), 0], False)):
+            g = GeneralFrame(chain2, (0, m(1), m(0, 1)),
+                             {0: [0, 0], m(1): [m(1), m(1)], m(0, 1): rows})
+            assert all(check_strong_coherence(g).values()) is holds
+            assert strongly_coherent(g) is holds
 
 
 class TestRestrict:
