@@ -18,17 +18,20 @@ larger carriers still load and validate.
 
 Finitely, every upset of the prime-filter poset is the image of exactly
 one element, so the dual of an algebra is a full conditional frame and no
-topology object is needed.
+topology object is needed.  One function, :func:`_dual_rows`, computes the
+dual relation; the dual frame, the algebra round trip and the frame round
+trip all read it from there, and the two round trips build no frame for it.
 
 The frame round trip has an order-only half of its own, memoised per frame
-order (keyed by its rows) in :func:`_frame_order`: the poset check, the
-upsets, the prime filters and theta of their lattice, eta, and the checks
-that eta maps the worlds onto the prime filters, preserving and reflecting
-the order.  A duality sweep meets thousands of frames on a handful of
-orders, and for a finite poset the prime filters of the upset lattice are
-exactly the eta(x) (Birkhoff), so per frame only the relations are left:
-each dual row is computed from the complex algebra's ``cond`` row and read
-off by world.  Neither the complex algebra nor a dual frame is built.
+order (keyed by its rows) in :func:`_frame_order`: the upsets, the prime
+filters and theta of their lattice, eta, and the checks that eta maps the
+worlds onto the prime filters, preserving and reflecting the order.  A
+duality sweep meets thousands of frames on a handful of orders, and for a
+finite poset the prime filters of the upset lattice are exactly the eta(x)
+(Birkhoff), so per frame only the relations are left: each dual row is
+computed from the frame's ``cond`` table with the upsets themselves as
+theta, and read off by world.  Neither the complex algebra nor a dual frame
+is built.
 
 A value built here from inputs that were validated when they were made (a
 complex algebra from a frame, a dual frame from an algebra) skips its
@@ -281,13 +284,20 @@ def complex_algebra(g: GeneralFrame) -> FiniteCHA:
     """The algebra of admissible upsets with the operations read off the frame."""
     masks = g.admissible
     leq, imp, top, bot = _upset_algebra(g.order, masks)
-    idx = {m: i for i, m in enumerate(masks)}
-    try:
-        cond = tuple(tuple([idx[box(rows, b)] for b in masks]) for rows in map(g.rel, masks))
-    except KeyError:
-        raise _not_closed(masks, "cond", g.dto) from None
+    cond = _cond_table(g, {m: i for i, m in enumerate(masks)})
     return _unchecked(FiniteCHA, size=len(masks), leq=leq, imp=imp, cond=cond, top=top,
                       bot=bot, labels=masks)
+
+
+def _cond_table(g: GeneralFrame, idx: Dict[int, int]) -> Table:
+    """The complex algebra's ``cond``: ``idx[box(R_a, b)]`` for every a, b
+    of ``g.admissible``, whose carrier indices ``idx`` holds;
+    FrameFormatError unless the family is closed under the box."""
+    masks = g.admissible
+    try:
+        return tuple(tuple([idx[box(rows, b)] for b in masks]) for rows in map(g.rel, masks))
+    except KeyError:
+        raise _not_closed(masks, "cond", g.dto) from None
 
 
 @lru_cache(maxsize=1024)
@@ -360,41 +370,44 @@ def alg_satisfies(alg: FiniteCHA, f: Formula, budget: int = DEFAULT_BUDGET) -> A
     return AlgVerdict(True, None, checked)
 
 
-def prime_filters(alg: FiniteCHA, cap: int = PF_CAP) -> Tuple[int, ...]:
+def prime_filters(alg: FiniteCHA) -> Tuple[int, ...]:
     """All prime filters as carrier bitmasks, in ascending mask order.
 
     Raises FrameFormatError unless the order is a bounded lattice order.
     """
-    return _lattice_facts(alg.size, alg.leq, alg.top, alg.bot, cap).prime_filters
+    return _lattice_facts(alg.size, alg.leq, alg.top, alg.bot).prime_filters
 
 
-def _lattice_facts(size: int, leq: Tuple[int, ...], top: int, bot: int,
-                   cap: int = PF_CAP) -> _OrderFacts:
-    """:func:`_order_facts` of a bounded lattice order of at most ``cap``
-    elements; the cap is checked first, so a larger carrier is not scanned."""
-    _check_cap(size, cap)
+def _lattice_facts(size: int, leq: Tuple[int, ...], top: int, bot: int) -> _OrderFacts:
+    """:func:`_order_facts` of a bounded lattice order of at most
+    :data:`PF_CAP` elements; the cap is checked first, so a larger carrier is
+    not scanned."""
+    _check_cap(size)
     facts = _order_facts(size, leq, top, bot)
     if facts.prime_filters is None:
         raise FrameFormatError("; ".join(facts.violations))
     return facts
 
 
-def _check_cap(size: int, cap: int = PF_CAP) -> None:
-    if size > cap:
+def _check_cap(size: int) -> None:
+    if size > PF_CAP:
         raise CapExceededError(
-            f"prime filter scan is capped at carrier size {cap}, got {size}"
+            f"prime filter scan is capped at carrier size {PF_CAP}, got {size}"
         )
 
 
-def _require_dual(facts: _OrderFacts) -> None:
-    """Refuse a lattice without a dual frame: no prime filter, or theta not
-    a bijection onto the upsets of the prime-filter poset."""
+def _dual_facts(size: int, leq: Tuple[int, ...], top: int, bot: int) -> _OrderFacts:
+    """:func:`_lattice_facts` of a lattice with a dual frame; DualityError
+    when it has no prime filter, or theta is not a bijection onto the upsets
+    of the prime-filter poset."""
+    facts = _lattice_facts(size, leq, top, bot)
     if not facts.prime_filters:
         raise DualityError("algebra has no prime filters; carrier must be degenerate")
     if not facts.onto:
         raise DualityError(
             "theta is not a bijection onto the upsets of the prime-filter poset"
         )
+    return facts
 
 
 def _dual_rows(cond_row: Tuple[int, ...], filters, theta, full: int) -> Tuple[int, ...]:
@@ -412,28 +425,18 @@ def _dual_rows(cond_row: Tuple[int, ...], filters, theta, full: int) -> Tuple[in
     return tuple(rows)
 
 
-def _dual_with_maps(alg: FiniteCHA):
-    pfs = prime_filters(alg)
-    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
-    _require_dual(facts)
-    order, theta = facts.pf_order, facts.theta
-    # x steps to the prime filters holding every b with (a cond b) in x
-    full = order.full_mask
-    relations = {theta[i]: _dual_rows(cond_row, pfs, theta, full)
-                 for i, cond_row in enumerate(alg.cond)}
-    frame = _unchecked(ConditionalFrame, order=order, admissible=all_upsets(order),
-                       relations=relations)
-    return frame, pfs, theta
-
-
 def dual_frame(alg: FiniteCHA) -> ConditionalFrame:
     """Prime-filter frame with relations induced by the cond table.
 
     x steps to y under the relation at theta(a) iff every b with
     ``a cond b`` in x belongs to y.  The result is a full conditional frame.
     """
-    frame, _, _ = _dual_with_maps(alg)
-    return frame
+    facts = _dual_facts(alg.size, alg.leq, alg.top, alg.bot)
+    order, pfs, theta = facts.pf_order, facts.prime_filters, facts.theta
+    relations = {theta[i]: _dual_rows(cond_row, pfs, theta, order.full_mask)
+                 for i, cond_row in enumerate(alg.cond)}
+    return _unchecked(ConditionalFrame, order=order, admissible=all_upsets(order),
+                      relations=relations)
 
 
 @dataclass
@@ -458,18 +461,20 @@ def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
     The order-only half (top, bot, meet, join and imp, which equals the
     residual table once the algebra validates) is checked once per lattice
     in :func:`_order_facts`.  Per algebra, theta of each ``a cond b`` is
-    compared with the box of the dual's relation at theta(a) over theta(b),
-    which is the complex algebra's cond without building it; the first pair,
-    in row-major order, that breaks it is reported after the order-only
+    compared with the box of the dual's relation at theta(a), as
+    :func:`_dual_rows` computes it, over theta(b): the complex algebra's
+    cond, with neither it nor the dual frame built.  The first pair, in
+    row-major order, that breaks it is reported after the order-only
     failures.
     """
     pre = validate_cha(alg)
     if not pre.ok:
         raise DualityError(f"refusing invalid algebra: {pre}")
-    frame, _pfs, theta = _dual_with_maps(alg)
-    report = DualityReport(list(_order_facts(alg.size, alg.leq, alg.top, alg.bot).roundtrip))
+    facts = _dual_facts(alg.size, alg.leq, alg.top, alg.bot)
+    pfs, theta, full = facts.prime_filters, facts.theta, facts.pf_order.full_mask
+    report = DualityReport(list(facts.roundtrip))
     for i, row in enumerate(alg.cond):
-        rows = frame.rel(theta[i])
+        rows = _dual_rows(row, pfs, theta, full)
         for j, tj in enumerate(theta):
             if theta[row[j]] != box(rows, tj):
                 report.add(f"theta breaks cond at ({i}, {j})")
@@ -483,19 +488,15 @@ class _FrameOrder(NamedTuple):
     ``error`` is the exception class and message the dual raises on the
     complex algebra of the order, and ``failures`` what the round trip
     reports before any relation is compared; both wait until the frame's
-    own checks have passed.  ``eta`` and ``theta`` are listed by world, not
-    by prime filter: ``eta[x]`` is the prime filter of world x, and
-    ``theta[i]`` the worlds whose prime filter holds upset ``i``, so the
-    dual rows computed from them are indexed, and read, by world.
+    own checks have passed.  ``eta[x]`` is the prime filter of world x, so
+    the dual rows computed from it are indexed, and read, by world.
     """
 
-    poset: bool
-    upsets: Tuple[int, ...] = ()
-    idx: Optional[Dict[int, int]] = None  # upset to carrier index; not to be mutated
+    upsets: Tuple[int, ...]
+    idx: Dict[int, int]  # upset to carrier index; not to be mutated
     error: Optional[Tuple[type, str]] = None
     failures: Tuple[str, ...] = ()
     eta: Tuple[int, ...] = ()
-    theta: Tuple[int, ...] = ()
 
 
 def _eta(upsets: Tuple[int, ...], n: int) -> Tuple[int, ...]:
@@ -503,14 +504,13 @@ def _eta(upsets: Tuple[int, ...], n: int) -> Tuple[int, ...]:
     return tuple(sum(1 << i for i, m in enumerate(upsets) if (m >> x) & 1) for x in range(n))
 
 
-def _eta_failure(p: FinitePreorder, pfs: Tuple[int, ...], pf_index: Dict[int, int],
-                 eta: Tuple[int, ...]) -> Optional[str]:
+def _eta_failure(p: FinitePreorder, pfs: Tuple[int, ...], eta: Tuple[int, ...]) -> Optional[str]:
     """The first way eta fails to be an order isomorphism onto the prime
     filters ``pfs``, or None."""
     if len(pfs) != p.n:
         return f"expected {p.n} prime filters, found {len(pfs)}"
     for x, e in enumerate(eta):
-        if e not in pf_index:
+        if e not in pfs:
             return f"eta({x}) is not a prime filter"
     if len(set(eta)) != p.n:
         return "eta is not injective"
@@ -522,52 +522,50 @@ def _eta_failure(p: FinitePreorder, pfs: Tuple[int, ...], pf_index: Dict[int, in
 
 @lru_cache(maxsize=1024)
 def _frame_order(up: Tuple[int, ...]) -> _FrameOrder:
-    """:class:`_FrameOrder` of the order with rows ``up``.  Keyed by the rows
-    tuple, whose hash runs in C; a duality sweep meets few distinct orders."""
-    n = len(up)
-    p = FinitePreorder(n, up)
-    if not p.is_poset:
-        return _FrameOrder(False)
+    """:class:`_FrameOrder` of the poset order with rows ``up``.  Keyed by
+    the rows tuple, whose hash runs in C; a duality sweep meets few distinct
+    orders."""
+    p = FinitePreorder(len(up), up)
     ups = all_upsets(p)
     idx = {m: i for i, m in enumerate(ups)}
     try:
         _check_cap(len(ups))  # before the lattice of a large carrier is built
         leq, _imp, top, bot = _upset_algebra(p, ups)
-        facts = _lattice_facts(len(ups), leq, top, bot)
-        _require_dual(facts)
+        facts = _dual_facts(len(ups), leq, top, bot)
     except (CapExceededError, DualityError, FrameFormatError) as exc:
-        return _FrameOrder(True, ups, idx, (type(exc), str(exc)))
-    pfs = facts.prime_filters
-    eta = _eta(ups, n)
-    pf_index = {pf: k for k, pf in enumerate(pfs)}
-    failure = _eta_failure(p, pfs, pf_index, eta)
-    if failure is not None:
-        return _FrameOrder(True, ups, idx, failures=(failure,))
-    world_of = [0] * n  # the world whose eta is each prime filter
-    for x, e in enumerate(eta):
-        world_of[pf_index[e]] = x
-    theta = tuple(sum(1 << world_of[k] for k in set_bits(t)) for t in facts.theta)
-    return _FrameOrder(True, ups, idx, eta=eta, theta=theta)
+        return _FrameOrder(ups, idx, (type(exc), str(exc)))
+    eta = _eta(ups, p.n)
+    failure = _eta_failure(p, facts.prime_filters, eta)
+    return _FrameOrder(ups, idx, failures=(failure,) if failure else (), eta=eta)
 
 
 def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     """Check that the frame is isomorphic to the dual of its complex algebra.
 
-    Requires a full frame (every upset admissible, however the family was
-    spelled), a poset order and the strong coherence condition; those are
-    exactly the frames that arise as finite stand-ins for the topological
-    duals, and the relation equivalence below fails without them.
+    Requires a poset order, the strong coherence condition and a full frame
+    (every upset admissible, however the family was spelled), checked in
+    that order; those are exactly the frames that arise as finite stand-ins
+    for the topological duals, and the relation equivalence below fails
+    without them.
 
     Everything the order alone decides is memoised per order in
-    :func:`_frame_order`: the poset check, the upsets, the dual's prime
-    filters and theta, eta, and the checks that eta is a bijection onto the
-    prime filters that preserves and reflects the order.  A duality sweep
-    meets thousands of frames on a handful of orders.  For a finite poset
-    the prime filters of its upset lattice are exactly the eta(x)
-    (Birkhoff), so per frame only the relations are left to compare: the
-    dual relation at each upset a is computed, per world, from the row
-    ``a cond b`` of the complex algebra, and compared with R_a.  Neither
-    the complex algebra nor the dual frame is built.
+    :func:`_frame_order`: the upsets, the dual's prime filters, eta, and the
+    checks that eta is a bijection onto the prime filters that preserves
+    and reflects the order.  A duality sweep meets thousands of frames on a
+    handful of orders.  For a finite poset the prime filters of its upset
+    lattice are exactly the eta(x) (Birkhoff), so per frame only the
+    relations are left to compare: the dual relation at each upset a is
+    computed by :func:`_dual_rows`, per world, from the row ``a cond b`` of
+    the complex algebra's cond table, and compared with R_a.  Neither the
+    complex algebra nor the dual frame is built.
+
+    The rows come out by world because the prime filters are listed as eta
+    and theta is the list of upsets itself.  Upset i lies in eta(x) exactly
+    when x lies in upset i, so the worlds whose prime filter holds upset i
+    are ``{x : i in eta(x)} = ups[i]``.  Theta proper maps upset i to the
+    prime filters holding it; once eta is a bijection onto the prime
+    filters, renaming each prime filter eta(x) as world x carries it onto
+    ``ups[i]``, so no translation is needed.
 
     Strong coherence (R = leq;R;leq) implies coherence.  Write R[S] for
     the union of the rows of R over the worlds of S.  If x <= y, then up(y)
@@ -577,31 +575,27 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     report that the frame is not full, and it is called only then, for the
     same message.
     """
-    order = _frame_order(f.order.up)
-    if not order.poset:
+    if not f.order.is_poset:
         raise DualityError("frame order must be a poset (otherwise eta is not injective)")
     if not strongly_coherent(f):
         raise DualityError(
             "frame must satisfy the strong coherence condition for the round-trip"
         )
+    order = _frame_order(f.order.up)
     ups = order.upsets
     if tuple(f.admissible) != ups:
         raise DualityError(f"refusing invalid frame: {validate_conditional(f)}")
-    idx = order.idx
-    rels = [f.rel(a) for a in ups]
-    try:
-        conds = [[idx[box(rows, b)] for b in ups] for rows in rels]
-    except KeyError:
-        raise _not_closed(ups, "cond", f.dto) from None
+    conds = _cond_table(f, order.idx)
     if order.error is not None:
         cls, message = order.error
         raise cls(message)
     report = DualityReport(list(order.failures))
     if order.failures:
         return report
-    eta, theta, full = order.eta, order.theta, f.order.full_mask
-    for a, rows, cond_row in zip(ups, rels, conds):
-        dual = _dual_rows(cond_row, eta, theta, full)
+    full = f.order.full_mask
+    for a, cond_row in zip(ups, conds):
+        rows = f.rel(a)
+        dual = _dual_rows(cond_row, order.eta, ups, full)
         if dual == rows:
             continue
         for x, (row, succ) in enumerate(zip(rows, dual)):

@@ -178,7 +178,7 @@ def _unchecked(cls, **fields):
       its carrier, so every entry lies in ``0..size-1``; its tables are
       ``size x size`` and its ``leq`` rows are built over the carrier, one
       per element;
-    - :func:`condlogic.algebra._dual_with_maps`: a dual frame's relation
+    - :func:`condlogic.algebra.dual_frame`: a dual frame's relation
       keys are theta, already checked to be a bijection onto
       ``all_upsets(order)``, which is also its admissible family; it has one
       row per prime filter, that is per world, and every row is built as

@@ -20,7 +20,7 @@ pairs in JSON files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, FrameFormatError
@@ -32,7 +32,8 @@ MAX_WORLDS = 20
 class FinitePreorder:
     """Reflexive transitive relation on worlds ``0..n-1``.
 
-    ``up[i]`` is the bitmask ``{j | i <= j}``.
+    ``up[i]`` is the bitmask ``{j | i <= j}``; rows given as a list are
+    stored as a tuple, so equal orders compare, hash and key caches alike.
     """
 
     n: int
@@ -40,6 +41,7 @@ class FinitePreorder:
 
     def __post_init__(self):
         _check_world_count(self.n)
+        object.__setattr__(self, "up", tuple(self.up))
         if len(self.up) != self.n:
             raise FrameFormatError("leq row count does not match world count")
         full = (1 << self.n) - 1
@@ -72,8 +74,11 @@ class FinitePreorder:
     def pairs(self) -> list:
         return [(i, j) for i in range(self.n) for j in range(self.n) if self.leq(i, j)]
 
-    @property
+    @cached_property
     def is_poset(self) -> bool:
+        """Antisymmetry, decided once per instance: ``cached_property``
+        writes the instance ``__dict__`` directly, so it works on the frozen
+        dataclass and leaves ``==``, ``hash`` and pickling alone."""
         return all(
             not (self.leq(i, j) and self.leq(j, i))
             for i in range(self.n)

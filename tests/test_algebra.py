@@ -24,11 +24,13 @@ from condlogic.errors import CapExceededError, DualityError, FrameFormatError
 from condlogic.frames import ConditionalFrame
 from condlogic.generate import (
     enumerate_full_frames,
+    enumerate_preorders,
     random_formula,
     random_full_frame,
     random_general_frame,
+    random_poset,
 )
-from condlogic.order import FinitePreorder, all_upsets, mask_to_key
+from condlogic.order import FinitePreorder, all_upsets, mask_to_key, set_bits
 from condlogic.semantics import valid
 from condlogic.syntax import Language, parse, print_formula, proposition_letters
 
@@ -45,13 +47,18 @@ def boolean2(cond_top_bot=1):
     return FiniteCHA(2, leq, imp, cond, top=1, bot=0)
 
 
-def chain3():
-    leq = (0b111, 0b110, 0b100)
+def chain(k):
+    """The k-element chain 0 < 1 < ... < k-1, cond constant top."""
+    leq = tuple(((1 << k) - 1) & ~((1 << i) - 1) for i in range(k))
     imp = tuple(
-        tuple(2 if i <= j else j for j in range(3)) for i in range(3)
+        tuple(k - 1 if i <= j else j for j in range(k)) for i in range(k)
     )
-    cond = ((2, 2, 2),) * 3
-    return FiniteCHA(3, leq, imp, cond, top=2, bot=0)
+    cond = ((k - 1,) * k,) * k
+    return FiniteCHA(k, leq, imp, cond, top=k - 1, bot=0)
+
+
+def chain3():
+    return chain(3)
 
 
 def boolean4():
@@ -252,8 +259,11 @@ class TestPrimeFilters:
         assert len(pfs) == 2
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            prime_filters(chain3(), cap=2)
+        assert validate_cha(chain(algebra.PF_CAP)).ok and validate_cha(chain(21)).ok
+        assert len(prime_filters(chain(algebra.PF_CAP))) == algebra.PF_CAP - 1
+        with pytest.raises(CapExceededError) as exc:
+            prime_filters(chain(21))
+        assert str(exc.value) == "prime filter scan is capped at carrier size 20, got 21"
 
     def test_count_matches_worlds_of_full_poset_frames(self, rng):
         for _ in range(60):
@@ -310,7 +320,7 @@ class TestDualityRoundtrip:
         # implication of the prime-filter poset, once per lattice
         real = algebra.heyting_imp
         for alg in (chain3(), boolean4()):
-            theta = algebra._dual_with_maps(alg)[2]
+            theta = algebra._order_facts(alg.size, alg.leq, alg.top, alg.bot).theta
             for i, j in itertools.product(range(alg.size), repeat=2):
 
                 def wrong(p, a, b):
@@ -357,20 +367,22 @@ class TestDualityRoundtrip:
                                                           strong=i % 2 == 0)))
         algs += [boolean2(), boolean2(0), chain3(), boolean4(), algebra_from_json(GOLDEN_ALGEBRA)]
         calls = Counter()
-        for name in ("complex_algebra", "_theta_failures"):
+        for name in ("complex_algebra", "_theta_failures", "_unchecked"):
             real = getattr(algebra, name)
 
-            def counted(*args, _real=real, _name=name):
+            def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
-                return _real(*args)
+                return _real(*args, **kwargs)
 
             monkeypatch.setattr(algebra, name, counted)
         algebra._order_facts.cache_clear()  # loading the golden algebra filled it
         for alg in algs:
-            assert check_duality_roundtrip(alg).failures == \
-                reference_check_duality_roundtrip(alg).failures == [], alg
+            assert check_duality_roundtrip(alg).failures == [], alg
+        # no complex algebra and no dual frame is built
+        assert calls["complex_algebra"] == calls["_unchecked"] == 0
+        for alg in algs:
+            assert reference_check_duality_roundtrip(alg).failures == [], alg
         lattices = {(alg.size, alg.leq, alg.top, alg.bot) for alg in algs}
-        assert calls["complex_algebra"] == 0
         assert calls["_theta_failures"] == len(lattices)
 
     def test_large_carriers_load_and_validate_but_are_not_dualised(self):
@@ -381,7 +393,7 @@ class TestDualityRoundtrip:
             "cond": [[k - 1] * k] * k, "top": k - 1, "bot": 0,
         })
         assert validate_cha(alg).ok
-        assert len(prime_filters(alg, cap=k)) == k - 1
+        assert len(algebra._order_facts(k, alg.leq, alg.top, alg.bot).prime_filters) == k - 1
         for fn in (dual_frame, check_duality_roundtrip):
             with pytest.raises(CapExceededError) as exc:
                 fn(alg)
@@ -521,6 +533,19 @@ class TestFrameRoundtrip:
         finally:
             algebra._frame_order.cache_clear()
 
+    def test_theta_by_world_is_the_upset_list(self):
+        # the round trip reads the upsets as theta; the translation through
+        # world_of that it replaced gives the same list on every poset
+        posets = [p for n in (1, 2, 3) for p in enumerate_preorders(n) if p.is_poset]
+        seeded = [random_poset(random.Random(f"theta-by-world:{i}"), 4 + i % 2)
+                  for i in range(100)]
+        # theta exists only within the prime filter cap; the round trip
+        # raises the cap error on a larger order before it reads theta
+        posets += [p for p in seeded if len(all_upsets(p)) <= algebra.PF_CAP]
+        assert len(posets) == 23 + 95
+        for p in posets:
+            assert _theta_by_world(p) == all_upsets(p), p
+
     def test_more_upsets_than_the_cap_raise_the_cap_error(self):
         # the 5-world antichain has 32 upsets, more than PF_CAP
         with pytest.raises(CapExceededError) as exc:
@@ -540,6 +565,22 @@ class TestFrameRoundtrip:
 
 
 # --- references: the code before it was memoised on bitmasks or on lattices -
+
+
+def _theta_by_world(p):
+    """Theta of the upset lattice of the poset ``p``, translated to worlds
+    through the world whose eta is each prime filter, as the frame round
+    trip did before it read the upsets as theta."""
+    ups = all_upsets(p)
+    leq, _imp, top, bot = algebra._upset_algebra(p, ups)
+    facts = algebra._order_facts(len(ups), leq, top, bot)
+    eta = algebra._eta(ups, p.n)
+    assert algebra._eta_failure(p, facts.prime_filters, eta) is None
+    pf_index = {pf: k for k, pf in enumerate(facts.prime_filters)}
+    world_of = [0] * p.n  # the world whose eta is each prime filter
+    for x, e in enumerate(eta):
+        world_of[pf_index[e]] = x
+    return tuple(sum(1 << world_of[k] for k in set_bits(t)) for t in facts.theta)
 
 
 def _bound_table(alg, lower):
@@ -654,7 +695,8 @@ def reference_check_duality_roundtrip(alg):
     if not pre.ok:
         raise DualityError(f"refusing invalid algebra: {pre}")
     report = algebra.DualityReport()
-    frame, _pfs, theta = algebra._dual_with_maps(alg)
+    theta = algebra._order_facts(alg.size, alg.leq, alg.top, alg.bot).theta
+    frame = dual_frame(alg)
     back = complex_algebra(frame)
     labels = back.labels
     index = {m: i for i, m in enumerate(labels)}
@@ -878,7 +920,7 @@ def _incoherent_full_frame(rng):
 
 
 class TestBuiltWithoutChecks:
-    """``complex_algebra`` and ``_dual_with_maps`` skip the constructor checks;
+    """``complex_algebra`` and ``dual_frame`` skip the constructor checks;
     on every frame they must return what the checking constructors return,
     and fail where those fail, with the same exception and message."""
 
@@ -890,10 +932,10 @@ class TestBuiltWithoutChecks:
         if built[0] == "value":
             alg = built[1]
             assert type(alg) is FiniteCHA
-            dual, dual_checked = _both_paths(algebra._dual_with_maps, alg)
+            dual, dual_checked = _both_paths(dual_frame, alg)
             assert dual == dual_checked, alg
             if dual[0] == "value":
-                assert type(dual[1][0]) is ConditionalFrame
+                assert type(dual[1]) is ConditionalFrame
                 seen["dual"] += 1
 
     def test_every_frame_of_at_most_two_worlds(self):

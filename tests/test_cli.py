@@ -242,6 +242,19 @@ class TestDualizeAndRoundtrip:
         assert (code, out, err) == (
             2, "", "error: prime filter scan is capped at carrier size 20, got 32\n")
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"worlds": 2, "leq": [[0, 1], [1, 0]], "admissible": "all",
+          "relations": {"": [], "0,1": []}},
+         "frame order must be a poset (otherwise eta is not injective)"),
+        ({"worlds": 2, "leq": [[0, 1]], "admissible": "all",
+          "relations": {"": [], "1": [], "0,1": [[0, 0]]}},
+         "frame must satisfy the strong coherence condition for the round-trip"),
+    ])
+    def test_frame_roundtrip_refuses_a_cluster_and_a_weakly_coherent_chain(
+            self, capsys, tmp_path, obj, message):
+        code, out, err = run(capsys, "roundtrip", "--frame", write(tmp_path / "f.json", obj))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_roundtrip_needs_exactly_one_input(self, capsys):
         code, _, err = run(capsys, "roundtrip")
         assert code == 2

@@ -5,6 +5,7 @@ import pytest
 
 from condlogic import order as order_module
 from condlogic.errors import CapExceededError, FrameFormatError
+from condlogic.generate import enumerate_preorders
 from condlogic.order import (
     FinitePreorder,
     all_upsets,
@@ -61,6 +62,25 @@ class TestPreorderValidation:
     def test_poset_flag(self):
         assert preorder(2, [(0, 1)]).is_poset
         assert not preorder(2, [(0, 1), (1, 0)]).is_poset
+
+    def test_poset_flag_is_antisymmetry_and_computed_once(self):
+        for n in (1, 2, 3):
+            for p in enumerate_preorders(n):
+                pairwise = not any(p.leq(i, j) and p.leq(j, i)
+                                   for i, j in itertools.permutations(range(n), 2))
+                assert "is_poset" not in p.__dict__
+                assert p.is_poset == pairwise
+                assert p.__dict__["is_poset"] == pairwise
+                # the cached flag takes no part in equality or hashing
+                fresh = FinitePreorder(p.n, p.up)
+                assert fresh == p and hash(fresh) == hash(p)
+
+    def test_list_rows_are_stored_as_a_tuple(self):
+        for p in _zoo():
+            listed = FinitePreorder(p.n, list(p.up))
+            assert listed.up == p.up and type(listed.up) is tuple
+            assert listed == p and hash(listed) == hash(p)
+            assert all_upsets(listed) == all_upsets(p)
 
 
 class TestUpClosure:
