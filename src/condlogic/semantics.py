@@ -57,21 +57,27 @@ for ``(program, n)`` (a partial evaluation of the interpreter: Futamura,
 "Partial evaluation of computation process", 1971).  Its slots are
 locals, each ``and``/``or`` is one expression, and each box is unrolled
 over the ``n`` worlds, so no op name is looked at and no call is made per
-connective; a 2-world scan takes about half the time.  Generating costs
-as much as 7 to 30 interpreted 2-world scans, though.  Generating on first
-use would make a program scanned once (a ``clc valid`` process, a random
-formula of a sampling experiment) many times slower, and it raised the
-peak memory of the fill-in benchmark by over 10 %.  So only programs that
-recur, as the axioms of a frame sweep do, are generated.  The scan count
-and the functions live in the program's :func:`compile_formula` cache
-entry, so that cache bounds them.  The generated source, and the file name
-each function is compiled under (so that a profile tells them apart),
-hold slot numbers, op names and fixed templates only, never text from the
+connective.  It runs one loop per letter, the first outermost, and sets
+each slot in the loop of the deepest letter it reads, so an op runs once
+per prefix of the letters it reads: on a 2-world frame with 4 upsets,
+``tr``'s ``p ~> q`` runs 16 times a scan, not 64, and ``red``'s ``true``
+once.  Each antecedent's relation is looked up once per such prefix too.
+A 2-world scan takes about a third of the interpreted time.  Generating
+costs as much as 7 to 17 interpreted 2-world scans, though.  Generating
+on first use would make a program scanned once (a ``clc valid`` process,
+a random formula of a sampling experiment) many times slower, and it
+raised the peak memory of the fill-in benchmark by over 10 %.  So only
+programs that recur, as the axioms of a frame sweep do, are generated.
+The scan count and the functions live in the program's
+:func:`compile_formula` cache entry, so that cache bounds them; the
+generated source is not kept.  The source, and the file name each
+function is compiled under (so that a profile tells them apart), hold
+slot numbers, op names and fixed templates only, never text from the
 input.  A whole scan in generated code stops at its first refuted
 valuation, or raises at its first valuation with an antecedent that has
 no relation, as the chunks would report.  :func:`_run_one` stays the
-reference; it alone serves :func:`truth_set` and the chunk phase's re-run
-of a valuation that has no relation.
+reference; it alone serves :func:`truth_set` and the re-run of a
+valuation that has no relation, for the chunks and for generated code.
 
 Algebras, whose elements are not world sets, run the same compiled
 programs through table lookups (see :func:`condlogic.algebra.alg_satisfies`).
@@ -106,19 +112,22 @@ GROWTH = 64  # how many times wider each chunk of a scan is than the last, at le
 MAX_CHUNK = 1 << 15  # valuations in a chunk, at most: the bits of one plane
 # Scans of one program that interpret its one-valuation phase before that
 # phase is generated.  Generating the program of a catalog axiom (1-8 ops)
-# at 2 or 3 worlds costs 160-690 us, about 350 in the median, and saves
-# about 12.7 us of a 24 us scan of a 2-world frame (2-core VM, Python
-# 3.11.7), so it pays for itself after about 28 scans; 32 rounds that up.
+# at 2 or 3 worlds costs 150-430 us, about 250 in the median, and saves
+# 14-19 us of a 22-29 us scan of a 2-world frame (every catalog axiom on
+# 342 two-world frames; 2-core VM, Python 3.11.7), so it pays for itself
+# after about 15 scans.  32 is kept: the axioms of a sweep recur thousands
+# of times either way, and a lower count would spend generation time and
+# memory on formulas that recur only a few dozen times.
 HOT_SCANS = 32
 # Valuations of a scan, at most, that a hot program runs through its
 # generated function alone, with no chunk; at least SINGLES.  The chunk
 # phase after the singles costs a ``_plan`` lookup, fresh planes and one
 # ``_run`` of the program over the whole chunk.  On hot 2-5-world scans
-# (2-core VM, Python 3.11.7) a valid scan of 64 valuations took 0.8-1.25
+# (2-core VM, Python 3.11.7) a valid scan of 64 valuations took 0.7-1.3
 # times as long in generated code, but one refuted after the singles stops
 # there instead of paying for a chunk: the 2-world tr scans of a frame
-# sweep took 16 % less.  Valid scans of 100-216 valuations took 1.25-3.5
-# times as long, so the cap stays at 64.
+# sweep took 10-15 % less.  Valid scans of 100-216 valuations took
+# 1.04-2.2 times as long, so the cap stays at 64.
 WHOLE_SCAN = 64
 
 Valuation = Dict[str, int]
@@ -287,7 +296,7 @@ def _run_one(program, result_slot: int, values, order: FinitePreorder, rel) -> i
         else:
             rows = rel.get(a)
             if rows is None:
-                _no_relation(a)
+                raise NotAdmissibleError(f"no relation for upset {{{mask_to_key(a)}}}")
             buf.append(box(rows, b))
     return buf[result_slot]
 
@@ -302,66 +311,109 @@ def _run_singles(program, result_slot: int, valuations, order: FinitePreorder, r
     return None
 
 
-def _no_relation(a: int):
-    raise NotAdmissibleError(f"no relation for upset {{{mask_to_key(a)}}}")
-
-
-# op -> (the lines that set slot ``out``, the row of world ``x`` in its box).
-# A box over ``b`` is unrolled over the worlds: ``o`` holds the worlds
-# outside ``b`` (for imp, inside ``a`` and outside ``b``), and world ``x``
-# is in the box iff its row misses ``o``.
+# op -> the expression that sets slot ``out``, or, for a box, (the worlds
+# ``o`` it must miss, the row of world ``x``).  A box over ``b`` is unrolled
+# over the worlds: ``o`` holds the worlds outside ``b`` (for imp, inside
+# ``a`` and outside ``b``), and world ``x`` is in the box iff its row misses
+# ``o``.  A cond reads the rows ``R{a}_{x}`` of its antecedent slot ``a``.
 _TEMPLATES = {
-    "and": (("s{out} = s{a} & s{b}",), None),
-    "or": (("s{out} = s{a} | s{b}",), None),
-    "imp": (("o = s{a} & ~s{b}", "s{out} = {box}"), "U{x}"),
-    "box": (("o = ~s{b}", "s{out} = {box}"), "M{x}"),
-    "cond": (("o = ~s{b}", "s{out} = {box}"), "R[{x}]"),
+    "and": "s{a} & s{b}",
+    "or": "s{a} | s{b}",
+    "imp": ("s{a} & ~s{b}", "U{x}"),
+    "box": ("~s{b}", "M{x}"),
+    "cond": ("~s{b}", "R{a}_{x}"),
 }
-# sets R, the relation a cond's box reads, to that of antecedent slot ``a``
-_LOOKUP = ("R = get(s{a})", "if R is None:", "    _no_relation(s{a})")
-_GENERATED = {"_no_relation": _no_relation}  # the globals of every generated function
+# sets the rows R{a}_{x} of the relation of antecedent slot ``a``, right
+# after slot ``a``
+_LOOKUP = ("R{a} = get(s{a})", "if R{a} is None:",
+           "    _raise_at(program, result_slot, {count}, i, pool, order, rel)",
+           "{rows}= R{a}")
+
+
+def _raise_at(program, result_slot: int, count: int, index: int, pool, order, rel):
+    """Re-run valuation ``index``, at which an antecedent of ``program`` has
+    no relation: raises the error :func:`_run_one` raises there."""
+    _run_one(program, result_slot, _valuation(index, pool, count), order, rel)
+
+
+_GENERATED = {"_raise_at": _raise_at}  # the globals of every generated function
 
 
 def _generate(program, result_slot: int, count: int, n: int):
     """The one-valuation phase of ``program`` at ``n`` worlds, as a function.
 
-    ``run(valuations, up, rel, full)`` returns what
-    ``_run_singles(program, result_slot, valuations, order, rel, full)``
-    returns, and raises what it raises, for an order with rows ``up``.
+    ``run(pool, limit, order, rel, full)`` returns what ``_run_singles``
+    returns over the first ``limit`` valuations of
+    ``itertools.product(pool, repeat=count)``, and raises what it raises.
+    It nests one ``for`` loop per letter, the first outermost, so it meets
+    the valuations in that order, and counts them to stop after ``limit``.
+    Each op is set in the loop of the deepest letter it reads, so it runs
+    once per prefix of the letters up to that one, and an op that reads no
+    letter runs once per call (loop-invariant code motion: Aho, Lam, Sethi
+    and Ullman, *Compilers*, 2nd ed., section 9.5).  Each antecedent's
+    relation is looked up right after its slot is set.  A lookup that finds
+    no relation stands for the first valuation of its prefix, the next one
+    to be counted and so below ``limit``; the reference raises there, at
+    its first antecedent without a relation, so :func:`_raise_at` re-runs it.
     The source is built from :data:`_TEMPLATES` and slot numbers alone; an
     op without a template raises here, before anything runs.
     """
-    ops = {op for op, _, _ in program}
-    lines = ["def run(valuations, up, rel, full):"]
-    if "imp" in ops:
-        lines.append("    " + "".join(f"U{x}, " for x in range(n)) + "= up")
-    if "box" in ops:
-        lines.append("    " + "".join(f"M{x}, " for x in range(n)) + "= rel")
-    if "cond" in ops:
-        lines.append("    get = rel.get")
-    lines.append(f"    s{count} = 0")
-    lines.append("    for index, values in enumerate(valuations):")
-    if count:
-        lines.append("        " + "".join(f"s{i}, " for i in range(count)) + "= values")
-    looked_up = None  # the antecedent slot whose relation R holds
+    # per slot, the loop it is set in: 0 before any loop, j + 1 in letter j's
+    level = [*range(1, count + 1), 0]
+    antecedents = {a for op, a, _ in program if op == "cond"}
+    bodies = [[f"s{count} = 0"]] + [[] for _ in range(count)]  # the lines of each loop
+    last_o = [None] * (count + 1)  # per loop, what its last ``o = ...`` line set
+
+    def looked_up(slot):
+        if slot in antecedents:
+            rows = "".join(f"R{slot}_{x}, " for x in range(n))
+            bodies[level[slot]].extend(
+                line.format(a=slot, count=count, rows=rows) for line in _LOOKUP)
+
+    for slot in range(count + 1):
+        looked_up(slot)
     for out, (op, a, b) in enumerate(program, count + 1):
-        if op not in _TEMPLATES:
+        template = _TEMPLATES.get(op)
+        if template is None:
             raise ValueError(f"no template for op {op!r}")
-        if op == "cond" and a != looked_up:
-            lines.extend("        " + line.format(a=a) for line in _LOOKUP)
-            looked_up = a
-        body, row = _TEMPLATES[op]
-        unrolled = row and " | ".join(f"(0 if {row.format(x=x)} & o else {1 << x})"
-                                      for x in range(n))
-        lines.extend("        " + line.format(out=out, a=a, b=b, box=unrolled) for line in body)
-    lines.append(f"        bad = full ^ s{result_slot}")
-    lines.append("        if bad:")
-    lines.append("            return index, values, bad")
-    lines.append("    return None")
+        d = max(level[a], level[b])
+        level.append(d)
+        if isinstance(template, str):
+            bodies[d].append(f"s{out} = " + template.format(a=a, b=b))
+        else:
+            o, row = template[0].format(a=a, b=b), template[1]
+            if last_o[d] != o:
+                last_o[d] = o
+                bodies[d].append("o = " + o)
+            bodies[d].append(f"s{out} = " + " | ".join(
+                f"(0 if {row.format(a=a, x=x)} & o else {1 << x})" for x in range(n)))
+        looked_up(out)
+    ops = {op for op, _, _ in program}
+    # ``bind`` closes ``run`` over the program that ``_raise_at`` re-runs
+    lines = ["def bind(program, result_slot):", "    def run(pool, limit, order, rel, full):"]
+    if "imp" in ops:
+        lines.append("        " + "".join(f"U{x}, " for x in range(n)) + "= order.up")
+    if "box" in ops:
+        lines.append("        " + "".join(f"M{x}, " for x in range(n)) + "= rel")
+    if "cond" in ops:
+        lines.append("        get = rel.get")
+    lines.append("        i = 0")
+    for d, body in enumerate(bodies):
+        if d:
+            lines.append(" " * (4 + 4 * d) + f"for s{d - 1} in pool:")
+        lines.extend(" " * (8 + 4 * d) + line for line in body)
+    values = "(" + "".join(f"s{j}, " for j in range(count)) + ")"
+    lines.extend(" " * (8 + 4 * count) + line for line in (
+        f"if s{result_slot} != full:",
+        f"    return i, {values}, full ^ s{result_slot}",
+        "i += 1",
+        "if i == limit:",
+        "    return None"))
+    lines.append("    return run")
     namespace: dict = {}
     exec(compile("\n".join(lines), _file_name(program, result_slot, count, n), "exec"),
          _GENERATED, namespace)
-    return namespace["run"]
+    return namespace["bind"](program, result_slot)
 
 
 def _file_name(program, result_slot: int, count: int, n: int) -> str:
@@ -451,14 +503,14 @@ def _scan(order: FinitePreorder, pool: Tuple[int, ...], compiled, rel, budget: i
         run = state.runs[n] = _generate(program, result_slot, count, n)
     # the singles, or every valuation of a scan that needs no chunk
     whole = total <= (SINGLES if run is None else WHOLE_SCAN)
-    first = itertools.product(pool, repeat=count)
-    if not whole:
-        first = itertools.islice(first, SINGLES)
     if run is None:
         state.scans += 1
+        first = itertools.product(pool, repeat=count)
+        if not whole:
+            first = itertools.islice(first, SINGLES)
         found = _run_singles(program, result_slot, first, order, rel, full)
     else:
-        found = run(first, order.up, rel, full)
+        found = run(pool, total if whole else SINGLES, order, rel, full)
     if found is not None:
         index, values, bad = found
         world = (bad & -bad).bit_length() - 1

@@ -32,8 +32,9 @@ def p_translate(f: Formula, letter: str) -> Formula:
     """Replace every box by a conditional with antecedent ``letter``.
 
     Homomorphic on everything else; the result lives in the conditional
-    language.
+    language.  ``letter`` is checked first, whether or not ``f`` has a box.
     """
+    antecedent = Var(letter, Language.COND)
     if f.language is not Language.MODAL:
         raise LanguageError("the letter translation takes box-language formulas")
 
@@ -44,7 +45,7 @@ def p_translate(f: Formula, letter: str) -> Formula:
         if op == "bot":
             return Bot(Language.COND)
         if op == "box":
-            return Cond(Var(letter, Language.COND), go(node.args[0]))
+            return Cond(antecedent, go(node.args[0]))
         # and, or, imp: the same connective over the translated arguments
         return Formula(op, (go(node.args[0]), go(node.args[1])), None, Language.COND)
 

@@ -270,6 +270,11 @@ class TestTranslateCommand:
                            "q -> []q")
         assert code == 0 and out.strip() == "q -> s ~> q"
 
+    @pytest.mark.parametrize("formula", ["p", "q -> []q"])
+    def test_a_bad_letter_is_refused_with_or_without_a_box(self, capsys, formula):
+        code, out, err = run(capsys, "translate", "--mode", "p", "--letter", "1", formula)
+        assert (code, out, err) == (2, "", "error: bad proposition letter '1'\n")
+
 
 class TestSearchCommand:
     def test_found_countermodel_roundtrips_through_mc(self, capsys, tmp_path):

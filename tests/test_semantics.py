@@ -510,31 +510,12 @@ class TestChunkBoundaries:
             assert str(got.value) == str(want.value)
 
 
-def _one_by_one(program, result_slot, valuations, order, rel):
-    """Per valuation, the worlds ``_run_one`` refutes, or the error it raises."""
-    out = []
-    for values in valuations:
-        try:
-            out.append(order.full_mask ^ semantics._run_one(program, result_slot, values,
-                                                             order, rel))
-        except NotAdmissibleError as exc:
-            out.append((type(exc), str(exc)))
-            break
-    return out
-
-
-def _generated_one_by_one(program, result_slot, count, valuations, order, rel):
-    """The same through the function generated for the program at ``order.n`` worlds."""
-    run = semantics._generate(program, result_slot, count, order.n)
-    out = []
-    for values in valuations:
-        try:
-            found = run([values], order.up, rel, order.full_mask)
-        except NotAdmissibleError as exc:
-            out.append((type(exc), str(exc)))
-            break
-        out.append(0 if found is None else found[2])
-    return out
+def _raised_or(fn, *args):
+    """What ``fn`` returns, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except NotAdmissibleError as exc:
+        return type(exc), str(exc)
 
 
 def _unclosed_general_frame(rng, n):
@@ -551,13 +532,20 @@ class TestGeneratedSingles:
     """The one-valuation phase generated for hot programs against ``_run_one``."""
 
     @staticmethod
-    def _agree(rng, f, order, pool, rel, seen):
+    def _agree(f, order, pool, rel, seen):
+        """``run(pool, limit, ...)`` against ``_run_singles`` over the first
+        ``limit`` valuations, for every ``limit`` up to the whole scan or 70,
+        with the pool ascending and descending."""
         letters, program, result_slot, _ = compile_formula(f)
-        valuations = [tuple(rng.choice(pool) for _ in letters) for _ in range(8)]
-        want = _one_by_one(program, result_slot, valuations, order, rel)
-        got = _generated_one_by_one(program, result_slot, len(letters), valuations, order, rel)
-        assert got == want, (f, order, rel)
-        seen["raised" if isinstance(want[-1], tuple) else "evaluated"] += 1
+        run = semantics._generate(program, result_slot, len(letters), order.n)
+        for ordered in (pool, pool[::-1]):
+            for limit in range(1, min(len(pool) ** len(letters), 70) + 1):
+                first = itertools.islice(itertools.product(ordered, repeat=len(letters)), limit)
+                want = _raised_or(semantics._run_singles, program, result_slot, first, order,
+                                  rel, order.full_mask)
+                got = _raised_or(run, ordered, limit, order, rel, order.full_mask)
+                assert got == want, (f, order, rel, ordered, limit)
+            seen["evaluated" if want is None or isinstance(want[0], int) else "raised"] += 1
 
     def test_conditional_and_modal_programs_on_seeded_frames(self):
         rng = random.Random(14)
@@ -567,11 +555,11 @@ class TestGeneratedSingles:
                 frame = (random_general_frame(rng, n) if rng.random() < 0.5
                          else random_full_frame(rng, n))
                 f = random_formula(rng, Language.COND, ["p", "q", "r"], 4)
-                self._agree(rng, f, frame.order, frame.admissible, frame.relations, seen)
+                self._agree(f, frame.order, frame.admissible, frame.relations, seen)
                 mf = restrict(frame, rng.choice(frame.admissible))
                 g = random_formula(rng, Language.MODAL, ["p", "q", "r"], 4)
-                self._agree(rng, g, mf.order, all_upsets(mf.order), mf.rel, seen)
-        assert seen == {"evaluated": 600, "raised": 0}
+                self._agree(g, mf.order, all_upsets(mf.order), mf.rel, seen)
+        assert seen == {"evaluated": 1200, "raised": 0}
 
     def test_unclosed_frames_raise_alike(self):
         rng = random.Random(15)
@@ -580,7 +568,7 @@ class TestGeneratedSingles:
             for _ in range(80):
                 frame = _unclosed_general_frame(rng, n)
                 f = random_formula(rng, Language.COND, ["p", "q", "r"], 4)
-                self._agree(rng, f, frame.order, frame.admissible, frame.relations, seen)
+                self._agree(f, frame.order, frame.admissible, frame.relations, seen)
         assert seen["raised"] > 50 and seen["evaluated"] > 50
 
     def test_promotion_keeps_every_verdict(self):
@@ -721,6 +709,61 @@ class TestWholeScans:
                 names.add(run.__code__.co_filename)
         assert len(names) == 8
         assert "<scan n=2 letters=2 s3=cond(s0,s1) s4=imp(s3,s1) -> s4>" in names
+
+
+class _CountingRelations(dict):
+    """Relations that count their lookups through ``get``."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+class TestHoisting:
+    """A generated function runs each op in the loop of the deepest letter it
+    reads, and looks each antecedent's relation up right after its slot."""
+
+    @pytest.mark.parametrize("key, lookups", [("tr", 4 + 16), ("mp", 4), ("red", 1)])
+    def test_each_relation_is_looked_up_once_per_prefix(self, key, lookups, anti2):
+        # R_a[x] = {x} for every upset a: all three hold, so the scan meets
+        # every valuation; tr looks up R_p per p and R_q per (p, q), mp R_p
+        # per p, and red R_W once, before its loop
+        frame = full_frame(anti2, {a: (m(0), m(1)) for a in all_upsets(anti2)})
+        f = AXIOMS[key].formula
+        semantics.compile_formula.cache_clear()
+        compiled = compile_formula(f)
+        for _ in range(semantics.HOT_SCANS):
+            valid(frame, f)
+        counting = _CountingRelations(frame.relations)
+        got = semantics._scan(frame.order, frame.admissible, compiled, counting, DEFAULT_BUDGET)
+        assert set(compiled[3].runs) == {2}
+        assert verdict_fields(got) == (True, None, None, 4 ** len(compiled[0]) * 2)
+        assert counting.lookups == lookups
+
+    @pytest.mark.parametrize("text, outcomes", [
+        ("false -> false", {True}),
+        ("(false ~> false) -> false", {True, False}),
+        ("(false ~> false) ~> false", {True, False, NotAdmissibleError}),
+        ("((false ~> false) ~> false) | p", {True, False, NotAdmissibleError}),
+        ("p ~> ((false ~> false) ~> q)", {True, False, NotAdmissibleError}),
+    ])
+    def test_ops_that_read_no_letter_give_the_reference_outcome(self, text, outcomes):
+        # on unclosed families the set false ~> false may have no relation;
+        # a lookup before any loop stands for valuation 0
+        rng = random.Random(f"hoist:{text}")
+        f = parse(text)
+        semantics.compile_formula.cache_clear()
+        state = compile_formula(f)[3]
+        seen = set()
+        for i in range(3 * semantics.HOT_SCANS):
+            frame = _unclosed_general_frame(rng, rng.choice((1, 2, 3)))
+            got = outcome(valid, frame, f)
+            assert got == outcome(reference_valid, frame, f), (i, frame)
+            seen.add((i >= semantics.HOT_SCANS, got[0]))
+        assert state.runs
+        assert {got for hot, got in seen if hot} == outcomes, seen
 
 
 @pytest.mark.parametrize("key, ops", [

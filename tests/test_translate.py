@@ -32,6 +32,12 @@ class TestPTranslate:
         assert p_translate(modal("q"), "p") == parse("q")
         assert p_translate(modal("q & ~r"), "p") == parse("q & ~r")
 
+    @pytest.mark.parametrize("src", ["q", "q -> []q"])
+    @pytest.mark.parametrize("letter", ["1", "", "true", "p q"])
+    def test_a_bad_letter_is_refused_with_or_without_a_box(self, src, letter):
+        with pytest.raises(LanguageError, match="bad proposition letter"):
+            p_translate(modal(src), letter)
+
     def test_requires_modal_input(self):
         with pytest.raises(LanguageError):
             p_translate(parse("p ~> q"), "p")
