@@ -552,6 +552,25 @@ class TestFrameRoundtrip:
             frame_roundtrip(full_frame(preorder(5)))
         assert str(exc.value) == "prime filter scan is capped at carrier size 20, got 32"
 
+    def test_a_frame_that_is_not_full_is_refused_before_the_cap(self):
+        # both frames are strongly coherent on the 5-world antichain; the
+        # order's memo must not let the cap error overtake the fullness check,
+        # nor the refusal change the cap error, in either order
+        anti5 = preorder(5)
+        partial = general_frame(anti5, (0, anti5.full_mask),
+                                {0: (0,) * 5, anti5.full_mask: (0,) * 5})
+        refused = ("refusing invalid frame: [not-full] frame does not carry a relation "
+                   "for every upset")
+        capped = "prime filter scan is capped at carrier size 20, got 32"
+        algebra._frame_order.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DualityError) as exc:
+                frame_roundtrip(partial)
+            assert str(exc.value) == refused
+            with pytest.raises(CapExceededError) as exc:
+                frame_roundtrip(full_frame(anti5))
+            assert str(exc.value) == capped
+
     def test_preorder_refused(self):
         cluster = preorder(2, [(0, 1), (1, 0)])
         f = full_frame(cluster)
