@@ -33,13 +33,12 @@ computed from the frame's ``cond`` table with the upsets themselves as
 theta, and read off by world.  Neither the complex algebra nor a dual frame
 is built.
 
-A value built here from inputs that were validated when they were made (a
-complex algebra from a frame, a dual frame from an algebra) skips its
-constructor's checks, through :func:`condlogic.frames._unchecked`: the
-construction already guarantees what those checks test, and on the small
-carriers of a duality sweep the checks cost about as much as the
-construction.  Everything that
-reads outside input (the loaders, direct construction) runs every check.
+A complex algebra, built from a frame that was validated when it was made,
+skips its constructor's checks, through :func:`condlogic.frames._unchecked`:
+the construction already guarantees what those checks test, and on the
+small carriers of a duality sweep the checks cost about as much as the
+construction.  Everything else (the dual frame, the loaders, direct
+construction) runs every check.
 
 Satisfaction runs the program :func:`condlogic.semantics.compile_formula`
 makes, one assignment at a time, with one table lookup per connective;
@@ -435,8 +434,7 @@ def dual_frame(alg: FiniteCHA) -> ConditionalFrame:
     order, pfs, theta = facts.pf_order, facts.prime_filters, facts.theta
     relations = {theta[i]: _dual_rows(cond_row, pfs, theta, order.full_mask)
                  for i, cond_row in enumerate(alg.cond)}
-    return _unchecked(ConditionalFrame, order=order, admissible=all_upsets(order),
-                      relations=relations)
+    return ConditionalFrame(order, relations)
 
 
 @dataclass
@@ -485,18 +483,15 @@ def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
 class _FrameOrder(NamedTuple):
     """The order-only half of :func:`frame_roundtrip` for one poset order.
 
-    ``error`` is the exception class and message the dual raises on the
-    complex algebra of the order, and ``failures`` what the round trip
-    reports before any relation is compared; both wait until the frame's
-    own checks have passed.  ``eta[x]`` is the prime filter of world x, so
-    the dual rows computed from it are indexed, and read, by world.
+    ``failures`` is what the round trip reports before any relation is
+    compared.  ``eta[x]`` is the prime filter of world x, so the dual rows
+    computed from it are indexed, and read, by world.
     """
 
     upsets: Tuple[int, ...]
     idx: Dict[int, int]  # upset to carrier index; not to be mutated
-    error: Optional[Tuple[type, str]] = None
-    failures: Tuple[str, ...] = ()
-    eta: Tuple[int, ...] = ()
+    failures: Tuple[str, ...]
+    eta: Tuple[int, ...]
 
 
 def _eta(upsets: Tuple[int, ...], n: int) -> Tuple[int, ...]:
@@ -524,19 +519,17 @@ def _eta_failure(p: FinitePreorder, pfs: Tuple[int, ...], eta: Tuple[int, ...]) 
 def _frame_order(up: Tuple[int, ...]) -> _FrameOrder:
     """:class:`_FrameOrder` of the poset order with rows ``up``.  Keyed by
     the rows tuple, whose hash runs in C; a duality sweep meets few distinct
-    orders."""
+    orders.  Raises CapExceededError on more than :data:`PF_CAP` upsets,
+    before their lattice is built; an error is not memoised."""
     p = FinitePreorder(len(up), up)
     ups = all_upsets(p)
-    idx = {m: i for i, m in enumerate(ups)}
-    try:
-        _check_cap(len(ups))  # before the lattice of a large carrier is built
-        leq, _imp, top, bot = _upset_algebra(p, ups)
-        facts = _dual_facts(len(ups), leq, top, bot)
-    except (CapExceededError, DualityError, FrameFormatError) as exc:
-        return _FrameOrder(ups, idx, (type(exc), str(exc)))
+    _check_cap(len(ups))
+    leq, _imp, top, bot = _upset_algebra(p, ups)
+    facts = _dual_facts(len(ups), leq, top, bot)
     eta = _eta(ups, p.n)
     failure = _eta_failure(p, facts.prime_filters, eta)
-    return _FrameOrder(ups, idx, failures=(failure,) if failure else (), eta=eta)
+    return _FrameOrder(ups, {m: i for i, m in enumerate(ups)},
+                       (failure,) if failure else (), eta)
 
 
 def frame_roundtrip(f: GeneralFrame) -> DualityReport:
@@ -573,7 +566,10 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     R[x], which is an upset: R[y] lies within up(R[x]), which is coherence.
     So once strong coherence holds, :func:`validate_conditional` can only
     report that the frame is not full, and it is called only then, for the
-    same message.
+    same message.  Coherence also makes box(R_a, b) an upset for every upset
+    b, so on a full frame :func:`_cond_table` cannot raise, and the one error
+    left after the frame's own checks is the cap error of
+    :func:`_frame_order`.
     """
     if not f.order.is_poset:
         raise DualityError("frame order must be a poset (otherwise eta is not injective)")
@@ -581,14 +577,11 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
         raise DualityError(
             "frame must satisfy the strong coherence condition for the round-trip"
         )
+    if not f.is_full:
+        raise DualityError(f"refusing invalid frame: {validate_conditional(f)}")
     order = _frame_order(f.order.up)
     ups = order.upsets
-    if tuple(f.admissible) != ups:
-        raise DualityError(f"refusing invalid frame: {validate_conditional(f)}")
     conds = _cond_table(f, order.idx)
-    if order.error is not None:
-        cls, message = order.error
-        raise cls(message)
     report = DualityReport(list(order.failures))
     if order.failures:
         return report
@@ -614,17 +607,6 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
 #
 # { "size": k, "leq": [[i,j],...], "imp": k x k, "cond": k x k,
 #   "top": i, "bot": j }
-
-
-def algebra_to_json(alg: FiniteCHA) -> dict:
-    return {
-        "size": alg.size,
-        "leq": [[i, j] for i in range(alg.size) for j in range(alg.size) if alg.le(i, j)],
-        "imp": [list(row) for row in alg.imp],
-        "cond": [list(row) for row in alg.cond],
-        "top": alg.top,
-        "bot": alg.bot,
-    }
 
 
 def algebra_from_json(obj: dict) -> FiniteCHA:

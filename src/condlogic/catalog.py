@@ -230,16 +230,12 @@ class CorrReport:
         return None if self.witness is None else _witness_json(self.witness)
 
 
-def _entry_witness(frame: GeneralFrame, entry: AxiomEntry) -> Optional[Tuple]:
-    return _corr_loop(frame, entry.quantifier, entry.corr)
-
-
 def correspondent_holds(frame: GeneralFrame, key: str) -> CorrReport:
     """Evaluate the registered correspondent over the frame's admissible family."""
     entry = AXIOMS[key]
     if not entry.has_correspondent:
         raise MissingCorrespondentError(f"axiom {key!r} has no frame correspondent")
-    witness = _entry_witness(frame, entry)
+    witness = _corr_loop(frame, entry.quantifier, entry.corr)
     return CorrReport(key, witness is None, witness)
 
 
@@ -352,7 +348,7 @@ def _sample_frame_for_correspondence(rng: random.Random, entry: AxiomEntry):
 
 def _compare(frame: GeneralFrame, entry: AxiomEntry) -> Optional[dict]:
     """The discrepancy between schema validity and correspondent, or None."""
-    corr = _entry_witness(frame, entry) is None
+    corr = _corr_loop(frame, entry.quantifier, entry.corr) is None
     verdict = valid(frame, entry.formula)
     if corr == verdict.valid:
         return None
@@ -379,7 +375,7 @@ def _generate_precondition_frame(rng: random.Random, key: str, kind: FillInKind,
         frame = generate.random_general_frame(
             rng, n, mode_names=modes, force_subset=squeeze, strong=strong
         )
-        if _entry_witness(frame, entry) is not None:
+        if _corr_loop(frame, entry.quantifier, entry.corr) is not None:
             continue
         if squeeze and not check_squeeze_precondition(frame).holds:
             continue
@@ -397,7 +393,8 @@ def _persist_sample(key: str, kind: FillInKind, seed: int, strong: bool,
             f"could not generate a frame satisfying the {key!r} precondition"
         )
     filled = fill(frame, kind)
-    witness = _entry_witness(filled, AXIOMS[key])
+    entry = AXIOMS[key]
+    witness = _corr_loop(filled, entry.quantifier, entry.corr)
     return None if witness is None else (frame, filled, witness)
 
 

@@ -84,14 +84,10 @@ def rel_coherent(p: FinitePreorder, rows: Rows) -> bool:
     return True
 
 
-def rel_strongly_coherent(p: FinitePreorder, rows: Rows) -> bool:
-    """leq-then-step-then-leq equals the relation itself."""
-    return _strongly_coherent_rows(tuple(p.up), tuple(rows))
-
-
 @lru_cache(maxsize=256)
 def _strongly_coherent_rows(up: Rows, rows: Rows) -> bool:
-    """:func:`rel_strongly_coherent` on the order's rows ``up``, memoised.
+    """Whether leq-then-step-then-leq equals the relation ``rows`` itself,
+    on the order's rows ``up``; memoised.
 
     Keyed by the two rows tuples, whose hashes run in C (callers pass
     tuples, never lists).  The same few relations recur across the frames
@@ -160,17 +156,30 @@ class ConditionalFrame(GeneralFrame):
         super().__init__(order, all_upsets(order), dict(relations))
 
     def _check_keys(self) -> None:
-        if set(self.relations) != set(self.admissible):
-            missing = [mask_to_key(u) for u in self.admissible if u not in self.relations]
-            raise FrameFormatError(
-                f"a conditional frame needs a relation for every upset; missing {missing}"
-            )
+        """Name the first key of ``relations`` that is not an upset; else list
+        the first four upsets without a relation and count the rest, so that
+        the message stays short on a frame of 2^n upsets."""
+        ups = set(self.admissible)
+        if set(self.relations) == ups:
+            return
+        for a in self.relations:
+            if a not in ups:
+                raise FrameFormatError(
+                    "a conditional frame needs a relation for every upset, and only for "
+                    f"upsets; key {mask_to_key(a)!r} is not an upset"
+                )
+        missing = [u for u in self.admissible if u not in self.relations]
+        more = f" and {len(missing) - 4} more" if len(missing) > 4 else ""
+        raise FrameFormatError(
+            "a conditional frame needs a relation for every upset; "
+            f"missing {[mask_to_key(u) for u in missing[:4]]}{more}"
+        )
 
 
 def _unchecked(cls, **fields):
     """An instance of ``cls`` holding ``fields``, built without its constructor.
 
-    Only these callers use it, and only with values on which the skipped
+    Only these three callers use it, and only with values on which the skipped
     checks cannot fail:
 
     - :func:`condlogic.algebra.complex_algebra`: a complex algebra's
@@ -178,11 +187,6 @@ def _unchecked(cls, **fields):
       its carrier, so every entry lies in ``0..size-1``; its tables are
       ``size x size`` and its ``leq`` rows are built over the carrier, one
       per element;
-    - :func:`condlogic.algebra.dual_frame`: a dual frame's relation
-      keys are theta, already checked to be a bijection onto
-      ``all_upsets(order)``, which is also its admissible family; it has one
-      row per prime filter, that is per world, and every row is built as
-      ``full & ...``;
     - :func:`condlogic.generate.enumerate_full_frames`: its admissible
       family is ``all_upsets(order)``, sorted and unique, its relations are
       keyed by exactly those upsets, and every relation is one of
@@ -221,12 +225,7 @@ def validate_general(g: GeneralFrame) -> FrameReport:
     for a in g.admissible:
         if not is_upset(p, a):
             report.add("not-upset", f"admissible set {{{mask_to_key(a)}}} is not an upset")
-    for a in g.admissible:
-        if not rel_coherent(p, g.rel(a)):
-            report.add(
-                "coherence",
-                f"relation at {{{mask_to_key(a)}}} violates leq-compatibility",
-            )
+    _add_incoherent(report, g)
     # closure of the admissible family under the four operations
     for a in g.admissible:
         for b in g.admissible:
@@ -242,36 +241,34 @@ def validate_general(g: GeneralFrame) -> FrameReport:
                         f"{{{mask_to_key(a)}}}, {{{mask_to_key(b)}}} produce "
                         f"non-admissible {{{mask_to_key(c)}}}",
                     )
-            if a in g.relations:
-                c = g.dto(a, b)
-                if c not in adm:
-                    report.add(
-                        "closure-cond",
-                        f"{{{mask_to_key(a)}}} |> {{{mask_to_key(b)}}} = "
-                        f"{{{mask_to_key(c)}}} is not admissible",
-                    )
+            c = g.dto(a, b)
+            if c not in adm:
+                report.add(
+                    "closure-cond",
+                    f"{{{mask_to_key(a)}}} |> {{{mask_to_key(b)}}} = "
+                    f"{{{mask_to_key(c)}}} is not admissible",
+                )
     return report
 
 
 def validate_conditional(f: GeneralFrame) -> FrameReport:
     """Fullness plus the coherence condition for every upset."""
     report = FrameReport()
-    ups = all_upsets(f.order)
-    if tuple(f.admissible) != ups:
+    if not f.is_full:
         report.add("not-full", "frame does not carry a relation for every upset")
         return report
-    for a in ups:
-        if not rel_coherent(f.order, f.rel(a)):
+    _add_incoherent(report, f)
+    return report
+
+
+def _add_incoherent(report: FrameReport, g: GeneralFrame) -> None:
+    """Report each admissible relation that breaks the coherence condition."""
+    for a in g.admissible:
+        if not rel_coherent(g.order, g.rel(a)):
             report.add(
                 "coherence",
                 f"relation at {{{mask_to_key(a)}}} violates leq-compatibility",
             )
-    return report
-
-
-def check_strong_coherence(g: GeneralFrame) -> Dict[int, bool]:
-    """Per admissible upset: does leq-then-step-then-leq collapse to the relation?"""
-    return {a: rel_strongly_coherent(g.order, g.rel(a)) for a in g.admissible}
 
 
 def strongly_coherent(g: GeneralFrame) -> bool:

@@ -10,7 +10,7 @@ their number; the world count is capped at :data:`MAX_WORLDS`.
 
 The bit kernels live here and nowhere else: :func:`set_bits` lists the set
 bits of a mask, :func:`image` unions relation rows over a set of worlds
-(up- and down-closure are images under the order), and :func:`box` keeps the
+(the up-closure is an image under the order), and :func:`box` keeps the
 worlds whose row lies within a set (the Heyting implication, the
 conditional and the modal box are all boxes).  :func:`read_indices` and
 :func:`read_pair_rows` are the strict readers for world indices and index
@@ -154,10 +154,6 @@ def _down_rows(up: Tuple[int, ...]) -> Tuple[int, ...]:
 def up_closure(p: FinitePreorder, s: int) -> int:
     """Least upset containing the worlds of mask ``s``."""
     return image(p.up, s)
-
-
-def down_closure(p: FinitePreorder, s: int) -> int:
-    return image(_down_rows(p.up), s)
 
 
 def is_upset(p: FinitePreorder, s: int) -> bool:

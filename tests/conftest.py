@@ -59,6 +59,18 @@ def general_frame(order, admissible, rows_for):
     return GeneralFrame(order, tuple(admissible), relations)
 
 
+def algebra_to_json(alg):
+    """The file object ``algebra_from_json`` reads back as ``alg``."""
+    return {
+        "size": alg.size,
+        "leq": [[i, j] for i in range(alg.size) for j in range(alg.size) if alg.le(i, j)],
+        "imp": [list(row) for row in alg.imp],
+        "cond": [list(row) for row in alg.cond],
+        "top": alg.top,
+        "bot": alg.bot,
+    }
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240811)

@@ -9,7 +9,12 @@ promises, so the first witness of the two must be the same.
 
 from typing import Callable, Dict, Optional, Tuple
 
-from condlogic.order import down_closure, image, set_bits, up_closure
+from condlogic.order import _down_rows, image, set_bits, up_closure
+
+
+def down_closure(p, s):
+    """Least downset containing the worlds of mask ``s``."""
+    return image(_down_rows(p.up), s)
 
 
 def _c_id(p, rel, upc, a, b, x):

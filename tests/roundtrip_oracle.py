@@ -10,8 +10,18 @@ exception type and message.
 
 from condlogic.algebra import DualityReport, _order_facts, complex_algebra, prime_filters
 from condlogic.errors import DualityError
-from condlogic.frames import check_strong_coherence, validate_conditional
+from condlogic.frames import _strongly_coherent_rows, validate_conditional
 from condlogic.order import mask_to_key, set_bits
+
+
+def rel_strongly_coherent(p, rows):
+    """leq-then-step-then-leq equals the relation itself."""
+    return _strongly_coherent_rows(tuple(p.up), tuple(rows))
+
+
+def check_strong_coherence(g):
+    """Per admissible upset: does leq-then-step-then-leq collapse to the relation?"""
+    return {a: rel_strongly_coherent(g.order, g.rel(a)) for a in g.admissible}
 
 
 def reference_dual_with_maps(alg):

@@ -11,7 +11,6 @@ from condlogic.algebra import (
     FiniteCHA,
     alg_satisfies,
     algebra_from_json,
-    algebra_to_json,
     check_duality_roundtrip,
     complex_algebra,
     dual_frame,
@@ -30,11 +29,14 @@ from condlogic.generate import (
     random_general_frame,
     random_poset,
 )
-from condlogic.order import FinitePreorder, all_upsets, mask_to_key, set_bits
+from condlogic.frames import _strongly_coherent_rows
+from condlogic.order import FinitePreorder, all_upsets, box, mask_to_key, set_bits
 from condlogic.semantics import valid
 from condlogic.syntax import Language, parse, print_formula, proposition_letters
 
-from conftest import constant_full_frame, full_frame, general_frame, m, preorder
+from conftest import (
+    algebra_to_json, constant_full_frame, full_frame, general_frame, m, preorder,
+)
 from test_cli_golden import ALGEBRA as GOLDEN_ALGEBRA
 from test_generate import _orders, _unclosed_frame
 
@@ -300,6 +302,64 @@ class TestDualFrame:
         assert frame.relations == f.relations
 
 
+def _top_meet_maps(ups):
+    """Every map on the upsets ``ups`` (ascending, so the full set is last)
+    that keeps the full set and meets, as a tuple of images in ``ups`` order.
+    Partial maps are extended one upset at a time, from the full set down,
+    to every upset, and one is dropped once two assigned upsets have an
+    assigned meet whose image is not the meet of their images; so every map
+    is tried, without the 8^8 candidates of the 3-world antichain."""
+    found = []
+
+    def extend(f, rest):
+        if not rest:
+            found.append(tuple(f[a] for a in ups))
+            return
+        a, rest = rest[0], rest[1:]
+        for v in ups:
+            f[a] = v
+            if all(f[b & c] == f[b] & f[c] for b in f for c in f if b & c in f):
+                extend(f, rest)
+            del f[a]
+
+    extend({ups[-1]: ups[-1]}, ups[-2::-1])
+    return found
+
+
+class TestBoxBijection:
+    """The finite duality from the frame side: on every labelled poset of at
+    most three worlds, box is a bijection from the strongly coherent
+    relations onto the maps on the upsets that keep the full set and meets,
+    and the dual rows of each such map are the relation it came from."""
+
+    def test_every_poset_of_at_most_three_worlds(self):
+        counts = Counter()
+        for p in (p for n in (1, 2, 3) for p in enumerate_preorders(n) if p.is_poset):
+            ups, n, full = all_upsets(p), p.n, p.full_mask
+            rels = [rows for rows in itertools.product(range(full + 1), repeat=n)
+                    if _strongly_coherent_rows(p.up, rows)]
+            # the same relations, read off the definition: rows are upsets,
+            # and x <= y implies R[y] within R[x]
+            assert rels == [
+                rows for rows in itertools.product(ups, repeat=n)
+                if all(not rows[y] & ~rows[x] for x in range(n) for y in set_bits(p.up[x]))
+            ], p
+            boxes = [tuple(box(rows, b) for b in ups) for rows in rels]
+            for f in boxes:
+                assert f[-1] == full and set(f) <= set(ups), p
+                image = dict(zip(ups, f))
+                assert all(image[a & b] == image[a] & image[b] for a in ups for b in ups), p
+            assert len(set(boxes)) == len(rels), p
+            maps = _top_meet_maps(ups)
+            assert sorted(maps) == sorted(boxes), p
+            eta = algebra._eta(ups, n)
+            for rows, f in zip(rels, boxes):
+                dual = algebra._dual_rows(tuple(ups.index(v) for v in f), eta, ups, full)
+                assert dual == rows, p
+            counts[len(rels)] += 1
+        assert counts == {2: 1, 6: 2, 16: 1, 20: 6, 50: 6, 108: 6, 512: 1}
+
+
 class TestDualityRoundtrip:
     def test_two_element_constant_top(self):
         assert check_duality_roundtrip(boolean2()).ok
@@ -367,7 +427,7 @@ class TestDualityRoundtrip:
                                                           strong=i % 2 == 0)))
         algs += [boolean2(), boolean2(0), chain3(), boolean4(), algebra_from_json(GOLDEN_ALGEBRA)]
         calls = Counter()
-        for name in ("complex_algebra", "_theta_failures", "_unchecked"):
+        for name in ("complex_algebra", "dual_frame", "_theta_failures", "_unchecked"):
             real = getattr(algebra, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -379,7 +439,7 @@ class TestDualityRoundtrip:
         for alg in algs:
             assert check_duality_roundtrip(alg).failures == [], alg
         # no complex algebra and no dual frame is built
-        assert calls["complex_algebra"] == calls["_unchecked"] == 0
+        assert calls["complex_algebra"] == calls["dual_frame"] == calls["_unchecked"] == 0
         for alg in algs:
             assert reference_check_duality_roundtrip(alg).failures == [], alg
         lattices = {(alg.size, alg.leq, alg.top, alg.bot) for alg in algs}
@@ -910,8 +970,6 @@ class TestConstructorMessages:
 
 def _checked(cls, **fields):
     """What ``algebra._unchecked`` stands in for: the checking constructor."""
-    if cls is ConditionalFrame:
-        return ConditionalFrame(fields["order"], fields["relations"])
     return cls(**fields)
 
 
@@ -939,9 +997,10 @@ def _incoherent_full_frame(rng):
 
 
 class TestBuiltWithoutChecks:
-    """``complex_algebra`` and ``dual_frame`` skip the constructor checks;
-    on every frame they must return what the checking constructors return,
-    and fail where those fail, with the same exception and message."""
+    """``complex_algebra`` skips the constructor checks; on every frame it
+    must return what the checking constructor returns, and fail where that
+    fails, with the same exception and message.  The dual frame of each
+    complex algebra, built through its checking constructor, must exist."""
 
     @staticmethod
     def _agree(frame, seen):
@@ -951,8 +1010,7 @@ class TestBuiltWithoutChecks:
         if built[0] == "value":
             alg = built[1]
             assert type(alg) is FiniteCHA
-            dual, dual_checked = _both_paths(dual_frame, alg)
-            assert dual == dual_checked, alg
+            dual = _outcome(dual_frame, alg)
             if dual[0] == "value":
                 assert type(dual[1]) is ConditionalFrame
                 seen["dual"] += 1

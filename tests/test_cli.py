@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 from condlogic import cli
-from condlogic.algebra import algebra_to_json, complex_algebra
+from condlogic.algebra import complex_algebra
 from condlogic.frames import frame_from_json, frame_to_json
 from condlogic.generate import random_full_frame
 
-from conftest import full_frame, general_frame, m, preorder
+from conftest import algebra_to_json, full_frame, general_frame, m, preorder
 
 
 def run(capsys, *argv):
@@ -388,7 +388,8 @@ class TestFrameErrorMessages:
         (_chain2_with(relations={"x": [[0, 5]]}),
          "bad upset key 'x'"),
         (_chain2_with({"0": []}),
-         "a conditional frame needs a relation for every upset; missing []"),
+         "a conditional frame needs a relation for every upset, and only for upsets; "
+         "key '0' is not an upset"),
         (_chain2_with({"1": [[1, 0]]}, admissible=[[], [1], [0, 1]]),
          "frame fails validation: [coherence] relation at {1} violates leq-compatibility; "
          "[closure-cond] {1} |> {} = {0} is not admissible; "
@@ -399,6 +400,15 @@ class TestFrameErrorMessages:
         code, out, err = run(capsys, "--json", "valid", "--frame", frame_path,
                              "--formula", "p")
         assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    def test_a_frame_missing_every_upset_gets_a_short_message(self, capsys, tmp_path):
+        # 65 536 upsets, none with a relation: the message lists four
+        obj = {"worlds": 16, "leq": [], "admissible": "all", "relations": {}}
+        frame_path = write(tmp_path / "f.json", obj)
+        code, out, err = run(capsys, "valid", "--frame", frame_path, "--formula", "p")
+        assert (code, out, err) == (
+            2, "", "error: a conditional frame needs a relation for every upset; "
+                   "missing ['', '0', '1', '0,1'] and 65532 more\n")
 
 
 class TestDeepNesting:

@@ -153,8 +153,10 @@ class TestUncheckedConstruction:
     def test_a_family_with_a_non_upset_is_still_refused(self, chain2):
         # {0} is not an upset when 0 <= 1; the constructor does not test it
         g = general_frame(chain2, (0, m(0), m(0, 1)), {0: (0, 0), m(0): (0, 0), m(0, 1): (0, 0)})
-        with pytest.raises(FrameFormatError, match="needs a relation for every upset"):
+        with pytest.raises(FrameFormatError) as exc:
             fill(g, FillInKind.EMPTY)
+        assert str(exc.value) == ("a conditional frame needs a relation for every upset, "
+                                  "and only for upsets; key '0' is not an upset")
 
 
 class TestWellFormedness:

@@ -9,7 +9,6 @@ from condlogic.frames import (
     FrameReport,
     GeneralFrame,
     ModalFrame,
-    check_strong_coherence,
     compose_rel_up,
     compose_up_rel,
     frame_from_json,
@@ -24,6 +23,7 @@ from condlogic.generate import random_general_frame, random_full_frame
 from condlogic.order import all_upsets, heyting_imp
 
 from conftest import full_frame, general_frame, m, preorder
+from roundtrip_oracle import check_strong_coherence, rel_strongly_coherent
 from test_cli import CHAIN2_FRAME
 
 
@@ -125,8 +125,6 @@ class TestCoherence:
 
     def test_strong_coherence_fails_for_top_loop(self, chain2):
         # {(1,1)} composes to {(0,1),(1,1)}, strictly larger
-        from condlogic.frames import rel_strongly_coherent
-
         rows = (0, m(1))
         lhs = compose_rel_up(chain2, compose_up_rel(chain2, rows))
         assert lhs == (m(1), m(1))  # composite gains the pair (0,1)
@@ -248,6 +246,13 @@ class TestConstructorMessages:
          "a conditional frame needs a relation for every upset; missing ['1']",
          dict(relations={"": [], "0,1": []}),
          "a conditional frame needs a relation for every upset; missing ['1']"),
+        # {0} is not an upset of the chain; it is named even with nothing missing
+        (ConditionalFrame, None, {0: (0, 0), 2: (0, 0), 1: (0, 0), 3: (0, 0)},
+         "a conditional frame needs a relation for every upset, and only for upsets; "
+         "key '0' is not an upset",
+         dict(relations={"": [], "1": [], "0": [], "0,1": []}),
+         "a conditional frame needs a relation for every upset, and only for upsets; "
+         "key '0' is not an upset"),
     ])
     def test_direct_and_loaded(self, chain2, cls, admissible, relations, direct, in_file,
                                loaded):
@@ -258,6 +263,16 @@ class TestConstructorMessages:
         with pytest.raises(FrameFormatError) as exc:
             frame_from_json({**CHAIN2_FRAME, **in_file})
         assert str(exc.value) == loaded
+
+    def test_a_long_missing_list_names_four_upsets_and_counts_the_rest(self):
+        with pytest.raises(FrameFormatError) as exc:
+            ConditionalFrame(preorder(3), {})
+        assert str(exc.value) == ("a conditional frame needs a relation for every upset; "
+                                  "missing ['', '0', '1', '0,1'] and 4 more")
+        with pytest.raises(FrameFormatError) as exc:
+            ConditionalFrame(preorder(2), {})
+        assert str(exc.value) == ("a conditional frame needs a relation for every upset; "
+                                  "missing ['', '0', '1', '0,1']")
 
 
 class TestModalFrame:

@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condlogic.algebra import algebra_from_json, algebra_to_json, complex_algebra
+from condlogic.algebra import algebra_from_json, complex_algebra
 from condlogic.errors import ClcError
 from condlogic.frames import frame_from_json, frame_to_json
 from condlogic.semantics import valuation_from_json
 
-from conftest import full_frame, preorder
+from conftest import algebra_to_json, full_frame, preorder
 
 SCALARS = (
     st.none()

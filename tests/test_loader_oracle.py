@@ -79,10 +79,18 @@ def old_frame_from_json(obj):
     with mock.patch.object(frames, "rel_coherent", old_rel_coherent):
         if admissible == "all":
             ups = all_upsets(order)
-            if set(relations) != set(ups):
-                missing = [mask_to_key(u) for u in ups if u not in relations]
+            extra = [a for a in relations if a not in ups]
+            if extra:
                 raise FrameFormatError(
-                    f"a conditional frame needs a relation for every upset; missing {missing}"
+                    "a conditional frame needs a relation for every upset, and only for "
+                    f"upsets; key {mask_to_key(extra[0])!r} is not an upset"
+                )
+            missing = [mask_to_key(u) for u in ups if u not in relations]
+            if missing:
+                more = f" and {len(missing) - 4} more" if len(missing) > 4 else ""
+                raise FrameFormatError(
+                    "a conditional frame needs a relation for every upset; "
+                    f"missing {missing[:4]}{more}"
                 )
             frame = ConditionalFrame(order, relations)
             report = frames.validate_conditional(frame)

@@ -9,7 +9,6 @@ from condlogic.generate import enumerate_preorders
 from condlogic.order import (
     FinitePreorder,
     all_upsets,
-    down_closure,
     heyting_imp,
     is_upset,
     key_to_mask,
@@ -18,6 +17,7 @@ from condlogic.order import (
 )
 
 from conftest import m, preorder
+from corr_oracle import down_closure
 
 
 def heyting_imp_via_down(p: FinitePreorder, a: int, b: int) -> int:
