@@ -10,7 +10,7 @@ and join tables, distributivity, the residual table, the prime filters and,
 on carriers within :data:`PF_CAP`, their poset, theta and the order-only
 half of the duality round trip) is derived on bitmasks once per
 ``(size, leq, top, bot)`` and memoised in :func:`_order_facts`; the
-implication and conditional tables are checked per algebra.  A prime filter
+implication table is checked per algebra.  A prime filter
 of a finite lattice is the principal filter of a join-prime element other
 than bot, so it is found in O(k) per element rather than by a subset scan;
 :func:`prime_filters` still refuses carriers above :data:`PF_CAP`, and
@@ -32,6 +32,21 @@ finite poset the prime filters of the upset lattice are exactly the eta(x)
 computed from the frame's ``cond`` table with the upsets themselves as
 theta, and read off by world.  Neither the complex algebra nor a dual frame
 is built.
+
+The relation half of both round trips is memoised per row, in bounded
+memos keyed by content: the cond laws of one row (:func:`_cond_laws`),
+the algebra round trip of one row (:func:`_cond_roundtrip`), one row of a
+complex algebra's cond table (:func:`_cond_row`, which
+:func:`complex_algebra` and :func:`frame_roundtrip` share) and the frame
+round trip of one relation (:func:`_relation_diff`).  Each check depends
+on its row and its order alone, and rows repeat heavily: A5's 271 487 cond
+rows hold 517 distinct (lattice, row) pairs.  A memo answers with what
+failed within the row, never with the row's place, because equal rows of
+one algebra share an entry; the caller names the row by position and
+writes every message, so a report keeps its text, its order and its early
+return however the rows repeat.  An error is not memoised: a family not
+closed under the box raises out of :func:`_cond_row` each time, and
+:func:`_cond_table` names the first pair of the whole table.
 
 A complex algebra, built from a frame that was validated when it was made,
 skips its constructor's checks, through :func:`condlogic.frames._unchecked`:
@@ -260,43 +275,82 @@ def validate_cha(alg: FiniteCHA) -> AlgebraReport:
     report = AlgebraReport(list(facts.violations))
     if not report.ok:
         return report
-    size = alg.size
-    meet = facts.meet
-    for i, (imp_row, res_row) in enumerate(zip(alg.imp, facts.residual)):
-        for j in range(size):
-            if imp_row[j] != res_row[j]:
-                report.add(f"imp table disagrees with residuation at ({i}, {j})")
+    size, leq, top, bot = alg.size, alg.leq, alg.top, alg.bot
+    # one C-level compare of the tables; the cells only to name disagreements
+    if alg.imp != facts.residual:
+        for i, (imp_row, res_row) in enumerate(zip(alg.imp, facts.residual)):
+            for j in range(size):
+                if imp_row[j] != res_row[j]:
+                    report.add(f"imp table disagrees with residuation at ({i}, {j})")
     # cond laws: meets preserved in the second argument, top preserved
-    for a, row in enumerate(alg.cond):
-        if row[alg.top] != alg.top:
+    for a, row in enumerate(map(tuple, alg.cond)):
+        keeps_top, broken = _cond_laws(size, leq, top, bot, row)
+        if not keeps_top:
             report.add(f"cond({a}, top) is not top")
-        for b in range(size):
-            meet_b, row_b = meet[b], meet[row[b]]
-            for c in range(size):
-                if row[meet_b[c]] != row_b[row[c]]:
-                    report.add(f"cond does not preserve meet at ({a}, {b}, {c})")
-                    return report
+        if broken is not None:
+            report.add(f"cond does not preserve meet at ({a}, {broken[0]}, {broken[1]})")
+            return report
     return report
+
+
+@lru_cache(maxsize=4096)
+def _cond_laws(size: int, leq: Tuple[int, ...], top: int, bot: int,
+               row: Tuple[int, ...]) -> Tuple[bool, Optional[Tuple[int, int]]]:
+    """The cond laws of one row ``row`` (``a cond b`` for every b) on a
+    distributive lattice order: whether it keeps top, and the first (b, c),
+    in row-major order, at which it breaks meet, or None.
+
+    Keyed by content, with no row index, so equal rows of one algebra and of
+    different algebras share one entry; :func:`validate_cha` names the row.
+    A5's frames carry 517 distinct (lattice, row) pairs, and one pass of the
+    ``duality`` workload at most 991 (seeds 0-49), so 4 096 entries never
+    evict."""
+    meet = _order_facts(size, leq, top, bot).meet
+    keeps_top = row[top] == top
+    for b in range(size):
+        meet_b, row_b = meet[b], meet[row[b]]
+        for c in range(size):
+            if row[meet_b[c]] != row_b[row[c]]:
+                return keeps_top, (b, c)
+    return keeps_top, None
 
 
 def complex_algebra(g: GeneralFrame) -> FiniteCHA:
     """The algebra of admissible upsets with the operations read off the frame."""
     masks = g.admissible
     leq, imp, top, bot = _upset_algebra(g.order, masks)
-    cond = _cond_table(g, {m: i for i, m in enumerate(masks)})
+    cond = _cond_table(g)
     return _unchecked(FiniteCHA, size=len(masks), leq=leq, imp=imp, cond=cond, top=top,
                       bot=bot, labels=masks)
 
 
-def _cond_table(g: GeneralFrame, idx: Dict[int, int]) -> Table:
-    """The complex algebra's ``cond``: ``idx[box(R_a, b)]`` for every a, b
-    of ``g.admissible``, whose carrier indices ``idx`` holds;
-    FrameFormatError unless the family is closed under the box."""
+def _cond_table(g: GeneralFrame) -> Table:
+    """The complex algebra's ``cond``: the carrier index of ``box(R_a, b)``
+    for every a, b of ``g.admissible``; FrameFormatError unless the family
+    is closed under the box.
+
+    Each row is read from :func:`_cond_row`, memoised per (family, R_a):
+    a duality sweep meets the same relations on the same families over and
+    over.  A row that leaves the family raises out of the memo, which keeps
+    no error, and the message names the first such pair of the whole table."""
     masks = g.admissible
     try:
-        return tuple(tuple([idx[box(rows, b)] for b in masks]) for rows in map(g.rel, masks))
+        return tuple([_cond_row(masks, tuple(rows)) for rows in map(g.rel, masks)])
     except KeyError:
         raise _not_closed(masks, "cond", g.dto) from None
+
+
+@lru_cache(maxsize=4096)
+def _cond_row(masks: Tuple[int, ...], rows: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The index in ``masks`` of ``box(rows, b)`` for every b of ``masks``;
+    KeyError unless every box lies in ``masks``.
+
+    Shared by :func:`complex_algebra` and :func:`frame_roundtrip`.  Keyed by
+    content: A5's frames carry 673 distinct (family, relation) pairs, and one
+    pass of the ``duality`` workload at most 1 072 (seeds 0-49), so 4 096
+    entries never evict."""
+    idx = {m: i for i, m in enumerate(masks)}
+    return tuple([idx[box(rows, b)] for b in masks])
 
 
 @lru_cache(maxsize=1024)
@@ -458,26 +512,46 @@ def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
 
     The order-only half (top, bot, meet, join and imp, which equals the
     residual table once the algebra validates) is checked once per lattice
-    in :func:`_order_facts`.  Per algebra, theta of each ``a cond b`` is
+    in :func:`_order_facts`.  Per row a, theta of each ``a cond b`` is
     compared with the box of the dual's relation at theta(a), as
     :func:`_dual_rows` computes it, over theta(b): the complex algebra's
-    cond, with neither it nor the dual frame built.  The first pair, in
-    row-major order, that breaks it is reported after the order-only
-    failures.
+    cond, with neither it nor the dual frame built.  That comparison is
+    memoised per distinct (lattice, row) in :func:`_cond_roundtrip`.  The
+    first pair, in row-major order, that breaks it is reported after the
+    order-only failures.
     """
     pre = validate_cha(alg)
     if not pre.ok:
         raise DualityError(f"refusing invalid algebra: {pre}")
     facts = _dual_facts(alg.size, alg.leq, alg.top, alg.bot)
-    pfs, theta, full = facts.prime_filters, facts.theta, facts.pf_order.full_mask
     report = DualityReport(list(facts.roundtrip))
-    for i, row in enumerate(alg.cond):
-        rows = _dual_rows(row, pfs, theta, full)
-        for j, tj in enumerate(theta):
-            if theta[row[j]] != box(rows, tj):
-                report.add(f"theta breaks cond at ({i}, {j})")
-                return report
+    size, leq, top, bot = alg.size, alg.leq, alg.top, alg.bot
+    for i, row in enumerate(map(tuple, alg.cond)):
+        j = _cond_roundtrip(size, leq, top, bot, row)
+        if j is not None:
+            report.add(f"theta breaks cond at ({i}, {j})")
+            return report
     return report
+
+
+@lru_cache(maxsize=4096)
+def _cond_roundtrip(size: int, leq: Tuple[int, ...], top: int, bot: int,
+                    row: Tuple[int, ...]) -> Optional[int]:
+    """The first b at which theta of ``a cond b`` differs from the box of the
+    dual relation at theta(a) over theta(b), given ``row`` = ``a cond b`` for
+    every b, on a lattice order that passed :func:`_dual_facts`; or None.
+
+    Keyed by content, with no row index, so equal rows share one entry;
+    :func:`check_duality_roundtrip` names the row.  A5's frames carry 517
+    distinct (lattice, row) pairs, and one pass of the ``duality`` workload
+    at most 991 (seeds 0-49), so 4 096 entries never evict."""
+    facts = _order_facts(size, leq, top, bot)
+    theta = facts.theta
+    rows = _dual_rows(row, facts.prime_filters, theta, facts.pf_order.full_mask)
+    for j, tj in enumerate(theta):
+        if theta[row[j]] != box(rows, tj):
+            return j
+    return None
 
 
 class _FrameOrder(NamedTuple):
@@ -489,7 +563,6 @@ class _FrameOrder(NamedTuple):
     """
 
     upsets: Tuple[int, ...]
-    idx: Dict[int, int]  # upset to carrier index; not to be mutated
     failures: Tuple[str, ...]
     eta: Tuple[int, ...]
 
@@ -528,8 +601,7 @@ def _frame_order(up: Tuple[int, ...]) -> _FrameOrder:
     facts = _dual_facts(len(ups), leq, top, bot)
     eta = _eta(ups, p.n)
     failure = _eta_failure(p, facts.prime_filters, eta)
-    return _FrameOrder(ups, {m: i for i, m in enumerate(ups)},
-                       (failure,) if failure else (), eta)
+    return _FrameOrder(ups, (failure,) if failure else (), eta)
 
 
 def frame_roundtrip(f: GeneralFrame) -> DualityReport:
@@ -550,7 +622,11 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     relations are left to compare: the dual relation at each upset a is
     computed by :func:`_dual_rows`, per world, from the row ``a cond b`` of
     the complex algebra's cond table, and compared with R_a.  Neither the
-    complex algebra nor the dual frame is built.
+    complex algebra nor the dual frame is built.  That comparison depends
+    on the order and R_a alone, not on a, so it is memoised per distinct
+    (order, R_a) in :func:`_relation_diff`, which answers with the worlds
+    only; the message names a, the first upset, in label order, whose
+    relation fails.
 
     The rows come out by world because the prime filters are listed as eta
     and theta is the list of upsets itself.  Upset i lies in eta(x) exactly
@@ -567,7 +643,7 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     So once strong coherence holds, :func:`validate_conditional` can only
     report that the frame is not full, and it is called only then, for the
     same message.  Coherence also makes box(R_a, b) an upset for every upset
-    b, so on a full frame :func:`_cond_table` cannot raise, and the one error
+    b, so on a full frame :func:`_cond_row` cannot raise, and the one error
     left after the frame's own checks is the cap error of
     :func:`_frame_order`.
     """
@@ -579,28 +655,41 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
         )
     if not f.is_full:
         raise DualityError(f"refusing invalid frame: {validate_conditional(f)}")
-    order = _frame_order(f.order.up)
-    ups = order.upsets
-    conds = _cond_table(f, order.idx)
+    up = f.order.up
+    order = _frame_order(up)
     report = DualityReport(list(order.failures))
     if order.failures:
         return report
-    full = f.order.full_mask
-    for a, cond_row in zip(ups, conds):
-        rows = f.rel(a)
-        dual = _dual_rows(cond_row, order.eta, ups, full)
-        if dual == rows:
-            continue
-        for x, (row, succ) in enumerate(zip(rows, dual)):
-            if row != succ:
-                diff = row ^ succ
-                y = (diff & -diff).bit_length() - 1
-                report.add(
-                    f"relation at {{{mask_to_key(a)}}} disagrees with the dual "
-                    f"at worlds ({x}, {y})"
-                )
-                return report
+    for a in order.upsets:
+        worlds = _relation_diff(up, tuple(f.rel(a)))
+        if worlds is not None:
+            report.add(
+                f"relation at {{{mask_to_key(a)}}} disagrees with the dual "
+                f"at worlds ({worlds[0]}, {worlds[1]})"
+            )
+            return report
     return report
+
+
+@lru_cache(maxsize=4096)
+def _relation_diff(up: Tuple[int, ...], rows: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
+    """The first worlds (x, y), x first, at which the relation ``rows`` on
+    the poset order with rows ``up`` differs from the dual relation that its
+    box induces; or None.  The order must have passed :func:`_frame_order`
+    with no failure.
+
+    Keyed by content, with no upset, so equal relations share one entry;
+    :func:`frame_roundtrip` names the upset.  A5's frames carry 358
+    distinct (order, relation) pairs, and one pass of the ``duality``
+    workload at most 702 (seeds 0-49), so 4 096 entries never evict."""
+    order = _frame_order(up)
+    ups = order.upsets
+    dual = _dual_rows(_cond_row(ups, rows), order.eta, ups, (1 << len(up)) - 1)
+    for x, (row, succ) in enumerate(zip(rows, dual)):
+        if row != succ:
+            diff = row ^ succ
+            return x, (diff & -diff).bit_length() - 1
+    return None
 
 
 # --- file format -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The frame round trip as it was before its order-only half was memoised.
+"""The round trips as they were before their halves were memoised.
 
 This is the oracle for :func:`condlogic.algebra.frame_roundtrip`: it builds
 the complex algebra of the frame and every relation of the dual frame of
@@ -6,12 +6,64 @@ that algebra, recomputes eta, the prime-filter index and the order check
 for every frame, and tests strong coherence and coherence on every
 relation.  On any frame both must give equal failures, or the same
 exception type and message.
+
+It is also the oracle for the relation half of :func:`validate_cha` and
+:func:`check_duality_roundtrip`: :func:`rowwise_validate_cha` and
+:func:`rowwise_check_duality_roundtrip` check the cond laws and theta of
+each ``a cond b`` row by row, for every row of every algebra, with no memo
+of the rows.  On any algebra both must give equal reports, or the same
+exception type and message.
 """
 
-from condlogic.algebra import DualityReport, _order_facts, complex_algebra, prime_filters
+from condlogic.algebra import (
+    AlgebraReport, DualityReport, _dual_facts, _dual_rows, _order_facts, complex_algebra,
+    prime_filters,
+)
 from condlogic.errors import DualityError
 from condlogic.frames import _strongly_coherent_rows, validate_conditional
-from condlogic.order import mask_to_key, set_bits
+from condlogic.order import box, mask_to_key, set_bits
+
+
+def rowwise_validate_cha(alg):
+    """Every algebra invariant, the cond laws checked once per row."""
+    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
+    report = AlgebraReport(list(facts.violations))
+    if not report.ok:
+        return report
+    size = alg.size
+    meet = facts.meet
+    for i, (imp_row, res_row) in enumerate(zip(alg.imp, facts.residual)):
+        for j in range(size):
+            if imp_row[j] != res_row[j]:
+                report.add(f"imp table disagrees with residuation at ({i}, {j})")
+    # cond laws: meets preserved in the second argument, top preserved
+    for a, row in enumerate(alg.cond):
+        if row[alg.top] != alg.top:
+            report.add(f"cond({a}, top) is not top")
+        for b in range(size):
+            meet_b, row_b = meet[b], meet[row[b]]
+            for c in range(size):
+                if row[meet_b[c]] != row_b[row[c]]:
+                    report.add(f"cond does not preserve meet at ({a}, {b}, {c})")
+                    return report
+    return report
+
+
+def rowwise_check_duality_roundtrip(alg):
+    """The algebra round trip, the dual rows of every row computed anew."""
+    pre = rowwise_validate_cha(alg)
+    if not pre.ok:
+        raise DualityError(f"refusing invalid algebra: {pre}")
+    facts = _dual_facts(alg.size, alg.leq, alg.top, alg.bot)
+    pfs, theta, full = facts.prime_filters, facts.theta, facts.pf_order.full_mask
+    report = DualityReport(list(facts.roundtrip))
+    for i, row in enumerate(alg.cond):
+        rows = _dual_rows(row, pfs, theta, full)
+        for j, tj in enumerate(theta):
+            if theta[row[j]] != box(rows, tj):
+                report.add(f"theta breaks cond at ({i}, {j})")
+                return report
+    return report
 
 
 def rel_strongly_coherent(p, rows):

@@ -29,7 +29,7 @@ from condlogic.generate import (
     random_general_frame,
     random_poset,
 )
-from condlogic.frames import _strongly_coherent_rows
+from condlogic.frames import _strongly_coherent_rows, strongly_coherent
 from condlogic.order import FinitePreorder, all_upsets, box, mask_to_key, set_bits
 from condlogic.semantics import valid
 from condlogic.syntax import Language, parse, print_formula, proposition_letters
@@ -404,7 +404,7 @@ class TestDualityRoundtrip:
             for i, j in itertools.product(range(alg.size), repeat=2):
                 with pytest.MonkeyPatch.context() as patch:
                     if kind == "cond":
-                        _inject_cond_fault(patch, i * alg.size + j)
+                        _inject_cond_fault(patch, i, j)
                     else:
                         _inject_order_fault(patch, kind, (i, j))
                     assert check_duality_roundtrip(alg).failures == [
@@ -414,7 +414,7 @@ class TestDualityRoundtrip:
     def test_order_only_failures_come_before_cond(self, monkeypatch, fresh_facts):
         alg = algebra_from_json(GOLDEN_ALGEBRA)
         _inject_order_fault(monkeypatch, "meet", (2, 3))
-        _inject_cond_fault(monkeypatch, 0)
+        _inject_cond_fault(monkeypatch, 0, 0)
         assert check_duality_roundtrip(alg).failures == [
             "theta breaks meet at (2, 3)", "theta breaks cond at (0, 0)"]
 
@@ -460,13 +460,41 @@ class TestDualityRoundtrip:
             assert str(exc.value) == "prime filter scan is capped at carrier size 20, got 25"
 
 
+# the memos of the relation half, one entry per distinct row
+ROW_MEMOS = (algebra._cond_laws, algebra._cond_roundtrip, algebra._cond_row,
+             algebra._relation_diff)
+
+
+class TestRowMemos:
+    def test_a5_slice_fills_each_row_memo_without_eviction(self, fresh_facts):
+        # A5's frames, every 8th: each distinct row is computed once and then
+        # read back from its memo, which must hold every one of them
+        frames = list(itertools.islice(enumerate_full_frames(2), 0, None, 8))
+        for i in range(0, 200, 8):
+            frames.append(random_full_frame(random.Random(f"a5:{i}"), 3, strong=i % 2 == 0))
+        for frame in frames:
+            assert check_duality_roundtrip(complex_algebra(frame)).ok
+            if frame.order.is_poset and strongly_coherent(frame):
+                assert frame_roundtrip(frame).ok
+        for memo in ROW_MEMOS:
+            info = memo.cache_info()
+            assert info.misses == info.currsize < info.maxsize, (memo, info)
+            assert info.hits > 100 * info.misses, (memo, info)
+
+
+def clear_memos():
+    for memo in (algebra._order_facts, algebra._frame_order) + ROW_MEMOS:
+        memo.cache_clear()
+
+
 @pytest.fixture
 def fresh_facts():
     """A fault injected below ``_order_facts`` is memoised with the lattice,
-    so the memo is emptied before and after each test that injects one."""
-    algebra._order_facts.cache_clear()
+    and one injected below a row memo with the row, so every memo is emptied
+    before and after each test that injects one."""
+    clear_memos()
     yield
-    algebra._order_facts.cache_clear()
+    clear_memos()
 
 
 def _inject_order_fault(patch, kind, at):
@@ -488,17 +516,34 @@ def _inject_order_fault(patch, kind, at):
     algebra._order_facts.cache_clear()
 
 
-def _inject_cond_fault(patch, call):
-    """Make the box the cond check takes at call number ``call`` (counting
-    from 0) wrong; the check boxes once per pair, in row-major order."""
-    real = algebra.box
+def _at_call(patch, name, call, inner_name, inner):
+    """Make the row memo ``name`` wrong at its call number ``call`` (counting
+    from 0): that call runs the memo's function unmemoised, with the module's
+    ``inner_name`` replaced by ``inner(real, *key)``.  The round trips call their
+    row memo once per row, in order, whether the row is new or not, so a
+    fault set by call number lands on its row even when rows repeat; and the
+    faulty result is not memoised."""
+    memo, real = getattr(algebra, name), getattr(algebra, inner_name)
     calls = itertools.count()
 
-    def faulty(rows, b):
-        out = real(rows, b)
-        return ~out if next(calls) == call else out
+    def faulty(*key):
+        if next(calls) != call:
+            return memo(*key)
+        with pytest.MonkeyPatch.context() as swap:
+            swap.setattr(algebra, inner_name, inner(real, *key))
+            return memo.__wrapped__(*key)
 
-    patch.setattr(algebra, "box", faulty)
+    patch.setattr(algebra, name, faulty)
+
+
+def _inject_cond_fault(patch, i, j):
+    """Make the cond check of row ``i`` take a wrong box over theta(j)."""
+
+    def wrong_at_j(box, size, leq, top, bot, row):
+        tj = algebra._order_facts(size, leq, top, bot).theta[j]
+        return lambda rows, b: ~box(rows, b) if b == tj else box(rows, b)
+
+    _at_call(patch, "_cond_roundtrip", i, "box", wrong_at_j)
 
 
 def _moved(mask, perm):
@@ -552,26 +597,28 @@ class TestFrameRoundtrip:
             f = random_full_frame(rng, rng.choice([2, 3]), strong=True)
             assert frame_roundtrip(f).ok
 
-    def test_a_flipped_dual_edge_is_reported_at_its_worlds(self, monkeypatch):
+    def test_a_flipped_dual_edge_is_reported_at_its_worlds(self, fresh_facts):
         # world 1 below world 0, so eta lists the prime filters in reverse;
-        # the dual rows come per world, one call per upset in label order
+        # the dual rows come per world, one relation check per upset in label
+        # order, and every upset carries the same relation
         f = constant_full_frame(preorder(2, [(1, 0)]), (0b01, 0b11))
         labels = all_upsets(f.order)
-        real = algebra._dual_rows
         for i, x, y in itertools.product(range(len(labels)), range(f.n), range(f.n)):
-            calls = itertools.count()
 
-            def flipped(*args):
-                rows = list(real(*args))
-                if next(calls) == i:
-                    rows[x] ^= 1 << y
-                return tuple(rows)
+            def flip(dual_rows, up, rows, x=x, y=y):
+                def flipped(*args):
+                    out = list(dual_rows(*args))
+                    out[x] ^= 1 << y
+                    return tuple(out)
+                return flipped
 
-            monkeypatch.setattr(algebra, "_dual_rows", flipped)
-            assert frame_roundtrip(f).failures == [
-                f"relation at {{{mask_to_key(labels[i])}}} disagrees with the dual "
-                f"at worlds ({x}, {y})"
-            ]
+            with pytest.MonkeyPatch.context() as patch:
+                _at_call(patch, "_relation_diff", i, "_dual_rows", flip)
+                assert frame_roundtrip(f).failures == [
+                    f"relation at {{{mask_to_key(labels[i])}}} disagrees with the dual "
+                    f"at worlds ({x}, {y})"
+                ]
+            assert frame_roundtrip(f).ok
 
     @pytest.mark.parametrize("wrong, failure", [
         (lambda eta: (eta[1], eta[0]), "eta breaks the order at (0, 1)"),
