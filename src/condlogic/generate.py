@@ -17,6 +17,14 @@ because the golden CLI corpus (``persist``, ``search``, sampled
 ``verify-correspondence``) and the benchmark's output digests pin what
 seeded runs produce.
 
+The work around the draws is cut without touching them.  Random orders are
+interned: the checking constructor runs once per distinct rows tuple
+(:func:`_interned_order`).  The admissible closure takes its Heyting
+implications from a memo per order, filled lazily with the pairs that
+closures meet (:func:`_imp_memo`), never as a whole table.  A kept general
+frame is built without the constructor's checks, which cannot fail on the
+closure's output.
+
 Exhaustive enumeration order is (world count, preorder as a big-endian
 matrix integer, relation assignment as a big-endian integer over the upset
 list); countermodel searches report the first hit in this order.
@@ -26,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Sequence
 
 from .errors import InfeasibleEnumerationError
@@ -55,14 +64,28 @@ def repair_strong(p: FinitePreorder, rows: Sequence[int]) -> Rows:
 
 
 def random_poset(rng: random.Random, n: int) -> FinitePreorder:
-    """Random poset: edges only from lower to higher index, then closed."""
+    """Random poset: edges only from lower to higher index, then closed.
+
+    The order is interned (:func:`_interned_order`): equal rows give the
+    same instance."""
     edge_prob = rng.choice([0.2, 0.35, 0.5, 0.7])
     up = [1 << i for i in range(n)]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
             if rng.random() < edge_prob:
                 up[i] |= up[j]
-    return FinitePreorder(n, tuple(up))
+    return _interned_order(tuple(up))
+
+
+@lru_cache(maxsize=64)
+def _interned_order(up: Rows) -> FinitePreorder:
+    """The order with rows ``up``, checked by its constructor once per
+    distinct rows tuple.  Keyed by the rows tuple, whose hash runs in C.
+    :func:`random_poset` draws only orders whose edges run from lower to
+    higher index, and there are 50 of them on at most four worlds (the
+    persistence experiments draw 2-4 worlds), so 64 entries hold them all.
+    """
+    return FinitePreorder(len(up), up)
 
 
 def _random_mask(rng: random.Random, n: int, density: float) -> int:
@@ -155,9 +178,12 @@ MODES: Dict[str, Callable[[random.Random, FinitePreorder], RowSampler]] = {
 
 def make_sampler(rng: random.Random, p: FinitePreorder, mode_names: Sequence[str],
                  force_subset: bool = False, strong: bool = False) -> RowSampler:
-    """Pick one mode for this frame and wrap repairs around it."""
+    """Pick one mode for this frame and wrap repairs around it; with no
+    repair asked for, the mode's own sampler."""
     name = mode_names[rng.randrange(len(mode_names))]
     base = MODES[name](rng, p)
+    if not (force_subset or strong):
+        return base
 
     def sample(a: int) -> Rows:
         rows = base(a)
@@ -204,8 +230,12 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
     So once the family holds every upset, no later pair can add a set and
     no further relation is drawn: the family, the relations and the
     generator state are those the full loop would leave.
+
+    The Heyting implications come from the order's memo
+    (:func:`_imp_memo`), computed only for the pairs a closure meets.
     """
     ups = all_upsets(p)
+    imps = _imp_memo(p.up)
     known = set(seeds) | {0, p.full_mask}
     relations = {a: sampler(a) for a in sorted(known)}
     fresh = set(known)
@@ -215,8 +245,14 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
         entered = set()
         for a in current:
             rows = relations[a]
+            imps_a = imps.get(a)
+            if imps_a is None:
+                imps_a = imps[a] = {}
             for b in current if a in fresh else fresh_sorted:
-                for c in (a & b, a | b, heyting_imp(p, a, b), box(rows, b)):
+                imp = imps_a.get(b)
+                if imp is None:
+                    imp = imps_a[b] = heyting_imp(p, a, b)
+                for c in (a & b, a | b, imp, box(rows, b)):
                     if c not in known:
                         known.add(c)
                         entered.add(c)
@@ -225,6 +261,23 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
                             return ups, relations
         fresh = entered
     return tuple(sorted(known)), relations
+
+
+@lru_cache(maxsize=64)
+def _imp_memo(up: Rows) -> Dict[int, Dict[int, int]]:
+    """The Heyting implications met so far on the order with rows ``up``:
+    ``memo[a][b]`` is ``heyting_imp(p, a, b)``.
+
+    Filled lazily by :func:`close_admissible`, never as a whole table: an
+    antichain of :data:`~condlogic.order.MAX_WORLDS` worlds has 2^20
+    upsets.  So a table never holds more pairs than the closures on its
+    order combined: one pass of the ``fillin`` benchmark workload leaves
+    3 468 pairs on its 49 orders.  Keyed by the rows tuple, whose hash runs
+    in C; one entry per order, and 64 hold every order that
+    :func:`random_poset` draws on at most four worlds
+    (:func:`_interned_order`).
+    """
+    return {}
 
 
 _MAX_REGEN = 8
@@ -240,7 +293,8 @@ def random_general_frame(rng: random.Random, n: int,
     Only the draw returned is built into a :class:`GeneralFrame`: the first
     with a non-admissible upset, or else the last.  Building draws nothing
     from ``rng``, so skipping it for the discarded draws leaves the
-    generator state unchanged.
+    generator state unchanged.  It skips the constructor's checks
+    (:func:`frames._unchecked`), which cannot fail on a closure's output.
     """
     for _ in range(_MAX_REGEN):
         p = random_poset(rng, n)
@@ -251,7 +305,7 @@ def random_general_frame(rng: random.Random, n: int,
         admissible, relations = close_admissible(rng, p, seeds, sampler)
         if len(admissible) < len(ups):
             break
-    return GeneralFrame(p, admissible, relations)
+    return _unchecked(GeneralFrame, order=p, admissible=admissible, relations=relations)
 
 
 # --- exhaustive enumeration ---------------------------------------------------

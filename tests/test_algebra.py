@@ -326,6 +326,13 @@ def _top_meet_maps(ups):
     return found
 
 
+def _strongly_coherent_by_definition(up, rows):
+    """Every row is an upset of the order with rows ``up``, and x <= y
+    implies R[y] within R[x]."""
+    return (all(not up[y] & ~row for row in rows for y in set_bits(row))
+            and all(not rows[y] & ~rows[x] for x in range(len(up)) for y in set_bits(up[x])))
+
+
 class TestBoxBijection:
     """The finite duality from the frame side: on every labelled poset of at
     most three worlds, box is a bijection from the strongly coherent
@@ -338,12 +345,9 @@ class TestBoxBijection:
             ups, n, full = all_upsets(p), p.n, p.full_mask
             rels = [rows for rows in itertools.product(range(full + 1), repeat=n)
                     if _strongly_coherent_rows(p.up, rows)]
-            # the same relations, read off the definition: rows are upsets,
-            # and x <= y implies R[y] within R[x]
-            assert rels == [
-                rows for rows in itertools.product(ups, repeat=n)
-                if all(not rows[y] & ~rows[x] for x in range(n) for y in set_bits(p.up[x]))
-            ], p
+            # the same relations, read off the definition
+            assert rels == [rows for rows in itertools.product(range(full + 1), repeat=n)
+                            if _strongly_coherent_by_definition(p.up, rows)], p
             boxes = [tuple(box(rows, b) for b in ups) for rows in rels]
             for f in boxes:
                 assert f[-1] == full and set(f) <= set(ups), p
@@ -358,6 +362,39 @@ class TestBoxBijection:
                 assert dual == rows, p
             counts[len(rels)] += 1
         assert counts == {2: 1, 6: 2, 16: 1, 20: 6, 50: 6, 108: 6, 512: 1}
+
+    def test_dual_rows_read_through_theta(self):
+        """The same bijection from the algebra side: each box, as a cond row
+        of the upset algebra, gives through the algebra's own prime filters
+        and theta a strongly coherent dual relation whose box is the map
+        again, carried by theta."""
+        counts = {}
+        for p in (p for n in (1, 2, 3) for p in enumerate_preorders(n) if p.is_poset):
+            ups, n, full = all_upsets(p), p.n, p.full_mask
+            leq, _imp, top, bot = algebra._upset_algebra(p, ups)
+            facts = algebra._order_facts(len(ups), leq, top, bot)
+            pf_up, theta = facts.pf_order.up, facts.theta
+            rels = [rows for rows in itertools.product(range(full + 1), repeat=n)
+                    if _strongly_coherent_by_definition(p.up, rows)]
+            boxes = set()
+            for rows in rels:
+                f = {b: box(rows, b) for b in ups}
+                assert f[full] == full, (p, rows)
+                assert all(f[a & b] == f[a] & f[b] for a in ups for b in ups), (p, rows)
+                cond_row = tuple(ups.index(f[b]) for b in ups)
+                dual = algebra._dual_rows(cond_row, facts.prime_filters, theta,
+                                          facts.pf_order.full_mask)
+                assert _strongly_coherent_by_definition(pf_up, dual), (p, rows)
+                assert [box(dual, t) for t in theta] == [theta[c] for c in cond_row], (p, rows)
+                boxes.add(cond_row)
+            assert len(boxes) == len(rels), p
+            shape = tuple(sorted(bin(u).count("1") for u in p.up))  # up-set sizes
+            counts.setdefault(shape, set()).add(len(rels))
+        assert counts == {
+            (1,): {2},
+            (1, 1): {16}, (1, 2): {6},
+            (1, 1, 1): {512}, (1, 1, 2): {108}, (1, 1, 3): {50}, (1, 2, 2): {50}, (1, 2, 3): {20},
+        }
 
 
 class TestDualityRoundtrip:

@@ -98,6 +98,12 @@ CORPUS = [
                                       "--expect", "fail"], [])
         for jobs in (1, 2)
     ],
+    # the squeeze draws force every row into its upset, over the ICC modes
+    ("persist-squeeze", ["persist", "--axiom", "four_c", "--fillin", "squeeze",
+                         "--samples", "20", "--seed", "0"], []),
+    # the strong repair sandwiches each row between two copies of the order
+    ("persist-strong", ["persist", "--strong", "--axiom", "unit", "--fillin", "transitive",
+                        "--samples", "20", "--seed", "0"], []),
     ("search-found", ["search", "--logic", "HLCflat", "--refute", "(p -> q) -> (p ~> q)",
                       "--max-worlds", "2", "--out", "cm"],
      ["cm/frame.json", "cm/valuation.json"]),

@@ -1,14 +1,18 @@
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from condlogic import frames
 from condlogic.errors import FrameFormatError, NotAdmissibleError
 from condlogic.frames import (
     ConditionalFrame,
     FrameReport,
     GeneralFrame,
     ModalFrame,
+    _coherent_rows,
     compose_rel_up,
     compose_up_rel,
     frame_from_json,
@@ -19,8 +23,13 @@ from condlogic.frames import (
     validate_conditional,
     validate_general,
 )
-from condlogic.generate import random_general_frame, random_full_frame
-from condlogic.order import all_upsets, heyting_imp
+from condlogic.generate import (
+    enumerate_preorders,
+    random_full_frame,
+    random_general_frame,
+    random_poset,
+)
+from condlogic.order import all_upsets, heyting_imp, mask_to_key
 
 from conftest import full_frame, general_frame, m, preorder
 from roundtrip_oracle import check_strong_coherence, rel_strongly_coherent
@@ -33,6 +42,16 @@ def validate_modal(m: ModalFrame) -> FrameReport:
     if not rel_coherent(m.order, m.rel):
         report.add("coherence", "modal relation violates leq-compatibility")
     return report
+
+
+def old_add_incoherent(report, g):
+    """The coherence clause as it was before the memo: a check per relation."""
+    for a in g.admissible:
+        if not rel_coherent(g.order, g.rel(a)):
+            report.add(
+                "coherence",
+                f"relation at {{{mask_to_key(a)}}} violates leq-compatibility",
+            )
 
 
 def identity_rows(n):
@@ -160,6 +179,52 @@ class TestCoherence:
                              {0: [0, 0], m(1): [m(1), m(1)], m(0, 1): rows})
             assert all(check_strong_coherence(g).values()) is holds
             assert strongly_coherent(g) is holds
+
+    def test_coherence_memo_agrees_on_every_relation_of_at_most_three_worlds(self):
+        # orders of one world count in turn for each rows tuple, twice, so
+        # that a repeat is answered from the memo while other orders hold
+        # the same rows there
+        checked = Counter()
+        _coherent_rows.cache_clear()
+        for n in (1, 2, 3):
+            orders = enumerate_preorders(n)
+            for rows in itertools.product(range(1 << n), repeat=n):
+                for p in orders + orders:
+                    got = _coherent_rows(p.up, rows)
+                    assert got == rel_coherent(p, rows), (p, rows)
+                    checked[got] += 1
+        assert checked[True] and checked[False]
+        assert _coherent_rows.cache_info().hits == sum(checked.values()) // 2
+
+    def test_reports_as_with_a_check_per_relation(self, monkeypatch):
+        # seeded frames with random rows, most of them incoherent somewhere;
+        # some are full, some not closed, some carry rows as lists
+        seen = Counter()
+        for i in range(400):
+            rng = random.Random(f"incoherent:{i}")
+            n = rng.randint(1, 4)
+            p = (rng.choice(enumerate_preorders(n)) if n <= 3 and rng.random() < 0.4
+                 else random_poset(rng, n))
+            ups = all_upsets(p)
+            family = ups if i % 3 == 0 else [a for a in ups if rng.random() < 0.6]
+            relations = {}
+            for a in family:
+                rows = [rng.randrange(p.full_mask + 1) for _ in range(p.n)]
+                relations[a] = rows if i % 5 == 0 else tuple(rows)
+            g = (ConditionalFrame(p, relations) if i % 3 == 0
+                 else GeneralFrame(p, family, relations))
+
+            def reports():
+                return [(str(r), r.violations)
+                        for r in (validate_conditional(g), validate_general(g))]
+
+            got = reports()
+            with monkeypatch.context() as patch:
+                patch.setattr(frames, "_add_incoherent", old_add_incoherent)
+                assert got == reports(), i
+            seen["coherence" if "[coherence]" in got[1][0] else "coherent"] += 1
+            seen["full" if g.is_full else "partial"] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestRestrict:

@@ -8,7 +8,10 @@ preorder enumeration as they were before the mode and recipe tables, and
 the closure that combined every pair of the family in every round, and
 the general-frame draw that built a frame for every attempt.  On
 every input both must give the same rows and leave the generator in the
-same state, or fail with the same exception type and message.
+same state, or fail with the same exception type and message.  The fast
+paths of the draw (interned orders, the implication memo, samplers without
+a wrapper and frames built without the constructor's checks) are checked
+against the checking paths they replace.
 """
 
 import itertools
@@ -23,6 +26,7 @@ from condlogic.fillins import ALL_KINDS, FillInKind, check_squeeze_precondition,
 from condlogic.frames import ConditionalFrame, GeneralFrame, compose_up_rel, validate_general
 from condlogic.generate import (
     MODES,
+    _interned_order,
     close_admissible,
     coherent_relations,
     enumerate_full_frames,
@@ -226,6 +230,34 @@ def old_fill(g, kind):
         else:
             relations[a] = old_fill_rows(g, kind, a)
     return ConditionalFrame(g.order, relations)
+
+
+# --- reference draws: a constructor per order, a wrapper per sampler --------------
+
+
+def old_random_poset(rng, n):
+    edge_prob = rng.choice([0.2, 0.35, 0.5, 0.7])
+    up = [1 << i for i in range(n)]
+    for i in range(n - 1, -1, -1):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                up[i] |= up[j]
+    return FinitePreorder(n, tuple(up))
+
+
+def old_make_sampler(rng, p, mode_names, force_subset=False, strong=False):
+    name = mode_names[rng.randrange(len(mode_names))]
+    base = MODES[name](rng, p)
+
+    def sample(a):
+        rows = base(a)
+        if force_subset:
+            rows = tuple(r & a for r in rows)
+        if strong:
+            rows = repair_strong(p, rows)
+        return rows
+
+    return sample
 
 
 # --- reference preorder enumeration ----------------------------------------------
@@ -486,8 +518,11 @@ def test_closure_combines_each_pair_once(monkeypatch):
     fills = 0
     for seed in range(600):
         rng, p, seeds, sampler = _closure_case(seed)
+        # the implication memo is emptied, so that every pair is computed
+        generate._imp_memo.cache_clear()
         calls.clear()
-        admissible, _ = close_admissible(rng, p, seeds, draw(sampler))
+        closed = close_admissible(rng, p, seeds, draw(sampler))
+        admissible = closed[0]
         k = len(admissible)
         if k < len(all_upsets(p)):
             # meet and join are evaluated in the same tuple as imp and cond
@@ -497,6 +532,13 @@ def test_closure_combines_each_pair_once(monkeypatch):
             assert calls["draw"] == k, (seed, k)
             assert at_last_draw == calls, (seed, k)
             fills += _starts_below_and_fills(p, seeds, admissible)
+        # the same case again, on the warm memo: no implication is computed,
+        # and the same frame is drawn, leaving the generator where it was
+        imps = calls["imp"]
+        again_rng, _, again_seeds, again_sampler = _closure_case(seed)
+        again = close_admissible(again_rng, p, again_seeds, draw(again_sampler))
+        assert calls["imp"] == imps, seed
+        assert again == closed and again_rng.getstate() == rng.getstate(), seed
     assert fills >= 50, fills
 
 
@@ -539,3 +581,56 @@ def test_random_general_frames_as_before(modes):
     assert max(depths) >= 3, (modes, depths)
     # the discarded draws: the frame returned is the last one drawn
     assert redraws >= 1, (modes, redraws)
+
+
+def test_random_posets_as_the_checking_constructor_builds_them():
+    for seed in range(500):
+        n = 1 + seed % 5
+        rng, old_rng = random.Random(f"poset:{seed}"), random.Random(f"poset:{seed}")
+        p, want = random_poset(rng, n), old_random_poset(old_rng, n)
+        assert type(p) is FinitePreorder and (p.n, p.up) == (want.n, want.up), seed
+        assert rng.getstate() == old_rng.getstate(), seed
+
+
+def test_equal_orders_are_one_instance():
+    # 50 orders of at most four worlds have edges only upwards; the memo
+    # holds them all, so every draw of one rows tuple gives one instance
+    _interned_order.cache_clear()
+    first = {}
+    for seed in range(2000):
+        p = random_poset(random.Random(f"interned:{seed}"), 1 + seed % 4)
+        assert first.setdefault(p.up, p) is p, seed
+    assert len(first) == 50
+    assert _interned_order.cache_info().currsize == 50
+
+
+@pytest.mark.parametrize("modes", CLOSURE_MODE_LISTS, ids="+".join)
+def test_samplers_as_the_wrapper_draws_them(modes):
+    # without a repair, make_sampler returns the mode's own sampler
+    for seed in range(20):
+        p = _orders(random.Random(f"order:{seed}"))
+        ups = all_upsets(p)
+        for force_subset, strong in itertools.product((False, True), repeat=2):
+            rng, old_rng = random.Random(seed), random.Random(seed)
+            new = make_sampler(rng, p, modes, force_subset, strong)
+            old = old_make_sampler(old_rng, p, modes, force_subset, strong)
+            for a in ups + ups:
+                assert new(a) == old(a), (modes, seed, p, a)
+                assert rng.getstate() == old_rng.getstate(), (modes, seed, p, a)
+
+
+@pytest.mark.parametrize("modes", CLOSURE_MODE_LISTS, ids="+".join)
+def test_random_general_frames_as_the_checking_constructor_builds_them(modes):
+    """The kept frame is built without the constructor's checks; it must
+    hold what the checking constructor would make of its fields, and pass
+    ``validate_general``."""
+    for n in range(1, 6):
+        for seed in range(6):
+            for force_subset, strong in itertools.product((False, True), repeat=2):
+                args = (modes, n, seed, force_subset, strong)
+                rng = random.Random(f"checked:{seed}:{n}:{force_subset}:{strong}")
+                g = random_general_frame(rng, n, modes, force_subset=force_subset,
+                                         strong=strong)
+                want = GeneralFrame(g.order, g.admissible, dict(g.relations))
+                assert type(g) is GeneralFrame and vars(g) == vars(want), args
+                assert validate_general(g).ok, args

@@ -76,7 +76,8 @@ def old_frame_from_json(obj):
         up[i] |= 1 << j
     order = FinitePreorder(n, tuple(up))
     relations = {key_to_mask(k, n): old_rows_from_pairs(n, v) for k, v in rel_obj.items()}
-    with mock.patch.object(frames, "rel_coherent", old_rel_coherent):
+    with mock.patch.object(frames, "_coherent_rows",
+                           lambda up, rows: old_rel_coherent(FinitePreorder(len(up), up), rows)):
         if admissible == "all":
             ups = all_upsets(order)
             extra = [a for a in relations if a not in ups]
