@@ -74,8 +74,8 @@ from .frames import (
     ConditionalFrame, GeneralFrame, _unchecked, strongly_coherent, validate_conditional,
 )
 from .order import (
-    FinitePreorder, all_upsets, box, heyting_imp, mask_to_key, read_indices, read_pair_rows,
-    set_bits,
+    FinitePreorder, box, heyting_imp, interned_order, mask_to_key, read_indices,
+    read_pair_rows, set_bits,
 )
 from .semantics import DEFAULT_BUDGET, compile_formula
 from .syntax import Formula, Language
@@ -219,11 +219,10 @@ def _order_facts(size: int, leq: Tuple[int, ...], top: int, bot: int) -> _OrderF
     n = len(primes)
     if not n or size > PF_CAP:
         return _OrderFacts(meet, join, None, violations, residual, primes)
-    pf_order = FinitePreorder(
-        n, tuple(sum(1 << l for l in range(n) if not primes[k] & ~primes[l]) for k in range(n))
-    )
+    pf_order = interned_order(
+        tuple(sum(1 << l for l in range(n) if not primes[k] & ~primes[l]) for k in range(n)))
     theta = tuple(sum(1 << k for k, pf in enumerate(primes) if (pf >> i) & 1) for i in range(size))
-    onto = sorted(theta) == list(all_upsets(pf_order))
+    onto = sorted(theta) == list(pf_order.upsets)
     roundtrip = (None if residual is None
                  else _theta_failures(pf_order, theta, top, bot, meet, join, residual))
     return _OrderFacts(meet, join, None, violations, residual, primes, pf_order, theta, onto,
@@ -594,8 +593,8 @@ def _frame_order(up: Tuple[int, ...]) -> _FrameOrder:
     the rows tuple, whose hash runs in C; a duality sweep meets few distinct
     orders.  Raises CapExceededError on more than :data:`PF_CAP` upsets,
     before their lattice is built; an error is not memoised."""
-    p = FinitePreorder(len(up), up)
-    ups = all_upsets(p)
+    p = interned_order(up)
+    ups = p.upsets
     _check_cap(len(ups))
     leq, _imp, top, bot = _upset_algebra(p, ups)
     facts = _dual_facts(len(ups), leq, top, bot)

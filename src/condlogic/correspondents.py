@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Tuple
 
 from .frames import GeneralFrame
-from .order import _down_rows, image, set_bits
+from .order import image, set_bits
 
 
 def _k_id(rels, rel, up, down, a, b):
@@ -231,7 +231,7 @@ def _corr_loop(frame: GeneralFrame, quant: str, fn: Callable) -> Optional[Tuple]
     rels = frame.relations
     rel = frame.rel
     up = p.up
-    down = _down_rows(up)
+    down = p.down
     pool = frame.admissible
     if quant == "abx":
         for a in pool:

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Optional, Tuple
 from .correspondents import _corr_loop, _k_icc, _k_id
 from .errors import SqueezeAmbiguityError, SqueezePreconditionError
 from .frames import ConditionalFrame, GeneralFrame, Rows, _unchecked, compose_up_rel
-from .order import all_upsets, mask_to_key, up_closure
+from .order import mask_to_key, up_closure
 
 
 class FillInKind(enum.Enum):
@@ -143,7 +143,7 @@ def fill(g: GeneralFrame, kind: FillInKind) -> ConditionalFrame:
             raise SqueezePreconditionError(pre.witness)
     recipe = _RECIPES[kind]
     relations: Dict[int, Rows] = dict(g.relations)
-    upsets = all_upsets(g.order)
+    upsets = g.order.upsets
     for a in upsets:
         if a not in g.relations:
             relations[a] = recipe(g, a)

@@ -18,7 +18,6 @@ from typing import Dict, List, Mapping, Tuple
 from .errors import FrameFormatError, NotAdmissibleError
 from .order import (
     FinitePreorder,
-    all_upsets,
     box,
     heyting_imp,
     image,
@@ -28,7 +27,7 @@ from .order import (
     mask_to_worlds,
     read_indices,
     read_pair_rows,
-    strict_successors,
+    set_bits,
     up_closure,
     worlds_to_mask,
 )
@@ -85,7 +84,8 @@ def _coherent_rows(up: Rows, rows: Rows) -> bool:
 
     Equivalently, x <= y implies rows[y] is contained in the up-closure of
     rows[x].  Only ``y != x`` needs checking, since ``rows[x]`` always lies
-    within its own up-closure, so worlds with no strict successor are skipped.
+    within its own up-closure, so each world walks its strict successors,
+    ``up[x]`` without ``x``, and one with none is skipped.
 
     Keyed by the two rows tuples, whose hashes run in C (callers pass
     tuples, never lists).  Frames drawn for the persistence experiments
@@ -94,11 +94,13 @@ def _coherent_rows(up: Rows, rows: Rows) -> bool:
     7 and 45), and 99 % of its coherence checks find theirs here; 2 048
     entries hold them all.
     """
-    for x, above in strict_successors(up):
-        allowed = image(up, rows[x])
-        for y in above:
-            if rows[y] & ~allowed:
-                return False
+    for x, row in enumerate(up):
+        above = row & ~(1 << x)
+        if above:
+            allowed = image(up, rows[x])
+            for y in set_bits(above):
+                if rows[y] & ~allowed:
+                    return False
     return True
 
 
@@ -154,7 +156,7 @@ class GeneralFrame:
 
     @property
     def is_full(self) -> bool:
-        return self.admissible == all_upsets(self.order)
+        return self.admissible == self.order.upsets
 
     def rel(self, a: int) -> Rows:
         try:
@@ -171,7 +173,7 @@ class ConditionalFrame(GeneralFrame):
     """A general frame whose admissible family is all upsets."""
 
     def __init__(self, order: FinitePreorder, relations: Mapping[int, Rows]):
-        super().__init__(order, all_upsets(order), dict(relations))
+        super().__init__(order, order.upsets, dict(relations))
 
     def _check_keys(self) -> None:
         """Name the first key of ``relations`` that is not an upset; else list
@@ -206,13 +208,13 @@ def _unchecked(cls, **fields):
       ``size x size`` and its ``leq`` rows are built over the carrier, one
       per element;
     - :func:`condlogic.generate.enumerate_full_frames`: its admissible
-      family is ``all_upsets(order)``, sorted and unique, its relations are
+      family is ``order.upsets``, sorted and unique, its relations are
       keyed by exactly those upsets, and every relation is one of
       ``coherent_relations(order)``, ``n`` rows within the world set.  The
       enumeration builds 68 302 frames at two worlds, and the checks cost
       more than the rest of the enumeration;
     - :func:`condlogic.fillins.fill`, when its keys are exactly
-      ``all_upsets(order)``, sorted and unique as the admissible family: it
+      ``order.upsets``, sorted and unique as the admissible family: it
       copies the input frame's relations, whose rows its own constructor
       checked, and every recipe row lies within the world set (the empty
       set, an upset, the order's rows, or unions, up-closures and copies of
@@ -345,12 +347,6 @@ def frame_to_json(g: GeneralFrame) -> dict:
     }
 
 
-@lru_cache(maxsize=256)
-def _upset_keys(p: FinitePreorder) -> Dict[str, int]:
-    """Canonical file key to mask, for every upset of ``p``; not to be mutated."""
-    return {mask_to_key(a): a for a in all_upsets(p)}
-
-
 def frame_from_json(obj: dict) -> GeneralFrame:
     """Load and re-validate a frame; raises FrameFormatError on any violation."""
     try:
@@ -362,8 +358,8 @@ def frame_from_json(obj: dict) -> GeneralFrame:
         raise FrameFormatError(f"malformed frame object: {exc}") from exc
     if not isinstance(rel_obj, dict):
         raise FrameFormatError("relations must map upset keys to pair lists")
-    order = FinitePreorder.from_pairs(n, leq)
-    keys = _upset_keys(order)
+    order = FinitePreorder.from_pairs(n, leq)  # interned, with its keys
+    keys = order.upset_keys
     relations = {}
     for k, v in rel_obj.items():
         # keys that name no upset go through the strict parser, which

@@ -17,13 +17,14 @@ because the golden CLI corpus (``persist``, ``search``, sampled
 ``verify-correspondence``) and the benchmark's output digests pin what
 seeded runs produce.
 
-The work around the draws is cut without touching them.  Random orders are
-interned: the checking constructor runs once per distinct rows tuple
-(:func:`_interned_order`).  The admissible closure takes its Heyting
-implications from a memo per order, filled lazily with the pairs that
-closures meet (:func:`_imp_memo`), never as a whole table.  A kept general
-frame is built without the constructor's checks, which cannot fail on the
-closure's output.
+The work around the draws is cut without touching them.  Random and
+enumerated orders come from the order intern
+(:func:`condlogic.order.interned_order`), so the checking constructor runs
+once per distinct rows tuple and equal orders share their upsets.  The
+admissible closure takes its Heyting implications from the order's own
+``imps``, filled lazily with the pairs that closures meet, never as a whole
+table.  A kept general frame is built without the constructor's checks,
+which cannot fail on the closure's output.
 
 Exhaustive enumeration order is (world count, preorder as a big-endian
 matrix integer, relation assignment as a big-endian integer over the upset
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Sequence
 
 from .errors import InfeasibleEnumerationError
@@ -47,7 +47,7 @@ from .frames import (
     compose_up_rel,
     rel_coherent,
 )
-from .order import FinitePreorder, all_upsets, box, heyting_imp, intransitive_pair
+from .order import FinitePreorder, box, heyting_imp, interned_order, intransitive_pair
 from .syntax import And, Bot, Box, Cond, Formula, Imp, Language, Or, Var
 
 RowSampler = Callable[[int], Rows]
@@ -66,26 +66,15 @@ def repair_strong(p: FinitePreorder, rows: Sequence[int]) -> Rows:
 def random_poset(rng: random.Random, n: int) -> FinitePreorder:
     """Random poset: edges only from lower to higher index, then closed.
 
-    The order is interned (:func:`_interned_order`): equal rows give the
-    same instance."""
+    The order is interned (:func:`~condlogic.order.interned_order`): equal
+    rows give the same instance."""
     edge_prob = rng.choice([0.2, 0.35, 0.5, 0.7])
     up = [1 << i for i in range(n)]
     for i in range(n - 1, -1, -1):
         for j in range(i + 1, n):
             if rng.random() < edge_prob:
                 up[i] |= up[j]
-    return _interned_order(tuple(up))
-
-
-@lru_cache(maxsize=64)
-def _interned_order(up: Rows) -> FinitePreorder:
-    """The order with rows ``up``, checked by its constructor once per
-    distinct rows tuple.  Keyed by the rows tuple, whose hash runs in C.
-    :func:`random_poset` draws only orders whose edges run from lower to
-    higher index, and there are 50 of them on at most four worlds (the
-    persistence experiments draw 2-4 worlds), so 64 entries hold them all.
-    """
-    return FinitePreorder(len(up), up)
+    return interned_order(tuple(up))
 
 
 def _random_mask(rng: random.Random, n: int, density: float) -> int:
@@ -203,7 +192,7 @@ def random_full_frame(rng: random.Random, n: int, strong: bool = False,
                       mode_names: Sequence[str] = ("random",)) -> ConditionalFrame:
     p = random_poset(rng, n)
     sampler = make_sampler(rng, p, mode_names, strong=strong)
-    relations = {a: sampler(a) for a in all_upsets(p)}
+    relations = {a: sampler(a) for a in p.upsets}
     return ConditionalFrame(p, relations)
 
 
@@ -231,11 +220,11 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
     no further relation is drawn: the family, the relations and the
     generator state are those the full loop would leave.
 
-    The Heyting implications come from the order's memo
-    (:func:`_imp_memo`), computed only for the pairs a closure meets.
+    The Heyting implications come from the order's ``imps``, computed only
+    for the pairs a closure meets.
     """
-    ups = all_upsets(p)
-    imps = _imp_memo(p.up)
+    ups = p.upsets
+    imps = p.imps
     known = set(seeds) | {0, p.full_mask}
     relations = {a: sampler(a) for a in sorted(known)}
     fresh = set(known)
@@ -263,23 +252,6 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
     return tuple(sorted(known)), relations
 
 
-@lru_cache(maxsize=64)
-def _imp_memo(up: Rows) -> Dict[int, Dict[int, int]]:
-    """The Heyting implications met so far on the order with rows ``up``:
-    ``memo[a][b]`` is ``heyting_imp(p, a, b)``.
-
-    Filled lazily by :func:`close_admissible`, never as a whole table: an
-    antichain of :data:`~condlogic.order.MAX_WORLDS` worlds has 2^20
-    upsets.  So a table never holds more pairs than the closures on its
-    order combined: one pass of the ``fillin`` benchmark workload leaves
-    3 468 pairs on its 49 orders.  Keyed by the rows tuple, whose hash runs
-    in C; one entry per order, and 64 hold every order that
-    :func:`random_poset` draws on at most four worlds
-    (:func:`_interned_order`).
-    """
-    return {}
-
-
 _MAX_REGEN = 8
 
 
@@ -300,7 +272,7 @@ def random_general_frame(rng: random.Random, n: int,
         p = random_poset(rng, n)
         sampler = make_sampler(rng, p, mode_names, force_subset=force_subset, strong=strong)
         n_seeds = rng.randrange(0, 3)
-        ups = all_upsets(p)
+        ups = p.upsets
         seeds = [ups[rng.randrange(len(ups))] for _ in range(n_seeds)]
         admissible, relations = close_admissible(rng, p, seeds, sampler)
         if len(admissible) < len(ups):
@@ -325,7 +297,7 @@ def enumerate_preorders(n: int) -> List[FinitePreorder]:
             if (bits >> (top - k)) & 1:
                 up[i] |= 1 << j
         if intransitive_pair(up) is None:
-            out.append(FinitePreorder(n, tuple(up)))
+            out.append(interned_order(tuple(up)))
     return out
 
 
@@ -352,7 +324,7 @@ def enumerate_full_frames(max_worlds: int = 2) -> Iterator[ConditionalFrame]:
         )
     for n in range(1, max_worlds + 1):
         for p in enumerate_preorders(n):
-            ups = all_upsets(p)
+            ups = p.upsets
             rels = coherent_relations(p)
             for combo in itertools.product(rels, repeat=len(ups)):
                 yield _unchecked(ConditionalFrame, order=p, admissible=ups,

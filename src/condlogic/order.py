@@ -5,8 +5,14 @@ bit ``i`` stands for world ``i``.  Upsets double as relation-family keys
 and as algebra carrier elements, so the encoding has to be exact, hashable
 and cheap to compare; Python ints are all three.
 
-``all_upsets`` enumerates the upsets directly, in time proportional to
-their number; the world count is capped at :data:`MAX_WORLDS`.
+An order carries the facts that the other layers derive from it, each
+computed once per instance on first use: the converse rows (``down``), the
+upsets (``upsets``, enumerated directly, in time proportional to their
+number), their file keys (``upset_keys``) and the Heyting implications
+met so far (``imps``).  The library builds every order from rows through
+one bounded intern, :func:`interned_order`, so equal orders are one
+instance and share those facts; this module alone decides how, and for
+how long, they are kept.  The world count is capped at :data:`MAX_WORLDS`.
 
 The bit kernels live here and nowhere else: :func:`set_bits` lists the set
 bits of a mask, :func:`image` unions relation rows over a set of worlds
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, FrameFormatError
 
@@ -59,10 +65,11 @@ class FinitePreorder:
         """Build from explicit (i, j) pairs meaning ``i <= j``.
 
         Reflexive pairs may be omitted; transitivity is validated, not closed.
+        The order is interned (:func:`interned_order`).
         """
         _check_world_count(n)
         rows = read_pair_rows(pairs, n, "leq")
-        return FinitePreorder(n, tuple(row | 1 << i for i, row in enumerate(rows)))
+        return interned_order(tuple(row | 1 << i for i, row in enumerate(rows)))
 
     @property
     def full_mask(self) -> int:
@@ -86,6 +93,55 @@ class FinitePreorder:
             if i != j
         )
 
+    @cached_property
+    def down(self) -> Tuple[int, ...]:
+        """The rows of the converse order: ``{j | j <= i}`` for world ``i``."""
+        rows = [0] * self.n
+        for j, row in enumerate(self.up):
+            for i in set_bits(row):
+                rows[i] |= 1 << j
+        return tuple(rows)
+
+    @cached_property
+    def upsets(self) -> Tuple[int, ...]:
+        """Every upset exactly once, ascending as integers.
+
+        Worlds are decided from the highest index down, each left out before
+        it is put in, so the masks come out ascending.  Putting a world in
+        forces its up-set in and leaving it out forces its down-set out, so
+        no branch dead-ends and the work is ``n`` steps per upset, not a
+        ``2^n`` scan.
+        """
+        up, down = self.up, self.down
+        out = []
+        stack = [(self.n - 1, 0, 0)]  # (world to decide, forced in, forced out)
+        while stack:
+            w, inside, outside = stack.pop()
+            if w < 0:
+                out.append(inside)
+                continue
+            if not outside >> w & 1:
+                stack.append((w - 1, inside | up[w], outside))
+            if not inside >> w & 1:  # pushed last, so leaving w out is expanded first
+                stack.append((w - 1, inside, outside | down[w]))
+        return tuple(out)
+
+    @cached_property
+    def upset_keys(self) -> Dict[str, int]:
+        """Canonical file key to mask, for every upset; not to be mutated."""
+        return {mask_to_key(a): a for a in self.upsets}
+
+    @cached_property
+    def imps(self) -> Dict[int, Dict[int, int]]:
+        """The Heyting implications met so far: ``imps[a][b]`` is
+        ``heyting_imp(self, a, b)``.
+
+        Filled lazily by :func:`condlogic.generate.close_admissible` with
+        the pairs its closures meet, never as a whole table: an antichain
+        of :data:`MAX_WORLDS` worlds has 2^20 upsets.
+        """
+        return {}
+
 
 def _check_world_count(n) -> None:
     if type(n) is not int:
@@ -94,6 +150,21 @@ def _check_world_count(n) -> None:
         raise FrameFormatError("a frame needs a nonempty world set")
     if n > MAX_WORLDS:
         raise CapExceededError(f"at most {MAX_WORLDS} worlds are supported")
+
+
+@lru_cache(maxsize=256)
+def interned_order(up: Tuple[int, ...]) -> FinitePreorder:
+    """The order with rows ``up``: one instance per distinct rows tuple, so
+    equal orders share the facts they cache.
+
+    The checking constructor runs on every miss, and an error is not
+    memoised.  Keyed by the rows tuple, whose hash runs in C.  A process
+    meets few distinct orders: one run of a benchmark workload at seeds 3
+    and 45 builds 5 (``sweep2``), 49 (``fillin``), 52 (``duality``) or at
+    most 132 (``eval-deep``, most of them rejected draws while its inputs
+    are made), so 256 entries hold them all.
+    """
+    return FinitePreorder(len(up), up)
 
 
 def intransitive_pair(up: Sequence[int]) -> Optional[Tuple[int, int]]:
@@ -140,17 +211,6 @@ def box(rows: Sequence[int], b: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def _down_rows(up: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The rows of the converse of the order with rows ``up``: ``{j | j <= i}``
-    for world ``i``.  Keyed by the rows tuple, whose hash runs in C."""
-    rows = [0] * len(up)
-    for j, row in enumerate(up):
-        for i in set_bits(row):
-            rows[i] |= 1 << j
-    return tuple(rows)
-
-
 def up_closure(p: FinitePreorder, s: int) -> int:
     """Least upset containing the worlds of mask ``s``."""
     return image(p.up, s)
@@ -160,39 +220,9 @@ def is_upset(p: FinitePreorder, s: int) -> bool:
     return up_closure(p, s) == s
 
 
-@lru_cache(maxsize=256)
-def strict_successors(rows: Tuple[int, ...]) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """``(x, the worlds y != x in rows[x])`` for every ``x`` whose row has any, ascending.
-
-    Keyed by the rows tuple, whose hash and equality run in C, so a lookup
-    stays cheap next to the short loops it serves.
-    """
-    return tuple((x, set_bits(row & ~(1 << x)))
-                 for x, row in enumerate(rows) if row & ~(1 << x))
-
-
-@lru_cache(maxsize=None)
 def all_upsets(p: FinitePreorder) -> Tuple[int, ...]:
-    """Every upset exactly once, ascending as integers.
-
-    Worlds are decided from the highest index down, each left out before it
-    is put in, so the masks come out ascending.  Putting a world in forces
-    its up-set in and leaving it out forces its down-set out, so no branch
-    dead-ends and the work is ``n`` steps per upset, not a ``2^n`` scan.
-    """
-    down = _down_rows(p.up)
-    out = []
-    stack = [(p.n - 1, 0, 0)]  # (world to decide, forced in, forced out)
-    while stack:
-        w, inside, outside = stack.pop()
-        if w < 0:
-            out.append(inside)
-            continue
-        if not outside >> w & 1:
-            stack.append((w - 1, inside | p.up[w], outside))
-        if not inside >> w & 1:  # pushed last, so leaving w out is expanded first
-            stack.append((w - 1, inside, outside | down[w]))
-    return tuple(out)
+    """``p.upsets``; kept for the benchmark tracer, which calls it."""
+    return p.upsets
 
 
 def heyting_imp(p: FinitePreorder, a: int, b: int) -> int:

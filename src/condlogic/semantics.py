@@ -94,7 +94,6 @@ from .errors import BudgetExceededError, FrameFormatError, LanguageError, NotAdm
 from .frames import GeneralFrame, ModalFrame
 from .order import (
     FinitePreorder,
-    all_upsets,
     box,
     heyting_imp,
     is_upset,
@@ -597,7 +596,7 @@ def check_modal(frame: ModalFrame, valuation: Valuation, f: Formula, world: int)
 
 
 def valid_modal(frame: ModalFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
-    return _scan(frame.order, all_upsets(frame.order), _compile_for(f, Language.MODAL),
+    return _scan(frame.order, frame.order.upsets, _compile_for(f, Language.MODAL),
                  frame.rel, budget)
 
 

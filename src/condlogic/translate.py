@@ -18,7 +18,7 @@ from typing import Dict
 
 from .errors import LanguageError
 from .frames import ConditionalFrame, GeneralFrame, restrict
-from .order import all_upsets, mask_to_key
+from .order import mask_to_key
 from .semantics import check, check_modal, valid, valid_modal
 from .syntax import Bot, BoxI, BoxM, Cond, Formula, Language, Var, proposition_letters
 
@@ -130,6 +130,6 @@ def check_t2(frame: ConditionalFrame, phi: Formula, letter: str) -> T2Report:
     lhs = valid(frame, translated).valid
     rhs = all(
         valid_modal(restrict(frame, a), phi).valid
-        for a in all_upsets(frame.order)
+        for a in frame.order.upsets
     )
     return T2Report(lhs, rhs)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from condlogic.frames import ConditionalFrame, GeneralFrame
-from condlogic.order import FinitePreorder, all_upsets, worlds_to_mask
+from condlogic.order import FinitePreorder, worlds_to_mask
 
 
 def m(*worlds) -> int:
@@ -45,12 +45,12 @@ def full_frame(order, rows_for=None, **named_rows):
     """
     rows_for = rows_for or {}
     zero = (0,) * order.n
-    relations = {a: tuple(rows_for.get(a, zero)) for a in all_upsets(order)}
+    relations = {a: tuple(rows_for.get(a, zero)) for a in order.upsets}
     return ConditionalFrame(order, relations)
 
 
 def constant_full_frame(order, rows):
-    relations = {a: tuple(rows) for a in all_upsets(order)}
+    relations = {a: tuple(rows) for a in order.upsets}
     return ConditionalFrame(order, relations)
 
 

@@ -9,12 +9,17 @@ promises, so the first witness of the two must be the same.
 
 from typing import Callable, Dict, Optional, Tuple
 
-from condlogic.order import _down_rows, image, set_bits, up_closure
+from condlogic.order import image, set_bits, up_closure
+
+
+def converse_rows(p):
+    """``{j | j <= i}`` for each world ``i``, read pairwise off ``p.up``."""
+    return tuple(sum(1 << j for j in range(p.n) if p.up[j] >> i & 1) for i in range(p.n))
 
 
 def down_closure(p, s):
     """Least downset containing the worlds of mask ``s``."""
-    return image(_down_rows(p.up), s)
+    return image(converse_rows(p), s)
 
 
 def _c_id(p, rel, upc, a, b, x):

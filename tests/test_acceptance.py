@@ -341,14 +341,12 @@ def _modal_formula_with_box_depth(rng, letters, depth, box_budget):
 
 def test_a7_translation_lemmas():
     started = time.time()
-    from condlogic.order import all_upsets
-
     disagreements = 0
     for i in range(10_000):
         rng = random.Random(f"a7t1:{i}")
         frame = random_full_frame(rng, rng.choice([2, 3]))
         phi = _modal_formula_with_box_depth(rng, ("q", "r"), 3, 3)
-        ups = all_upsets(frame.order)
+        ups = frame.order.upsets
         v = {s: ups[rng.randrange(len(ups))] for s in ("p", "q", "r")}
         world = rng.randrange(frame.n)
         try:

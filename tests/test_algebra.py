@@ -30,7 +30,7 @@ from condlogic.generate import (
     random_poset,
 )
 from condlogic.frames import _strongly_coherent_rows, strongly_coherent
-from condlogic.order import FinitePreorder, all_upsets, box, mask_to_key, set_bits
+from condlogic.order import FinitePreorder, box, mask_to_key, set_bits
 from condlogic.semantics import valid
 from condlogic.syntax import Language, parse, print_formula, proposition_letters
 
@@ -342,7 +342,7 @@ class TestBoxBijection:
     def test_every_poset_of_at_most_three_worlds(self):
         counts = Counter()
         for p in (p for n in (1, 2, 3) for p in enumerate_preorders(n) if p.is_poset):
-            ups, n, full = all_upsets(p), p.n, p.full_mask
+            ups, n, full = p.upsets, p.n, p.full_mask
             rels = [rows for rows in itertools.product(range(full + 1), repeat=n)
                     if _strongly_coherent_rows(p.up, rows)]
             # the same relations, read off the definition
@@ -370,7 +370,7 @@ class TestBoxBijection:
         again, carried by theta."""
         counts = {}
         for p in (p for n in (1, 2, 3) for p in enumerate_preorders(n) if p.is_poset):
-            ups, n, full = all_upsets(p), p.n, p.full_mask
+            ups, n, full = p.upsets, p.n, p.full_mask
             leq, _imp, top, bot = algebra._upset_algebra(p, ups)
             facts = algebra._order_facts(len(ups), leq, top, bot)
             pf_up, theta = facts.pf_order.up, facts.theta
@@ -639,7 +639,7 @@ class TestFrameRoundtrip:
         # the dual rows come per world, one relation check per upset in label
         # order, and every upset carries the same relation
         f = constant_full_frame(preorder(2, [(1, 0)]), (0b01, 0b11))
-        labels = all_upsets(f.order)
+        labels = f.order.upsets
         for i, x, y in itertools.product(range(len(labels)), range(f.n), range(f.n)):
 
             def flip(dual_rows, up, rows, x=x, y=y):
@@ -685,10 +685,10 @@ class TestFrameRoundtrip:
                   for i in range(100)]
         # theta exists only within the prime filter cap; the round trip
         # raises the cap error on a larger order before it reads theta
-        posets += [p for p in seeded if len(all_upsets(p)) <= algebra.PF_CAP]
+        posets += [p for p in seeded if len(p.upsets) <= algebra.PF_CAP]
         assert len(posets) == 23 + 95
         for p in posets:
-            assert _theta_by_world(p) == all_upsets(p), p
+            assert _theta_by_world(p) == p.upsets, p
 
     def test_more_upsets_than_the_cap_raise_the_cap_error(self):
         # the 5-world antichain has 32 upsets, more than PF_CAP
@@ -734,7 +734,7 @@ def _theta_by_world(p):
     """Theta of the upset lattice of the poset ``p``, translated to worlds
     through the world whose eta is each prime filter, as the frame round
     trip did before it read the upsets as theta."""
-    ups = all_upsets(p)
+    ups = p.upsets
     leq, _imp, top, bot = algebra._upset_algebra(p, ups)
     facts = algebra._order_facts(len(ups), leq, top, bot)
     eta = algebra._eta(ups, p.n)
@@ -1077,7 +1077,7 @@ def _incoherent_full_frame(rng):
     """Every upset admissible, each with arbitrary rows."""
     p = _orders(rng)
     return ConditionalFrame(p, {a: tuple(rng.randrange(p.full_mask + 1) for _ in range(p.n))
-                                for a in all_upsets(p)})
+                                for a in p.upsets})
 
 
 class TestBuiltWithoutChecks:

@@ -11,7 +11,7 @@ from condlogic.fillins import (
 )
 from condlogic.frames import ConditionalFrame, strongly_coherent, validate_conditional
 from condlogic.generate import random_formula, random_general_frame
-from condlogic.order import all_upsets, mask_to_key, up_closure
+from condlogic.order import mask_to_key, up_closure
 from condlogic.semantics import check, valid
 from condlogic.syntax import Language
 
@@ -254,7 +254,7 @@ class TestSqueeze:
         # apply, their rows have equal up-closures (asserted inside fill);
         # replay it here explicitly
         for g in cautious_pool(rng, 100):
-            ups = all_upsets(g.order)
+            ups = g.order.upsets
             adm = set(g.admissible)
             for c in ups:
                 if c in adm:

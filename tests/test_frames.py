@@ -29,7 +29,7 @@ from condlogic.generate import (
     random_general_frame,
     random_poset,
 )
-from condlogic.order import all_upsets, heyting_imp, mask_to_key
+from condlogic.order import heyting_imp, mask_to_key
 
 from conftest import full_frame, general_frame, m, preorder
 from roundtrip_oracle import check_strong_coherence, rel_strongly_coherent
@@ -133,7 +133,7 @@ class TestCoherence:
             assert rel_coherent(chain2, rows) == expected
 
     def test_strong_coherence_on_discrete_order_is_vacuous(self, anti2):
-        f = full_frame(anti2, {a: (m(1), 0) for a in all_upsets(anti2)})
+        f = full_frame(anti2, {a: (m(1), 0) for a in anti2.upsets})
         assert all(check_strong_coherence(f).values())
 
     def test_strong_coherence_up_step(self, chain2):
@@ -205,7 +205,7 @@ class TestCoherence:
             n = rng.randint(1, 4)
             p = (rng.choice(enumerate_preorders(n)) if n <= 3 and rng.random() < 0.4
                  else random_poset(rng, n))
-            ups = all_upsets(p)
+            ups = p.upsets
             family = ups if i % 3 == 0 else [a for a in ups if rng.random() < 0.6]
             relations = {}
             for a in family:
@@ -241,7 +241,7 @@ class TestRestrict:
     def test_restriction_of_valid_frame_is_coherent(self, rng):
         for _ in range(200):
             f = random_full_frame(rng, rng.choice([2, 3, 4]))
-            for a in all_upsets(f.order):
+            for a in f.order.upsets:
                 assert validate_modal(restrict(f, a)).ok
 
 

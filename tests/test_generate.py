@@ -26,7 +26,6 @@ from condlogic.fillins import ALL_KINDS, FillInKind, check_squeeze_precondition,
 from condlogic.frames import ConditionalFrame, GeneralFrame, compose_up_rel, validate_general
 from condlogic.generate import (
     MODES,
-    _interned_order,
     close_admissible,
     coherent_relations,
     enumerate_full_frames,
@@ -38,7 +37,7 @@ from condlogic.generate import (
     random_rows,
     repair_strong,
 )
-from condlogic.order import FinitePreorder, all_upsets, box, heyting_imp, intransitive_pair
+from condlogic.order import FinitePreorder, box, heyting_imp, interned_order, intransitive_pair
 
 
 # --- reference row modes -------------------------------------------------------
@@ -222,7 +221,7 @@ def old_fill(g, kind):
             raise SqueezePreconditionError(pre.witness)
     admissible = set(g.admissible)
     relations = dict(g.relations)
-    for a in all_upsets(g.order):
+    for a in g.order.upsets:
         if a in admissible:
             continue
         if kind is FillInKind.SQUEEZE:
@@ -318,7 +317,7 @@ def old_random_general_frame(rng, n, mode_names, force_subset, strong, close):
         p = random_poset(rng, n)
         sampler = make_sampler(rng, p, mode_names, force_subset=force_subset, strong=strong)
         n_seeds = rng.randrange(0, 3)
-        ups = all_upsets(p)
+        ups = p.upsets
         seeds = [ups[rng.randrange(len(ups))] for _ in range(n_seeds)]
         admissible, relations = close(rng, p, seeds, sampler)
         frame = GeneralFrame(p, admissible, relations)
@@ -358,7 +357,7 @@ def test_catalog_modes_are_known():
 def test_mode_draws_as_before(name):
     for seed in range(400):
         p = _orders(random.Random(f"order:{seed}"))
-        ups = all_upsets(p)
+        ups = p.upsets
         pick = random.Random(f"upsets:{seed}")
         asked = list(ups) + [pick.choice(ups) for _ in range(3)]
         new_rng, old_rng = random.Random(seed), random.Random(seed)
@@ -398,7 +397,7 @@ def _unclosed_frame(rng):
     """An arbitrary family of upsets with arbitrary rows: neither closed nor
     coherent, and possibly without the empty or the full upset."""
     p = _orders(rng)
-    ups = all_upsets(p)
+    ups = p.upsets
     admissible = [a for a in ups if rng.random() < 0.5]
     relations = {a: tuple(rng.randrange(p.full_mask + 1) for _ in range(p.n))
                  for a in admissible}
@@ -441,9 +440,9 @@ def test_preorders_in_the_same_order(n):
 
 def test_full_frames_as_the_checking_constructor_builds_them():
     # enumerate_full_frames builds without the constructor's checks
-    checked = (ConditionalFrame(p, dict(zip(all_upsets(p), rows)))
+    checked = (ConditionalFrame(p, dict(zip(p.upsets, rows)))
                for n in (1, 2) for p in enumerate_preorders(n)
-               for rows in itertools.product(coherent_relations(p), repeat=len(all_upsets(p))))
+               for rows in itertools.product(coherent_relations(p), repeat=len(p.upsets)))
     count = 0
     for got, want in itertools.zip_longest(enumerate_full_frames(2), checked):
         assert type(got) is ConditionalFrame and vars(got) == vars(want), (got, want)
@@ -459,7 +458,7 @@ def _closure_case(seed):
     """A generator, an order, a seed family and a sampler, all from one seed."""
     rng = random.Random(f"closure:{seed}")
     p = _orders(rng)
-    ups = all_upsets(p)
+    ups = p.upsets
     seeds = [rng.choice(ups) for _ in range(rng.randrange(0, 4))]
     modes = rng.choice(CLOSURE_MODE_LISTS)
     sampler = make_sampler(rng, p, modes, force_subset=rng.random() < 0.5,
@@ -470,7 +469,7 @@ def _closure_case(seed):
 def _starts_below_and_fills(p, seeds, admissible):
     """Whether the closure began below all upsets and ended holding them all,
     so that it stopped early inside its loop."""
-    n_ups = len(all_upsets(p))
+    n_ups = len(p.upsets)
     return len(set(seeds) | {0, p.full_mask}) < n_ups == len(admissible)
 
 
@@ -518,13 +517,13 @@ def test_closure_combines_each_pair_once(monkeypatch):
     fills = 0
     for seed in range(600):
         rng, p, seeds, sampler = _closure_case(seed)
-        # the implication memo is emptied, so that every pair is computed
-        generate._imp_memo.cache_clear()
+        # the order's implications are emptied, so that every pair is computed
+        p.imps.clear()
         calls.clear()
         closed = close_admissible(rng, p, seeds, draw(sampler))
         admissible = closed[0]
         k = len(admissible)
-        if k < len(all_upsets(p)):
+        if k < len(p.upsets):
             # meet and join are evaluated in the same tuple as imp and cond
             assert calls == {"imp": k * k, "cond": k * k, "draw": k}, (seed, k)
         else:
@@ -593,15 +592,15 @@ def test_random_posets_as_the_checking_constructor_builds_them():
 
 
 def test_equal_orders_are_one_instance():
-    # 50 orders of at most four worlds have edges only upwards; the memo
+    # 50 orders of at most four worlds have edges only upwards; the intern
     # holds them all, so every draw of one rows tuple gives one instance
-    _interned_order.cache_clear()
+    interned_order.cache_clear()
     first = {}
     for seed in range(2000):
         p = random_poset(random.Random(f"interned:{seed}"), 1 + seed % 4)
         assert first.setdefault(p.up, p) is p, seed
     assert len(first) == 50
-    assert _interned_order.cache_info().currsize == 50
+    assert interned_order.cache_info().currsize == 50
 
 
 @pytest.mark.parametrize("modes", CLOSURE_MODE_LISTS, ids="+".join)
@@ -609,7 +608,7 @@ def test_samplers_as_the_wrapper_draws_them(modes):
     # without a repair, make_sampler returns the mode's own sampler
     for seed in range(20):
         p = _orders(random.Random(f"order:{seed}"))
-        ups = all_upsets(p)
+        ups = p.upsets
         for force_subset, strong in itertools.product((False, True), repeat=2):
             rng, old_rng = random.Random(seed), random.Random(seed)
             new = make_sampler(rng, p, modes, force_subset, strong)

@@ -23,7 +23,6 @@ from condlogic.order import (
     FinitePreorder,
     _check_world_count,
     _read_index,
-    all_upsets,
     image,
     key_to_mask,
     mask_to_key,
@@ -79,7 +78,7 @@ def old_frame_from_json(obj):
     with mock.patch.object(frames, "_coherent_rows",
                            lambda up, rows: old_rel_coherent(FinitePreorder(len(up), up), rows)):
         if admissible == "all":
-            ups = all_upsets(order)
+            ups = order.upsets
             extra = [a for a in relations if a not in ups]
             if extra:
                 raise FrameFormatError(
@@ -162,7 +161,7 @@ def _random_frame_objects(seed, count):
         if rng.random() < 0.5:
             p = _random_order(rng, n)
             sample = make_sampler(rng, p, ("random", "refl", "diag"))
-            g = ConditionalFrame(p, {a: sample(a) for a in all_upsets(p)})
+            g = ConditionalFrame(p, {a: sample(a) for a in p.upsets})
         else:
             g = random_general_frame(rng, n, mode_names=("random", "subset"))
         yield _mutate(rng, frame_to_json(g))

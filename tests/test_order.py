@@ -5,11 +5,12 @@ import pytest
 
 from condlogic import order as order_module
 from condlogic.errors import CapExceededError, FrameFormatError
+from condlogic.frames import frame_from_json
 from condlogic.generate import enumerate_preorders
 from condlogic.order import (
     FinitePreorder,
-    all_upsets,
     heyting_imp,
+    interned_order,
     is_upset,
     key_to_mask,
     mask_to_key,
@@ -65,7 +66,9 @@ class TestPreorderValidation:
 
     def test_poset_flag_is_antisymmetry_and_computed_once(self):
         for n in (1, 2, 3):
-            for p in enumerate_preorders(n):
+            for interned in enumerate_preorders(n):
+                # a fresh instance: the interned one may have been asked already
+                p = FinitePreorder(interned.n, interned.up)
                 pairwise = not any(p.leq(i, j) and p.leq(j, i)
                                    for i, j in itertools.permutations(range(n), 2))
                 assert "is_poset" not in p.__dict__
@@ -80,7 +83,38 @@ class TestPreorderValidation:
             listed = FinitePreorder(p.n, list(p.up))
             assert listed.up == p.up and type(listed.up) is tuple
             assert listed == p and hash(listed) == hash(p)
-            assert all_upsets(listed) == all_upsets(p)
+            assert listed.upsets == p.upsets
+
+
+class TestIntern:
+    """Orders built from rows go through one bounded intern, which keeps no
+    error: a bad order is refused by the checking constructor on every call."""
+
+    def test_a_bad_order_is_refused_on_every_call(self):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(FrameFormatError) as exc:
+                FinitePreorder.from_pairs(3, [(0, 1), (1, 2)])
+            messages.append(str(exc.value))
+        assert messages == ["leq is not transitive at (0, 1)"] * 2
+
+    def test_a_bad_frame_file_is_refused_on_every_load(self):
+        obj = {"worlds": 3, "leq": [[0, 1], [1, 2]], "admissible": "all", "relations": {}}
+        messages = []
+        for _ in range(2):
+            with pytest.raises(FrameFormatError) as exc:
+                frame_from_json(obj)
+            messages.append(str(exc.value))
+        assert messages == ["leq is not transitive at (0, 1)"] * 2
+
+    def test_two_loads_of_one_file_share_one_order(self):
+        obj = {"worlds": 2, "leq": [[0, 1]], "admissible": "all",
+               "relations": {"": [], "1": [], "0,1": [[0, 1]]}}
+        first, second = frame_from_json(obj), frame_from_json(obj)
+        assert first is not second
+        assert first.order is second.order
+        assert first.order is interned_order(first.order.up)
+        assert first.order.upset_keys is second.order.upset_keys
 
 
 class TestUpClosure:
@@ -112,13 +146,13 @@ class TestDownClosure:
 
 class TestAllUpsets:
     def test_two_chain(self, chain2):
-        assert all_upsets(chain2) == (0, m(1), m(0, 1))
+        assert chain2.upsets == (0, m(1), m(0, 1))
 
     def test_two_antichain_is_powerset(self, anti2):
-        assert len(all_upsets(anti2)) == 4
+        assert len(anti2.upsets) == 4
 
     def test_one_world(self, single):
-        assert all_upsets(single) == (0, m(0))
+        assert single.upsets == (0, m(0))
 
     def test_against_subset_scan(self):
         # independent brute force: upward-closedness checked pointwise
@@ -130,11 +164,11 @@ class TestAllUpsets:
                     for i in range(p.n)
                 ):
                     expected.append(s)
-            assert list(all_upsets(p)) == expected
+            assert list(p.upsets) == expected
 
     def test_members_are_upsets_and_order_ascending(self):
         for p in _zoo():
-            ups = all_upsets(p)
+            ups = p.upsets
             assert list(ups) == sorted(ups)
             assert all(is_upset(p, a) for a in ups)
 
@@ -142,7 +176,7 @@ class TestAllUpsets:
         seen = 0
         for n in range(1, 5):
             for p in _all_preorders(n):
-                assert all_upsets.__wrapped__(p) == _filtered_upsets(p)
+                _assert_facts(p)
                 seen += 1
         assert seen == 1 + 4 + 29 + 355  # labelled preorders on 1-4 worlds
 
@@ -158,17 +192,16 @@ class TestAllUpsets:
                 for i in range(n):
                     if up[i] >> k & 1:
                         up[i] |= up[k]
-            p = FinitePreorder(n, tuple(up))
-            assert all_upsets.__wrapped__(p) == _filtered_upsets(p)
+            _assert_facts(FinitePreorder(n, tuple(up)))
 
     def test_twenty_chain_without_a_subset_scan(self, monkeypatch):
         def no_subset_test(*args):
-            raise AssertionError("all_upsets tested a subset")
+            raise AssertionError("the upset enumeration tested a subset")
 
         monkeypatch.setattr(order_module, "is_upset", no_subset_test)
         monkeypatch.setattr(order_module, "up_closure", no_subset_test)
         chain = preorder(20, [(i, j) for i in range(20) for j in range(i + 1, 20)])
-        ups = all_upsets.__wrapped__(chain)
+        ups = FinitePreorder(chain.n, chain.up).upsets  # a fresh instance computes them
         # the upsets of a chain are its final segments
         assert ups == tuple(sorted(((1 << 20) - 1) ^ ((1 << i) - 1) for i in range(21)))
 
@@ -176,6 +209,21 @@ class TestAllUpsets:
 def _filtered_upsets(p):
     """The old enumeration: every subset, filtered."""
     return tuple(s for s in range(1 << p.n) if up_closure(p, s) == s)
+
+
+def _assert_facts(p):
+    """The order's derived facts, read on the interned instance and on a
+    directly built one, against the subset filter, the pairwise converse
+    and the key of each filtered upset."""
+    ups = _filtered_upsets(p)
+    down = tuple(sum(1 << j for j in range(p.n) if p.leq(j, i)) for i in range(p.n))
+    keys = [(mask_to_key(a), a) for a in ups]
+    interned = interned_order(p.up)
+    assert interned is interned_order(tuple(p.up)) and interned == p
+    for q in (interned, FinitePreorder(p.n, p.up)):
+        assert q.upsets == ups, p
+        assert q.down == down, p
+        assert list(q.upset_keys.items()) == keys, p
 
 
 def _all_preorders(n):
@@ -198,7 +246,7 @@ class TestHeytingImp:
 
     def test_subset_gives_top(self):
         for p in _zoo():
-            ups = all_upsets(p)
+            ups = p.upsets
             for a in ups:
                 for b in ups:
                     if not a & ~b:
@@ -206,14 +254,14 @@ class TestHeytingImp:
 
     def test_full_antecedent_gives_consequent(self):
         for p in _zoo():
-            for b in all_upsets(p):
+            for b in p.upsets:
                 assert heyting_imp(p, p.full_mask, b) == b
 
     def test_two_definitions_agree_everywhere(self):
         # exhaustive over all upset pairs of every zoo preorder (n <= 5)
         for p in _zoo():
-            for a in all_upsets(p):
-                for b in all_upsets(p):
+            for a in p.upsets:
+                for b in p.upsets:
                     assert heyting_imp(p, a, b) == heyting_imp_via_down(p, a, b)
 
     def test_residuation_law(self):
@@ -221,7 +269,7 @@ class TestHeytingImp:
         for p in _zoo():
             if p.n > 4:
                 continue
-            ups = all_upsets(p)
+            ups = p.upsets
             for a, b, c in itertools.product(ups, repeat=3):
                 lhs = not c & ~heyting_imp(p, a, b)
                 rhs = not (c & a) & ~b

@@ -15,7 +15,7 @@ from condlogic.generate import (
     random_full_frame,
     random_general_frame,
 )
-from condlogic.order import FinitePreorder, all_upsets, box, heyting_imp, is_upset, set_bits
+from condlogic.order import FinitePreorder, box, heyting_imp, is_upset, set_bits
 from condlogic.semantics import (
     DEFAULT_BUDGET,
     Verdict,
@@ -74,7 +74,7 @@ class TestTruthSet:
         f = parse("p ~> true")
         for _ in range(30):
             frame = random_full_frame(rng, rng.choice([1, 2, 3]))
-            ups = all_upsets(frame.order)
+            ups = frame.order.upsets
             v = {"p": ups[rng.randrange(len(ups))]}
             assert truth_set(frame, v, f) == frame.order.full_mask
 
@@ -96,7 +96,7 @@ class TestTruthSet:
         for _ in range(400):
             frame = random_full_frame(rng, rng.choice([2, 3]))
             f = random_formula(rng, Language.COND, ["p", "q"], 3)
-            ups = all_upsets(frame.order)
+            ups = frame.order.upsets
             v = {s: ups[rng.randrange(len(ups))] for s in ("p", "q")}
             assert truth_set(frame, v, f) == naive_truth(frame, v, f)
 
@@ -105,7 +105,7 @@ class TestTruthSet:
         for _ in range(10_000):
             frame = random_full_frame(rng, rng.choice([2, 3]))
             f = random_formula(rng, Language.COND, ["p", "q"], 3)
-            ups = all_upsets(frame.order)
+            ups = frame.order.upsets
             v = {s: ups[rng.randrange(len(ups))] for s in ("p", "q")}
             assert is_upset(frame.order, truth_set(frame, v, f))
 
@@ -134,7 +134,7 @@ class TestCheck:
         kc = parse("(p ~> q & r) <-> (p ~> q) & (p ~> r)")
         for _ in range(50):
             frame = random_full_frame(rng, rng.choice([2, 3]))
-            ups = all_upsets(frame.order)
+            ups = frame.order.upsets
             v = {s: ups[rng.randrange(len(ups))] for s in ("p", "q", "r")}
             for x in range(frame.n):
                 assert check(frame, v, kc, x)
@@ -177,14 +177,14 @@ class TestValid:
         assert valid(g, parse("p ~> p")).valid
         # the full closure of the same order can refute it: on the full
         # frame with the same rows everywhere, V(p)={0} breaks id
-        f = full_frame(anti2, {a: (m(0), m(1)) for a in all_upsets(anti2)})
+        f = full_frame(anti2, {a: (m(0), m(1)) for a in anti2.upsets})
         assert not valid(f, parse("p ~> p")).valid
 
     def test_full_frame_as_general_agrees(self, rng):
         f = parse("(p ~> q) -> (p -> q)")
         for _ in range(40):
             cf = random_full_frame(rng, rng.choice([2, 3]))
-            gf = GeneralFrame(cf.order, tuple(all_upsets(cf.order)), dict(cf.relations))
+            gf = GeneralFrame(cf.order, tuple(cf.order.upsets), dict(cf.relations))
             assert valid(cf, f).valid == valid(gf, f).valid
 
     def test_budget(self, rng):
@@ -197,7 +197,7 @@ class TestCongruence:
     def test_equal_truth_sets_substitute_under_cond(self, rng):
         for _ in range(300):
             frame = random_full_frame(rng, rng.choice([2, 3]))
-            ups = all_upsets(frame.order)
+            ups = frame.order.upsets
             v = {s: ups[rng.randrange(len(ups))] for s in ("p", "q", "r")}
             phi = random_formula(rng, Language.COND, ["p", "q"], 2)
             psi = random_formula(rng, Language.COND, ["p", "q"], 2)
@@ -211,7 +211,7 @@ class TestCongruence:
         # semantic form of monotonicity of the conditional's consequent
         for _ in range(300):
             frame = random_full_frame(rng, rng.choice([2, 3]))
-            ups = all_upsets(frame.order)
+            ups = frame.order.upsets
             a = ups[rng.randrange(len(ups))]
             b = a | ups[rng.randrange(len(ups))]
             c = ups[rng.randrange(len(ups))]
@@ -244,7 +244,7 @@ class TestModal:
             not ((v >> x) & 1) or all(
                 (v >> y) & 1 for y in range(2) if (mf.rel[x] >> y) & 1
             )
-            for v in all_upsets(chain2)
+            for v in chain2.upsets
             for x in range(2)
         )
         assert verdict.valid == naive
@@ -315,7 +315,7 @@ def reference_valid(frame, f, budget=DEFAULT_BUDGET):
 
 def reference_valid_modal(mf, f, budget=DEFAULT_BUDGET):
     order = mf.order
-    return reference_scan(order, all_upsets(order), compile_formula(f),
+    return reference_scan(order, order.upsets, compile_formula(f),
                           lambda a, b: heyting_imp(order, a, b), lambda a, b: box(mf.rel, b),
                           budget)
 
@@ -410,7 +410,7 @@ class TestKernelAgainstReference:
             mf = restrict(frame, frame.admissible[rng.randrange(len(frame.admissible))])
             for letters in (["q"], ["q", "r"], ["q", "r", "s"]):
                 f = random_formula(rng, Language.MODAL, letters, 4)
-                if len(all_upsets(mf.order)) ** len(letters) <= 20_000:
+                if len(mf.order.upsets) ** len(letters) <= 20_000:
                     assert (verdict_fields(valid_modal(mf, f))
                             == verdict_fields(reference_valid_modal(mf, f)))
 
@@ -431,7 +431,7 @@ class TestKernelAgainstReference:
         for _ in range(400):
             n = rng.choice((2, 3))
             order = random_full_frame(rng, n).order
-            ups = all_upsets(order)
+            ups = order.upsets
             admissible = {0, order.full_mask} | set(rng.sample(ups, rng.randrange(len(ups))))
             relations = {a: tuple(rng.randrange(1 << n) for _ in range(n)) for a in admissible}
             frame = GeneralFrame(order, tuple(admissible), relations)
@@ -522,7 +522,7 @@ def _unclosed_general_frame(rng, n):
     """Random relations on a random family holding the empty and the full set,
     drawn as in ``test_frames_not_closed_under_the_connectives``."""
     order = random_full_frame(rng, n).order
-    ups = all_upsets(order)
+    ups = order.upsets
     admissible = {0, order.full_mask} | set(rng.sample(ups, rng.randrange(len(ups))))
     relations = {a: tuple(rng.randrange(1 << n) for _ in range(n)) for a in admissible}
     return GeneralFrame(order, tuple(admissible), relations)
@@ -558,7 +558,7 @@ class TestGeneratedSingles:
                 self._agree(f, frame.order, frame.admissible, frame.relations, seen)
                 mf = restrict(frame, rng.choice(frame.admissible))
                 g = random_formula(rng, Language.MODAL, ["p", "q", "r"], 4)
-                self._agree(g, mf.order, all_upsets(mf.order), mf.rel, seen)
+                self._agree(g, mf.order, mf.order.upsets, mf.rel, seen)
         assert seen == {"evaluated": 1200, "raised": 0}
 
     def test_unclosed_frames_raise_alike(self):
@@ -730,7 +730,7 @@ class TestHoisting:
         # R_a[x] = {x} for every upset a: all three hold, so the scan meets
         # every valuation; tr looks up R_p per p and R_q per (p, q), mp R_p
         # per p, and red R_W once, before its loop
-        frame = full_frame(anti2, {a: (m(0), m(1)) for a in all_upsets(anti2)})
+        frame = full_frame(anti2, {a: (m(0), m(1)) for a in anti2.upsets})
         f = AXIOMS[key].formula
         semantics.compile_formula.cache_clear()
         compiled = compile_formula(f)

@@ -3,7 +3,6 @@ import pytest
 from condlogic.errors import LanguageError
 from condlogic.frames import restrict
 from condlogic.generate import random_formula, random_full_frame, random_general_frame
-from condlogic.order import all_upsets
 from condlogic.semantics import check_modal
 from condlogic.syntax import Language, parse, print_formula
 from condlogic.translate import (
@@ -100,7 +99,7 @@ class TestRestrictionLemma:
         for _ in range(3000):
             f = random_full_frame(rng, rng.choice([2, 3]))
             phi = random_formula(rng, Language.MODAL, ["q", "r"], 3)
-            ups = all_upsets(f.order)
+            ups = f.order.upsets
             v = {s: ups[rng.randrange(len(ups))] for s in ("p", "q", "r")}
             w = rng.randrange(f.n)
             # raises on disagreement; the return value matches both sides
