@@ -33,9 +33,11 @@ computed from the frame's ``cond`` table with the upsets themselves as
 theta, and read off by world.  Neither the complex algebra nor a dual frame
 is built.
 
-The relation half of both round trips is memoised per row, in bounded
-memos keyed by content: the cond laws of one row (:func:`_cond_laws`),
-the algebra round trip of one row (:func:`_cond_roundtrip`), one row of a
+The relation half of both round trips is memoised per row, in three
+bounded memos keyed by content: the checks of one cond row of an algebra,
+its cond laws and its algebra round trip at once (:func:`_cond_checks`,
+filled by :func:`validate_cha`, whose per-row results
+:func:`check_duality_roundtrip` reads back from its report), one row of a
 complex algebra's cond table (:func:`_cond_row`, which
 :func:`complex_algebra` and :func:`frame_roundtrip` share) and the frame
 round trip of one relation (:func:`_relation_diff`).  Each check depends
@@ -49,9 +51,9 @@ closed under the box raises out of :func:`_cond_row` each time, and
 :func:`_cond_table` names the first pair of the whole table.
 
 A complex algebra, built from a frame that was validated when it was made,
-skips its constructor's checks, through :func:`condlogic.frames._unchecked`:
-the construction already guarantees what those checks test, and on the
-small carriers of a duality sweep the checks cost about as much as the
+skips its constructor's checks, through :func:`_unchecked_algebra`: the
+construction already guarantees what those checks test, and on the small
+carriers of a duality sweep the checks cost about as much as the
 construction.  Everything else (the dual frame, the loaders, direct
 construction) runs every check.
 
@@ -71,7 +73,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceededError, CapExceededError, DualityError, FrameFormatError, LanguageError
 from .frames import (
-    ConditionalFrame, GeneralFrame, _unchecked, strongly_coherent, validate_conditional,
+    ConditionalFrame, GeneralFrame, strongly_coherent, validate_conditional,
 )
 from .order import (
     FinitePreorder, box, heyting_imp, interned_order, mask_to_key, read_indices,
@@ -256,6 +258,10 @@ def _theta_failures(pf_order: FinitePreorder, theta: Tuple[int, ...], top: int, 
 @dataclass
 class AlgebraReport:
     violations: List[str] = field(default_factory=list)
+    # the first (a, b), row by row, at which theta breaks cond, as
+    # validate_cha found it, for check_duality_roundtrip to read instead of
+    # looking each row up again; None when the lattice has no dual
+    cond_break: Optional[Tuple[int, int]] = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -270,57 +276,103 @@ class AlgebraReport:
 
 def validate_cha(alg: FiniteCHA) -> AlgebraReport:
     """Exhaustively check every algebra invariant over the finite carrier."""
-    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
-    report = AlgebraReport(list(facts.violations))
-    if not report.ok:
-        return report
     size, leq, top, bot = alg.size, alg.leq, alg.top, alg.bot
+    facts = _order_facts(size, leq, top, bot)
+    report = AlgebraReport(list(facts.violations))
+    if facts.violations:
+        return report
     # one C-level compare of the tables; the cells only to name disagreements
     if alg.imp != facts.residual:
         for i, (imp_row, res_row) in enumerate(zip(alg.imp, facts.residual)):
             for j in range(size):
                 if imp_row[j] != res_row[j]:
                     report.add(f"imp table disagrees with residuation at ({i}, {j})")
-    # cond laws: meets preserved in the second argument, top preserved
+    # cond laws: meets preserved in the second argument, top preserved; the
+    # same memo entry holds the row's round trip, and a row that passes all
+    # three is the one _ROW_OK
     for a, row in enumerate(map(tuple, alg.cond)):
-        keeps_top, broken = _cond_laws(size, leq, top, bot, row)
+        checks = _cond_checks(size, leq, top, bot, row)
+        if checks is _ROW_OK:
+            continue
+        keeps_top, broken, j = checks
         if not keeps_top:
             report.add(f"cond({a}, top) is not top")
         if broken is not None:
             report.add(f"cond does not preserve meet at ({a}, {broken[0]}, {broken[1]})")
             return report
+        if j is not None and report.cond_break is None:
+            report.cond_break = (a, j)
     return report
 
 
-@lru_cache(maxsize=4096)
-def _cond_laws(size: int, leq: Tuple[int, ...], top: int, bot: int,
-               row: Tuple[int, ...]) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    """The cond laws of one row ``row`` (``a cond b`` for every b) on a
-    distributive lattice order: whether it keeps top, and the first (b, c),
-    in row-major order, at which it breaks meet, or None.
+_ROW_OK = (True, None, None)
 
-    Keyed by content, with no row index, so equal rows of one algebra and of
-    different algebras share one entry; :func:`validate_cha` names the row.
-    A5's frames carry 517 distinct (lattice, row) pairs, and one pass of the
-    ``duality`` workload at most 991 (seeds 0-49), so 4 096 entries never
-    evict."""
-    meet = _order_facts(size, leq, top, bot).meet
+
+@lru_cache(maxsize=4096)
+def _cond_checks(size: int, leq: Tuple[int, ...], top: int, bot: int, row: Tuple[int, ...]
+                 ) -> Tuple[bool, Optional[Tuple[int, int]], Optional[int]]:
+    """The checks of one cond row ``row`` (``a cond b`` for every b) on a
+    distributive lattice order: whether it keeps top; the first (b, c), in
+    row-major order, at which it breaks meet, or None; and the first b at
+    which theta of ``a cond b`` differs from the box of the dual relation at
+    theta(a) over theta(b), or None.  That last check is made only on a row
+    that keeps meets, on a lattice with a dual (theta set and onto), and is
+    None otherwise.
+
+    :func:`validate_cha` reads the first two and :func:`check_duality_roundtrip`
+    the third, from the same call.  Keyed by content, with no row index, so
+    equal rows of one algebra and of different algebras share one entry; the
+    callers name the row.  A5's frames carry 517 distinct (lattice, row)
+    pairs, and one pass of the ``duality`` workload at most 991 (seeds
+    0-49), so 4 096 entries never evict."""
+    facts = _order_facts(size, leq, top, bot)
+    meet = facts.meet
     keeps_top = row[top] == top
     for b in range(size):
         meet_b, row_b = meet[b], meet[row[b]]
         for c in range(size):
             if row[meet_b[c]] != row_b[row[c]]:
-                return keeps_top, (b, c)
-    return keeps_top, None
+                return keeps_top, (b, c), None
+    theta = facts.theta
+    if theta is not None and facts.onto:
+        rows = _dual_rows(row, facts.prime_filters, theta, facts.pf_order.full_mask)
+        for j, tj in enumerate(theta):
+            if theta[row[j]] != box(rows, tj):
+                return keeps_top, None, j
+    return _ROW_OK if keeps_top else (False, None, None)
 
 
 def complex_algebra(g: GeneralFrame) -> FiniteCHA:
     """The algebra of admissible upsets with the operations read off the frame."""
     masks = g.admissible
     leq, imp, top, bot = _upset_algebra(g.order, masks)
-    cond = _cond_table(g)
-    return _unchecked(FiniteCHA, size=len(masks), leq=leq, imp=imp, cond=cond, top=top,
-                      bot=bot, labels=masks)
+    return _unchecked_algebra(len(masks), leq, imp, _cond_table(g), top, bot, masks)
+
+
+def _unchecked_algebra(size: int, leq: Tuple[int, ...], imp: Table, cond: Table, top: int,
+                       bot: int, labels: Tuple[int, ...]) -> FiniteCHA:
+    """A :class:`FiniteCHA` holding these fields, built without its
+    constructor's checks.
+
+    Its one caller is :func:`complex_algebra`, whose ``imp``, ``cond``,
+    ``top`` and ``bot`` are ``idx[...]`` lookups into its carrier, so every
+    entry lies in ``0..size-1``; its tables are ``size x size`` and its
+    ``leq`` rows are built over the carrier, one per element.  A family not
+    closed under the operations raises FrameFormatError before this is
+    reached, as it does before the checking constructor.
+
+    The fields are stored one by one, in the constructor's order, not as a
+    new ``__dict__``, so that the instance shares its attribute keys with
+    its class as constructed ones do."""
+    alg = object.__new__(FiniteCHA)
+    alg.size = size
+    alg.leq = leq
+    alg.imp = imp
+    alg.cond = cond
+    alg.top = top
+    alg.bot = bot
+    alg.labels = labels
+    return alg
 
 
 def _cond_table(g: GeneralFrame) -> Table:
@@ -515,42 +567,20 @@ def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
     compared with the box of the dual's relation at theta(a), as
     :func:`_dual_rows` computes it, over theta(b): the complex algebra's
     cond, with neither it nor the dual frame built.  That comparison is
-    memoised per distinct (lattice, row) in :func:`_cond_roundtrip`.  The
-    first pair, in row-major order, that breaks it is reported after the
-    order-only failures.
+    memoised per distinct (lattice, row) in :func:`_cond_checks`, beside the
+    row's cond laws, and read from the report of the :func:`validate_cha`
+    call that refuses an invalid algebra.  The first pair, in row-major
+    order, that breaks it is reported after the order-only failures.
     """
     pre = validate_cha(alg)
     if not pre.ok:
         raise DualityError(f"refusing invalid algebra: {pre}")
     facts = _dual_facts(alg.size, alg.leq, alg.top, alg.bot)
     report = DualityReport(list(facts.roundtrip))
-    size, leq, top, bot = alg.size, alg.leq, alg.top, alg.bot
-    for i, row in enumerate(map(tuple, alg.cond)):
-        j = _cond_roundtrip(size, leq, top, bot, row)
-        if j is not None:
-            report.add(f"theta breaks cond at ({i}, {j})")
-            return report
+    if pre.cond_break is not None:
+        a, b = pre.cond_break
+        report.add(f"theta breaks cond at ({a}, {b})")
     return report
-
-
-@lru_cache(maxsize=4096)
-def _cond_roundtrip(size: int, leq: Tuple[int, ...], top: int, bot: int,
-                    row: Tuple[int, ...]) -> Optional[int]:
-    """The first b at which theta of ``a cond b`` differs from the box of the
-    dual relation at theta(a) over theta(b), given ``row`` = ``a cond b`` for
-    every b, on a lattice order that passed :func:`_dual_facts`; or None.
-
-    Keyed by content, with no row index, so equal rows share one entry;
-    :func:`check_duality_roundtrip` names the row.  A5's frames carry 517
-    distinct (lattice, row) pairs, and one pass of the ``duality`` workload
-    at most 991 (seeds 0-49), so 4 096 entries never evict."""
-    facts = _order_facts(size, leq, top, bot)
-    theta = facts.theta
-    rows = _dual_rows(row, facts.prime_filters, theta, facts.pf_order.full_mask)
-    for j, tj in enumerate(theta):
-        if theta[row[j]] != box(rows, tj):
-            return j
-    return None
 
 
 class _FrameOrder(NamedTuple):

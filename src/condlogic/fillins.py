@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .correspondents import _corr_loop, _k_icc, _k_id
 from .errors import SqueezeAmbiguityError, SqueezePreconditionError
-from .frames import ConditionalFrame, GeneralFrame, Rows, _unchecked, compose_up_rel
+from .frames import ConditionalFrame, GeneralFrame, Rows, _unchecked_frame, compose_up_rel
 from .order import mask_to_key, up_closure
 
 
@@ -134,7 +134,7 @@ def fill(g: GeneralFrame, kind: FillInKind) -> ConditionalFrame:
     The result agrees with ``g`` on every admissible upset.  The squeeze
     recipe additionally requires the cautious-conditional precondition and
     raises with a witness when it fails.  The result is built without the
-    constructor's checks (:func:`condlogic.frames._unchecked`), which it
+    constructor's checks (:func:`condlogic.frames._unchecked_frame`), which it
     cannot fail once its keys are exactly the upsets.
     """
     if kind is FillInKind.SQUEEZE:
@@ -149,4 +149,4 @@ def fill(g: GeneralFrame, kind: FillInKind) -> ConditionalFrame:
             relations[a] = recipe(g, a)
     if len(relations) != len(upsets):  # g admits a set that is not an upset
         return ConditionalFrame(g.order, relations)  # which refuses it
-    return _unchecked(ConditionalFrame, order=g.order, admissible=upsets, relations=relations)
+    return _unchecked_frame(ConditionalFrame, g.order, upsets, relations)

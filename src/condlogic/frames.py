@@ -11,6 +11,7 @@ random-frame fuzzer) can catalog exactly which clause failed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Mapping, Tuple
@@ -173,40 +174,59 @@ class ConditionalFrame(GeneralFrame):
     """A general frame whose admissible family is all upsets."""
 
     def __init__(self, order: FinitePreorder, relations: Mapping[int, Rows]):
-        super().__init__(order, order.upsets, dict(relations))
+        relations = dict(relations)
+        _check_full_keys(order, relations)
+        super().__init__(order, order.upsets, relations)
 
     def _check_keys(self) -> None:
-        """Name the first key of ``relations`` that is not an upset; else list
-        the first four upsets without a relation and count the rest, so that
-        the message stays short on a frame of 2^n upsets."""
-        ups = set(self.admissible)
-        if set(self.relations) == ups:
+        """Done by :func:`_check_full_keys`, before the upsets are listed."""
+
+
+def _check_full_keys(order: FinitePreorder, relations: Dict[int, Rows]) -> None:
+    """Name the first key of ``relations`` that is not an upset of
+    ``order``; else list the first four upsets without a relation and count
+    the rest, so that the message stays short on a frame of 2^n upsets.
+
+    The upsets are listed only when there are as many as keys.  Otherwise
+    each key is tested on its own, the upsets are counted without being
+    listed, and the missing ones are found one at a time, so a short file on
+    20 worlds is refused without its 2^20 upsets."""
+    count = order.upset_count
+    if len(relations) == count:
+        ups = set(order.upsets)
+        if ups.issuperset(relations):  # as many keys as upsets, so all of them
             return
-        for a in self.relations:
-            if a not in ups:
-                raise FrameFormatError(
-                    "a conditional frame needs a relation for every upset, and only for "
-                    f"upsets; key {mask_to_key(a)!r} is not an upset"
-                )
-        missing = [u for u in self.admissible if u not in self.relations]
-        more = f" and {len(missing) - 4} more" if len(missing) > 4 else ""
-        raise FrameFormatError(
-            "a conditional frame needs a relation for every upset; "
-            f"missing {[mask_to_key(u) for u in missing[:4]]}{more}"
-        )
+        is_upset_key = ups.__contains__
+    else:
+        outside = ~order.full_mask
+
+        def is_upset_key(a: int) -> bool:
+            return not a & outside and is_upset(order, a)
+
+    for a in relations:
+        if not is_upset_key(a):
+            raise FrameFormatError(
+                "a conditional frame needs a relation for every upset, and only for "
+                f"upsets; key {mask_to_key(a)!r} is not an upset"
+            )
+    missing = count - len(relations)
+    first = itertools.islice((u for u in order.iter_upsets() if u not in relations), 4)
+    more = f" and {missing - 4} more" if missing > 4 else ""
+    raise FrameFormatError(
+        "a conditional frame needs a relation for every upset; "
+        f"missing {[mask_to_key(u) for u in first]}{more}"
+    )
 
 
-def _unchecked(cls, **fields):
-    """An instance of ``cls`` holding ``fields``, built without its constructor.
+def _unchecked_frame(cls, order: FinitePreorder, admissible: Tuple[int, ...],
+                     relations: Dict[int, Rows]) -> GeneralFrame:
+    """A frame of class ``cls`` (:class:`GeneralFrame` or
+    :class:`ConditionalFrame`) holding the three fields, built without its
+    constructor's checks.
 
-    Only these four callers use it, and only with values on which the skipped
-    checks cannot fail:
+    Only these three callers use it, and only with values on which the
+    skipped checks cannot fail:
 
-    - :func:`condlogic.algebra.complex_algebra`: a complex algebra's
-      ``imp``, ``cond``, ``top`` and ``bot`` are ``idx[...]`` lookups into
-      its carrier, so every entry lies in ``0..size-1``; its tables are
-      ``size x size`` and its ``leq`` rows are built over the carrier, one
-      per element;
     - :func:`condlogic.generate.enumerate_full_frames`: its admissible
       family is ``order.upsets``, sorted and unique, its relations are
       keyed by exactly those upsets, and every relation is one of
@@ -226,17 +246,15 @@ def _unchecked(cls, **fields):
       bits, the empty set, an upset, the order's rows, or their meets,
       images and up-closures), as do the subset and strong repairs.
 
-    A family not closed under the operations raises FrameFormatError
-    before this is reached, as it does before the checking constructor.
-
-    The fields are set one by one, not as a new ``__dict__``, so that the
-    instance shares its attribute keys with its class as constructed ones
-    do: a frame kept this way takes 330 bytes, not 470.
+    The fields are stored one by one, in the constructor's order, not as a
+    new ``__dict__``, so that the instance shares its attribute keys with
+    its class as constructed ones do.
     """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        setattr(obj, name, value)
-    return obj
+    g = object.__new__(cls)
+    g.order = order
+    g.admissible = admissible
+    g.relations = relations
+    return g
 
 
 def validate_general(g: GeneralFrame) -> FrameReport:
@@ -300,9 +318,19 @@ def _add_incoherent(report: FrameReport, g: GeneralFrame) -> None:
 
 def strongly_coherent(g: GeneralFrame) -> bool:
     """Whether every admissible relation is strongly coherent; stops at the
-    first that is not."""
-    up = tuple(g.order.up)
-    return all(_strongly_coherent_rows(up, tuple(g.rel(a))) for a in g.admissible)
+    first that is not.
+
+    Reads ``g.relations`` directly, one lookup per upset; a missing key
+    goes through :meth:`GeneralFrame.rel` for its NotAdmissibleError."""
+    up, relations = g.order.up, g.relations
+    try:
+        for a in g.admissible:
+            if not _strongly_coherent_rows(up, tuple(relations[a])):
+                return False
+    except KeyError:
+        g.rel(a)  # raises NotAdmissibleError naming the missing upset
+        raise
+    return True
 
 
 @dataclass
@@ -359,7 +387,9 @@ def frame_from_json(obj: dict) -> GeneralFrame:
     if not isinstance(rel_obj, dict):
         raise FrameFormatError("relations must map upset keys to pair lists")
     order = FinitePreorder.from_pairs(n, leq)  # interned, with its keys
-    keys = order.upset_keys
+    # the keys are listed only when the file names at least as many sets, so
+    # that a short file on many worlds is read without listing 2^n upsets
+    keys = order.upset_keys if order.upset_count <= len(rel_obj) else {}
     relations = {}
     for k, v in rel_obj.items():
         # keys that name no upset go through the strict parser, which

@@ -42,7 +42,7 @@ from .frames import (
     ConditionalFrame,
     GeneralFrame,
     Rows,
-    _unchecked,
+    _unchecked_frame,
     compose_rel_up,
     compose_up_rel,
     rel_coherent,
@@ -266,7 +266,7 @@ def random_general_frame(rng: random.Random, n: int,
     with a non-admissible upset, or else the last.  Building draws nothing
     from ``rng``, so skipping it for the discarded draws leaves the
     generator state unchanged.  It skips the constructor's checks
-    (:func:`frames._unchecked`), which cannot fail on a closure's output.
+    (:func:`frames._unchecked_frame`), which cannot fail on a closure's output.
     """
     for _ in range(_MAX_REGEN):
         p = random_poset(rng, n)
@@ -277,7 +277,7 @@ def random_general_frame(rng: random.Random, n: int,
         admissible, relations = close_admissible(rng, p, seeds, sampler)
         if len(admissible) < len(ups):
             break
-    return _unchecked(GeneralFrame, order=p, admissible=admissible, relations=relations)
+    return _unchecked_frame(GeneralFrame, p, admissible, relations)
 
 
 # --- exhaustive enumeration ---------------------------------------------------
@@ -314,7 +314,7 @@ def coherent_relations(p: FinitePreorder) -> List[Rows]:
 def enumerate_full_frames(max_worlds: int = 2) -> Iterator[ConditionalFrame]:
     """Every valid full conditional frame with at most ``max_worlds`` worlds.
 
-    Built without the constructor's checks (:func:`frames._unchecked`): the
+    Built without the constructor's checks (:func:`frames._unchecked_frame`): the
     fields are already what those checks test.
     """
     if max_worlds > 2:
@@ -327,8 +327,7 @@ def enumerate_full_frames(max_worlds: int = 2) -> Iterator[ConditionalFrame]:
             ups = p.upsets
             rels = coherent_relations(p)
             for combo in itertools.product(rels, repeat=len(ups)):
-                yield _unchecked(ConditionalFrame, order=p, admissible=ups,
-                                 relations=dict(zip(ups, combo)))
+                yield _unchecked_frame(ConditionalFrame, p, ups, dict(zip(ups, combo)))
 
 
 # --- random formulas ----------------------------------------------------------

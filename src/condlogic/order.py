@@ -8,11 +8,12 @@ and cheap to compare; Python ints are all three.
 An order carries the facts that the other layers derive from it, each
 computed once per instance on first use: the converse rows (``down``), the
 upsets (``upsets``, enumerated directly, in time proportional to their
-number), their file keys (``upset_keys``) and the Heyting implications
-met so far (``imps``).  The library builds every order from rows through
-one bounded intern, :func:`interned_order`, so equal orders are one
-instance and share those facts; this module alone decides how, and for
-how long, they are kept.  The world count is capped at :data:`MAX_WORLDS`.
+number), how many there are (``upset_count``, counted without listing
+them), their file keys (``upset_keys``) and the Heyting implications met
+so far (``imps``).  The library builds every order from rows through one
+bounded intern, :func:`interned_order`, so equal orders are one instance
+and share those facts; this module alone decides how, and for how long,
+they are kept.  The world count is capped at :data:`MAX_WORLDS`.
 
 The bit kernels live here and nowhere else: :func:`set_bits` lists the set
 bits of a mask, :func:`image` unions relation rows over a set of worlds
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from .errors import CapExceededError, FrameFormatError
 
@@ -104,7 +105,11 @@ class FinitePreorder:
 
     @cached_property
     def upsets(self) -> Tuple[int, ...]:
-        """Every upset exactly once, ascending as integers.
+        """Every upset exactly once, ascending as integers: :meth:`iter_upsets`."""
+        return tuple(self.iter_upsets())
+
+    def iter_upsets(self) -> Iterator[int]:
+        """Every upset exactly once, ascending as integers, one at a time.
 
         Worlds are decided from the highest index down, each left out before
         it is put in, so the masks come out ascending.  Putting a world in
@@ -113,18 +118,45 @@ class FinitePreorder:
         ``2^n`` scan.
         """
         up, down = self.up, self.down
-        out = []
         stack = [(self.n - 1, 0, 0)]  # (world to decide, forced in, forced out)
         while stack:
             w, inside, outside = stack.pop()
             if w < 0:
-                out.append(inside)
+                yield inside
                 continue
             if not outside >> w & 1:
                 stack.append((w - 1, inside | up[w], outside))
             if not inside >> w & 1:  # pushed last, so leaving w out is expanded first
                 stack.append((w - 1, inside, outside | down[w]))
-        return tuple(out)
+
+    @cached_property
+    def upset_count(self) -> int:
+        """``len(self.upsets)``, counted without listing them.
+
+        The walk of :meth:`iter_upsets`, memoised per world to decide and the
+        worlds at or below it already forced in or out: the worlds above it
+        are decided, so those alone fix how many upsets the branch holds.
+        The 20-world antichain's 2^20 upsets take 20 steps.
+        """
+        up, down = self.up, self.down
+        memo: Dict[Tuple[int, int, int], int] = {}
+
+        def count(w: int, inside: int, outside: int) -> int:
+            if w < 0:
+                return 1
+            low = (2 << w) - 1
+            key = (w, inside & low, outside & low)
+            got = memo.get(key)
+            if got is None:
+                got = 0
+                if not outside >> w & 1:
+                    got += count(w - 1, inside | up[w], outside)
+                if not inside >> w & 1:
+                    got += count(w - 1, inside, outside | down[w])
+                memo[key] = got
+            return got
+
+        return count(self.n - 1, 0, 0)
 
     @cached_property
     def upset_keys(self) -> Dict[str, int]:

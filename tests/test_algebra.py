@@ -464,7 +464,7 @@ class TestDualityRoundtrip:
                                                           strong=i % 2 == 0)))
         algs += [boolean2(), boolean2(0), chain3(), boolean4(), algebra_from_json(GOLDEN_ALGEBRA)]
         calls = Counter()
-        for name in ("complex_algebra", "dual_frame", "_theta_failures", "_unchecked"):
+        for name in ("complex_algebra", "dual_frame", "_theta_failures", "_unchecked_algebra"):
             real = getattr(algebra, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
@@ -476,7 +476,7 @@ class TestDualityRoundtrip:
         for alg in algs:
             assert check_duality_roundtrip(alg).failures == [], alg
         # no complex algebra and no dual frame is built
-        assert calls["complex_algebra"] == calls["dual_frame"] == calls["_unchecked"] == 0
+        assert calls["complex_algebra"] == calls["dual_frame"] == calls["_unchecked_algebra"] == 0
         for alg in algs:
             assert reference_check_duality_roundtrip(alg).failures == [], alg
         lattices = {(alg.size, alg.leq, alg.top, alg.bot) for alg in algs}
@@ -498,8 +498,7 @@ class TestDualityRoundtrip:
 
 
 # the memos of the relation half, one entry per distinct row
-ROW_MEMOS = (algebra._cond_laws, algebra._cond_roundtrip, algebra._cond_row,
-             algebra._relation_diff)
+ROW_MEMOS = (algebra._cond_checks, algebra._cond_row, algebra._relation_diff)
 
 
 class TestRowMemos:
@@ -557,7 +556,8 @@ def _at_call(patch, name, call, inner_name, inner):
     """Make the row memo ``name`` wrong at its call number ``call`` (counting
     from 0): that call runs the memo's function unmemoised, with the module's
     ``inner_name`` replaced by ``inner(real, *key)``.  The round trips call their
-    row memo once per row, in order, whether the row is new or not, so a
+    row memo once per row, in order, whether the row is new or not (the
+    algebra round trip through the :func:`validate_cha` it runs first), so a
     fault set by call number lands on its row even when rows repeat; and the
     faulty result is not memoised."""
     memo, real = getattr(algebra, name), getattr(algebra, inner_name)
@@ -580,7 +580,7 @@ def _inject_cond_fault(patch, i, j):
         tj = algebra._order_facts(size, leq, top, bot).theta[j]
         return lambda rows, b: ~box(rows, b) if b == tj else box(rows, b)
 
-    _at_call(patch, "_cond_roundtrip", i, "box", wrong_at_j)
+    _at_call(patch, "_cond_checks", i, "box", wrong_at_j)
 
 
 def _moved(mask, perm):
@@ -1052,9 +1052,9 @@ class TestConstructorMessages:
         assert str(exc.value) == loaded
 
 
-def _checked(cls, **fields):
-    """What ``algebra._unchecked`` stands in for: the checking constructor."""
-    return cls(**fields)
+def _checked(*fields):
+    """What ``algebra._unchecked_algebra`` stands in for: the checking constructor."""
+    return FiniteCHA(*fields)
 
 
 def _outcome(fn, arg):
@@ -1068,7 +1068,7 @@ def _both_paths(fn, arg):
     """``fn(arg)`` as built, then with every value through its checking constructor."""
     built = _outcome(fn, arg)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algebra, "_unchecked", _checked)
+        patch.setattr(algebra, "_unchecked_algebra", _checked)
         checked = _outcome(fn, arg)
     return built, checked
 

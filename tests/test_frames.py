@@ -1,11 +1,14 @@
 import itertools
 import json
 import random
+import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from condlogic import frames
+from condlogic.algebra import FiniteCHA, complex_algebra
 from condlogic.errors import FrameFormatError, NotAdmissibleError
 from condlogic.frames import (
     ConditionalFrame,
@@ -23,13 +26,15 @@ from condlogic.frames import (
     validate_conditional,
     validate_general,
 )
+from condlogic.fillins import FillInKind, fill
 from condlogic.generate import (
+    enumerate_full_frames,
     enumerate_preorders,
     random_full_frame,
     random_general_frame,
     random_poset,
 )
-from condlogic.order import heyting_imp, mask_to_key
+from condlogic.order import heyting_imp, interned_order, mask_to_key
 
 from conftest import full_frame, general_frame, m, preorder
 from roundtrip_oracle import check_strong_coherence, rel_strongly_coherent
@@ -338,6 +343,109 @@ class TestConstructorMessages:
             ConditionalFrame(preorder(2), {})
         assert str(exc.value) == ("a conditional frame needs a relation for every upset; "
                                   "missing ['', '0', '1', '0,1']")
+
+
+def _old_full_keys_error(order, relations):
+    """The key check of ``ConditionalFrame`` as it was, on the listed upsets:
+    its message, or None."""
+    ups = set(order.upsets)
+    if set(relations) == ups:
+        return None
+    for a in relations:
+        if a not in ups:
+            return ("a conditional frame needs a relation for every upset, and only for "
+                    f"upsets; key {mask_to_key(a)!r} is not an upset")
+    missing = [u for u in order.upsets if u not in relations]
+    more = f" and {len(missing) - 4} more" if len(missing) > 4 else ""
+    return ("a conditional frame needs a relation for every upset; "
+            f"missing {[mask_to_key(u) for u in missing[:4]]}{more}")
+
+
+class TestFullKeys:
+    """``ConditionalFrame`` checks its keys before it lists the upsets, and
+    lists them only when there are as many as keys."""
+
+    def test_messages_as_on_the_listed_upsets(self):
+        seen = Counter()
+        for i in range(600):
+            rng = random.Random(f"full-keys:{i}")
+            p = random_poset(rng, rng.randint(1, 5))
+            ups = list(p.upsets)
+            keys = rng.sample(ups, rng.randint(0, len(ups)))
+            for _ in range(rng.choice((0, 0, 1, 2))):  # stray keys: non-upsets, outside worlds
+                keys.insert(rng.randint(0, len(keys)), rng.randrange(1 << (p.n + 1)))
+            relations = {a: (0,) * p.n for a in keys}
+            expected = _old_full_keys_error(p, relations)
+            if expected is None:
+                assert ConditionalFrame(p, relations).relations == relations
+            else:
+                with pytest.raises(FrameFormatError) as exc:
+                    ConditionalFrame(p, relations)
+                assert str(exc.value) == expected
+            seen[expected.split(";")[0] if expected else None] += 1
+        assert len(seen) == 3 and min(seen.values()) > 50, seen
+
+    @pytest.mark.parametrize("admissible, relations, error", [
+        ("all", {}, "a conditional frame needs a relation for every upset; "
+                    "missing ['', '0', '1', '0,1'] and 1048572 more"),
+        # a general frame of two admissible sets loads
+        ([[], list(range(20))], {"": [], ",".join(map(str, range(20))): []}, None),
+    ])
+    def test_a_short_file_on_twenty_worlds_is_read_without_its_upsets(
+            self, admissible, relations, error):
+        obj = {"worlds": 20, "leq": [], "admissible": admissible, "relations": relations}
+        interned_order.cache_clear()  # so that no earlier test listed the upsets
+        tracemalloc.start()
+        try:
+            try:
+                frame_from_json(obj)
+                got = None
+            except FrameFormatError as exc:
+                got = str(exc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == error
+        assert "upsets" not in vars(interned_order(tuple(1 << i for i in range(20))))
+        assert peak < 1 << 20  # listing the upsets took 180-240 MB
+
+    def test_strongly_coherent_names_a_missing_key_as_rel_does(self, chain2):
+        # a frame built without its checks may lack a relation; the first
+        # non-strongly-coherent relation before the gap still decides
+        for relations, raises in (({0: (0, 0), m(0, 1): (m(1), m(1))}, True),
+                                  ({0: (m(0), 0), m(0, 1): (m(1), m(1))}, False)):
+            g = frames._unchecked_frame(GeneralFrame, chain2, (0, m(1), m(0, 1)), relations)
+            if not raises:
+                assert strongly_coherent(g) is False
+                continue
+            with pytest.raises(NotAdmissibleError) as exc:
+                strongly_coherent(g)
+            assert str(exc.value) == "no relation for upset {1}"
+
+
+class TestBuilderFootprint:
+    """A kept frame or complex algebra built by its builder takes no more
+    memory than one built by the checking constructor: the builders store
+    the fields one by one, so the instances share their attribute keys."""
+
+    @staticmethod
+    def _size(obj):
+        return sys.getsizeof(obj) + sys.getsizeof(vars(obj))
+
+    def test_frames(self):
+        rng = random.Random("built-frames")
+        built = [next(enumerate_full_frames(1)), random_general_frame(rng, 3)]
+        built.append(fill(built[1], FillInKind.EMPTY))
+        for g in built:
+            assert self._size(g) <= self._size(
+                GeneralFrame(g.order, g.admissible, dict(g.relations))), g
+
+    def test_complex_algebras(self):
+        for i in range(20):
+            alg = complex_algebra(random_full_frame(random.Random(f"built-algebra:{i}"), 3))
+            checked = FiniteCHA(alg.size, alg.leq, alg.imp, alg.cond, alg.top, alg.bot,
+                                alg.labels)
+            assert self._size(alg) <= self._size(checked)
 
 
 class TestModalFrame:

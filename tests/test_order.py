@@ -206,6 +206,18 @@ class TestAllUpsets:
         assert ups == tuple(sorted(((1 << 20) - 1) ^ ((1 << i) - 1) for i in range(21)))
 
 
+    def test_twenty_worlds_are_counted_without_listing_their_upsets(self):
+        antichain = preorder(20)
+        chain = preorder(20, [(i, j) for i in range(20) for j in range(i + 1, 20)])
+        for p, count in ((antichain, 1 << 20), (chain, 21)):
+            fresh = FinitePreorder(p.n, p.up)
+            assert fresh.upset_count == count
+            assert "upsets" not in vars(fresh)
+        # the first upsets come one at a time, without the rest
+        assert list(itertools.islice(FinitePreorder(20, antichain.up).iter_upsets(), 4)) \
+            == [0, m(0), m(1), m(0, 1)]
+
+
 def _filtered_upsets(p):
     """The old enumeration: every subset, filtered."""
     return tuple(s for s in range(1 << p.n) if up_closure(p, s) == s)
@@ -221,6 +233,8 @@ def _assert_facts(p):
     interned = interned_order(p.up)
     assert interned is interned_order(tuple(p.up)) and interned == p
     for q in (interned, FinitePreorder(p.n, p.up)):
+        assert q.upset_count == len(ups), p  # counted before, or without, the listing
+        assert tuple(q.iter_upsets()) == ups, p
         assert q.upsets == ups, p
         assert q.down == down, p
         assert list(q.upset_keys.items()) == keys, p
