@@ -15,6 +15,10 @@ benchmarks, library callers) with the same exit codes and bytes as a fresh
 ``clc`` process.  ``build_parser`` still returns a new parser on each call.
 Each input file is read once; its ``sha256`` in the report is that of the
 bytes loaded.
+
+Reports and output files are written by one function, ``_json_text``, with
+the same bytes as ``json.dumps(obj, sort_keys=True, indent=2)`` but
+without ``json``'s pure-Python encoder, which an indent selects.
 """
 
 from __future__ import annotations
@@ -57,10 +61,62 @@ def _load_frame(path: str):
     return frames.frame_from_json(frame_json), digest
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    With an indent, ``json`` runs its pure-Python encoder.  This lays out
+    dicts, lists and tuples itself, writes strings with the C string
+    encoder, exact ints with ``int.__repr__`` and ``True``, ``False`` and
+    ``None`` as constants, and hands anything else (floats, subclasses of
+    ``int``, dicts with a key that is not a ``str``) to ``json.dumps``.
+    """
+    parts = []
+    _write_json(obj, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(obj, newline: str, emit) -> None:
+    kind = type(obj)
+    if kind is str:
+        emit(_encode_str(obj))
+    elif kind is int:
+        emit(int.__repr__(obj))
+    elif obj is None:
+        emit("null")
+    elif obj is True:
+        emit("true")
+    elif obj is False:
+        emit("false")
+    elif (kind is list or kind is tuple) and obj:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            emit(sep)
+            _write_json(item, inner, emit)
+            sep = "," + inner
+        emit(newline + "]")
+    elif kind is dict and obj and all(type(key) is str for key in obj):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            emit(sep)
+            emit(_encode_str(key))
+            emit(": ")
+            _write_json(obj[key], inner, emit)
+            sep = "," + inner
+        emit(newline + "}")
+    else:
+        # json.dumps escapes every newline inside a string, so each one in
+        # its text starts a line to indent
+        emit(json.dumps(obj, sort_keys=True, indent=2).replace("\n", newline))
+
+
 def _save_json(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(_json_text(obj) + "\n")
 
 
 def _envelope(command: str, seed, inputs: dict, result: dict) -> dict:
@@ -76,7 +132,7 @@ def _envelope(command: str, seed, inputs: dict, result: dict) -> dict:
 
 def _emit(args, envelope: dict, lines) -> None:
     if args.json:
-        print(json.dumps(envelope, sort_keys=True, indent=2))
+        print(_json_text(envelope))
     else:
         for line in lines:
             print(line)

@@ -27,6 +27,13 @@ The grammar is the language's specification.  The code holds it as one
 table of infix rows (symbol, precedence, associativity) and one of
 prefixes; the precedence-climbing parser and the minimal-parenthesis
 printer both read those tables, so they cannot disagree.
+
+Every node stores its structural hash when it is built, so hashing a
+formula, as every memo lookup does, reads one attribute.  The public
+builders and ``Formula(...)`` check each node.  The parser builds its nodes
+unchecked, through one builder, since its grammar already ensures what
+those checks test.  A pickled formula is rebuilt through the checked
+constructor, because string hashes differ from process to process.
 """
 
 from __future__ import annotations
@@ -69,6 +76,9 @@ KEYWORDS = frozenset({"true", "false"})
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+_new = object.__new__
+_store = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Formula:
@@ -94,6 +104,10 @@ class Formula:
         if self.op == "var":
             if not self.name or not IDENT_RE.match(self.name) or self.name in KEYWORDS:
                 raise LanguageError(f"bad proposition letter {self.name!r}")
+        # structural hash, stored at birth: formulas sit in hot dict lookups.
+        # The language is left out: equal nodes share it, and an enum member
+        # hashes through a Python-level call.  ``_node`` hashes alike.
+        _store(self, "_hash", hash((self.op, self.args, self.name)))
 
     def __str__(self) -> str:
         return print_formula(self)
@@ -102,16 +116,18 @@ class Formula:
         return f"Formula({print_formula(self)!r}, {self.language.value})"
 
     def __hash__(self) -> int:
-        # structural hash, cached per node: formulas sit in hot dict lookups
-        got = self.__dict__.get("_hash")
-        if got is None:
-            got = hash((self.op, self.args, self.name, self.language))
-            object.__setattr__(self, "_hash", got)
-        return got
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes are salted per
+        # process, so a stored hash must not travel in a pickle
+        return Formula, (self.op, self.args, self.name, self.language)
 
 
-# Node builders.  All derived forms go through these so the language
-# invariant is checked in one place.
+# Node builders.  Every node built outside the parser goes through these,
+# so the checks of ``Formula.__post_init__`` run in one place.  The parser
+# builds its nodes unchecked, with ``_node``.  Either way a node stores its
+# hash when it is built.
 
 def Var(name: str, language: Language = Language.COND) -> Formula:
     return Formula("var", (), name, language)
@@ -161,6 +177,42 @@ def Iff(left: Formula, right: Formula) -> Formula:
     return And(Imp(left, right), Imp(right, left))
 
 
+def _node(op: str, args: tuple, name: Optional[str], language: Language) -> Formula:
+    """A node built without the checks of ``Formula.__post_init__``.
+
+    Only :func:`parse` calls it, through its tables: the grammar, ``take``
+    and the tokenizer already ensure the arity, one language throughout and
+    a legal letter that is not a keyword.  All five attributes are stored
+    with ``object.__setattr__``; a write through ``node.__dict__`` would
+    turn the compact attribute store into a full dict per node.
+    """
+    node = _new(Formula)
+    _store(node, "op", op)
+    _store(node, "args", args)
+    _store(node, "name", name)
+    _store(node, "language", language)
+    _store(node, "_hash", hash((op, args, name)))
+    return node
+
+
+def _binary(op: str):
+    return lambda left, right: _node(op, (left, right), None, left.language)
+
+
+def _unary(op: str):
+    return lambda arg: _node(op, (arg,), None, arg.language)
+
+
+def _neg(arg: Formula) -> Formula:
+    return _node("imp", (arg, _node("bot", (), None, arg.language)), None, arg.language)
+
+
+def _iff(left: Formula, right: Formula) -> Formula:
+    language = left.language
+    return _node("and", (_node("imp", (left, right), None, language),
+                         _node("imp", (right, left), None, language)), None, language)
+
+
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)"
     r"|(?P<iff><->)"
@@ -182,17 +234,19 @@ _TOKEN_RE = re.compile(
 # Concrete syntax of the connectives, read by both the parser and the printer.
 # Infix: token kind -> (symbol, precedence, right-associative, builder); a
 # higher precedence binds tighter.  ``iff`` is sugar, so only the parser
-# reads its row; the other kinds are also the node ops they build.
+# reads its row; the other kinds are also the node ops they build.  The
+# builders are the parser's unchecked ones.
 _INFIX = {
-    "imp": ("->", 10, True, Imp),
-    "iff": ("<->", 20, False, Iff),
-    "cond": ("~>", 30, True, Cond),
-    "or": ("|", 40, False, Or),
-    "and": ("&", 50, False, And),
+    "imp": ("->", 10, True, _binary("imp")),
+    "iff": ("<->", 20, False, _iff),
+    "cond": ("~>", 30, True, _binary("cond")),
+    "or": ("|", 40, False, _binary("or")),
+    "and": ("&", 50, False, _binary("and")),
 }
 
 # Prefix: token kind -> (symbol, builder); all bind tighter than any infix.
-_PREFIX = {"neg": ("~", Neg), "box": ("[]", Box), "boxi": ("[I]", BoxI), "boxm": ("[M]", BoxM)}
+_PREFIX = {"neg": ("~", _neg), "box": ("[]", _unary("box")),
+           "boxi": ("[I]", _unary("boxi")), "boxm": ("[M]", _unary("boxm"))}
 
 _PREC_UNARY = 60
 _PREC_ATOM = 70  # never needs parentheses
@@ -257,10 +311,11 @@ def parse(text: str, language: Language = Language.COND) -> Formula:
         if kind == "ident":
             at += 1
             if tok == "false":
-                return Bot(language)
+                return _node("bot", (), None, language)
             if tok == "true":
-                return Top(language)
-            return Var(tok, language)
+                bot = _node("bot", (), None, language)
+                return _node("imp", (bot, bot), None, language)
+            return _node("var", (), tok, language)
         if kind == "lpar":
             at += 1
             inner = binary(0)

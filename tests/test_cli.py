@@ -1,6 +1,8 @@
+import enum
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -619,3 +621,72 @@ class TestRepeatedCalls:
         parser.set_defaults(json=True)
         code, out, _ = run(capsys, "parse", "p ~> p")
         assert code == 0 and out == "p ~> p\n"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+# escapes, control characters, non-ASCII, an astral character and a lone
+# surrogate
+_STRINGS = ["", "p", "0,1", 'a "quoted" \\ path/x', "tab\tnew\nline\r", "\x00\x1f\x7f",
+            "caf\u00e9", "\u2603", "\U0001f600", "\ud800"]
+_LEAVES = [
+    lambda rng: rng.choice(_STRINGS) + rng.choice(_STRINGS),
+    lambda rng: rng.randint(-300, 300),
+    lambda rng: rng.randint(-2 ** 90, 2 ** 90),
+    lambda rng: rng.choice([True, False, None]),
+    lambda rng: rng.choice([0.0, -0.0, 0.1, -2.5e300, 1e-7, float("nan"), float("inf"),
+                            float("-inf")]),
+    lambda rng: rng.choice(list(_Level)),
+]
+# key sets json can sort: strings, numbers (ints, floats, bools and IntEnum
+# members compare with one another), or None alone
+_KEYS = [
+    lambda rng, size: [rng.choice(_STRINGS) + str(i) for i in range(size)],
+    lambda rng, size: rng.sample([0, 1, -7, 2 ** 70, 2.5, float("inf"), True, _Level.HIGH], size),
+    lambda rng, size: [None][:size],
+]
+
+
+def _random_json_value(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        return rng.choice(_LEAVES)(rng)
+    size = rng.randint(0, 4)
+    if roll < 0.6:
+        return [_random_json_value(rng, depth - 1) for _ in range(size)]
+    if roll < 0.7:
+        return tuple(_random_json_value(rng, depth - 1) for _ in range(size))
+    keys = _KEYS[0](rng, size) if roll < 0.9 else rng.choice(_KEYS)(rng, size)
+    return {key: _random_json_value(rng, depth - 1) for key in keys}
+
+
+class TestJsonWriter:
+    """Reports and files are written byte for byte as
+    ``json.dumps(obj, sort_keys=True, indent=2)`` writes them."""
+
+    def test_random_values(self):
+        rng = random.Random(27)
+        for _ in range(4000):
+            obj = _random_json_value(rng, rng.randint(0, 5))
+            assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2), obj
+
+    def test_saved_file(self, tmp_path):
+        rng = random.Random(28)
+        path = tmp_path / "out.json"
+        for _ in range(50):
+            obj = {"frame": _random_json_value(rng, 4), "valuation": {"p": [0, 2], "q": []}}
+            cli._save_json(str(path), obj)
+            assert path.read_bytes() == (json.dumps(obj, sort_keys=True, indent=2)
+                                         + "\n").encode()
+
+    @pytest.mark.parametrize("obj", [{"a": object()}, [1, {2, 3}], {"a": 1, 2: "b"}],
+                             ids=["object", "set", "mixed-keys"])
+    def test_unserializable_values_raise_as_json_does(self, obj):
+        with pytest.raises(TypeError) as want:
+            json.dumps(obj, sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json_text(obj)
+        assert str(got.value) == str(want.value)

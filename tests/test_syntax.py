@@ -1,4 +1,10 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +293,34 @@ class TestFormulaInvariants:
         f2 = parse("(p ~> q) & (q ~> r) -> p ~> r")
         assert f1 == f2 and hash(f1) == hash(f2)
 
+    def test_pickled_formula_is_rehashed_in_another_process(self):
+        # string hashes are salted per process, so a hash stored in the
+        # pickle would disagree with an equal formula parsed over there
+        f = parse("p ~> (q -> r)")
+        parent_hash = hash(f)
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        src = str(Path(syntax.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = (
+            "import pickle, sys\n"
+            "from condlogic.syntax import parse\n"
+            "g = pickle.loads(sys.stdin.buffer.read())\n"
+            "h = parse('p ~> (q -> r)')\n"
+            "assert g == h and hash(g) == hash(h) and len({g, h}) == 1\n"
+            "print(hash(h))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", child], input=pickle.dumps(f), env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+        assert int(done.stdout) != parent_hash  # the child's hashes are salted otherwise
+
+    def test_pickle_round_trip_keeps_equality_and_hash(self):
+        for f in (parse("[]p -> [](p | false)", Language.MODAL),
+                  parse("[I]~q <-> [M]true", Language.BIMODAL), Iff(p, Cond(q, r))):
+            g = pickle.loads(pickle.dumps(f))
+            assert g == f and hash(g) == hash(f) and g.language is f.language
+
 
 # The recursive-descent parser and the printer the table-driven ones
 # replaced, kept as the oracle: one method per grammar level, and the
@@ -485,6 +519,28 @@ def _outcome(parse_fn, text, language):
         return type(exc), str(exc), getattr(exc, "pos", None)
 
 
+def _nodes(f):
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.args)
+
+
+def _agree(text, language):
+    # the reference builds every node through the checked public builders,
+    # so an equal formula with an equal hash, each of whose nodes passes
+    # every check, shows the parser's unchecked nodes are the checked ones
+    got = _outcome(parse, text, language)
+    want = _outcome(reference_parse, text, language)
+    assert got == want, (text, language)
+    if isinstance(got, Formula):
+        assert hash(got) == hash(want), (text, language)
+        for node in _nodes(got):
+            Formula.__post_init__(node)
+    return got
+
+
 _UNARY_BUILDERS = {Language.COND: [Neg], Language.MODAL: [Neg, Box],
                    Language.BIMODAL: [Neg, BoxI, BoxM]}
 _BINARY_BUILDERS = {Language.COND: [And, Or, Imp, Imp, Cond], Language.MODAL: [And, Or, Imp, Imp],
@@ -552,23 +608,19 @@ def _mutated_text(rng):
 
 
 class TestAgainstReferenceParser:
-    """The table-driven parser and printer against the ones they replaced."""
+    """The table-driven parser and printer against the ones they replaced:
+    the same formula with the same hash, or the same error at the same
+    place."""
 
     def test_random_token_strings(self):
         rng = random.Random(8)
         for _ in range(12000):
-            text = _random_text(rng)
-            language = rng.choice(_LANGUAGES)
-            assert _outcome(parse, text, language) == _outcome(reference_parse, text, language), \
-                (text, language)
+            _agree(_random_text(rng), rng.choice(_LANGUAGES))
 
     def test_mutated_well_formed_texts(self):
         rng = random.Random(9)
         for _ in range(8000):
-            text = _mutated_text(rng)
-            language = rng.choice(_LANGUAGES)
-            assert _outcome(parse, text, language) == _outcome(reference_parse, text, language), \
-                (text, language)
+            _agree(_mutated_text(rng), rng.choice(_LANGUAGES))
 
     def test_printed_formulas(self):
         rng = random.Random(10)
@@ -577,4 +629,63 @@ class TestAgainstReferenceParser:
             f = _random_formula(rng, language, rng.randint(1, 6))
             printed = print_formula(f)
             assert printed == _reference_render(f)[0]
-            assert parse(printed, language) == f
+            parsed = _agree(printed, language)
+            assert parsed == f and hash(parsed) == hash(f)
+
+
+def _rebuilt(f, store):
+    # a copy of ``f`` whose nodes get their five attributes from ``store``
+    args = tuple(_rebuilt(a, store) for a in f.args)
+    node = object.__new__(Formula)
+    store(node, [("op", f.op), ("args", args), ("name", f.name), ("language", f.language),
+                 ("_hash", hash((f.op, args, f.name)))])
+    return node
+
+
+def _hashed_after_birth(node, attrs):
+    # the four fields stored as the dataclass constructor stores them, and
+    # the hash later, after a read of ``__dict__``: nodes once hashed while
+    # ``__hash__`` filled the hash in on first use
+    for attr, value in attrs[:4]:
+        object.__setattr__(node, attr, value)
+    assert node.__dict__.get("_hash") is None
+    object.__setattr__(node, *attrs[4])
+
+
+def _through_dict(node, attrs):
+    node.__dict__.update(attrs)
+
+
+def _traced_bytes(build, copies=200):
+    tracemalloc.start()
+    try:
+        kept = [build() for _ in range(copies)]
+        size, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == copies
+    return size
+
+
+class TestNodeMemory:
+    def test_parsed_nodes_take_the_fewest_bytes(self):
+        # one-letter names are interned by the interpreter, and the text has
+        # no ``true`` or ``<->``, whose parses share nodes, so every side
+        # allocates the same nodes, tuples and hash ints, and the sides
+        # differ in the attribute store alone
+        text = "((p ~> q) & (q ~> r) -> (p ~> r)) | ~(p & ~(q | false)) -> (r ~> ~p)"
+        f = parse(text)
+
+        def parsed():
+            g = parse(text)
+            hash(g)
+            return g
+
+        parsed = _traced_bytes(parsed)
+        for store in (_hashed_after_birth, _through_dict):
+            assert _rebuilt(f, store) == f
+        assert parsed <= _traced_bytes(lambda: _rebuilt(f, _hashed_after_birth))
+        if sys.version_info >= (3, 11):
+            # since 3.11 attribute values are kept inline until ``__dict__``
+            # is read, so a write through it costs a dict per node
+            assert parsed < _traced_bytes(lambda: _rebuilt(f, _through_dict))
