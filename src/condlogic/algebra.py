@@ -93,7 +93,9 @@ class FiniteCHA:
 
     ``leq[i]`` is the bitmask ``{j | element i <= element j}``.  ``labels``
     records the admissible upsets when the algebra was built as a complex
-    algebra, and is None for file-loaded algebras.
+    algebra, and is None for file-loaded algebras.  The constructor stores
+    ``leq`` and each table and table row as tuples, so that the memos keyed
+    by them can hash them as they are.
     """
 
     size: int
@@ -117,6 +119,9 @@ class FiniteCHA:
                 raise FrameFormatError(f"{name} table entry out of range")
         if not (0 <= self.top < self.size and 0 <= self.bot < self.size):
             raise FrameFormatError("top or bot out of range")
+        self.leq = tuple(self.leq)
+        self.imp = tuple(map(tuple, self.imp))
+        self.cond = tuple(map(tuple, self.cond))
 
     def le(self, i: int, j: int) -> bool:
         return bool((self.leq[i] >> j) & 1)
@@ -290,7 +295,7 @@ def validate_cha(alg: FiniteCHA) -> AlgebraReport:
     # cond laws: meets preserved in the second argument, top preserved; the
     # same memo entry holds the row's round trip, and a row that passes all
     # three is the one _ROW_OK
-    for a, row in enumerate(map(tuple, alg.cond)):
+    for a, row in enumerate(alg.cond):
         checks = _cond_checks(size, leq, top, bot, row)
         if checks is _ROW_OK:
             continue
@@ -357,9 +362,11 @@ def _unchecked_algebra(size: int, leq: Tuple[int, ...], imp: Table, cond: Table,
     Its one caller is :func:`complex_algebra`, whose ``imp``, ``cond``,
     ``top`` and ``bot`` are ``idx[...]`` lookups into its carrier, so every
     entry lies in ``0..size-1``; its tables are ``size x size`` and its
-    ``leq`` rows are built over the carrier, one per element.  A family not
-    closed under the operations raises FrameFormatError before this is
-    reached, as it does before the checking constructor.
+    ``leq`` rows are built over the carrier, one per element.  ``leq`` and
+    the tables and their rows are tuples, as the constructor would store
+    them, and are stored as given.  A family not closed under the
+    operations raises FrameFormatError before this is reached, as it does
+    before the checking constructor.
 
     The fields are stored one by one, in the constructor's order, not as a
     new ``__dict__``, so that the instance shares its attribute keys with
@@ -386,7 +393,7 @@ def _cond_table(g: GeneralFrame) -> Table:
     no error, and the message names the first such pair of the whole table."""
     masks = g.admissible
     try:
-        return tuple([_cond_row(masks, tuple(rows)) for rows in map(g.rel, masks)])
+        return tuple([_cond_row(masks, rows) for rows in map(g.rel, masks)])
     except KeyError:
         raise _not_closed(masks, "cond", g.dto) from None
 
@@ -690,7 +697,7 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     if order.failures:
         return report
     for a in order.upsets:
-        worlds = _relation_diff(up, tuple(f.rel(a)))
+        worlds = _relation_diff(up, f.rel(a))
         if worlds is not None:
             report.add(
                 f"relation at {{{mask_to_key(a)}}} disagrees with the dual "
@@ -739,11 +746,11 @@ def algebra_from_json(obj: dict) -> FiniteCHA:
     # the imp table bounds the carrier before anything is allocated for it
     if type(size) is not int or not 1 <= size <= len(imp_rows):
         raise FrameFormatError(f"algebra size {size!r} does not fit its imp table")
-    imp = tuple(tuple(read_indices(row, size, "imp entry")) for row in imp_rows)
-    cond = tuple(tuple(read_indices(row, size, "cond entry")) for row in cond_rows)
+    imp = [read_indices(row, size, "imp entry") for row in imp_rows]
+    cond = [read_indices(row, size, "cond entry") for row in cond_rows]
     top, bot = read_indices(top_bot, size, "top/bot")
     leq = [row | 1 << i for i, row in enumerate(read_pair_rows(leq_pairs, size, "leq"))]
-    alg = FiniteCHA(size, tuple(leq), imp, cond, top, bot)
+    alg = FiniteCHA(size, leq, imp, cond, top, bot)
     report = validate_cha(alg)
     if not report.ok:
         raise FrameFormatError(f"algebra fails validation: {report}")

@@ -27,7 +27,7 @@ import itertools
 import os
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import correspondents as cr, generate
@@ -61,18 +61,14 @@ class AxiomEntry:
     strong_scope: bool = False
     note: str = ""
 
-    @property
+    @cached_property
     def formula(self) -> Formula:
-        return _parse_cached(self.source)
+        """The parsed source, parsed on first use and kept on the entry."""
+        return parse(self.source, Language.COND)
 
     @property
     def has_correspondent(self) -> bool:
         return self.quantifier is not None
-
-
-@lru_cache(maxsize=None)
-def _parse_cached(src: str) -> Formula:
-    return parse(src, Language.COND)
 
 
 def _entry(key, source, quantifier, corr, persistence, strong_scope=False, note=""):

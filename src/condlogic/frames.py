@@ -88,12 +88,11 @@ def _coherent_rows(up: Rows, rows: Rows) -> bool:
     within its own up-closure, so each world walks its strict successors,
     ``up[x]`` without ``x``, and one with none is skipped.
 
-    Keyed by the two rows tuples, whose hashes run in C (callers pass
-    tuples, never lists).  Frames drawn for the persistence experiments
-    repeat their relations heavily: one pass of the ``fillin`` benchmark
-    workload holds 990 to 1 041 distinct (order, relation) pairs (seeds 0,
-    7 and 45), and 99 % of its coherence checks find theirs here; 2 048
-    entries hold them all.
+    Keyed by the two rows tuples, whose hashes run in C.  Frames drawn for
+    the persistence experiments repeat their relations heavily: one pass of
+    the ``fillin`` benchmark workload holds 990 to 1 041 distinct (order,
+    relation) pairs (seeds 0, 7 and 45), and 99 % of its coherence checks
+    find theirs here; 2 048 entries hold them all.
     """
     for x, row in enumerate(up):
         above = row & ~(1 << x)
@@ -105,16 +104,18 @@ def _coherent_rows(up: Rows, rows: Rows) -> bool:
     return True
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=2048)
 def _strongly_coherent_rows(up: Rows, rows: Rows) -> bool:
     """Whether leq-then-step-then-leq equals the relation ``rows`` itself,
     on the order's rows ``up``; memoised.
 
-    Keyed by the two rows tuples, whose hashes run in C (callers pass
-    tuples, never lists).  The same few relations recur across the frames
-    of a sweep (all 68 302 frames of at most two worlds hold 50 distinct
-    ones), and a round trip tests its frame again right after its caller
-    did; 256 entries hold both, and keep the memo near 40 KB.
+    Keyed by the two rows tuples, whose hashes run in C.  The same few
+    relations recur across the frames of a sweep (all 68 302 frames of at
+    most two worlds hold 50 distinct ones), and a round trip tests its
+    frame again right after its caller did.  One pass of the ``duality``
+    benchmark workload checks 698 to 784 distinct (order, relation) pairs
+    (seeds 0-49), and 256 entries missed 739 of 68 758 lookups a pass at
+    seed 3; 2 048 entries hold them all, and miss none after the first pass.
     """
     for x, above in enumerate(up):
         if image(up, image(rows, above)) != rows[x]:
@@ -126,6 +127,8 @@ def _strongly_coherent_rows(up: Rows, rows: Rows) -> bool:
 class GeneralFrame:
     """Preorder plus relations indexed by an admissible family of upsets.
 
+    The constructor stores its own dict of the relations, each a tuple of
+    rows, so that the memos keyed by rows can hash them as they are.
     Treated as immutable after construction; instances are read-shared
     across parallel experiment workers.
     """
@@ -139,6 +142,7 @@ class GeneralFrame:
         self._check_keys()
         n = self.order.n
         outside = ~self.order.full_mask
+        relations = {}
         for a, rows in self.relations.items():
             if len(rows) != n:
                 raise FrameFormatError(f"relation for {mask_to_key(a)!r} has wrong row count")
@@ -146,6 +150,8 @@ class GeneralFrame:
                 if r & outside:
                     raise FrameFormatError(
                         f"relation for {mask_to_key(a)!r} mentions unknown worlds")
+            relations[a] = tuple(rows)
+        self.relations = relations
 
     def _check_keys(self) -> None:
         if set(self.relations) != set(self.admissible):
@@ -174,7 +180,6 @@ class ConditionalFrame(GeneralFrame):
     """A general frame whose admissible family is all upsets."""
 
     def __init__(self, order: FinitePreorder, relations: Mapping[int, Rows]):
-        relations = dict(relations)
         _check_full_keys(order, relations)
         super().__init__(order, order.upsets, relations)
 
@@ -182,7 +187,7 @@ class ConditionalFrame(GeneralFrame):
         """Done by :func:`_check_full_keys`, before the upsets are listed."""
 
 
-def _check_full_keys(order: FinitePreorder, relations: Dict[int, Rows]) -> None:
+def _check_full_keys(order: FinitePreorder, relations: Mapping[int, Rows]) -> None:
     """Name the first key of ``relations`` that is not an upset of
     ``order``; else list the first four upsets without a relation and count
     the rest, so that the message stays short on a frame of 2^n upsets.
@@ -224,8 +229,10 @@ def _unchecked_frame(cls, order: FinitePreorder, admissible: Tuple[int, ...],
     :class:`ConditionalFrame`) holding the three fields, built without its
     constructor's checks.
 
-    Only these three callers use it, and only with values on which the
-    skipped checks cannot fail:
+    ``relations`` is stored as given, so its rows must already be tuples,
+    as the constructor would store them: the memos keyed by rows hash them
+    as they are.  Only these three callers use it, and only with tuples of
+    rows on which the skipped checks cannot fail:
 
     - :func:`condlogic.generate.enumerate_full_frames`: its admissible
       family is ``order.upsets``, sorted and unique, its relations are
@@ -309,7 +316,7 @@ def _add_incoherent(report: FrameReport, g: GeneralFrame) -> None:
     """Report each admissible relation that breaks the coherence condition."""
     up = g.order.up
     for a in g.admissible:
-        if not _coherent_rows(up, tuple(g.rel(a))):
+        if not _coherent_rows(up, g.rel(a)):
             report.add(
                 "coherence",
                 f"relation at {{{mask_to_key(a)}}} violates leq-compatibility",
@@ -325,7 +332,7 @@ def strongly_coherent(g: GeneralFrame) -> bool:
     up, relations = g.order.up, g.relations
     try:
         for a in g.admissible:
-            if not _strongly_coherent_rows(up, tuple(relations[a])):
+            if not _strongly_coherent_rows(up, relations[a]):
                 return False
     except KeyError:
         g.rel(a)  # raises NotAdmissibleError naming the missing upset
@@ -344,6 +351,7 @@ class ModalFrame:
         full = self.order.full_mask
         if len(self.rel) != self.order.n or any(r & ~full for r in self.rel):
             raise FrameFormatError("modal relation rows do not fit the world set")
+        self.rel = tuple(self.rel)
 
 
 def restrict(f: GeneralFrame, a: int) -> ModalFrame:
@@ -397,7 +405,7 @@ def frame_from_json(obj: dict) -> GeneralFrame:
         a = keys.get(k)
         if a is None:
             a = key_to_mask(k, n)
-        relations[a] = tuple(read_pair_rows(v, n, "relation"))
+        relations[a] = read_pair_rows(v, n, "relation")
     if admissible == "all":
         frame: GeneralFrame = ConditionalFrame(order, relations)
         report = validate_conditional(frame)

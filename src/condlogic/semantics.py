@@ -73,11 +73,13 @@ The scan count and the functions live in the program's
 generated source is not kept.  The source, and the file name each
 function is compiled under (so that a profile tells them apart), hold
 slot numbers, op names and fixed templates only, never text from the
-input.  A whole scan in generated code stops at its first refuted
-valuation, or raises at its first valuation with an antecedent that has
-no relation, as the chunks would report.  :func:`_run_one` stays the
-reference; it alone serves :func:`truth_set` and the re-run of a
-valuation that has no relation, for the chunks and for generated code.
+input.  A generated function reads nothing but its arguments: it closes
+over no variable and its globals hold only the builtins.  It stops at its
+first refuted valuation, or returns at its first valuation with an
+antecedent that has no relation; :func:`_scan` then re-runs that valuation
+alone, as it does the first such valuation of a chunk, and raises the
+reference's error.  :func:`_run_one` stays the reference; it alone serves
+:func:`truth_set` and those re-runs.
 
 Algebras, whose elements are not world sets, run the same compiled
 programs through table lookups (see :func:`condlogic.algebra.alg_satisfies`).
@@ -224,7 +226,7 @@ def _fixed_planes(u: int, n: int, ones: int) -> Tuple[int, ...]:
     return tuple(ones if u >> w & 1 else 0 for w in range(n))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _plan(pool: Tuple[int, ...], n: int, count: int) -> Tuple[Tuple[int, Tuple, int], ...]:
     """The wide chunks of a scan that start at valuation 0, narrowest first,
     as ``(width, letter planes, fixed letters)``; the last is the widest.
@@ -233,6 +235,10 @@ def _plan(pool: Tuple[int, ...], n: int, count: int) -> Tuple[Tuple[int, Tuple, 
     fixed to ``pool[0]`` and the ``t``-th letter from the last changes every
     ``k^t`` valuations: bit ``i`` of its plane ``w`` is set iff world ``w``
     lies in ``pool[(i // k^t) % k]``.
+
+    One pass of the ``eval-deep`` benchmark workload needs 44 distinct plans
+    (seeds 3 and 45), 160 KB together and 66 KB for the largest; 32 entries
+    missed 42-43 of its 332-338 lookups a pass, and 64 hold them all.
     """
     k = len(pool)
     top = 0
@@ -300,9 +306,14 @@ def _run_one(program, result_slot: int, values, order: FinitePreorder, rel) -> i
     return buf[result_slot]
 
 
-def _run_singles(program, result_slot: int, valuations, order: FinitePreorder, rel, full: int):
-    """``(index, values, refuted worlds)`` of the first of ``valuations``
-    that refutes the program, or None; the reference for :func:`_generate`."""
+def _run_singles(program, result_slot: int, count: int, pool, limit: int,
+                 order: FinitePreorder, rel, full: int):
+    """``(index, values, refuted worlds)`` of the first of the first
+    ``limit`` valuations of ``itertools.product(pool, repeat=count)`` that
+    refutes the program, or None; raises at the first valuation that has an
+    antecedent without a relation.  The reference for :func:`_generate`,
+    whose functions take the same arguments after the program's."""
+    valuations = itertools.islice(itertools.product(pool, repeat=count), limit)
     for index, values in enumerate(valuations):
         bad = full ^ _run_one(program, result_slot, values, order, rel)
         if bad:
@@ -324,26 +335,17 @@ _TEMPLATES = {
 }
 # sets the rows R{a}_{x} of the relation of antecedent slot ``a``, right
 # after slot ``a``
-_LOOKUP = ("R{a} = get(s{a})", "if R{a} is None:",
-           "    _raise_at(program, result_slot, {count}, i, pool, order, rel)",
-           "{rows}= R{a}")
-
-
-def _raise_at(program, result_slot: int, count: int, index: int, pool, order, rel):
-    """Re-run valuation ``index``, at which an antecedent of ``program`` has
-    no relation: raises the error :func:`_run_one` raises there."""
-    _run_one(program, result_slot, _valuation(index, pool, count), order, rel)
-
-
-_GENERATED = {"_raise_at": _raise_at}  # the globals of every generated function
+_LOOKUP = ("R{a} = get(s{a})", "if R{a} is None:", "    return i, None, None", "{rows}= R{a}")
 
 
 def _generate(program, result_slot: int, count: int, n: int):
     """The one-valuation phase of ``program`` at ``n`` worlds, as a function.
 
-    ``run(pool, limit, order, rel, full)`` returns what ``_run_singles``
-    returns over the first ``limit`` valuations of
-    ``itertools.product(pool, repeat=count)``, and raises what it raises.
+    ``run(pool, limit, order, rel, full)`` returns what
+    ``_run_singles(program, result_slot, count, pool, limit, order, rel,
+    full)`` returns, but for a valuation at which the reference raises: it
+    returns ``(index, None, None)`` there, and :func:`_scan` re-runs that
+    valuation for the error.  It closes over nothing and reads no global.
     It nests one ``for`` loop per letter, the first outermost, so it meets
     the valuations in that order, and counts them to stop after ``limit``.
     Each op is set in the loop of the deepest letter it reads, so it runs
@@ -352,8 +354,8 @@ def _generate(program, result_slot: int, count: int, n: int):
     and Ullman, *Compilers*, 2nd ed., section 9.5).  Each antecedent's
     relation is looked up right after its slot is set.  A lookup that finds
     no relation stands for the first valuation of its prefix, the next one
-    to be counted and so below ``limit``; the reference raises there, at
-    its first antecedent without a relation, so :func:`_raise_at` re-runs it.
+    to be counted and so below ``limit``, and the first one at which the
+    reference raises, so ``run`` returns its index.
     The source is built from :data:`_TEMPLATES` and slot numbers alone; an
     op without a template raises here, before anything runs.
     """
@@ -366,8 +368,7 @@ def _generate(program, result_slot: int, count: int, n: int):
     def looked_up(slot):
         if slot in antecedents:
             rows = "".join(f"R{slot}_{x}, " for x in range(n))
-            bodies[level[slot]].extend(
-                line.format(a=slot, count=count, rows=rows) for line in _LOOKUP)
+            bodies[level[slot]].extend(line.format(a=slot, rows=rows) for line in _LOOKUP)
 
     for slot in range(count + 1):
         looked_up(slot)
@@ -388,31 +389,29 @@ def _generate(program, result_slot: int, count: int, n: int):
                 f"(0 if {row.format(a=a, x=x)} & o else {1 << x})" for x in range(n)))
         looked_up(out)
     ops = {op for op, _, _ in program}
-    # ``bind`` closes ``run`` over the program that ``_raise_at`` re-runs
-    lines = ["def bind(program, result_slot):", "    def run(pool, limit, order, rel, full):"]
+    lines = ["def run(pool, limit, order, rel, full):"]
     if "imp" in ops:
-        lines.append("        " + "".join(f"U{x}, " for x in range(n)) + "= order.up")
+        lines.append("    " + "".join(f"U{x}, " for x in range(n)) + "= order.up")
     if "box" in ops:
-        lines.append("        " + "".join(f"M{x}, " for x in range(n)) + "= rel")
+        lines.append("    " + "".join(f"M{x}, " for x in range(n)) + "= rel")
     if "cond" in ops:
-        lines.append("        get = rel.get")
-    lines.append("        i = 0")
+        lines.append("    get = rel.get")
+    lines.append("    i = 0")
     for d, body in enumerate(bodies):
         if d:
-            lines.append(" " * (4 + 4 * d) + f"for s{d - 1} in pool:")
-        lines.extend(" " * (8 + 4 * d) + line for line in body)
+            lines.append(" " * (4 * d) + f"for s{d - 1} in pool:")
+        lines.extend(" " * (4 + 4 * d) + line for line in body)
     values = "(" + "".join(f"s{j}, " for j in range(count)) + ")"
-    lines.extend(" " * (8 + 4 * count) + line for line in (
+    lines.extend(" " * (4 + 4 * count) + line for line in (
         f"if s{result_slot} != full:",
         f"    return i, {values}, full ^ s{result_slot}",
         "i += 1",
         "if i == limit:",
         "    return None"))
-    lines.append("    return run")
     namespace: dict = {}
     exec(compile("\n".join(lines), _file_name(program, result_slot, count, n), "exec"),
-         _GENERATED, namespace)
-    return namespace["bind"](program, result_slot)
+         {}, namespace)
+    return namespace["run"]
 
 
 def _file_name(program, result_slot: int, count: int, n: int) -> str:
@@ -500,47 +499,47 @@ def _scan(order: FinitePreorder, pool: Tuple[int, ...], compiled, rel, budget: i
     run = state.runs.get(n)
     if run is None and state.scans >= HOT_SCANS:
         run = state.runs[n] = _generate(program, result_slot, count, n)
-    # the singles, or every valuation of a scan that needs no chunk
+    # the singles, or every valuation of a scan that needs no chunk; each
+    # phase finds ``(index, values, refuted worlds)``, or ``(index, None,
+    # None)`` at a valuation with an antecedent that has no relation
     whole = total <= (SINGLES if run is None else WHOLE_SCAN)
+    limit = total if whole else SINGLES
     if run is None:
         state.scans += 1
-        first = itertools.product(pool, repeat=count)
-        if not whole:
-            first = itertools.islice(first, SINGLES)
-        found = _run_singles(program, result_slot, first, order, rel, full)
+        found = _run_singles(program, result_slot, count, pool, limit, order, rel, full)
     else:
-        found = run(pool, total if whole else SINGLES, order, rel, full)
-    if found is not None:
-        index, values, bad = found
-        world = (bad & -bad).bit_length() - 1
-        return Verdict(False, dict(zip(letters, values)), world, (index + 1) * n)
-    if whole:
+        found = run(pool, limit, order, rel, full)
+    if found is None and not whole:
+        plan = _plan(pool, n, count)
+        top, top_planes, fixed = plan[-1]
+        # the rest of the scan in chunks of the widest width, the first
+        # letters fixed; chunks of width one (k > MAX_CHUNK) start after
+        # the singles
+        tiles = ((j * top, top, [*(_fixed_planes(u, n, (1 << top) - 1)
+                                   for u in _valuation(j, pool, fixed)), *top_planes[fixed:]])
+                 for j in range(SINGLES if top == 1 else 1, k ** fixed))
+        chunks = itertools.chain(((0, width, planes) for width, planes, _ in plan), tiles)
+        for start, width, planes in chunks:
+            ones = (1 << width) - 1
+            result, stray = _run(program, result_slot, list(planes), ones, order, rel)
+            bad = stray
+            for plane in result:
+                bad |= ones ^ plane
+            if bad:
+                low = (bad & -bad).bit_length() - 1
+                index = start + low
+                found = (index, None, None) if stray >> low & 1 else (
+                    index, _valuation(index, pool, count),
+                    sum(1 << w for w, plane in enumerate(result) if not plane >> low & 1))
+                break
+    if found is None:
         return Verdict(True, None, None, total * n)
-    plan = _plan(pool, n, count)
-    top, top_planes, fixed = plan[-1]
-    # the rest of the scan in chunks of the widest width, the first letters
-    # fixed; chunks of width one (k > MAX_CHUNK) start after the singles
-    tiles = ((j * top, top, [*(_fixed_planes(u, n, (1 << top) - 1)
-                               for u in _valuation(j, pool, fixed)), *top_planes[fixed:]])
-             for j in range(SINGLES if top == 1 else 1, k ** fixed))
-    chunks = itertools.chain(((0, width, planes) for width, planes, _ in plan), tiles)
-    for start, width, planes in chunks:
-        ones = (1 << width) - 1
-        result, stray = _run(program, result_slot, list(planes), ones, order, rel)
-        bad = stray
-        for plane in result:
-            bad |= ones ^ plane
-        if bad:
-            low = (bad & -bad).bit_length() - 1
-            values = _valuation(start + low, pool, count)
-            if stray >> low & 1:
-                # that valuation alone raises for its first inadmissible antecedent
-                _run_one(program, result_slot, values, order, rel)
-            world = 0
-            while result[world] >> low & 1:
-                world += 1
-            return Verdict(False, dict(zip(letters, values)), world, (start + low + 1) * n)
-    return Verdict(True, None, None, total * n)
+    index, values, bad = found
+    if bad is None:
+        # that valuation alone raises for its first antecedent without a relation
+        _run_one(program, result_slot, _valuation(index, pool, count), order, rel)
+    world = (bad & -bad).bit_length() - 1
+    return Verdict(False, dict(zip(letters, values)), world, (index + 1) * n)
 
 
 def _truth_set(order: FinitePreorder, compiled, valuation: Valuation, rel) -> int:

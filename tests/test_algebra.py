@@ -1052,6 +1052,57 @@ class TestConstructorMessages:
         assert str(exc.value) == loaded
 
 
+def _listed(alg):
+    """``alg``'s fields, with ``leq`` and every table and table row as lists."""
+    return (alg.size, list(alg.leq), [list(row) for row in alg.imp],
+            [list(row) for row in alg.cond], alg.top, alg.bot)
+
+
+class TestListBuiltAlgebras:
+    """An algebra built from lists stores tuples, and gets every result its
+    tuple-built twin gets: the memos keyed by its rows and tables hash them
+    as they are, with no conversion at the call site."""
+
+    @staticmethod
+    def _results(alg):
+        report = validate_cha(alg)
+        out = [str(report), report.cond_break]
+        for fn in (check_duality_roundtrip, prime_filters, dual_frame):
+            out.append(_outcome(fn, alg))
+        for key in ("k_c", "id", "mp", "ex", "clin1"):
+            out.append(_outcome(lambda a: alg_satisfies(a, AXIOMS[key].formula), alg))
+        return out
+
+    def _agree(self, alg):
+        twin = FiniteCHA(alg.size, alg.leq, alg.imp, alg.cond, alg.top, alg.bot)
+        listed = FiniteCHA(*_listed(alg))
+        got = self._results(listed)
+        assert got == self._results(twin)
+        assert type(listed.leq) is tuple
+        for table in (listed.imp, listed.cond):
+            assert type(table) is tuple and all(type(row) is tuple for row in table)
+        assert listed == twin
+        return got
+
+    def test_the_two_element_algebra(self):
+        listed = FiniteCHA(2, [3, 2], [[1, 1], [0, 1]], [[1, 1], [1, 1]], 1, 0)
+        assert self._agree(listed)[0] == "valid"
+        assert check_duality_roundtrip(listed).ok
+
+    def test_valid_and_invalid_algebras(self):
+        b4 = boolean4()
+        twin_rows = ((3, 3, 3, 3), (0, 3, 3, 3), (0, 3, 3, 3), (3, 3, 3, 3))
+        algs = [boolean2(), boolean2(0), chain3(), chain(4), b4,
+                FiniteCHA(4, b4.leq, b4.imp, twin_rows, 3, 0),
+                FiniteCHA(2, (0b11, 0b11), ((1, 1), (1, 1)), ((1, 1), (1, 1)), 1, 0),
+                algebra_from_json(GOLDEN_ALGEBRA)]
+        for i in range(40):
+            rng = random.Random(f"list-built:{i}")
+            algs.append(complex_algebra(random_full_frame(rng, rng.choice((2, 3)))))
+        seen = Counter(self._agree(alg)[0] == "valid" for alg in algs)
+        assert seen[True] > 40 and seen[False] >= 2
+
+
 def _checked(*fields):
     """What ``algebra._unchecked_algebra`` stands in for: the checking constructor."""
     return FiniteCHA(*fields)

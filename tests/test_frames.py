@@ -8,7 +8,8 @@ from collections import Counter
 import pytest
 
 from condlogic import frames
-from condlogic.algebra import FiniteCHA, complex_algebra
+from condlogic.algebra import FiniteCHA, complex_algebra, frame_roundtrip
+from condlogic.catalog import AXIOMS
 from condlogic.errors import FrameFormatError, NotAdmissibleError
 from condlogic.frames import (
     ConditionalFrame,
@@ -26,8 +27,9 @@ from condlogic.frames import (
     validate_conditional,
     validate_general,
 )
-from condlogic.fillins import FillInKind, fill
+from condlogic.fillins import ALL_KINDS, FillInKind, check_squeeze_precondition, fill
 from condlogic.generate import (
+    MODES,
     enumerate_full_frames,
     enumerate_preorders,
     random_full_frame,
@@ -35,6 +37,8 @@ from condlogic.generate import (
     random_poset,
 )
 from condlogic.order import heyting_imp, interned_order, mask_to_key
+from condlogic.semantics import valid, valid_modal
+from condlogic.syntax import Language, parse
 
 from conftest import full_frame, general_frame, m, preorder
 from roundtrip_oracle import check_strong_coherence, rel_strongly_coherent
@@ -456,3 +460,93 @@ class TestModalFrame:
     def test_coherence_report(self, chain2):
         assert validate_modal(ModalFrame(chain2, (m(1), m(1)))).ok
         assert not validate_modal(ModalFrame(chain2, (0, m(0)))).ok
+
+
+def _tuple_rows(g):
+    return all(type(rows) is tuple for rows in g.relations.values())
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # both frames must fail alike, whatever the type
+        return ("error", type(exc), str(exc))
+
+
+def _tuple_algebra(alg):
+    return type(alg.leq) is tuple and all(
+        type(table) is tuple and all(type(row) is tuple for row in table)
+        for table in (alg.imp, alg.cond))
+
+
+class TestRowsAreTuples:
+    """Every frame holds its relations as tuples of rows, however they were
+    given or built, so the memos keyed by rows hash them as they are."""
+
+    KEYS = ("k_c", "id", "mp", "tr", "ex", "four_c")
+
+    def _verdicts(self, g):
+        out = [str(validate_general(g)), _outcome(strongly_coherent, g),
+               _outcome(complex_algebra, g)]
+        if g.is_full:
+            out += [str(validate_conditional(g)), _outcome(frame_roundtrip, g)]
+        return out + [valid(g, AXIOMS[key].formula) for key in self.KEYS]
+
+    def _agree(self, g, relations):
+        """``g`` rebuilt from ``relations`` given as lists of rows."""
+        listed = {a: list(rows) for a, rows in relations.items()}
+        if type(g) is ConditionalFrame:
+            h = ConditionalFrame(g.order, listed)
+            g = ConditionalFrame(g.order, relations)
+        else:
+            h = GeneralFrame(g.order, g.admissible, listed)
+            g = GeneralFrame(g.order, g.admissible, relations)
+        assert h.relations is not listed and _tuple_rows(h)
+        assert h == g
+        got = self._verdicts(h)
+        assert got == self._verdicts(g)
+        return got
+
+    def test_list_rows_are_stored_as_tuples_with_the_same_verdicts(self):
+        seen = Counter()
+        for i in range(120):
+            rng = random.Random(f"list-rows:{i}")
+            n = rng.choice((1, 2, 3))
+            g = random_general_frame(rng, n) if i % 2 else random_full_frame(rng, n)
+            seen[self._agree(g, g.relations)[0]] += 1
+            # arbitrary rows on every upset, most of them incoherent
+            p = g.order
+            rows = {a: tuple(rng.randrange(p.full_mask + 1) for _ in range(p.n))
+                    for a in p.upsets}
+            seen["incoherent" if "coherence" in self._agree(
+                ConditionalFrame(p, rows), rows)[0] else "coherent"] += 1
+        assert seen["valid"] == 120 and seen["incoherent"] > 30
+
+    def test_modal_frames_store_tuples_with_the_same_verdicts(self):
+        texts = ("[] p -> p", "[] p -> [] [] p", "p -> [] p", "[] (p -> q) -> ([] p -> [] q)")
+        formulas = [parse(text, Language.MODAL) for text in texts]
+        for i in range(60):
+            rng = random.Random(f"list-modal:{i}")
+            p = random_poset(rng, rng.choice((1, 2, 3)))
+            rows = [rng.randrange(p.full_mask + 1) for _ in range(p.n)]
+            listed, twin = ModalFrame(p, rows), ModalFrame(p, tuple(rows))
+            assert type(listed.rel) is tuple and listed == twin
+            assert str(validate_modal(listed)) == str(validate_modal(twin))
+            for f in formulas:
+                assert valid_modal(listed, f) == valid_modal(twin, f)
+
+    def test_every_builder_stores_tuples(self):
+        frames_built = list(enumerate_full_frames(2))
+        for i in range(200):
+            rng = random.Random(f"tuple-builders:{i}")
+            modes = sorted(MODES)[i % len(MODES):][:2]
+            g = random_general_frame(rng, 2 + i % 3, modes, force_subset=i % 3 == 1,
+                                     strong=i % 3 == 2)
+            frames_built.append(g)
+            frames_built += [fill(g, kind) for kind in ALL_KINDS
+                             if kind is not FillInKind.SQUEEZE
+                             or check_squeeze_precondition(g).holds]
+        assert len(frames_built) > 68302 + 1200
+        for g in frames_built:
+            assert _tuple_rows(g), g
+            assert _tuple_algebra(complex_algebra(g)), g

@@ -1,12 +1,9 @@
-"""Every memo in the library is bounded, but for the catalog's parse memo,
-whose keys are the catalog's own fixed axiom sources."""
+"""Every memo in the library is bounded."""
 
 import importlib
 import pkgutil
 
 import condlogic
-
-UNBOUNDED = {"condlogic.catalog._parse_cached"}
 
 
 def _memos():
@@ -21,6 +18,5 @@ def _memos():
 def test_every_lru_cache_has_a_finite_bound():
     memos = dict(_memos())
     assert "condlogic.order.interned_order" in memos
-    assert UNBOUNDED <= set(memos)
     unbounded = {name for name, fn in memos.items() if fn.cache_parameters()["maxsize"] is None}
-    assert unbounded == UNBOUNDED
+    assert unbounded == set()

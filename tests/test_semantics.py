@@ -528,22 +528,35 @@ def _unclosed_general_frame(rng, n):
     return GeneralFrame(order, tuple(admissible), relations)
 
 
+def _resolved(found, program, result_slot, count, pool, order, rel):
+    """A generated function's record as ``_scan`` reads it: at a valuation
+    with an antecedent that has no relation, ``(index, None, None)``, whose
+    valuation is re-run through ``_run_one`` for its error."""
+    if found is not None and found[2] is None:
+        semantics._run_one(program, result_slot, semantics._valuation(found[0], pool, count),
+                           order, rel)
+    return found
+
+
 class TestGeneratedSingles:
     """The one-valuation phase generated for hot programs against ``_run_one``."""
 
     @staticmethod
     def _agree(f, order, pool, rel, seen):
-        """``run(pool, limit, ...)`` against ``_run_singles`` over the first
-        ``limit`` valuations, for every ``limit`` up to the whole scan or 70,
-        with the pool ascending and descending."""
+        """``run(pool, limit, ...)`` against ``_run_singles``, called with the
+        same arguments after the program's, over the first ``limit``
+        valuations, for every ``limit`` up to the whole scan or 70, with the
+        pool ascending and descending; the generated record is resolved as
+        ``_scan`` resolves it."""
         letters, program, result_slot, _ = compile_formula(f)
-        run = semantics._generate(program, result_slot, len(letters), order.n)
+        count = len(letters)
+        run = semantics._generate(program, result_slot, count, order.n)
         for ordered in (pool, pool[::-1]):
-            for limit in range(1, min(len(pool) ** len(letters), 70) + 1):
-                first = itertools.islice(itertools.product(ordered, repeat=len(letters)), limit)
-                want = _raised_or(semantics._run_singles, program, result_slot, first, order,
-                                  rel, order.full_mask)
-                got = _raised_or(run, ordered, limit, order, rel, order.full_mask)
+            for limit in range(1, min(len(pool) ** count, 70) + 1):
+                args = (ordered, limit, order, rel, order.full_mask)
+                want = _raised_or(semantics._run_singles, program, result_slot, count, *args)
+                got = _raised_or(_resolved, run(*args), program, result_slot, count, ordered,
+                                 order, rel)
                 assert got == want, (f, order, rel, ordered, limit)
             seen["evaluated" if want is None or isinstance(want[0], int) else "raised"] += 1
 
@@ -600,6 +613,18 @@ class TestGeneratedSingles:
         code = semantics._generate(program, result_slot, len(letters), 3).__code__
         names = repr((code.co_names, code.co_varnames, code.co_consts))
         assert "zebra" not in names and "quokka" not in names
+
+    @pytest.mark.parametrize("text, language", [
+        ("(p ~> q) -> (p ~> (q | r))", Language.COND),
+        ("((p & q) ~> r) -> (p ~> (q -> r))", Language.COND),
+        ("[] (p -> q) -> ([] p -> [] q)", Language.MODAL),
+    ])
+    def test_generated_code_reads_only_its_arguments(self, text, language):
+        letters, program, result_slot, _ = compile_formula(parse(text, language))
+        for n in (1, 2, 3):
+            run = semantics._generate(program, result_slot, len(letters), n)
+            assert run.__code__.co_freevars == () and run.__closure__ is None
+            assert set(run.__globals__) == {"__builtins__"}
 
     def test_an_op_without_a_template_raises_when_generated(self):
         with pytest.raises(ValueError, match="no template for op 'xor'"):
