@@ -229,9 +229,10 @@ class CorrReport:
 def correspondent_holds(frame: GeneralFrame, key: str) -> CorrReport:
     """Evaluate the registered correspondent over the frame's admissible family."""
     entry = AXIOMS[key]
-    if not entry.has_correspondent:
+    quantifier = entry.quantifier
+    if quantifier is None:
         raise MissingCorrespondentError(f"axiom {key!r} has no frame correspondent")
-    witness = _corr_loop(frame, entry.quantifier, entry.corr)
+    witness = _corr_loop(frame, quantifier, entry.corr)
     return CorrReport(key, witness is None, witness)
 
 

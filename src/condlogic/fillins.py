@@ -120,7 +120,7 @@ def _squeeze_rows(g: GeneralFrame, a: int) -> Rows:
 _RECIPES: Dict[FillInKind, Callable[[GeneralFrame, int], Rows]] = {
     FillInKind.EMPTY: lambda g, a: (0,) * g.order.n,
     FillInKind.REFLEXIVE: lambda g, a: (a,) * g.order.n,
-    FillInKind.PRINCIPAL: lambda g, a: tuple(g.order.up),
+    FillInKind.PRINCIPAL: lambda g, a: g.order.up,
     FillInKind.TOTAL: lambda g, a: g.rel(g.order.full_mask),
     FillInKind.UNION: _union_rows,
     FillInKind.TRANSITIVE: _transitive_rows,

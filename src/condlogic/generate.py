@@ -307,7 +307,7 @@ def coherent_relations(p: FinitePreorder) -> List[Rows]:
     out = []
     for combo in itertools.product(range(full + 1), repeat=p.n):
         if rel_coherent(p, combo):
-            out.append(tuple(combo))
+            out.append(combo)
     return out
 
 

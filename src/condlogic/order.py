@@ -6,11 +6,11 @@ and as algebra carrier elements, so the encoding has to be exact, hashable
 and cheap to compare; Python ints are all three.
 
 An order carries the facts that the other layers derive from it, each
-computed once per instance on first use: the converse rows (``down``), the
-upsets (``upsets``, enumerated directly, in time proportional to their
-number), how many there are (``upset_count``, counted without listing
-them), their file keys (``upset_keys``) and the Heyting implications met
-so far (``imps``).  The library builds every order from rows through one
+computed once per instance on first use: every world (``full_mask``),
+the converse rows (``down``), the upsets (``upsets``, enumerated
+directly, in time proportional to their number), how many there are
+(``upset_count``, counted without listing them), their file keys
+(``upset_keys``) and the Heyting implications met so far (``imps``).  The library builds every order from rows through one
 bounded intern, :func:`interned_order`, so equal orders are one instance
 and share those facts; this module alone decides how, and for how long,
 they are kept.  The world count is capped at :data:`MAX_WORLDS`.
@@ -72,8 +72,9 @@ class FinitePreorder:
         rows = read_pair_rows(pairs, n, "leq")
         return interned_order(tuple(row | 1 << i for i, row in enumerate(rows)))
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
+        """Every world; once per instance, since every validity scan reads it."""
         return (1 << self.n) - 1
 
     def leq(self, i: int, j: int) -> bool:

@@ -33,20 +33,30 @@ the truth set, so that ``imp`` is the box of the order over ``~a | b``
 and the conditional the box of the one relation the antecedent selects;
 :func:`truth_set` is such a chunk.
 
-*Chunks.*  A scan first evaluates its :data:`SINGLES` lowest valuations
-one at a time, since a wide chunk costs about as much as a dozen single
-ones on small frames and most refutations come early.  A hot program (see
-below) evaluates every valuation one at a time when there are at most
-:data:`WHOLE_SCAN` of them.  Any other scan then runs chunks of ``k^m``
-valuations from valuation 0, in which the last ``m`` letters vary and the
-earlier ones are fixed, so a fixed letter's planes are all ones or zero
-and a varying letter's depend only on ``(pool, n, m)`` (:func:`_plan`, a
-small bounded cache).  Each chunk is at least :data:`GROWTH` times wider
-than the one before (the singles counting as a chunk of :data:`SINGLES`),
-until the widest power of ``k`` within :data:`MAX_CHUNK` valuations, whose
-chunks then tile the rest of the scan.  So a plane never holds more than
-:data:`MAX_CHUNK` bits: a chunk's memory is bounded by its width times
-``n`` times the program's slot count, whatever the budget allows.
+*The order of a scan.*  :func:`_scan` checks its step budget before
+anything runs.  Its first branch is the common case of a frame sweep: a
+hot program (see below) whose whole scan has at most :data:`WHOLE_SCAN`
+valuations makes one call of its generated function over every
+valuation, with no chunk.  A 2-world scan is short enough that the fixed
+cost of a call weighs on it, so the bookkeeping of every other scan comes
+after that branch and costs it nothing.
+
+*Chunks.*  Every other scan first evaluates its :data:`SINGLES` lowest
+valuations one at a time, since a wide chunk costs about as much as a
+dozen single ones on small frames and most refutations come early.  A
+scan of at most :data:`SINGLES` valuations, and the scan at which a
+program turns hot when it has at most :data:`WHOLE_SCAN`, evaluate all
+of them so.  Any other scan then runs chunks (:func:`_run_chunks`) of
+``k^m`` valuations from valuation 0, in which the last ``m`` letters vary
+and the earlier ones are fixed, so a fixed letter's planes are all ones
+or zero and a varying letter's depend only on ``(pool, n, m)``
+(:func:`_plan`, a small bounded cache).  Each chunk is at least
+:data:`GROWTH` times wider than the one before (the singles counting as a
+chunk of :data:`SINGLES`), until the widest power of ``k`` within
+:data:`MAX_CHUNK` valuations, whose chunks then tile the rest of the
+scan.  So a plane never holds more than :data:`MAX_CHUNK` bits: a chunk's
+memory is bounded by its width times ``n`` times the program's slot
+count, whatever the budget allows.
 
 *The one-valuation phase.*  :func:`_run_one` interprets a program at one
 valuation: it dispatches on each op's name and calls :func:`box` per
@@ -197,6 +207,9 @@ _LANGUAGE_ERRORS = {
     Language.COND: "conditional frames interpret the conditional language only",
     Language.MODAL: "modal frames interpret the box language only",
 }
+# what :func:`valid` checks each call against; an enum member read through
+# its class costs about 0.1 us (Python 3.11), a module global a tenth of that
+_COND = Language.COND
 
 
 def _compile_for(f: Formula, language: Language):
@@ -487,57 +500,74 @@ def _run(program, result_slot: int, buf: list, ones: int, order: FinitePreorder,
     return buf[result_slot], stray
 
 
+def _run_chunks(program, result_slot: int, count: int, pool, order: FinitePreorder, rel):
+    """The chunks of a scan after its singles: ``(index, values, refuted
+    worlds)`` of the first valuation that refutes the program, or ``(index,
+    None, None)`` if a valuation with an antecedent that has no relation
+    comes first, or None.  The first chunk starts at valuation 0, so it
+    evaluates the singles again.  Kept out of :func:`_scan`, whose locals
+    its generator expressions read would otherwise be cells, made on every
+    call of a scan, hot or not."""
+    n, k = order.n, len(pool)
+    plan = _plan(pool, n, count)
+    top, top_planes, fixed = plan[-1]
+    # the rest of the scan in chunks of the widest width, the first letters
+    # fixed; chunks of width one (k > MAX_CHUNK) start after the singles
+    tiles = ((j * top, top, [*(_fixed_planes(u, n, (1 << top) - 1)
+                               for u in _valuation(j, pool, fixed)), *top_planes[fixed:]])
+             for j in range(SINGLES if top == 1 else 1, k ** fixed))
+    chunks = itertools.chain(((0, width, planes) for width, planes, _ in plan), tiles)
+    for start, width, planes in chunks:
+        ones = (1 << width) - 1
+        result, stray = _run(program, result_slot, list(planes), ones, order, rel)
+        bad = stray
+        for plane in result:
+            bad |= ones ^ plane
+        if bad:
+            low = (bad & -bad).bit_length() - 1
+            index = start + low
+            if stray >> low & 1:
+                return index, None, None
+            return (index, _valuation(index, pool, count),
+                    sum(1 << w for w, plane in enumerate(result) if not plane >> low & 1))
+    return None
+
+
 def _scan(order: FinitePreorder, pool: Tuple[int, ...], compiled, rel, budget: int) -> Verdict:
-    """Evaluate over every valuation drawn from ``pool``, chunk by chunk; the
-    first countermodel in enumeration order, or a valid verdict."""
+    """Evaluate over every valuation drawn from ``pool``; the first
+    countermodel in enumeration order, or a valid verdict."""
     letters, program, result_slot, state = compiled
-    n, k, count = order.n, len(pool), len(letters)
-    total = k ** count
+    n = order.n
+    total = len(pool) ** len(letters)
     if total * n > budget:
         raise BudgetExceededError(total * n, budget)
-    full = order.full_mask
+    # each phase finds ``(index, values, refuted worlds)``, or ``(index,
+    # None, None)`` at a valuation with an antecedent that has no relation
     run = state.runs.get(n)
-    if run is None and state.scans >= HOT_SCANS:
-        run = state.runs[n] = _generate(program, result_slot, count, n)
-    # the singles, or every valuation of a scan that needs no chunk; each
-    # phase finds ``(index, values, refuted worlds)``, or ``(index, None,
-    # None)`` at a valuation with an antecedent that has no relation
-    whole = total <= (SINGLES if run is None else WHOLE_SCAN)
-    limit = total if whole else SINGLES
-    if run is None:
-        state.scans += 1
-        found = _run_singles(program, result_slot, count, pool, limit, order, rel, full)
+    if run is not None and total <= WHOLE_SCAN:
+        # the common case first: a hot program whose whole scan needs no chunk
+        found = run(pool, total, order, rel, order.full_mask)
     else:
-        found = run(pool, limit, order, rel, full)
-    if found is None and not whole:
-        plan = _plan(pool, n, count)
-        top, top_planes, fixed = plan[-1]
-        # the rest of the scan in chunks of the widest width, the first
-        # letters fixed; chunks of width one (k > MAX_CHUNK) start after
-        # the singles
-        tiles = ((j * top, top, [*(_fixed_planes(u, n, (1 << top) - 1)
-                                   for u in _valuation(j, pool, fixed)), *top_planes[fixed:]])
-                 for j in range(SINGLES if top == 1 else 1, k ** fixed))
-        chunks = itertools.chain(((0, width, planes) for width, planes, _ in plan), tiles)
-        for start, width, planes in chunks:
-            ones = (1 << width) - 1
-            result, stray = _run(program, result_slot, list(planes), ones, order, rel)
-            bad = stray
-            for plane in result:
-                bad |= ones ^ plane
-            if bad:
-                low = (bad & -bad).bit_length() - 1
-                index = start + low
-                found = (index, None, None) if stray >> low & 1 else (
-                    index, _valuation(index, pool, count),
-                    sum(1 << w for w, plane in enumerate(result) if not plane >> low & 1))
-                break
+        count = len(letters)
+        full = order.full_mask
+        if run is None and state.scans >= HOT_SCANS:
+            run = state.runs[n] = _generate(program, result_slot, count, n)
+        # the singles, or every valuation of a scan that needs no chunk
+        whole = total <= (SINGLES if run is None else WHOLE_SCAN)
+        limit = total if whole else SINGLES
+        if run is None:
+            state.scans += 1
+            found = _run_singles(program, result_slot, count, pool, limit, order, rel, full)
+        else:
+            found = run(pool, limit, order, rel, full)
+        if found is None and not whole:
+            found = _run_chunks(program, result_slot, count, pool, order, rel)
     if found is None:
         return Verdict(True, None, None, total * n)
     index, values, bad = found
     if bad is None:
         # that valuation alone raises for its first antecedent without a relation
-        _run_one(program, result_slot, _valuation(index, pool, count), order, rel)
+        _run_one(program, result_slot, _valuation(index, pool, len(letters)), order, rel)
     world = (bad & -bad).bit_length() - 1
     return Verdict(False, dict(zip(letters, values)), world, (index + 1) * n)
 
@@ -575,8 +605,9 @@ def valid(frame: GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> Verd
 
     Returns the first countermodel in enumeration order, or a valid verdict.
     """
-    return _scan(frame.order, frame.admissible, _compile_for(f, Language.COND),
-                 frame.relations, budget)
+    if f.language is not _COND:
+        raise LanguageError(_LANGUAGE_ERRORS[_COND])
+    return _scan(frame.order, frame.admissible, compile_formula(f), frame.relations, budget)
 
 
 # --- the unimodal language over modal frames ------------------------------

@@ -213,9 +213,11 @@ def _iff(left: Formula, right: Formula) -> Formula:
                          _node("imp", (right, left), None, language)), None, language)
 
 
+# One match per token, with the whitespace before it.  The text is matched
+# with its trailing whitespace stripped, so every match ends in a token.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<iff><->)"
+    r"\s*(?:"
+    r"(?P<iff><->)"
     r"|(?P<imp>->)"
     r"|(?P<cond>~>)"
     r"|(?P<neg>~)"
@@ -227,7 +229,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<lpar>\()"
     r"|(?P<rpar>\))"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<bad>.)",  # anything else, so the matches tile the text
+    r"|(?P<bad>.))",  # anything else, so the matches tile the text
     re.DOTALL,
 )
 
@@ -256,14 +258,15 @@ _ACCEPTS = {lang: ops | {"iff", "neg"} for lang, ops in ALLOWED_OPS.items()}
 
 
 def _tokenize(text: str):
+    """``(kind, token text, position)`` per token, then an ``eof`` token;
+    raises at the first character that starts no token."""
     tokens = []
-    for m in _TOKEN_RE.finditer(text):
+    for m in _TOKEN_RE.finditer(text.rstrip()):
         kind = m.lastgroup
-        if kind == "ws":
-            continue
+        group = m.lastindex  # the token's own group, after the whitespace
         if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((kind, m.group(), m.start()))
+            raise ParseError(f"unexpected character {m[group]!r}", m.start(group))
+        tokens.append((kind, m[group], m.start(group)))
     tokens.append(("eof", "", len(text)))
     return tokens
 

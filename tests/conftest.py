@@ -45,17 +45,17 @@ def full_frame(order, rows_for=None, **named_rows):
     """
     rows_for = rows_for or {}
     zero = (0,) * order.n
-    relations = {a: tuple(rows_for.get(a, zero)) for a in order.upsets}
+    relations = {a: rows_for.get(a, zero) for a in order.upsets}
     return ConditionalFrame(order, relations)
 
 
 def constant_full_frame(order, rows):
-    relations = {a: tuple(rows) for a in order.upsets}
+    relations = {a: rows for a in order.upsets}
     return ConditionalFrame(order, relations)
 
 
 def general_frame(order, admissible, rows_for):
-    relations = {a: tuple(rows_for[a]) for a in admissible}
+    relations = {a: rows_for[a] for a in admissible}
     return GeneralFrame(order, tuple(admissible), relations)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import pytest
@@ -77,6 +78,21 @@ class TestPreorderValidation:
                 # the cached flag takes no part in equality or hashing
                 fresh = FinitePreorder(p.n, p.up)
                 assert fresh == p and hash(fresh) == hash(p)
+
+    def test_cached_full_mask_leaves_equality_hash_and_pickling_alone(self):
+        for n in (1, 2, 3):
+            for interned in enumerate_preorders(n):
+                for p in (interned, FinitePreorder(interned.n, interned.up)):
+                    before = pickle.dumps(p)  # the interned order may hold it already
+                    assert p.full_mask == (1 << n) - 1
+                    assert p.__dict__["full_mask"] == (1 << n) - 1
+                    fresh = FinitePreorder(n, p.up)
+                    assert "full_mask" not in fresh.__dict__
+                    assert fresh == p and hash(fresh) == hash(p)
+                    for data in (before, pickle.dumps(p)):
+                        copy = pickle.loads(data)
+                        assert copy == p and hash(copy) == hash(p)
+                        assert copy.full_mask == p.full_mask and copy.upsets == p.upsets
 
     def test_list_rows_are_stored_as_a_tuple(self):
         for p in _zoo():

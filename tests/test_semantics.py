@@ -509,6 +509,35 @@ class TestChunkBoundaries:
                                                               want.value.budget)
             assert str(got.value) == str(want.value)
 
+    def test_a_hot_scan_checks_the_budget_before_its_generated_function(self, chain2):
+        # the hot twin of the test above: 3^3 valuations of a 2-world frame,
+        # within WHOLE_SCAN, so a hot scan goes straight to its function
+        frame = full_frame(chain2)
+        f = parse("(p ~> q) -> (r ~> q)")
+        semantics.compile_formula.cache_clear()
+        state = compile_formula(f)[3]
+        for _ in range(semantics.HOT_SCANS + 1):
+            valid(frame, f)
+        required = 3 ** 3 * 2
+        assert 3 ** 3 <= semantics.WHOLE_SCAN and set(state.runs) == {2}
+
+        def unreachable(*args):
+            raise AssertionError("the generated function was called")
+
+        state.runs[2] = unreachable
+        for budget in (0, 5, required - 1):
+            with pytest.raises(BudgetExceededError) as got:
+                valid(frame, f, budget=budget)
+            with pytest.raises(BudgetExceededError) as want:
+                reference_valid(frame, f, budget=budget)
+            assert (got.value.required, got.value.budget) == (required, budget)
+            assert (got.value.required, got.value.budget) == (want.value.required,
+                                                              want.value.budget)
+            assert str(got.value) == str(want.value)
+        # within the budget the same scan does call it
+        with pytest.raises(AssertionError, match="the generated function was called"):
+            valid(frame, f, budget=required)
+
 
 def _raised_or(fn, *args):
     """What ``fn`` returns, or the type and message of the error it raises."""

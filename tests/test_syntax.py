@@ -1,6 +1,7 @@
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -105,6 +106,7 @@ class TestParse:
         ("p ~> \u00e9 & q", 5),  # middle, a letter outside the identifier set
         ("p & q\n;", 6),       # after a newline
         ("p & q$", 5),         # end
+        ("p & ) q @ ", 8),     # after an earlier grammar error, before trailing space
     ])
     def test_unexpected_character(self, text, pos):
         with pytest.raises(ParseError) as err:
@@ -322,6 +324,40 @@ class TestFormulaInvariants:
             assert g == f and hash(g) == hash(f) and g.language is f.language
 
 
+# The tokenizer that made one match per token and one per whitespace run,
+# kept as the oracle of the one that makes one match per token.
+_REF_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)"
+    r"|(?P<iff><->)"
+    r"|(?P<imp>->)"
+    r"|(?P<cond>~>)"
+    r"|(?P<neg>~)"
+    r"|(?P<and>&)"
+    r"|(?P<or>\|)"
+    r"|(?P<boxi>\[I\])"
+    r"|(?P<boxm>\[M\])"
+    r"|(?P<box>\[\])"
+    r"|(?P<lpar>\()"
+    r"|(?P<rpar>\))"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
+)
+
+
+def _reference_tokenize(text):
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
+    return tokens
+
+
 # The recursive-descent parser and the printer the table-driven ones
 # replaced, kept as the oracle: one method per grammar level, and the
 # printer's precedences as separate constants.
@@ -333,7 +369,7 @@ class _ReferenceParser:
     def __init__(self, text, language):
         self.text = text
         self.language = language
-        self.tokens = syntax._tokenize(text)
+        self.tokens = _reference_tokenize(text)
         self.idx = 0
 
     def peek(self):
@@ -605,6 +641,36 @@ def _mutated_text(rng):
         elif at < len(tokens):
             tokens[at] = _random_token(rng)
     return " ".join(tokens)
+
+
+# Whitespace of every kind \\s matches, and characters that start no token.
+_BLANKS = [" ", "  ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2003",
+           "\u3000"]
+_BAD = ["@", "$", ";", "\u00e9", "\x00", "\u200b", "!", "0"]
+
+
+def _tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.pos
+
+
+class TestTokenizerAgainstReference:
+    def test_random_strings(self):
+        # tokens, identifier pieces, whitespace runs anywhere (leading and
+        # trailing too) and bad characters, glued in any order
+        rng = random.Random(16)
+        alphabet = [*_TOKENS, *_PIECES, "p1", "_x", "true1"]
+        raised = 0
+        for _ in range(20000):
+            text = "".join(
+                rng.choice(_BLANKS if roll < 0.3 else _BAD if roll < 0.33 else alphabet)
+                for roll in (rng.random() for _ in range(rng.randint(0, 16))))
+            want = _tokens_or_error(_reference_tokenize, text)
+            assert _tokens_or_error(syntax._tokenize, text) == want, text
+            raised += isinstance(want[0], str)
+        assert 2000 < raised < 18000, raised
 
 
 class TestAgainstReferenceParser:
