@@ -83,6 +83,8 @@ from .semantics import DEFAULT_BUDGET, compile_formula
 from .syntax import Formula, Language
 
 PF_CAP = 20
+# read per call as a module global, not through its class (see semantics._COND)
+_COND = Language.COND
 
 Table = Tuple[Tuple[int, ...], ...]
 
@@ -460,7 +462,7 @@ class AlgVerdict:
 
 def alg_satisfies(alg: FiniteCHA, f: Formula, budget: int = DEFAULT_BUDGET) -> AlgVerdict:
     """Exhaustive assignment check; reports a counter-assignment on failure."""
-    if f.language is not Language.COND:
+    if f.language is not _COND:
         raise LanguageError("algebras interpret the conditional language only")
     letters, program, result_slot, _ = compile_formula(f)
     required = alg.size ** len(letters)

@@ -216,7 +216,7 @@ def _witness_json(witness: Tuple) -> dict:
     }
 
 
-@dataclass
+@dataclass(slots=True)
 class CorrReport:
     key: str
     holds: bool

@@ -90,7 +90,9 @@ def _write_json(obj, newline: str, emit) -> None:
         emit("true")
     elif obj is False:
         emit("false")
-    elif (kind is list or kind is tuple) and obj:
+    elif (kind is list or kind is tuple) and not obj:
+        emit("[]")
+    elif kind is list or kind is tuple:
         inner = newline + "  "
         sep = "[" + inner
         for item in obj:
@@ -98,7 +100,9 @@ def _write_json(obj, newline: str, emit) -> None:
             _write_json(item, inner, emit)
             sep = "," + inner
         emit(newline + "]")
-    elif kind is dict and obj and all(type(key) is str for key in obj):
+    elif kind is dict and not obj:
+        emit("{}")
+    elif kind is dict and all(type(key) is str for key in obj):
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(obj):
@@ -211,9 +215,10 @@ def _cmd_valid(args) -> int:
     if args.out:
         _save_json(args.out, countermodel["valuation"])
     result = {"valid": False, "countermodel": countermodel, "checked": verdict.checked}
-    _emit(args, _envelope("valid", None, inputs, result),
-          [f"refuted at world {verdict.world} under "
-           f"{json.dumps(countermodel['valuation'], sort_keys=True)}"])
+    # the text line is formatted only when it is printed
+    lines = () if args.json else [f"refuted at world {verdict.world} under "
+                                  f"{json.dumps(countermodel['valuation'], sort_keys=True)}"]
+    _emit(args, _envelope("valid", None, inputs, result), lines)
     return EXIT_REFUTED
 
 

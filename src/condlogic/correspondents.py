@@ -2,15 +2,17 @@
 
 A correspondent is a first-order condition on admissible upsets a (and b
 where used) and a world x.  Each is evaluated here as a kernel
-``fn(rels, rel, up, down, a, b)`` that checks every world at once for one
-(a, b) and returns the lowest world at which the condition fails, or None.
-``rels`` is the frame's relation table, read directly at a and b, which
-the loop only draws from the admissible family; any other upset, such as
-``a & b``, is looked up through ``rel`` (the frame's :meth:`rel`), which
+``fn(rels, rel, up, down, ucl, a, b)`` that checks every world at once for
+one (a, b) and returns the lowest world at which the condition fails, or
+None.  ``rels`` is the frame's relation table, read directly at a and b,
+which the loop only draws from the admissible family; any other upset, such
+as ``a & b``, is looked up through ``rel`` (the frame's :meth:`rel`), which
 raises NotAdmissibleError when the family lacks it.  ``up`` and ``down``
 are the rows of the order and of its converse, so that world ``x`` lies in
-the up-closure of a set ``s`` iff ``s & down[x]``, and ``image(up, s)`` is
-that up-closure.
+the up-closure of a set ``s`` iff ``s & down[x]``, and ``ucl[s]`` is that
+up-closure: the order's :attr:`~condlogic.order.FinitePreorder.up_closures`,
+a table looked up on at most :data:`~condlogic.order.TABLE_WORLDS` worlds,
+and an ``image(up, s)`` computed on each lookup above.
 
 The quantifier says which (a, b) the loop visits: every a ('ax'), every
 pair a, b ('abx'), the empty upset alone ('0x') or the full one ('Wx'),
@@ -28,28 +30,28 @@ from .frames import GeneralFrame
 from .order import image, set_bits
 
 
-def _k_id(rels, rel, up, down, a, b):
+def _k_id(rels, rel, up, down, ucl, a, b):
     for x, r in enumerate(rels[a]):
         if r & ~a:
             return x
     return None
 
 
-def _k_mp(rels, rel, up, down, a, b):
+def _k_mp(rels, rel, up, down, ucl, a, b):
     for x, r in enumerate(rels[a]):
         if a >> x & 1 and not r & down[x]:
             return x
     return None
 
 
-def _k_str(rels, rel, up, down, a, b):
+def _k_str(rels, rel, up, down, ucl, a, b):
     for x, r in enumerate(rels[a]):
         if r & ~(up[x] & a):
             return x
     return None
 
 
-def _k_unit(rels, rel, up, down, a, b):
+def _k_unit(rels, rel, up, down, ucl, a, b):
     """unit, and vec_top at a = W."""
     for x, r in enumerate(rels[a]):
         if r & ~up[x]:
@@ -57,14 +59,14 @@ def _k_unit(rels, rel, up, down, a, b):
     return None
 
 
-def _k_exf(rels, rel, up, down, a, b):
+def _k_exf(rels, rel, up, down, ucl, a, b):
     for x, r in enumerate(rels[a]):
         if r and not up[x] & a:
             return x
     return None
 
 
-def _k_tc(rels, rel, up, down, a, b):
+def _k_tc(rels, rel, up, down, ucl, a, b):
     """tc, and red at a = W, in up-closure form: without it the condition
     is too strong on frames whose relation rows are not upsets."""
     for x, r in enumerate(rels[a]):
@@ -73,14 +75,14 @@ def _k_tc(rels, rel, up, down, a, b):
     return None
 
 
-def _k_cs(rels, rel, up, down, a, b):
+def _k_cs(rels, rel, up, down, ucl, a, b):
     for x, r in enumerate(rels[a]):
         if a >> x & 1 and r & ~up[x]:
             return x
     return None
 
 
-def _k_lin(rels, rel, up, down, a, b):
+def _k_lin(rels, rel, up, down, ucl, a, b):
     rb = rels[b]
     for x, r in enumerate(rels[a]):
         if r & ~b and rb[x] & ~a:
@@ -88,76 +90,76 @@ def _k_lin(rels, rel, up, down, a, b):
     return None
 
 
-def _k_tr(rels, rel, up, down, a, b):
+def _k_tr(rels, rel, up, down, ucl, a, b):
     rb = rels[b]
     for x, r in enumerate(rels[a]):
-        if not r & ~b and r & ~image(up, rb[x]):
+        if not r & ~b and r & ~ucl[rb[x]]:
             return x
     return None
 
 
-def _k_mon(rels, rel, up, down, a, b):
+def _k_mon(rels, rel, up, down, ucl, a, b):
     if a & ~b:
         return None
     rb = rels[b]
     for x, r in enumerate(rels[a]):
-        if r & ~image(up, rb[x]):
+        if r & ~ucl[rb[x]]:
             return x
     return None
 
 
-def _k_ex(rels, rel, up, down, a, b):
+def _k_ex(rels, rel, up, down, ucl, a, b):
     meet = rel(a & b)
     rb = rels[b]
     for x, r in enumerate(rels[a]):
-        if image(rb, r) & ~image(up, meet[x]):
+        if image(rb, r) & ~ucl[meet[x]]:
             return x
     return None
 
 
-def _k_expl(rels, rel, up, down, a, b):
+def _k_expl(rels, rel, up, down, ucl, a, b):
     for x, r in enumerate(rels[a]):
         if r:
             return x
     return None
 
 
-def _k_re(rels, rel, up, down, a, b):
+def _k_re(rels, rel, up, down, ucl, a, b):
     rb = rels[b]
     for x, r in enumerate(rels[a]):
         s = rb[x]
-        if not r & ~b and not s & ~a and image(up, r) != image(up, s):
+        if not r & ~b and not s & ~a and ucl[r] != ucl[s]:
             return x
     return None
 
 
-def _k_icc(rels, rel, up, down, a, b):
+def _k_icc(rels, rel, up, down, ucl, a, b):
     if b & ~a:
         return None
     rb = rels[b]
     for x, r in enumerate(rels[a]):
-        if not r & ~b and image(up, r) != image(up, rb[x]):
+        if not r & ~b and ucl[r] != ucl[rb[x]]:
             return x
     return None
 
 
-def _k_four(rels, rel, up, down, a, b):
+def _k_four(rels, rel, up, down, ucl, a, b):
     rows = rels[a]
     for x, r in enumerate(rows):
-        if image(rows, r) & ~image(up, r):
+        if image(rows, r) & ~ucl[r]:
             return x
     return None
 
 
-def _k_c4(rels, rel, up, down, a, b):
+def _k_c4(rels, rel, up, down, ucl, a, b):
     rows = rels[a]
     for x, r in enumerate(rows):
-        if r & ~image(up, image(rows, r)):
+        if r & ~ucl[image(rows, r)]:
             return x
     return None
 
 
-def _k_box_tc(rels, rel, up, down, a, b):
+def _k_box_tc(rels, rel, up, down, ucl, a, b):
     rows = rels[a]
     # the worlds y in the up-closure of their own row
     looped = 0
@@ -165,19 +167,19 @@ def _k_box_tc(rels, rel, up, down, a, b):
         if r & down[y]:
             looped |= 1 << y
     for x, r in enumerate(rows):
-        if image(up, r) & ~looped:
+        if ucl[r] & ~looped:
             return x
     return None
 
 
-def _k_cem1(rels, rel, up, down, a, b):
+def _k_cem1(rels, rel, up, down, ucl, a, b):
     for x, r in enumerate(rels[a]):
         if r.bit_count() > 1:
             return x
     return None
 
 
-def _k_cem2(rels, rel, up, down, a, b):
+def _k_cem2(rels, rel, up, down, ucl, a, b):
     maximal = 0
     for y, u in enumerate(up):
         if u == 1 << y:
@@ -188,34 +190,34 @@ def _k_cem2(rels, rel, up, down, a, b):
     return None
 
 
-def _k_cem3(rels, rel, up, down, a, b):
+def _k_cem3(rels, rel, up, down, ucl, a, b):
     rows = rels[a]
     for x, r in enumerate(rows):
         dx = down[x]
-        for y in set_bits(image(up, r)):
+        for y in set_bits(ucl[r]):
             if not rows[y] & dx:
                 return x
     return None
 
 
-def _k_ecm1(rels, rel, up, down, a, b):
+def _k_ecm1(rels, rel, up, down, ucl, a, b):
     rows = rels[a]
     for x, r in enumerate(rows):
-        if image(rows, down[x]) & ~image(up, r):
+        if image(rows, down[x]) & ~ucl[r]:
             return x
     return None
 
 
-def _k_ecm2(rels, rel, up, down, a, b):
+def _k_ecm2(rels, rel, up, down, ucl, a, b):
     rows = rels[a]
     for x, r in enumerate(rows):
-        for z in set_bits(image(up, r)):
-            if r & ~image(up, rows[z]):
+        for z in set_bits(ucl[r]):
+            if r & ~ucl[rows[z]]:
                 return x
     return None
 
 
-def _k_true(rels, rel, up, down, a, b):
+def _k_true(rels, rel, up, down, ucl, a, b):
     return None
 
 
@@ -232,11 +234,12 @@ def _corr_loop(frame: GeneralFrame, quant: str, fn: Callable) -> Optional[Tuple]
     rel = frame.rel
     up = p.up
     down = p.down
+    ucl = p.up_closures
     pool = frame.admissible
     if quant == "abx":
         for a in pool:
             for b in pool:
-                x = fn(rels, rel, up, down, a, b)
+                x = fn(rels, rel, up, down, ucl, a, b)
                 if x is not None:
                     return (a, b, x)
         return None
@@ -245,7 +248,7 @@ def _corr_loop(frame: GeneralFrame, quant: str, fn: Callable) -> Optional[Tuple]
         rel(a)  # NotAdmissibleError unless the fixed upset is admissible
         pool = (a,)
     for a in pool:
-        x = fn(rels, rel, up, down, a, None)
+        x = fn(rels, rel, up, down, ucl, a, None)
         if x is not None:
             return (a, None, x)
     return None

@@ -332,6 +332,15 @@ def enumerate_full_frames(max_worlds: int = 2) -> Iterator[ConditionalFrame]:
 
 # --- random formulas ----------------------------------------------------------
 
+# the connectives a random node draws from in each language; the languages
+# are module globals because an enum member read through its class costs ten
+# times as much, once per node (see semantics._COND)
+_COND = Language.COND
+_MODAL = Language.MODAL
+_COMMON_OPS = ("and", "or", "imp", "imp")
+_COND_OPS = _COMMON_OPS + ("cond", "cond")
+_MODAL_OPS = _COMMON_OPS + ("box", "box")
+
 
 def random_formula(rng: random.Random, language: Language, letters: Sequence[str],
                    depth: int) -> Formula:
@@ -339,11 +348,12 @@ def random_formula(rng: random.Random, language: Language, letters: Sequence[str
         if rng.random() < 0.12:
             return Bot(language)
         return Var(letters[rng.randrange(len(letters))], language)
-    ops = ["and", "or", "imp", "imp"]
-    if language is Language.COND:
-        ops += ["cond", "cond"]
-    elif language is Language.MODAL:
-        ops += ["box", "box"]
+    if language is _COND:
+        ops = _COND_OPS
+    elif language is _MODAL:
+        ops = _MODAL_OPS
+    else:
+        ops = _COMMON_OPS
     op = ops[rng.randrange(len(ops))]
     if op == "box":
         return Box(random_formula(rng, language, letters, depth - 1))

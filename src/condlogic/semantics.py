@@ -64,32 +64,40 @@ connective.  After a program's first :data:`HOT_SCANS` scans, a scan at
 ``n`` worlds runs its singles instead, or its whole scan when that has at
 most :data:`WHOLE_SCAN` valuations, through a Python function generated
 for ``(program, n)`` (a partial evaluation of the interpreter: Futamura,
-"Partial evaluation of computation process", 1971).  Its slots are
-locals, each ``and``/``or`` is one expression, and each box is unrolled
-over the ``n`` worlds, so no op name is looked at and no call is made per
-connective.  It runs one loop per letter, the first outermost, and sets
-each slot in the loop of the deepest letter it reads, so an op runs once
-per prefix of the letters it reads: on a 2-world frame with 4 upsets,
-``tr``'s ``p ~> q`` runs 16 times a scan, not 64, and ``red``'s ``true``
-once.  Each antecedent's relation is looked up once per such prefix too.
-A 2-world scan takes about a third of the interpreted time.  Generating
-costs as much as 7 to 17 interpreted 2-world scans, though.  Generating
-on first use would make a program scanned once (a ``clc valid`` process,
-a random formula of a sampling experiment) many times slower, and it
-raised the peak memory of the fill-in benchmark by over 10 %.  So only
+"Partial evaluation of computation process", 1971).  Its slots are locals
+and each ``and``/``or`` is one expression, so no op name is looked at and
+no call is made per connective.  At most
+:data:`~condlogic.order.TABLE_WORLDS` worlds each box is one lookup in a
+table indexed by its set: ``imp`` reads the order's down-closure table
+(``a -> b`` is the complement of the down-closure of ``a`` minus ``b``),
+and the conditional and the modal box the
+:func:`~condlogic.order.box_table` of their relation, which extends that
+relation's row of the complex algebra's ``cond`` table to every set of
+worlds.  Above the cap, where a table would have ``2^n`` entries, each box
+is unrolled over the ``n`` worlds instead.  The code runs one loop per
+letter, the first outermost, and sets each slot in the loop of the deepest
+letter it reads, so an op runs once per prefix of the letters it reads: on
+a 2-world frame with 4 upsets, ``tr``'s ``p ~> q`` runs 16 times a scan,
+not 64, and ``red``'s ``true`` once.  Each antecedent's relation, and its
+box table, is looked up once per such prefix too.  A 2-world scan of a
+sweep's axioms takes an eighth to a third of the interpreted time.
+Generating costs as much as 7 to 17 interpreted 2-world scans, though.
+Generating on first use would make a program scanned once (a ``clc valid``
+process, a random formula of a sampling experiment) many times slower, and
+it raised the peak memory of the fill-in benchmark by over 10 %.  So only
 programs that recur, as the axioms of a frame sweep do, are generated.
 The scan count and the functions live in the program's
 :func:`compile_formula` cache entry, so that cache bounds them; the
-generated source is not kept.  The source, and the file name each
-function is compiled under (so that a profile tells them apart), hold
-slot numbers, op names and fixed templates only, never text from the
-input.  A generated function reads nothing but its arguments: it closes
-over no variable and its globals hold only the builtins.  It stops at its
-first refuted valuation, or returns at its first valuation with an
-antecedent that has no relation; :func:`_scan` then re-runs that valuation
-alone, as it does the first such valuation of a chunk, and raises the
-reference's error.  :func:`_run_one` stays the reference; it alone serves
-:func:`truth_set` and those re-runs.
+generated source is not kept.  The source, and the file name each function
+is compiled under (so that a profile tells them apart), hold slot numbers,
+op names and fixed templates only, never text from the input.  A generated
+function reads nothing but its arguments: it closes over no variable, its
+globals hold only the builtins, and :func:`~condlogic.order.box_table`
+comes in as a default argument.  It stops at its first refuted valuation,
+or returns at its first valuation with an antecedent that has no relation;
+:func:`_scan` then re-runs that valuation alone, as it does the first such
+valuation of a chunk, and raises the reference's error.  :func:`_run_one`
+stays the reference; it alone serves :func:`truth_set` and those re-runs.
 
 Algebras, whose elements are not world sets, run the same compiled
 programs through table lookups (see :func:`condlogic.algebra.alg_satisfies`).
@@ -107,12 +115,14 @@ from .frames import GeneralFrame, ModalFrame
 from .order import (
     FinitePreorder,
     box,
+    box_table,
     heyting_imp,
     is_upset,
     mask_to_key,
     mask_to_worlds,
     read_indices,
     set_bits,
+    tabled,
     worlds_to_mask,
 )
 from .syntax import Formula, Language, proposition_letters
@@ -144,7 +154,7 @@ WHOLE_SCAN = 64
 Valuation = Dict[str, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     valid: bool
     valuation: Optional[Valuation] = None
@@ -207,9 +217,10 @@ _LANGUAGE_ERRORS = {
     Language.COND: "conditional frames interpret the conditional language only",
     Language.MODAL: "modal frames interpret the box language only",
 }
-# what :func:`valid` checks each call against; an enum member read through
-# its class costs about 0.1 us (Python 3.11), a module global a tenth of that
+# what each call is checked against; an enum member read through its class
+# costs about 0.1 us (Python 3.11), a module global a tenth of that
 _COND = Language.COND
+_MODAL = Language.MODAL
 
 
 def _compile_for(f: Formula, language: Language):
@@ -320,73 +331,99 @@ def _run_one(program, result_slot: int, values, order: FinitePreorder, rel) -> i
 
 
 def _run_singles(program, result_slot: int, count: int, pool, limit: int,
-                 order: FinitePreorder, rel, full: int):
-    """``(index, values, refuted worlds)`` of the first of the first
+                 order: FinitePreorder, rel, full: int, letters):
+    """``(index, valuation, refuted worlds)`` of the first of the first
     ``limit`` valuations of ``itertools.product(pool, repeat=count)`` that
-    refutes the program, or None; raises at the first valuation that has an
-    antecedent without a relation.  The reference for :func:`_generate`,
-    whose functions take the same arguments after the program's."""
+    refutes the program, the valuation a dict from ``letters``, or None;
+    raises at the first valuation that has an antecedent without a
+    relation.  The reference for :func:`_generate`, whose functions take the
+    same arguments after the program's."""
     valuations = itertools.islice(itertools.product(pool, repeat=count), limit)
     for index, values in enumerate(valuations):
         bad = full ^ _run_one(program, result_slot, values, order, rel)
         if bad:
-            return index, values, bad
+            return index, dict(zip(letters, values)), bad
     return None
 
 
-# op -> the expression that sets slot ``out``, or, for a box, (the worlds
-# ``o`` it must miss, the row of world ``x``).  A box over ``b`` is unrolled
-# over the worlds: ``o`` holds the worlds outside ``b`` (for imp, inside
-# ``a`` and outside ``b``), and world ``x`` is in the box iff its row misses
-# ``o``.  A cond reads the rows ``R{a}_{x}`` of its antecedent slot ``a``.
-_TEMPLATES = {
+# op -> the expression that sets slot ``out`` at most TABLE_WORLDS worlds,
+# where a set of worlds indexes tables: ``D`` is the order's down-closure
+# table, ``M`` the modal relation's box table and ``B{a}`` that of the
+# relation of antecedent slot ``a``
+_TABLED = {
+    "and": "s{a} & s{b}",
+    "or": "s{a} | s{b}",
+    "imp": "full ^ D[s{a} & ~s{b}]",
+    "box": "M[s{b}]",
+    "cond": "B{a}[s{b}]",
+}
+# the same above the cap, where a box is unrolled over the worlds: a pair
+# of (the worlds ``o`` it must miss, the row of world ``x``).  ``o`` holds
+# the worlds outside ``b`` (for imp, inside ``a`` and outside ``b``), and
+# world ``x`` is in the box iff its row misses ``o``.  A cond reads the rows
+# ``R{a}_{x}`` of its antecedent slot ``a``.
+_UNROLLED = {
     "and": "s{a} & s{b}",
     "or": "s{a} | s{b}",
     "imp": ("s{a} & ~s{b}", "U{x}"),
     "box": ("~s{b}", "M{x}"),
     "cond": ("~s{b}", "R{a}_{x}"),
 }
-# sets the rows R{a}_{x} of the relation of antecedent slot ``a``, right
-# after slot ``a``
-_LOOKUP = ("R{a} = get(s{a})", "if R{a} is None:", "    return i, None, None", "{rows}= R{a}")
+# the lines that look up the relation of antecedent slot ``a``, right after
+# slot ``a`` is set; :func:`_generate` follows them with the line that
+# fetches its box table, or its rows R{a}_{x} above the cap
+_LOOKUP = ("R{a} = get(s{a})", "if R{a} is None:", "    return i, None, None")
 
 
 def _generate(program, result_slot: int, count: int, n: int):
     """The one-valuation phase of ``program`` at ``n`` worlds, as a function.
 
-    ``run(pool, limit, order, rel, full)`` returns what
+    ``run(pool, limit, order, rel, full, letters)`` returns what
     ``_run_singles(program, result_slot, count, pool, limit, order, rel,
-    full)`` returns, but for a valuation at which the reference raises: it
-    returns ``(index, None, None)`` there, and :func:`_scan` re-runs that
-    valuation for the error.  It closes over nothing and reads no global.
-    It nests one ``for`` loop per letter, the first outermost, so it meets
-    the valuations in that order, and counts them to stop after ``limit``.
-    Each op is set in the loop of the deepest letter it reads, so it runs
-    once per prefix of the letters up to that one, and an op that reads no
-    letter runs once per call (loop-invariant code motion: Aho, Lam, Sethi
-    and Ullman, *Compilers*, 2nd ed., section 9.5).  Each antecedent's
-    relation is looked up right after its slot is set.  A lookup that finds
-    no relation stands for the first valuation of its prefix, the next one
-    to be counted and so below ``limit``, and the first one at which the
-    reference raises, so ``run`` returns its index.
-    The source is built from :data:`_TEMPLATES` and slot numbers alone; an
-    op without a template raises here, before anything runs.
+    full, letters)`` returns, but for a valuation at which the reference
+    raises: it returns ``(index, None, None)`` there, and :func:`_scan`
+    re-runs that valuation for the error.  It closes over nothing and reads
+    no global: its one other argument, :func:`box_table`, is bound as a
+    default.  It nests one ``for`` loop per letter, the first outermost, so
+    it meets the valuations in that order, and counts them to stop after
+    ``limit``.  Each op is set in the loop of the deepest letter it reads,
+    so it runs once per prefix of the letters up to that one, and an op that
+    reads no letter runs once per call (loop-invariant code motion: Aho,
+    Lam, Sethi and Ullman, *Compilers*, 2nd ed., section 9.5).  Each
+    antecedent's relation is looked up right after its slot is set.  A
+    lookup that finds no relation stands for the first valuation of its
+    prefix, the next one to be counted and so below ``limit``, and the first
+    one at which the reference raises, so ``run`` returns its index.
+
+    At most :data:`~condlogic.order.TABLE_WORLDS` worlds (:func:`tabled`)
+    every box is one lookup in a table indexed by its set (:data:`_TABLED`),
+    fetched with the relation it boxes; above, where a table would have
+    ``2^n`` entries, each box is unrolled over the worlds (:data:`_UNROLLED`).  The source is built from those
+    templates and slot numbers alone; an op without a template raises here,
+    before anything runs.
     """
+    lookups = tabled(n)
+    templates = _TABLED if lookups else _UNROLLED
     # per slot, the loop it is set in: 0 before any loop, j + 1 in letter j's
     level = [*range(1, count + 1), 0]
     antecedents = {a for op, a, _ in program if op == "cond"}
     bodies = [[f"s{count} = 0"]] + [[] for _ in range(count)]  # the lines of each loop
     last_o = [None] * (count + 1)  # per loop, what its last ``o = ...`` line set
 
+    def worlds(name):
+        return "".join(f"{name}{x}, " for x in range(n))
+
     def looked_up(slot):
         if slot in antecedents:
-            rows = "".join(f"R{slot}_{x}, " for x in range(n))
-            bodies[level[slot]].extend(line.format(a=slot, rows=rows) for line in _LOOKUP)
+            body = bodies[level[slot]]
+            body.extend(line.format(a=slot) for line in _LOOKUP)
+            body.append(f"B{slot} = table(R{slot})" if lookups
+                        else worlds(f"R{slot}_") + f"= R{slot}")
 
     for slot in range(count + 1):
         looked_up(slot)
     for out, (op, a, b) in enumerate(program, count + 1):
-        template = _TEMPLATES.get(op)
+        template = templates.get(op)
         if template is None:
             raise ValueError(f"no template for op {op!r}")
         d = max(level[a], level[b])
@@ -402,11 +439,11 @@ def _generate(program, result_slot: int, count: int, n: int):
                 f"(0 if {row.format(a=a, x=x)} & o else {1 << x})" for x in range(n)))
         looked_up(out)
     ops = {op for op, _, _ in program}
-    lines = ["def run(pool, limit, order, rel, full):"]
+    lines = ["def run(pool, limit, order, rel, full, letters, table=table):"]
     if "imp" in ops:
-        lines.append("    " + "".join(f"U{x}, " for x in range(n)) + "= order.up")
+        lines.append("    " + ("D = order.down_closures" if lookups else worlds("U") + "= order.up"))
     if "box" in ops:
-        lines.append("    " + "".join(f"M{x}, " for x in range(n)) + "= rel")
+        lines.append("    " + ("M = table(rel)" if lookups else worlds("M") + "= rel"))
     if "cond" in ops:
         lines.append("    get = rel.get")
     lines.append("    i = 0")
@@ -414,14 +451,14 @@ def _generate(program, result_slot: int, count: int, n: int):
         if d:
             lines.append(" " * (4 * d) + f"for s{d - 1} in pool:")
         lines.extend(" " * (4 + 4 * d) + line for line in body)
-    values = "(" + "".join(f"s{j}, " for j in range(count)) + ")"
+    valuation = "{" + "".join(f"letters[{j}]: s{j}, " for j in range(count)) + "}"
     lines.extend(" " * (4 + 4 * count) + line for line in (
         f"if s{result_slot} != full:",
-        f"    return i, {values}, full ^ s{result_slot}",
+        f"    return i, {valuation}, full ^ s{result_slot}",
         "i += 1",
         "if i == limit:",
         "    return None"))
-    namespace: dict = {}
+    namespace = {"table": box_table}
     exec(compile("\n".join(lines), _file_name(program, result_slot, count, n), "exec"),
          {}, namespace)
     return namespace["run"]
@@ -500,15 +537,15 @@ def _run(program, result_slot: int, buf: list, ones: int, order: FinitePreorder,
     return buf[result_slot], stray
 
 
-def _run_chunks(program, result_slot: int, count: int, pool, order: FinitePreorder, rel):
-    """The chunks of a scan after its singles: ``(index, values, refuted
+def _run_chunks(program, result_slot: int, letters, pool, order: FinitePreorder, rel):
+    """The chunks of a scan after its singles: ``(index, valuation, refuted
     worlds)`` of the first valuation that refutes the program, or ``(index,
     None, None)`` if a valuation with an antecedent that has no relation
     comes first, or None.  The first chunk starts at valuation 0, so it
     evaluates the singles again.  Kept out of :func:`_scan`, whose locals
     its generator expressions read would otherwise be cells, made on every
     call of a scan, hot or not."""
-    n, k = order.n, len(pool)
+    n, k, count = order.n, len(pool), len(letters)
     plan = _plan(pool, n, count)
     top, top_planes, fixed = plan[-1]
     # the rest of the scan in chunks of the widest width, the first letters
@@ -528,7 +565,7 @@ def _run_chunks(program, result_slot: int, count: int, pool, order: FinitePreord
             index = start + low
             if stray >> low & 1:
                 return index, None, None
-            return (index, _valuation(index, pool, count),
+            return (index, dict(zip(letters, _valuation(index, pool, count))),
                     sum(1 << w for w, plane in enumerate(result) if not plane >> low & 1))
     return None
 
@@ -541,12 +578,12 @@ def _scan(order: FinitePreorder, pool: Tuple[int, ...], compiled, rel, budget: i
     total = len(pool) ** len(letters)
     if total * n > budget:
         raise BudgetExceededError(total * n, budget)
-    # each phase finds ``(index, values, refuted worlds)``, or ``(index,
+    # each phase finds ``(index, valuation, refuted worlds)``, or ``(index,
     # None, None)`` at a valuation with an antecedent that has no relation
     run = state.runs.get(n)
     if run is not None and total <= WHOLE_SCAN:
         # the common case first: a hot program whose whole scan needs no chunk
-        found = run(pool, total, order, rel, order.full_mask)
+        found = run(pool, total, order, rel, order.full_mask, letters)
     else:
         count = len(letters)
         full = order.full_mask
@@ -557,19 +594,19 @@ def _scan(order: FinitePreorder, pool: Tuple[int, ...], compiled, rel, budget: i
         limit = total if whole else SINGLES
         if run is None:
             state.scans += 1
-            found = _run_singles(program, result_slot, count, pool, limit, order, rel, full)
+            found = _run_singles(program, result_slot, count, pool, limit, order, rel, full,
+                                 letters)
         else:
-            found = run(pool, limit, order, rel, full)
+            found = run(pool, limit, order, rel, full, letters)
         if found is None and not whole:
-            found = _run_chunks(program, result_slot, count, pool, order, rel)
+            found = _run_chunks(program, result_slot, letters, pool, order, rel)
     if found is None:
         return Verdict(True, None, None, total * n)
-    index, values, bad = found
+    index, valuation, bad = found
     if bad is None:
         # that valuation alone raises for its first antecedent without a relation
         _run_one(program, result_slot, _valuation(index, pool, len(letters)), order, rel)
-    world = (bad & -bad).bit_length() - 1
-    return Verdict(False, dict(zip(letters, values)), world, (index + 1) * n)
+    return Verdict(False, valuation, (bad & -bad).bit_length() - 1, (index + 1) * n)
 
 
 def _truth_set(order: FinitePreorder, compiled, valuation: Valuation, rel) -> int:
@@ -588,7 +625,7 @@ def truth_set(frame: GeneralFrame, valuation: Valuation, f: Formula) -> int:
     closure properties of the admissible family keeps every intermediate
     truth set admissible as well.
     """
-    compiled = _compile_for(f, Language.COND)
+    compiled = _compile_for(f, _COND)
     admissible = None if frame.is_full else set(frame.admissible)
     _check_valuation(frame.order, valuation, compiled[0], admissible)
     return _truth_set(frame.order, compiled, valuation, frame.relations)
@@ -614,7 +651,7 @@ def valid(frame: GeneralFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> Verd
 
 
 def truth_set_modal(frame: ModalFrame, valuation: Valuation, f: Formula) -> int:
-    compiled = _compile_for(f, Language.MODAL)
+    compiled = _compile_for(f, _MODAL)
     _check_valuation(frame.order, valuation, compiled[0])
     return _truth_set(frame.order, compiled, valuation, frame.rel)
 
@@ -626,7 +663,7 @@ def check_modal(frame: ModalFrame, valuation: Valuation, f: Formula, world: int)
 
 
 def valid_modal(frame: ModalFrame, f: Formula, budget: int = DEFAULT_BUDGET) -> Verdict:
-    return _scan(frame.order, frame.order.upsets, _compile_for(f, Language.MODAL),
+    return _scan(frame.order, frame.order.upsets, _compile_for(f, _MODAL),
                  frame.rel, budget)
 
 

@@ -27,6 +27,11 @@ from .syntax import Bot, BoxI, BoxM, Cond, Formula, Language, Var, proposition_l
 # as a string rather than an AST.
 MIX_AXIOM = "[I][M][]q <-> [M]q"
 
+# read per node as module globals, not through the enum class (see semantics._COND)
+_COND = Language.COND
+_MODAL = Language.MODAL
+_BIMODAL = Language.BIMODAL
+
 
 def p_translate(f: Formula, letter: str) -> Formula:
     """Replace every box by a conditional with antecedent ``letter``.
@@ -34,20 +39,20 @@ def p_translate(f: Formula, letter: str) -> Formula:
     Homomorphic on everything else; the result lives in the conditional
     language.  ``letter`` is checked first, whether or not ``f`` has a box.
     """
-    antecedent = Var(letter, Language.COND)
-    if f.language is not Language.MODAL:
+    antecedent = Var(letter, _COND)
+    if f.language is not _MODAL:
         raise LanguageError("the letter translation takes box-language formulas")
 
     def go(node: Formula) -> Formula:
         op = node.op
         if op == "var":
-            return Var(node.name, Language.COND)
+            return Var(node.name, _COND)
         if op == "bot":
-            return Bot(Language.COND)
+            return Bot(_COND)
         if op == "box":
             return Cond(antecedent, go(node.args[0]))
         # and, or, imp: the same connective over the translated arguments
-        return Formula(op, (go(node.args[0]), go(node.args[1])), None, Language.COND)
+        return Formula(op, (go(node.args[0]), go(node.args[1])), None, _COND)
 
     return go(f)
 
@@ -58,19 +63,19 @@ def gmt_translate(f: Formula, normalize: bool = False) -> Formula:
     With ``normalize`` the only rewriting applied afterwards is collapsing
     an interior box doubled with itself.
     """
-    if f.language is not Language.MODAL:
+    if f.language is not _MODAL:
         raise LanguageError("the two-box translation takes box-language formulas")
 
     def go(node: Formula) -> Formula:
         op = node.op
         if op == "var":
-            return BoxI(Var(node.name, Language.BIMODAL))
+            return BoxI(Var(node.name, _BIMODAL))
         if op == "bot":
-            return BoxI(Bot(Language.BIMODAL))
+            return BoxI(Bot(_BIMODAL))
         if op == "box":
             return BoxI(BoxM(go(node.args[0])))
         # and, or, imp: the same connective over the translated arguments, boxed
-        return BoxI(Formula(op, (go(node.args[0]), go(node.args[1])), None, Language.BIMODAL))
+        return BoxI(Formula(op, (go(node.args[0]), go(node.args[1])), None, _BIMODAL))
 
     out = go(f)
     if normalize:

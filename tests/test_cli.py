@@ -88,6 +88,23 @@ class TestValidCommand:
         cm = obj["result"]["countermodel"]
         assert cm == {"valuation": {"p": [0], "q": []}, "world": 0}
 
+    def test_json_report_calls_no_json_dumps(self, capsys, tmp_path, single, monkeypatch):
+        # the report holds an empty list, which the writer lays out itself,
+        # and the text line, which needs json.dumps, is not built under --json
+        frame_path = write(tmp_path / "f1.json", frame_to_json(full_frame(single)))
+        argv = ("valid", "--frame", frame_path, "--formula", "(p ~> q) -> (p -> q)")
+        code, text, _ = run(capsys, *argv)
+        assert code == 1 and text == 'refuted at world 0 under {"p": [0], "q": []}\n'
+        _, want, _ = run(capsys, "--json", *argv)
+
+        def no_dumps(*args, **kwargs):
+            raise AssertionError("json.dumps was called")
+
+        monkeypatch.setattr(json, "dumps", no_dumps)
+        code, out, _ = run(capsys, "--json", *argv)
+        assert code == 1 and out == want
+        assert '"q": []' in out
+
     def test_valid_formula(self, capsys, tmp_path, single):
         frame_path = write(tmp_path / "f.json", frame_to_json(full_frame(single)))
         code, out, _ = run(capsys, "valid", "--frame", frame_path,

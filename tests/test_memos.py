@@ -18,5 +18,6 @@ def _memos():
 def test_every_lru_cache_has_a_finite_bound():
     memos = dict(_memos())
     assert "condlogic.order.interned_order" in memos
+    assert "condlogic.order.box_table" in memos
     unbounded = {name for name, fn in memos.items() if fn.cache_parameters()["maxsize"] is None}
     assert unbounded == set()

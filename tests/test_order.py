@@ -9,8 +9,12 @@ from condlogic.errors import CapExceededError, FrameFormatError
 from condlogic.frames import frame_from_json
 from condlogic.generate import enumerate_preorders
 from condlogic.order import (
+    TABLE_WORLDS,
     FinitePreorder,
+    box,
+    box_table,
     heyting_imp,
+    image,
     interned_order,
     is_upset,
     key_to_mask,
@@ -304,6 +308,77 @@ class TestHeytingImp:
                 lhs = not c & ~heyting_imp(p, a, b)
                 rhs = not (c & a) & ~b
                 assert lhs == rhs
+
+
+class TestTables:
+    """Box and closure tables against the kernels they stand for."""
+
+    def test_box_table_of_every_row_tuple_of_at_most_three_worlds(self):
+        # every tuple of n rows, which includes every relation of every
+        # preorder of at most 3 worlds, at every mask
+        seen = 0
+        for n in range(1, 4):
+            for rows in itertools.product(range(1 << n), repeat=n):
+                table = box_table(rows)
+                assert table == tuple(box(rows, b) for b in range(1 << n)), rows
+                seen += 1
+        assert seen == 2 + 4 ** 2 + 8 ** 3
+
+    def test_box_table_at_the_cap_on_seeded_rows(self):
+        rng = random.Random(6)
+        n = TABLE_WORLDS
+        for _ in range(200):
+            rows = tuple(rng.randrange(1 << n) for _ in range(n))
+            assert box_table(rows) == tuple(box(rows, b) for b in range(1 << n)), rows
+
+    def test_closure_tables_of_every_preorder_of_at_most_four_worlds(self):
+        seen = 0
+        for n in range(1, 5):
+            for p in _all_preorders(n):
+                masks = range(1 << n)
+                assert p.up_closures == tuple(image(p.up, s) for s in masks), p
+                assert p.down_closures == tuple(image(p.down, s) for s in masks), p
+                assert all(p.up_closures[s] == up_closure(p, s) for s in masks)
+                # the Heyting implication, as generated scans read it
+                assert all(p.full_mask ^ p.down_closures[a & ~b] == heyting_imp(p, a, b)
+                           for a in p.upsets for b in p.upsets)
+                seen += 1
+        assert seen == 1 + 4 + 29 + 355  # labelled preorders on 1-4 worlds
+
+    def test_above_the_cap_a_closure_is_computed_on_lookup(self):
+        rng = random.Random(7)
+        for n in (TABLE_WORLDS, TABLE_WORLDS + 1, 12):
+            up = [1 << i | sum(1 << j for j in range(n) if rng.random() < 0.2)
+                  for i in range(n)]
+            for k in range(n):
+                for i in range(n):
+                    if up[i] >> k & 1:
+                        up[i] |= up[k]
+            p = FinitePreorder(n, tuple(up))
+            assert (type(p.up_closures) is tuple) == (n <= TABLE_WORLDS)
+            # no down-closure stand-in: generated scans unroll above the cap
+            assert (p.down_closures is None) == (n > TABLE_WORLDS)
+            for s in (rng.randrange(1 << n) for _ in range(300)):
+                assert p.up_closures[s] == image(p.up, s)
+                if n <= TABLE_WORLDS:
+                    assert p.down_closures[s] == image(p.down, s)
+
+    def test_cached_tables_leave_equality_hash_and_pickling_alone(self):
+        above = preorder(TABLE_WORLDS + 1, [(0, 1), (1, 2), (0, 2)])
+        for p in _zoo() + [above]:
+            fresh = FinitePreorder(p.n, p.up)
+            masks = range(1 << p.n)
+            assert [fresh.up_closures[s] for s in masks] == [p.up_closures[s] for s in masks]
+            if p.n <= TABLE_WORLDS:
+                assert fresh.down_closures[p.full_mask] == p.full_mask
+            else:
+                assert fresh.down_closures is None
+            assert "up_closures" in fresh.__dict__ and "down_closures" in fresh.__dict__
+            assert fresh == p and hash(fresh) == hash(p)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                copy = pickle.loads(pickle.dumps(fresh, protocol))
+                assert copy == p and hash(copy) == hash(p)
+                assert [copy.up_closures[s] for s in masks] == [p.up_closures[s] for s in masks]
 
 
 class TestKeys:

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -15,7 +16,7 @@ from condlogic.generate import (
     random_full_frame,
     random_general_frame,
 )
-from condlogic.order import FinitePreorder, box, heyting_imp, is_upset, set_bits
+from condlogic.order import TABLE_WORLDS, FinitePreorder, box, heyting_imp, is_upset, set_bits
 from condlogic.semantics import (
     DEFAULT_BUDGET,
     Verdict,
@@ -582,7 +583,7 @@ class TestGeneratedSingles:
         run = semantics._generate(program, result_slot, count, order.n)
         for ordered in (pool, pool[::-1]):
             for limit in range(1, min(len(pool) ** count, 70) + 1):
-                args = (ordered, limit, order, rel, order.full_mask)
+                args = (ordered, limit, order, rel, order.full_mask, letters)
                 want = _raised_or(semantics._run_singles, program, result_slot, count, *args)
                 got = _raised_or(_resolved, run(*args), program, result_slot, count, ordered,
                                  order, rel)
@@ -763,6 +764,68 @@ class TestWholeScans:
                 names.add(run.__code__.co_filename)
         assert len(names) == 8
         assert "<scan n=2 letters=2 s3=cond(s0,s1) s4=imp(s3,s1) -> s4>" in names
+
+
+class TestTablesAtTheCap:
+    """Hot scans at ``TABLE_WORLDS`` worlds, whose generated code looks boxes up
+    in tables, and at one world more, whose code unrolls them, against the
+    interpreted reference on full, general and unclosed frames."""
+
+    FORMULAS = (
+        ("(p ~> q) & (q ~> r) -> (p ~> r)", Language.COND),
+        ("(p ~> q) -> (p ~> (p ~> q))", Language.COND),
+        ("((p & q) ~> r) -> (p ~> (q ~> r))", Language.COND),
+        ("(p -> q) ~> (p ~> true)", Language.COND),  # valid, or raises at p -> q
+        ("(true ~> p) -> p | (p -> false)", Language.COND),
+        ("p ~> p", Language.COND),
+        ("[] (p -> q) -> ([] p -> [] q)", Language.MODAL),
+        ("[] p -> p | [] (p -> false)", Language.MODAL),
+    )
+
+    @staticmethod
+    def _frame(rng, n, kind):
+        """A full, general or unclosed frame on ``n`` worlds with at most 12
+        admissible upsets, so that the reference stays quick."""
+        while True:
+            if kind == "full":
+                frame = random_full_frame(rng, n)
+            elif kind == "general":
+                frame = random_general_frame(rng, n)
+            else:
+                frame = _unclosed_general_frame(rng, n)
+            if len(frame.admissible) <= 12:
+                return frame
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_hot_scans_against_the_reference(self, extra):
+        n = TABLE_WORLDS + extra
+        hot = set()
+        for text, language in self.FORMULAS:
+            rng = random.Random(f"tables:{text}:{n}")
+            f = parse(text, language)
+            semantics.compile_formula.cache_clear()
+            _, program, _, state = compile_formula(f)
+            for i in range(2 * semantics.HOT_SCANS):
+                kind = ("full", "general", "unclosed")[i % 3]
+                frame = self._frame(rng, n, kind)
+                if language is Language.MODAL:
+                    mf = restrict(frame, rng.choice(frame.admissible))
+                    got, want = outcome(valid_modal, mf, f), outcome(reference_valid_modal, mf, f)
+                else:
+                    got, want = outcome(valid, frame, f), outcome(reference_valid, frame, f)
+                assert got == want, (text, i, kind, frame)
+                if i >= semantics.HOT_SCANS:
+                    hot.add((language, kind, got[0]))
+            assert set(state.runs) == {n}
+            # the code at the cap looks boxes up, the code above it unrolls them
+            names = " ".join(state.runs[n].__code__.co_varnames)
+            assert {op for op, _, _ in program} & {"imp", "box", "cond"}
+            assert bool(re.search(r"\b(D|M|B\d+)\b", names)) == (extra == 0)
+            assert bool(re.search(r"\b(U\d+|M\d+|R\d+_\d+)\b", names)) == (extra == 1)
+        # hot scans held, refuted and raised, and met every kind of frame
+        assert {got for _, _, got in hot} == {True, False, NotAdmissibleError}
+        assert {kind for _, kind, _ in hot} == {"full", "general", "unclosed"}
+        assert {got for language, _, got in hot if language is Language.MODAL} == {True, False}
 
 
 class _CountingRelations(dict):
