@@ -10,9 +10,8 @@ as ``a & b``, is looked up through ``rel`` (the frame's :meth:`rel`), which
 raises NotAdmissibleError when the family lacks it.  ``up`` and ``down``
 are the rows of the order and of its converse, so that world ``x`` lies in
 the up-closure of a set ``s`` iff ``s & down[x]``, and ``ucl[s]`` is that
-up-closure: the order's :attr:`~condlogic.order.FinitePreorder.up_closures`,
-a table looked up on at most :data:`~condlogic.order.TABLE_WORLDS` worlds,
-and an ``image(up, s)`` computed on each lookup above.
+up-closure, looked up in the order's table
+:attr:`~condlogic.order.FinitePreorder.up_closures`.
 
 The quantifier says which (a, b) the loop visits: every a ('ax'), every
 pair a, b ('abx'), the empty upset alone ('0x') or the full one ('Wx'),

@@ -21,10 +21,9 @@ The work around the draws is cut without touching them.  Random and
 enumerated orders come from the order intern
 (:func:`condlogic.order.interned_order`), so the checking constructor runs
 once per distinct rows tuple and equal orders share their upsets.  The
-admissible closure takes its Heyting implications from the order's own
-``imps``, filled lazily with the pairs that closures meet, never as a whole
-table.  A kept general frame is built without the constructor's checks,
-which cannot fail on the closure's output.
+admissible closure reads its Heyting implications off the order's
+down-closure table.  A kept general frame is built without the
+constructor's checks, which cannot fail on the closure's output.
 
 Exhaustive enumeration order is (world count, preorder as a big-endian
 matrix integer, relation assignment as a big-endian integer over the upset
@@ -47,7 +46,7 @@ from .frames import (
     compose_up_rel,
     rel_coherent,
 )
-from .order import FinitePreorder, box, heyting_imp, interned_order, intransitive_pair
+from .order import FinitePreorder, box, interned_order, intransitive_pair
 from .syntax import And, Bot, Box, Cond, Formula, Imp, Language, Or, Var
 
 RowSampler = Callable[[int], Rows]
@@ -220,12 +219,13 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
     no further relation is drawn: the family, the relations and the
     generator state are those the full loop would leave.
 
-    The Heyting implications come from the order's ``imps``, computed only
-    for the pairs a closure meets.
+    The Heyting implication of ``a`` and ``b`` is ``full ^
+    down_closures[a & ~b]``, read off the order's table.
     """
     ups = p.upsets
-    imps = p.imps
-    known = set(seeds) | {0, p.full_mask}
+    full = p.full_mask
+    dcl = p.down_closures
+    known = set(seeds) | {0, full}
     relations = {a: sampler(a) for a in sorted(known)}
     fresh = set(known)
     while fresh and len(known) < len(ups):
@@ -234,14 +234,8 @@ def close_admissible(rng: random.Random, p: FinitePreorder, seeds: Sequence[int]
         entered = set()
         for a in current:
             rows = relations[a]
-            imps_a = imps.get(a)
-            if imps_a is None:
-                imps_a = imps[a] = {}
             for b in current if a in fresh else fresh_sorted:
-                imp = imps_a.get(b)
-                if imp is None:
-                    imp = imps_a[b] = heyting_imp(p, a, b)
-                for c in (a & b, a | b, imp, box(rows, b)):
+                for c in (a & b, a | b, full ^ dcl[a & ~b], box(rows, b)):
                     if c not in known:
                         known.add(c)
                         entered.add(c)

@@ -9,13 +9,12 @@ An order carries the facts that the other layers derive from it, each
 computed once per instance on first use: every world (``full_mask``), the
 converse rows (``down``), the upsets (``upsets``, enumerated directly, in
 time proportional to their number), how many there are (``upset_count``,
-counted without listing them), their file keys (``upset_keys``), the
-Heyting implications met so far (``imps``) and the up- and down-closure of
-every world set (``up_closures``, ``down_closures``).  The library builds
-every order from rows through one bounded intern, :func:`interned_order`,
-so equal orders are one instance and share those facts; this module alone
-decides how, and for how long, they are kept.  The world count is capped
-at :data:`MAX_WORLDS`.
+counted without listing them), their file keys (``upset_keys``) and the
+up- and down-closure of every world set (``up_closures``,
+``down_closures``).  The library builds every order from rows through one
+bounded intern, :func:`interned_order`, so equal orders are one instance
+and share those facts; this module alone decides how, and for how long,
+they are kept.  The world count is capped at :data:`MAX_WORLDS`.
 
 The bit kernels live here and nowhere else: :func:`set_bits` lists the set
 bits of a mask, :func:`image` unions relation rows over a set of worlds
@@ -25,13 +24,15 @@ conditional and the modal box are all boxes).  :func:`read_indices` and
 :func:`read_pair_rows` are the strict readers for world indices and index
 pairs in JSON files.
 
-*Tables.*  On at most :data:`TABLE_WORLDS` worlds (:func:`tabled`) a set
-of worlds is a small index, so a box or a closure is looked up, not
-recomputed: an order's closure tables hold ``image(up, s)`` and
-``image(down, s)`` at index ``s``, and :func:`box_table` holds ``box(rows,
-b)`` at index ``b`` for one relation's rows, bounded by one memo keyed by
-the rows.  A table has ``2^n`` entries, so above the cap the up-closure
-"table" computes each image when it is read, and no other table is built.
+*Tables.*  A box or a closure is looked up, not recomputed: an order's
+closure tables hold ``image(up, s)`` and ``image(down, s)`` at index
+``s``, and :func:`box_table` holds ``box(rows, b)`` at index ``b`` for one
+relation's rows, bounded by one memo keyed by the rows.  Every caller
+indexes a table alike, and this module alone decides its form from the
+world count.  On at most :data:`TABLE_WORLDS` worlds (:func:`tabled`) it
+is a tuple of all ``2^n`` entries, built at once; above, where ``2^n``
+entries would be too many, it is a map that computes an entry on its first
+lookup and keeps at most :data:`LAZY_ENTRIES` of them (:class:`_Lazy`).
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 from .errors import CapExceededError, FrameFormatError
 
 MAX_WORLDS = 20
-# Worlds of an order, at most, whose sets index tables (see the module
-# docstring).  A table over n worlds has 2^n entries.  On a 2-core VM
+# Worlds of an order, at most, whose tables are tuples (see the module
+# docstring).  A tuple table over n worlds has 2^n entries.  On a 2-core VM
 # (Python 3.11.7, timeit) a box table took 3.5 / 4.9 / 5.5 / 8.3 / 11.6 /
 # 19.1 us to build at 3-8 worlds and 2.4 KB at 8, and with its tables built
 # a hot 64-valuation scan ran 2 to 6 times faster than with unrolled boxes
@@ -52,8 +53,12 @@ MAX_WORLDS = 20
 # closures 1.3 to 2 times faster from a table than through ``image`` at
 # 6-8 worlds: tables did not stop winning.  Above 8 a table outgrows 5 KB
 # (its masks are no longer small cached ints) and a full box table memo
-# would hold over 5 MB, so 8 is the cap.
+# would hold over 5 MB, so 8 is the cap.  Up to it a tuple also beats a map
+# filled on lookup: indexing a warm map took 39-40 ns against 17-20 ns for
+# a tuple at 2, 5 and 8 worlds (timeit, in a list comprehension).
 TABLE_WORLDS = 8
+# Entries a table above TABLE_WORLDS keeps, at most; sized in ``_Lazy``.
+LAZY_ENTRIES = 1024
 
 
 @dataclass(frozen=True)
@@ -186,48 +191,54 @@ class FinitePreorder:
         return {mask_to_key(a): a for a in self.upsets}
 
     @cached_property
-    def imps(self) -> Dict[int, Dict[int, int]]:
-        """The Heyting implications met so far: ``imps[a][b]`` is
-        ``heyting_imp(self, a, b)``.
-
-        Filled lazily by :func:`condlogic.generate.close_admissible` with
-        the pairs its closures meet, never as a whole table: an antichain
-        of :data:`MAX_WORLDS` worlds has 2^20 upsets.
-        """
-        return {}
-
-    @cached_property
     def up_closures(self):
         """The up-closure of every world set, indexed by its mask: ``image(up,
-        s)`` at index ``s``.  A tuple on :func:`tabled` orders; above the
-        cap, each lookup computes the image."""
-        return _closures(self.up) if tabled(self.n) else _Images(self.up)
+        s)`` at index ``s``; a table (see the module docstring)."""
+        return _closures(self.up) if tabled(self.n) else _Lazy(image, self.up)
 
     @cached_property
-    def down_closures(self) -> Optional[Tuple[int, ...]]:
+    def down_closures(self):
         """The down-closure of every world set, indexed by its mask, as
         :attr:`up_closures` for the converse rows; ``full ^
-        down_closures[a & ~b]`` is the Heyting implication of upsets.  None
-        above the cap, where only generated scans, which unroll their boxes
-        there, would read it."""
-        return _closures(self.down) if tabled(self.n) else None
+        down_closures[a & ~b]`` is the Heyting implication of upsets."""
+        return _closures(self.down) if tabled(self.n) else _Lazy(image, self.down)
 
 
 def tabled(n: int) -> bool:
-    """Whether the sets of ``n`` worlds index tables: at most
-    :data:`TABLE_WORLDS`.  Closure tables and generated scans both ask."""
+    """Whether the tables of sets of ``n`` worlds are tuples: at most
+    :data:`TABLE_WORLDS`."""
     return n <= TABLE_WORLDS
 
 
-class _Images:
-    """``image(rows, s)`` at index ``s``, computed on each lookup: the
-    up-closure table's stand-in above :data:`TABLE_WORLDS` worlds."""
+class _Lazy(dict):
+    """``fill(rows, s)`` at key ``s``: a table above :data:`TABLE_WORLDS`
+    worlds, where ``fill`` is :func:`box` or :func:`image`.
 
-    def __init__(self, rows: Tuple[int, ...]):
+    An entry is computed on its first lookup and kept while the map holds
+    fewer than :data:`LAZY_ENTRIES`; after that a miss is computed and not
+    kept.  A hit is a lookup in C.
+
+    The cap is sized from the largest maps met when every catalog axiom was
+    scanned hot and every correspondent loop run: 3 entries on chains of
+    9-20 worlds, and 462 on 150 seeded general frames of 12-16 worlds with
+    at most 64 admissible upsets (a down-closure map; box maps held at most
+    122 entries, up-closure maps 178).  On 72 seeded general and full frames
+    of 12-16 worlds with 65-256 admissible upsets box maps held at most
+    200, but closure maps up to 1 071 (up) and 2 656 (down), which then
+    compute the rest on each lookup.  A full map of 1024 entries of
+    20-world masks takes about 73 KB, so the 1024 maps of the
+    :func:`box_table` memo stay under 75 MB.
+    """
+
+    def __init__(self, fill, rows: Tuple[int, ...]):
+        self.fill = fill
         self.rows = rows
 
-    def __getitem__(self, s: int) -> int:
-        return image(self.rows, s)
+    def __missing__(self, s: int) -> int:
+        got = self.fill(self.rows, s)
+        if len(self) < LAZY_ENTRIES:
+            self[s] = got
+        return got
 
 
 def _closures(rows: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -308,9 +319,9 @@ def box(rows: Sequence[int], b: int) -> int:
 
 
 @lru_cache(maxsize=1024)
-def box_table(rows: Tuple[int, ...]) -> Tuple[int, ...]:
+def box_table(rows: Tuple[int, ...]):
     """``box(rows, b)`` for every mask ``b`` of the ``len(rows)`` worlds,
-    indexed by ``b``; for the rows of at most :data:`TABLE_WORLDS` worlds.
+    indexed by ``b``; a table (see the module docstring).
 
     Built by doubling over the worlds, lowest first: a world ``y`` outside
     ``b`` drops from the box every world whose row holds ``y``.  Keyed by
@@ -326,6 +337,8 @@ def box_table(rows: Tuple[int, ...]) -> Tuple[int, ...]:
     2.4 MB of 8-world tables.
     """
     n = len(rows)
+    if not tabled(n):
+        return _Lazy(box, rows)
     keep = [(1 << n) - 1] * n  # per world y, the worlds whose row misses y
     for x, row in enumerate(rows):
         for y in set_bits(row):

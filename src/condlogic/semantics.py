@@ -66,15 +66,14 @@ most :data:`WHOLE_SCAN` valuations, through a Python function generated
 for ``(program, n)`` (a partial evaluation of the interpreter: Futamura,
 "Partial evaluation of computation process", 1971).  Its slots are locals
 and each ``and``/``or`` is one expression, so no op name is looked at and
-no call is made per connective.  At most
-:data:`~condlogic.order.TABLE_WORLDS` worlds each box is one lookup in a
-table indexed by its set: ``imp`` reads the order's down-closure table
-(``a -> b`` is the complement of the down-closure of ``a`` minus ``b``),
-and the conditional and the modal box the
-:func:`~condlogic.order.box_table` of their relation, which extends that
-relation's row of the complex algebra's ``cond`` table to every set of
-worlds.  Above the cap, where a table would have ``2^n`` entries, each box
-is unrolled over the ``n`` worlds instead.  The code runs one loop per
+no call is made per connective.  Each box is one lookup in a table indexed
+by its set: ``imp`` reads the order's down-closure table (``a -> b`` is
+the complement of the down-closure of ``a`` minus ``b``), and the
+conditional and the modal box the :func:`~condlogic.order.box_table` of
+their relation, which extends that relation's row of the complex algebra's
+``cond`` table to every set of worlds.  :mod:`condlogic.order` decides a
+table's form: a tuple on at most :data:`~condlogic.order.TABLE_WORLDS`
+worlds, a map filled on lookup above.  The code runs one loop per
 letter, the first outermost, and sets each slot in the loop of the deepest
 letter it reads, so an op runs once per prefix of the letters it reads: on
 a 2-world frame with 4 upsets, ``tr``'s ``p ~> q`` runs 16 times a scan,
@@ -122,7 +121,6 @@ from .order import (
     mask_to_worlds,
     read_indices,
     set_bits,
-    tabled,
     worlds_to_mask,
 )
 from .syntax import Formula, Language, proposition_letters
@@ -346,10 +344,10 @@ def _run_singles(program, result_slot: int, count: int, pool, limit: int,
     return None
 
 
-# op -> the expression that sets slot ``out`` at most TABLE_WORLDS worlds,
-# where a set of worlds indexes tables: ``D`` is the order's down-closure
-# table, ``M`` the modal relation's box table and ``B{a}`` that of the
-# relation of antecedent slot ``a``
+# op -> the expression that sets slot ``out``, each box one lookup in a
+# table indexed by its set: ``D`` is the order's down-closure table, ``M``
+# the modal relation's box table and ``B{a}`` that of the relation of
+# antecedent slot ``a``
 _TABLED = {
     "and": "s{a} & s{b}",
     "or": "s{a} | s{b}",
@@ -357,22 +355,10 @@ _TABLED = {
     "box": "M[s{b}]",
     "cond": "B{a}[s{b}]",
 }
-# the same above the cap, where a box is unrolled over the worlds: a pair
-# of (the worlds ``o`` it must miss, the row of world ``x``).  ``o`` holds
-# the worlds outside ``b`` (for imp, inside ``a`` and outside ``b``), and
-# world ``x`` is in the box iff its row misses ``o``.  A cond reads the rows
-# ``R{a}_{x}`` of its antecedent slot ``a``.
-_UNROLLED = {
-    "and": "s{a} & s{b}",
-    "or": "s{a} | s{b}",
-    "imp": ("s{a} & ~s{b}", "U{x}"),
-    "box": ("~s{b}", "M{x}"),
-    "cond": ("~s{b}", "R{a}_{x}"),
-}
-# the lines that look up the relation of antecedent slot ``a``, right after
-# slot ``a`` is set; :func:`_generate` follows them with the line that
-# fetches its box table, or its rows R{a}_{x} above the cap
-_LOOKUP = ("R{a} = get(s{a})", "if R{a} is None:", "    return i, None, None")
+# the lines that look up the relation of antecedent slot ``a``, and its box
+# table, right after slot ``a`` is set
+_LOOKUP = ("R{a} = get(s{a})", "if R{a} is None:", "    return i, None, None",
+           "B{a} = table(R{a})")
 
 
 def _generate(program, result_slot: int, count: int, n: int):
@@ -395,55 +381,37 @@ def _generate(program, result_slot: int, count: int, n: int):
     prefix, the next one to be counted and so below ``limit``, and the first
     one at which the reference raises, so ``run`` returns its index.
 
-    At most :data:`~condlogic.order.TABLE_WORLDS` worlds (:func:`tabled`)
-    every box is one lookup in a table indexed by its set (:data:`_TABLED`),
-    fetched with the relation it boxes; above, where a table would have
-    ``2^n`` entries, each box is unrolled over the worlds (:data:`_UNROLLED`).  The source is built from those
-    templates and slot numbers alone; an op without a template raises here,
-    before anything runs.
+    Every box is one lookup in a table indexed by its set (:data:`_TABLED`),
+    fetched with the relation it boxes; :mod:`condlogic.order` decides the
+    table's form.  The source is built from those templates and slot
+    numbers alone; an op without a template raises here, before anything
+    runs.
     """
-    lookups = tabled(n)
-    templates = _TABLED if lookups else _UNROLLED
     # per slot, the loop it is set in: 0 before any loop, j + 1 in letter j's
     level = [*range(1, count + 1), 0]
     antecedents = {a for op, a, _ in program if op == "cond"}
     bodies = [[f"s{count} = 0"]] + [[] for _ in range(count)]  # the lines of each loop
-    last_o = [None] * (count + 1)  # per loop, what its last ``o = ...`` line set
-
-    def worlds(name):
-        return "".join(f"{name}{x}, " for x in range(n))
 
     def looked_up(slot):
         if slot in antecedents:
-            body = bodies[level[slot]]
-            body.extend(line.format(a=slot) for line in _LOOKUP)
-            body.append(f"B{slot} = table(R{slot})" if lookups
-                        else worlds(f"R{slot}_") + f"= R{slot}")
+            bodies[level[slot]].extend(line.format(a=slot) for line in _LOOKUP)
 
     for slot in range(count + 1):
         looked_up(slot)
     for out, (op, a, b) in enumerate(program, count + 1):
-        template = templates.get(op)
+        template = _TABLED.get(op)
         if template is None:
             raise ValueError(f"no template for op {op!r}")
         d = max(level[a], level[b])
         level.append(d)
-        if isinstance(template, str):
-            bodies[d].append(f"s{out} = " + template.format(a=a, b=b))
-        else:
-            o, row = template[0].format(a=a, b=b), template[1]
-            if last_o[d] != o:
-                last_o[d] = o
-                bodies[d].append("o = " + o)
-            bodies[d].append(f"s{out} = " + " | ".join(
-                f"(0 if {row.format(a=a, x=x)} & o else {1 << x})" for x in range(n)))
+        bodies[d].append(f"s{out} = " + template.format(a=a, b=b))
         looked_up(out)
     ops = {op for op, _, _ in program}
     lines = ["def run(pool, limit, order, rel, full, letters, table=table):"]
     if "imp" in ops:
-        lines.append("    " + ("D = order.down_closures" if lookups else worlds("U") + "= order.up"))
+        lines.append("    D = order.down_closures")
     if "box" in ops:
-        lines.append("    " + ("M = table(rel)" if lookups else worlds("M") + "= rel"))
+        lines.append("    M = table(rel)")
     if "cond" in ops:
         lines.append("    get = rel.get")
     lines.append("    i = 0")

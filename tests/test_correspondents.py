@@ -9,7 +9,7 @@ from condlogic.correspondents import _corr_loop
 from condlogic.errors import NotAdmissibleError
 from condlogic.fillins import check_squeeze_precondition
 from condlogic.generate import enumerate_full_frames, random_general_frame
-from condlogic.order import TABLE_WORLDS, mask_to_key
+from condlogic.order import TABLE_WORLDS, _Lazy, mask_to_key
 
 from corr_oracle import ORACLES, oracle_loop
 from test_generate import _unclosed_frame
@@ -70,15 +70,15 @@ def test_seeded_general_frames(n):
 
 @pytest.mark.parametrize("extra", [0, 1])
 def test_seeded_frames_at_and_above_the_table_cap(extra):
-    # kernels read closure tables at TABLE_WORLDS worlds, and images computed
-    # on lookup one world above
+    # kernels read a tuple of closures at TABLE_WORLDS worlds, and a map
+    # filled on lookup one world above
     n = TABLE_WORLDS + extra
     rng = random.Random(f"kernels:cap:{n}")
     seen = {key: [0, 0] for key, _, _, _ in CONDITIONS}
     for _ in range(40):
         frame = random_general_frame(rng, n, mode_names=("random", "strength", "refl",
                                                          "subset", "empty", "diag_all"))
-        assert (type(frame.order.up_closures) is tuple) == (extra == 0)
+        assert type(frame.order.up_closures) is (tuple if extra == 0 else _Lazy)
         for key, quant, fn, oracle in CONDITIONS:
             got = _corr_loop(frame, quant, fn)
             assert got == oracle_loop(frame, quant, oracle), (key, frame)

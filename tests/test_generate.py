@@ -502,7 +502,6 @@ def test_closure_combines_each_pair_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(generate, "heyting_imp", counted("imp", heyting_imp))
     monkeypatch.setattr(generate, "box", counted("cond", box))
     at_last_draw = Counter()
 
@@ -517,26 +516,22 @@ def test_closure_combines_each_pair_once(monkeypatch):
     fills = 0
     for seed in range(600):
         rng, p, seeds, sampler = _closure_case(seed)
-        # the order's implications are emptied, so that every pair is computed
-        p.imps.clear()
         calls.clear()
         closed = close_admissible(rng, p, seeds, draw(sampler))
         admissible = closed[0]
         k = len(admissible)
         if k < len(p.upsets):
-            # meet and join are evaluated in the same tuple as imp and cond
-            assert calls == {"imp": k * k, "cond": k * k, "draw": k}, (seed, k)
+            # meet, join and imp are evaluated in the same tuple as cond
+            assert calls == {"cond": k * k, "draw": k}, (seed, k)
         else:
             # one draw per upset, and no pair combined after the last of them
             assert calls["draw"] == k, (seed, k)
             assert at_last_draw == calls, (seed, k)
             fills += _starts_below_and_fills(p, seeds, admissible)
-        # the same case again, on the warm memo: no implication is computed,
-        # and the same frame is drawn, leaving the generator where it was
-        imps = calls["imp"]
+        # the same case again, on the order's cached closure table: the same
+        # frame is drawn, leaving the generator where it was
         again_rng, _, again_seeds, again_sampler = _closure_case(seed)
         again = close_admissible(again_rng, p, again_seeds, draw(again_sampler))
-        assert calls["imp"] == imps, seed
         assert again == closed and again_rng.getstate() == rng.getstate(), seed
     assert fills >= 50, fills
 

@@ -9,8 +9,11 @@ from condlogic.errors import CapExceededError, FrameFormatError
 from condlogic.frames import frame_from_json
 from condlogic.generate import enumerate_preorders
 from condlogic.order import (
+    LAZY_ENTRIES,
+    MAX_WORLDS,
     TABLE_WORLDS,
     FinitePreorder,
+    _Lazy,
     box,
     box_table,
     heyting_imp,
@@ -325,11 +328,19 @@ class TestTables:
         assert seen == 2 + 4 ** 2 + 8 ** 3
 
     def test_box_table_at_the_cap_on_seeded_rows(self):
+        # a tuple at the cap, above it a map filled on lookup: every mask at
+        # the cap, 300 seeded masks above it, each looked up twice
         rng = random.Random(6)
-        n = TABLE_WORLDS
-        for _ in range(200):
-            rows = tuple(rng.randrange(1 << n) for _ in range(n))
-            assert box_table(rows) == tuple(box(rows, b) for b in range(1 << n)), rows
+        for n in (TABLE_WORLDS, TABLE_WORLDS + 1, 12, MAX_WORLDS):
+            for _ in range(200):
+                rows = tuple(rng.randrange(1 << n) for _ in range(n))
+                table = box_table(rows)
+                assert type(table) is (tuple if n <= TABLE_WORLDS else _Lazy)
+                masks = (range(1 << n) if n <= TABLE_WORLDS
+                         else [rng.randrange(1 << n) for _ in range(300)])
+                want = [box(rows, b) for b in masks]
+                assert [table[b] for b in masks] == want, rows
+                assert [table[b] for b in masks] == want, rows
 
     def test_closure_tables_of_every_preorder_of_at_most_four_worlds(self):
         seen = 0
@@ -347,38 +358,69 @@ class TestTables:
 
     def test_above_the_cap_a_closure_is_computed_on_lookup(self):
         rng = random.Random(7)
-        for n in (TABLE_WORLDS, TABLE_WORLDS + 1, 12):
-            up = [1 << i | sum(1 << j for j in range(n) if rng.random() < 0.2)
-                  for i in range(n)]
-            for k in range(n):
-                for i in range(n):
-                    if up[i] >> k & 1:
-                        up[i] |= up[k]
-            p = FinitePreorder(n, tuple(up))
-            assert (type(p.up_closures) is tuple) == (n <= TABLE_WORLDS)
-            # no down-closure stand-in: generated scans unroll above the cap
-            assert (p.down_closures is None) == (n > TABLE_WORLDS)
+        for n in (TABLE_WORLDS, TABLE_WORLDS + 1, 12, MAX_WORLDS):
+            p = _random_preorder(rng, n)
+            kind = tuple if n <= TABLE_WORLDS else _Lazy
+            assert type(p.up_closures) is kind and type(p.down_closures) is kind
             for s in (rng.randrange(1 << n) for _ in range(300)):
                 assert p.up_closures[s] == image(p.up, s)
-                if n <= TABLE_WORLDS:
-                    assert p.down_closures[s] == image(p.down, s)
+                assert p.down_closures[s] == image(p.down, s)
+                assert p.up_closures[s] == image(p.up, s)
+            # the Heyting implication, as generated scans read it
+            ups = list(itertools.islice(p.iter_upsets(), 20))
+            assert all(p.full_mask ^ p.down_closures[a & ~b] == heyting_imp(p, a, b)
+                       for a in ups for b in ups)
+
+    def test_a_map_keeps_at_most_its_cap(self):
+        # past its cap a map still answers every lookup, and keeps the
+        # entries it met first
+        rng = random.Random(8)
+        n = MAX_WORLDS
+        rows = tuple(rng.randrange(1 << n) for _ in range(n))
+        p = _random_preorder(rng, n)
+        masks = rng.sample(range(1 << n), 3 * LAZY_ENTRIES)
+        for table, fill, source in ((box_table(rows), box, rows),
+                                    (p.up_closures, image, p.up),
+                                    (p.down_closures, image, p.down)):
+            table.clear()
+            want = [fill(source, s) for s in masks]
+            assert [table[s] for s in masks] == want
+            assert list(table) == masks[:LAZY_ENTRIES]
+            assert [table[s] for s in masks] == want
+            assert len(table) == LAZY_ENTRIES
 
     def test_cached_tables_leave_equality_hash_and_pickling_alone(self):
-        above = preorder(TABLE_WORLDS + 1, [(0, 1), (1, 2), (0, 2)])
-        for p in _zoo() + [above]:
+        rng = random.Random(9)
+        above = [preorder(TABLE_WORLDS + 1, [(0, 1), (1, 2), (0, 2)]),
+                 _random_preorder(rng, 12), _random_preorder(rng, MAX_WORLDS)]
+        for p in _zoo() + above:
             fresh = FinitePreorder(p.n, p.up)
-            masks = range(1 << p.n)
+            # every mask at the cap; above it, seeded masks, so that the
+            # maps are pickled partly filled
+            masks = (range(1 << p.n) if p.n <= TABLE_WORLDS
+                     else [rng.randrange(1 << p.n) for _ in range(50)])
             assert [fresh.up_closures[s] for s in masks] == [p.up_closures[s] for s in masks]
-            if p.n <= TABLE_WORLDS:
-                assert fresh.down_closures[p.full_mask] == p.full_mask
-            else:
-                assert fresh.down_closures is None
+            assert fresh.down_closures[p.full_mask] == p.full_mask
             assert "up_closures" in fresh.__dict__ and "down_closures" in fresh.__dict__
             assert fresh == p and hash(fresh) == hash(p)
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
                 copy = pickle.loads(pickle.dumps(fresh, protocol))
                 assert copy == p and hash(copy) == hash(p)
+                for name in ("up_closures", "down_closures"):
+                    table, kept = getattr(copy, name), getattr(fresh, name)
+                    assert type(table) is type(kept) and list(table) == list(kept)
                 assert [copy.up_closures[s] for s in masks] == [p.up_closures[s] for s in masks]
+                assert [copy.down_closures[s] for s in masks] == [image(p.down, s) for s in masks]
+
+
+def _random_preorder(rng, n):
+    """A seeded preorder on ``n`` worlds: random pairs, closed transitively."""
+    up = [1 << i | sum(1 << j for j in range(n) if rng.random() < 0.2) for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    return FinitePreorder(n, tuple(up))
 
 
 class TestKeys:
