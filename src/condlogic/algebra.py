@@ -33,22 +33,37 @@ computed from the frame's ``cond`` table with the upsets themselves as
 theta, and read off by world.  Neither the complex algebra nor a dual frame
 is built.
 
-The relation half of both round trips is memoised per row, in three
-bounded memos keyed by content: the checks of one cond row of an algebra,
-its cond laws and its algebra round trip at once (:func:`_cond_checks`,
-filled by :func:`validate_cha`, whose per-row results
-:func:`check_duality_roundtrip` reads back from its report), one row of a
-complex algebra's cond table (:func:`_cond_row`, which
-:func:`complex_algebra` and :func:`frame_roundtrip` share) and the frame
-round trip of one relation (:func:`_relation_diff`).  Each check depends
-on its row and its order alone, and rows repeat heavily: A5's 271 487 cond
-rows hold 517 distinct (lattice, row) pairs.  A memo answers with what
-failed within the row, never with the row's place, because equal rows of
-one algebra share an entry; the caller names the row by position and
-writes every message, so a report keeps its text, its order and its early
-return however the rows repeat.  An error is not memoised: a family not
-closed under the box raises out of :func:`_cond_row` each time, and
-:func:`_cond_table` names the first pair of the whole table.
+The relation half of both round trips is memoised per row.  Each row's
+result is kept in a table inside the memo entry of what it depends on,
+keyed by the row tuple alone, so a call hashes each entry's key once and
+then makes one C-level dict lookup per row.  There are three such tables:
+
+- the checks of one cond row of an algebra, its cond laws and its algebra
+  round trip at once (:func:`_cond_checks`), in the lattice's
+  :func:`_order_facts` entry, filled by :func:`validate_cha`, whose
+  per-row results :func:`check_duality_roundtrip` reads back from its
+  report;
+- one row of a complex algebra's cond table (:func:`_cond_row`), in the
+  entry of its family, keyed by the order's rows and the family
+  (:func:`_family`), which :func:`complex_algebra` and
+  :func:`frame_roundtrip` share;
+- the frame round trip of one relation (:func:`_relation_diff`), in the
+  order's :func:`_frame_order` entry.
+
+Each check depends on its row and its entry alone, and rows repeat
+heavily: A5's 271 487 cond rows hold 517 distinct (lattice, row) pairs.
+Counted per pass of the ``duality`` workload (seeds 0-49), at most 34
+lattices, 36 families and 32 orders hold 991, 1 072 and 702 distinct rows,
+at most 331 in one entry.  A table keeps at most its named bound
+(:data:`LATTICE_ROWS`, :data:`FAMILY_ROWS`, :data:`ORDER_ROWS`) of rows
+and computes the rest without keeping them (:class:`condlogic.order._Lazy`),
+and no key is a frame, an algebra or an object's identity.  A table
+answers with what failed within the row, never with the row's place,
+because equal rows of one algebra share an entry; the caller names the row
+by position and writes every message, so a report keeps its text, its
+order and its early return however the rows repeat.  An error is not
+memoised: a family not closed under the box raises out of its table each
+time, and :func:`_cond_table` names the first pair of the whole table.
 
 A complex algebra, built from a frame that was validated when it was made,
 skips its constructor's checks, through :func:`_unchecked_algebra`: the
@@ -73,10 +88,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import BudgetExceededError, CapExceededError, DualityError, FrameFormatError, LanguageError
 from .frames import (
-    ConditionalFrame, GeneralFrame, strongly_coherent, validate_conditional,
+    ConditionalFrame, GeneralFrame, _summarize, strongly_coherent, validate_conditional,
 )
 from .order import (
-    FinitePreorder, box, heyting_imp, interned_order, mask_to_key, read_indices,
+    FinitePreorder, _Lazy, box, heyting_imp, interned_order, mask_to_key, read_indices,
     read_pair_rows, set_bits,
 )
 from .semantics import DEFAULT_BUDGET, compile_formula
@@ -87,6 +102,14 @@ PF_CAP = 20
 _COND = Language.COND
 
 Table = Tuple[Tuple[int, ...], ...]
+
+# Rows, at most, whose results one memo entry keeps in its table (see the
+# module docstring): the cond checks of one lattice, the cond rows of one
+# family and the relation round trips of one frame order.  Each memo keeps
+# at most 1 024 entries, so at most 1 024 x 512 rows.
+LATTICE_ROWS = 512
+FAMILY_ROWS = 512
+ORDER_ROWS = 512
 
 
 @dataclass
@@ -140,9 +163,11 @@ class _OrderFacts(NamedTuple):
     """What the order alone decides about one ``(size, leq, top, bot)``.
 
     One instance is handed to every algebra on that order, so every field
-    is immutable.  The fields from ``pf_order`` on are the dual's part: they
-    are filled only for a bounded lattice order with prime filters and at
-    most :data:`PF_CAP` elements, because the poset refuses more than
+    is immutable but ``cond_checks``, which only gains entries, each a
+    result that depends on its row and this order alone.  The fields from
+    ``pf_order`` to ``roundtrip`` are the dual's part: they are filled only
+    for a bounded lattice order with prime filters and at most
+    :data:`PF_CAP` elements, because the poset refuses more than
     ``MAX_WORLDS`` worlds and a larger carrier must still load and validate;
     :func:`prime_filters` refuses it before anything reads them.
     """
@@ -157,6 +182,8 @@ class _OrderFacts(NamedTuple):
     theta: Optional[Tuple[int, ...]] = None  # each element to the filters holding it
     onto: bool = False  # theta is a bijection onto the upsets of pf_order
     roundtrip: Optional[Tuple[str, ...]] = None  # _theta_failures; None unless distributive
+    # each cond row to its _cond_checks; None unless a lattice order
+    cond_checks: Optional[_Lazy] = None
 
 
 def _greatest(cands: int, rows: Tuple[int, ...]) -> Optional[int]:
@@ -227,15 +254,17 @@ def _order_facts(size: int, leq: Tuple[int, ...], top: int, bot: int) -> _OrderF
     primes = tuple(sorted(leq[m] for m in range(size) if full & ~leq[m] in ideals))
     n = len(primes)
     if not n or size > PF_CAP:
-        return _OrderFacts(meet, join, None, violations, residual, primes)
+        return _OrderFacts(meet, join, None, violations, residual, primes,
+                           cond_checks=_Lazy(_cond_checks, (top, meet, None), LATTICE_ROWS))
     pf_order = interned_order(
         tuple(sum(1 << l for l in range(n) if not primes[k] & ~primes[l]) for k in range(n)))
     theta = tuple(sum(1 << k for k, pf in enumerate(primes) if (pf >> i) & 1) for i in range(size))
     onto = sorted(theta) == list(pf_order.upsets)
     roundtrip = (None if residual is None
                  else _theta_failures(pf_order, theta, top, bot, meet, join, residual))
+    dual = (primes, theta, pf_order.full_mask) if onto else None
     return _OrderFacts(meet, join, None, violations, residual, primes, pf_order, theta, onto,
-                       roundtrip)
+                       roundtrip, _Lazy(_cond_checks, (top, meet, dual), LATTICE_ROWS))
 
 
 def _theta_failures(pf_order: FinitePreorder, theta: Tuple[int, ...], top: int, bot: int,
@@ -278,27 +307,32 @@ class AlgebraReport:
         self.violations.append(msg)
 
     def __str__(self) -> str:
-        return "valid" if self.ok else "; ".join(self.violations)
+        return "valid" if self.ok else _summarize(self.violations)
 
 
 def validate_cha(alg: FiniteCHA) -> AlgebraReport:
     """Exhaustively check every algebra invariant over the finite carrier."""
-    size, leq, top, bot = alg.size, alg.leq, alg.top, alg.bot
-    facts = _order_facts(size, leq, top, bot)
+    return _validate(alg, _order_facts(alg.size, alg.leq, alg.top, alg.bot))
+
+
+def _validate(alg: FiniteCHA, facts: _OrderFacts) -> AlgebraReport:
+    """:func:`validate_cha` of ``alg``, whose :func:`_order_facts` are
+    ``facts``."""
     report = AlgebraReport(list(facts.violations))
     if facts.violations:
         return report
     # one C-level compare of the tables; the cells only to name disagreements
     if alg.imp != facts.residual:
         for i, (imp_row, res_row) in enumerate(zip(alg.imp, facts.residual)):
-            for j in range(size):
+            for j in range(alg.size):
                 if imp_row[j] != res_row[j]:
                     report.add(f"imp table disagrees with residuation at ({i}, {j})")
     # cond laws: meets preserved in the second argument, top preserved; the
-    # same memo entry holds the row's round trip, and a row that passes all
-    # three is the one _ROW_OK
+    # row's entry holds its round trip too, and a row that passes all three
+    # is the one _ROW_OK
+    cond_checks = facts.cond_checks
     for a, row in enumerate(alg.cond):
-        checks = _cond_checks(size, leq, top, bot, row)
+        checks = cond_checks[row]
         if checks is _ROW_OK:
             continue
         keeps_top, broken, j = checks
@@ -315,8 +349,7 @@ def validate_cha(alg: FiniteCHA) -> AlgebraReport:
 _ROW_OK = (True, None, None)
 
 
-@lru_cache(maxsize=4096)
-def _cond_checks(size: int, leq: Tuple[int, ...], top: int, bot: int, row: Tuple[int, ...]
+def _cond_checks(lattice: tuple, row: Tuple[int, ...]
                  ) -> Tuple[bool, Optional[Tuple[int, int]], Optional[int]]:
     """The checks of one cond row ``row`` (``a cond b`` for every b) on a
     distributive lattice order: whether it keeps top; the first (b, c), in
@@ -326,23 +359,29 @@ def _cond_checks(size: int, leq: Tuple[int, ...], top: int, bot: int, row: Tuple
     that keeps meets, on a lattice with a dual (theta set and onto), and is
     None otherwise.
 
-    :func:`validate_cha` reads the first two and :func:`check_duality_roundtrip`
-    the third, from the same call.  Keyed by content, with no row index, so
-    equal rows of one algebra and of different algebras share one entry; the
-    callers name the row.  A5's frames carry 517 distinct (lattice, row)
-    pairs, and one pass of the ``duality`` workload at most 991 (seeds
-    0-49), so 4 096 entries never evict."""
-    facts = _order_facts(size, leq, top, bot)
-    meet = facts.meet
+    ``lattice`` is ``(top, meet, dual)``, where ``dual`` is ``(prime
+    filters, theta, every dual world)``, or None when the lattice has no
+    dual.  :func:`validate_cha` reads the first two checks and
+    :func:`check_duality_roundtrip` the third, from the same result.
+
+    Memoised in the ``cond_checks`` table of the lattice's
+    :func:`_order_facts` entry, keyed by the row alone, so equal rows of one
+    algebra and of different algebras on the lattice share one entry; the
+    callers name the row.  One pass of the ``duality`` workload meets at
+    most 34 lattices, 991 distinct (lattice, row) pairs and 331 rows on one
+    lattice (seeds 0-49), and A5's frames at most 215 on one lattice, so
+    :data:`LATTICE_ROWS` (512) entries per lattice never evict."""
+    top, meet, dual = lattice
+    size = len(row)
     keeps_top = row[top] == top
     for b in range(size):
         meet_b, row_b = meet[b], meet[row[b]]
         for c in range(size):
             if row[meet_b[c]] != row_b[row[c]]:
                 return keeps_top, (b, c), None
-    theta = facts.theta
-    if theta is not None and facts.onto:
-        rows = _dual_rows(row, facts.prime_filters, theta, facts.pf_order.full_mask)
+    if dual is not None:
+        primes, theta, full = dual
+        rows = _dual_rows(row, primes, theta, full)
         for j, tj in enumerate(theta):
             if theta[row[j]] != box(rows, tj):
                 return keeps_top, None, j
@@ -352,8 +391,9 @@ def _cond_checks(size: int, leq: Tuple[int, ...], top: int, bot: int, row: Tuple
 def complex_algebra(g: GeneralFrame) -> FiniteCHA:
     """The algebra of admissible upsets with the operations read off the frame."""
     masks = g.admissible
-    leq, imp, top, bot = _upset_algebra(g.order, masks)
-    return _unchecked_algebra(len(masks), leq, imp, _cond_table(g), top, bot, masks)
+    family = _family(g.order.up, masks)
+    return _unchecked_algebra(len(masks), family.leq, family.imp,
+                              _cond_table(g, family.cond_rows), family.top, family.bot, masks)
 
 
 def _unchecked_algebra(size: int, leq: Tuple[int, ...], imp: Table, cond: Table, top: int,
@@ -384,39 +424,65 @@ def _unchecked_algebra(size: int, leq: Tuple[int, ...], imp: Table, cond: Table,
     return alg
 
 
-def _cond_table(g: GeneralFrame) -> Table:
+def _cond_table(g: GeneralFrame, cond_rows: _Lazy) -> Table:
     """The complex algebra's ``cond``: the carrier index of ``box(R_a, b)``
-    for every a, b of ``g.admissible``; FrameFormatError unless the family
-    is closed under the box.
+    for every a, b of ``g.admissible``, each row read from ``cond_rows``,
+    the table of the family's :func:`_family` entry; FrameFormatError unless
+    the family is closed under the box.
 
-    Each row is read from :func:`_cond_row`, memoised per (family, R_a):
-    a duality sweep meets the same relations on the same families over and
-    over.  A row that leaves the family raises out of the memo, which keeps
-    no error, and the message names the first such pair of the whole table."""
+    A row that leaves the family raises out of the table, which keeps no
+    error, and the message names the first such pair of the whole table."""
     masks = g.admissible
     try:
-        return tuple([_cond_row(masks, rows) for rows in map(g.rel, masks)])
+        return tuple([cond_rows[rows] for rows in map(g.rel, masks)])
     except KeyError:
-        raise _not_closed(masks, "cond", g.dto) from None
+        rel = g.rel
+        raise _not_closed(masks, "cond", lambda a, b: box(rel(a), b)) from None
 
 
-@lru_cache(maxsize=4096)
+class _Family(NamedTuple):
+    """The complex algebra of one admissible family of one order, but its
+    ``cond``: the :func:`_upset_algebra` fields, and ``cond_rows``, each
+    relation's rows to its :func:`_cond_row`, which only gains entries."""
+
+    leq: Tuple[int, ...]
+    imp: Table
+    top: int
+    bot: int
+    cond_rows: _Lazy
+
+
+@lru_cache(maxsize=1024)
+def _family(up: Tuple[int, ...], masks: Tuple[int, ...]) -> _Family:
+    """:class:`_Family` of the upsets ``masks`` of the order with rows
+    ``up``; FrameFormatError unless ``masks`` is closed under imp and holds
+    both bounds, and an error is not memoised.
+
+    Keyed by the two tuples, whose hashes run in C.  Shared by
+    :func:`complex_algebra` and :func:`frame_roundtrip`, which reads the
+    family of all upsets."""
+    leq, imp, top, bot = _upset_algebra(interned_order(up), masks)
+    return _Family(leq, imp, top, bot, _Lazy(_cond_row, masks, FAMILY_ROWS))
+
+
 def _cond_row(masks: Tuple[int, ...], rows: Tuple[int, ...]) -> Tuple[int, ...]:
     """The index in ``masks`` of ``box(rows, b)`` for every b of ``masks``;
     KeyError unless every box lies in ``masks``.
 
-    Shared by :func:`complex_algebra` and :func:`frame_roundtrip`.  Keyed by
-    content: A5's frames carry 673 distinct (family, relation) pairs, and one
-    pass of the ``duality`` workload at most 1 072 (seeds 0-49), so 4 096
-    entries never evict."""
+    Memoised in the ``cond_rows`` table of the family's :func:`_family`
+    entry, keyed by the relation's rows alone.  One pass of the ``duality``
+    workload meets at most 36 families, 1 072 distinct (family, relation)
+    pairs and 331 relations on one family (seeds 0-49), A5's frames at most
+    215 on one family, and one pass of ``eval-deep`` at most 36 (seeds
+    0-9), so :data:`FAMILY_ROWS` (512) entries per family never evict."""
     idx = {m: i for i, m in enumerate(masks)}
     return tuple([idx[box(rows, b)] for b in masks])
 
 
-@lru_cache(maxsize=1024)
 def _upset_algebra(p: FinitePreorder, masks: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Table, int, int]:
     """``leq``, ``imp``, ``top`` and ``bot`` of the upsets ``masks`` of ``p``;
-    FrameFormatError unless ``masks`` is closed under imp and holds both bounds."""
+    FrameFormatError unless ``masks`` is closed under imp and holds both bounds.
+    Memoised through :func:`_family`."""
     idx = {m: i for i, m in enumerate(masks)}
     size = len(masks)
     leq = tuple(
@@ -513,7 +579,12 @@ def _dual_facts(size: int, leq: Tuple[int, ...], top: int, bot: int) -> _OrderFa
     """:func:`_lattice_facts` of a lattice with a dual frame; DualityError
     when it has no prime filter, or theta is not a bijection onto the upsets
     of the prime-filter poset."""
-    facts = _lattice_facts(size, leq, top, bot)
+    return _with_dual(_lattice_facts(size, leq, top, bot))
+
+
+def _with_dual(facts: _OrderFacts) -> _OrderFacts:
+    """``facts``, of a bounded lattice order within :data:`PF_CAP`, if the
+    lattice has a dual frame; else the DualityError of :func:`_dual_facts`."""
     if not facts.prime_filters:
         raise DualityError("algebra has no prime filters; carrier must be degenerate")
     if not facts.onto:
@@ -576,16 +647,19 @@ def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
     compared with the box of the dual's relation at theta(a), as
     :func:`_dual_rows` computes it, over theta(b): the complex algebra's
     cond, with neither it nor the dual frame built.  That comparison is
-    memoised per distinct (lattice, row) in :func:`_cond_checks`, beside the
-    row's cond laws, and read from the report of the :func:`validate_cha`
-    call that refuses an invalid algebra.  The first pair, in row-major
-    order, that breaks it is reported after the order-only failures.
+    memoised per distinct row in :func:`_cond_checks`, beside the row's cond
+    laws, and read from the report of the validation that refuses an
+    invalid algebra; the lattice's entry is fetched once for both.  The
+    first pair, in row-major order, that breaks it is reported after the
+    order-only failures.
     """
-    pre = validate_cha(alg)
+    facts = _order_facts(alg.size, alg.leq, alg.top, alg.bot)
+    pre = _validate(alg, facts)
     if not pre.ok:
         raise DualityError(f"refusing invalid algebra: {pre}")
-    facts = _dual_facts(alg.size, alg.leq, alg.top, alg.bot)
-    report = DualityReport(list(facts.roundtrip))
+    # a valid algebra is a bounded lattice, so this is _dual_facts
+    _check_cap(alg.size)
+    report = DualityReport(list(_with_dual(facts).roundtrip))
     if pre.cond_break is not None:
         a, b = pre.cond_break
         report.add(f"theta breaks cond at ({a}, {b})")
@@ -596,13 +670,13 @@ class _FrameOrder(NamedTuple):
     """The order-only half of :func:`frame_roundtrip` for one poset order.
 
     ``failures`` is what the round trip reports before any relation is
-    compared.  ``eta[x]`` is the prime filter of world x, so the dual rows
-    computed from it are indexed, and read, by world.
+    compared.  ``diffs`` takes each relation's rows to its
+    :func:`_relation_diff`, and only gains entries.
     """
 
     upsets: Tuple[int, ...]
     failures: Tuple[str, ...]
-    eta: Tuple[int, ...]
+    diffs: _Lazy
 
 
 def _eta(upsets: Tuple[int, ...], n: int) -> Tuple[int, ...]:
@@ -635,11 +709,12 @@ def _frame_order(up: Tuple[int, ...]) -> _FrameOrder:
     p = interned_order(up)
     ups = p.upsets
     _check_cap(len(ups))
-    leq, _imp, top, bot = _upset_algebra(p, ups)
-    facts = _dual_facts(len(ups), leq, top, bot)
+    family = _family(up, ups)
+    facts = _dual_facts(len(ups), family.leq, family.top, family.bot)
     eta = _eta(ups, p.n)
     failure = _eta_failure(p, facts.prime_filters, eta)
-    return _FrameOrder(ups, (failure,) if failure else (), eta)
+    diffs = _Lazy(_relation_diff, (ups, eta, family.cond_rows), ORDER_ROWS)
+    return _FrameOrder(ups, (failure,) if failure else (), diffs)
 
 
 def frame_roundtrip(f: GeneralFrame) -> DualityReport:
@@ -662,9 +737,9 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     the complex algebra's cond table, and compared with R_a.  Neither the
     complex algebra nor the dual frame is built.  That comparison depends
     on the order and R_a alone, not on a, so it is memoised per distinct
-    (order, R_a) in :func:`_relation_diff`, which answers with the worlds
-    only; the message names a, the first upset, in label order, whose
-    relation fails.
+    R_a in the order's entry (:func:`_relation_diff`), which answers with
+    the worlds only; the message names a, the first upset, in label order,
+    whose relation fails.
 
     The rows come out by world because the prime filters are listed as eta
     and theta is the list of upsets itself.  Upset i lies in eta(x) exactly
@@ -693,13 +768,15 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
         )
     if not f.is_full:
         raise DualityError(f"refusing invalid frame: {validate_conditional(f)}")
-    up = f.order.up
-    order = _frame_order(up)
+    order = _frame_order(f.order.up)
     report = DualityReport(list(order.failures))
     if order.failures:
         return report
+    # strongly_coherent read a relation for every admissible set, and the
+    # frame is full, so every upset has one
+    diffs, relations = order.diffs, f.relations
     for a in order.upsets:
-        worlds = _relation_diff(up, f.rel(a))
+        worlds = diffs[relations[a]]
         if worlds is not None:
             report.add(
                 f"relation at {{{mask_to_key(a)}}} disagrees with the dual "
@@ -709,20 +786,23 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     return report
 
 
-@lru_cache(maxsize=4096)
-def _relation_diff(up: Tuple[int, ...], rows: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
-    """The first worlds (x, y), x first, at which the relation ``rows`` on
-    the poset order with rows ``up`` differs from the dual relation that its
-    box induces; or None.  The order must have passed :func:`_frame_order`
-    with no failure.
+def _relation_diff(order: tuple, rows: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
+    """The first worlds (x, y), x first, at which the relation ``rows``
+    differs from the dual relation that its box induces; or None.  ``order``
+    is ``(upsets, eta, cond_rows)`` of a poset order that passed
+    :func:`_frame_order` with no failure, ``cond_rows`` the table of its
+    family of all upsets.  ``eta[x]`` is the prime filter of world x, so the
+    dual rows computed from it are indexed, and read, by world.
 
-    Keyed by content, with no upset, so equal relations share one entry;
-    :func:`frame_roundtrip` names the upset.  A5's frames carry 358
-    distinct (order, relation) pairs, and one pass of the ``duality``
-    workload at most 702 (seeds 0-49), so 4 096 entries never evict."""
-    order = _frame_order(up)
-    ups = order.upsets
-    dual = _dual_rows(_cond_row(ups, rows), order.eta, ups, (1 << len(up)) - 1)
+    Memoised in the ``diffs`` table of the order's :func:`_frame_order`
+    entry, keyed by the relation's rows alone, with no upset, so equal
+    relations share one entry; :func:`frame_roundtrip` names the upset.  One
+    pass of the ``duality`` workload compares at most 702 distinct (order,
+    relation) pairs and 331 relations on one order (seeds 0-49), and A5's
+    frames at most 215 on one order, so :data:`ORDER_ROWS` (512) entries per
+    order never evict."""
+    ups, eta, cond_rows = order
+    dual = _dual_rows(cond_rows[rows], eta, ups, (1 << len(rows)) - 1)
     for x, (row, succ) in enumerate(zip(rows, dual)):
         if row != succ:
             diff = row ^ succ

@@ -19,6 +19,7 @@ from typing import Dict, List, Mapping, Tuple
 from .errors import FrameFormatError, NotAdmissibleError
 from .order import (
     FinitePreorder,
+    _Lazy,
     box,
     heyting_imp,
     image,
@@ -34,6 +35,10 @@ from .order import (
 )
 
 Rows = Tuple[int, ...]
+
+# Relations, at most, whose strong-coherence verdicts one order's table
+# keeps (see strongly_coherent).
+STRONG_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,15 @@ class FrameReport:
     def __str__(self) -> str:
         if self.ok:
             return "valid"
-        return "; ".join(f"[{v.clause}] {v.detail}" for v in self.violations)
+        return _summarize([f"[{v.clause}] {v.detail}" for v in self.violations])
+
+
+def _summarize(messages: List[str]) -> str:
+    """The first four messages, ``; ``-joined, then how many more there are,
+    so that a report's line stays short however many violations it holds;
+    the report keeps them all."""
+    more = f"; and {len(messages) - 4} more" if len(messages) > 4 else ""
+    return "; ".join(messages[:4]) + more
 
 
 def compose_up_rel(p: FinitePreorder, rows: Rows) -> Rows:
@@ -104,18 +117,9 @@ def _coherent_rows(up: Rows, rows: Rows) -> bool:
     return True
 
 
-@lru_cache(maxsize=2048)
 def _strongly_coherent_rows(up: Rows, rows: Rows) -> bool:
     """Whether leq-then-step-then-leq equals the relation ``rows`` itself,
-    on the order's rows ``up``; memoised.
-
-    Keyed by the two rows tuples, whose hashes run in C.  The same few
-    relations recur across the frames of a sweep (all 68 302 frames of at
-    most two worlds hold 50 distinct ones), and a round trip tests its
-    frame again right after its caller did.  One pass of the ``duality``
-    benchmark workload checks 698 to 784 distinct (order, relation) pairs
-    (seeds 0-49), and 256 entries missed 739 of 68 758 lookups a pass at
-    seed 3; 2 048 entries hold them all, and miss none after the first pass.
+    on the order's rows ``up``.  Memoised through :func:`_strong_verdicts`.
     """
     for x, above in enumerate(up):
         if image(up, image(rows, above)) != rows[x]:
@@ -172,7 +176,10 @@ class GeneralFrame:
             raise NotAdmissibleError(f"no relation for upset {{{mask_to_key(a)}}}") from None
 
     def dto(self, a: int, b: int) -> int:
-        """The operation ``a |> b``: worlds whose R_a successors all lie in b."""
+        """The operation ``a |> b``: worlds whose R_a successors all lie in b.
+
+        Kept for the benchmark tracer, which times it; the library calls
+        :func:`~condlogic.order.box` on the rows it has looked up."""
         return box(self.rel(a), b)
 
 
@@ -279,6 +286,7 @@ def validate_general(g: GeneralFrame) -> FrameReport:
     _add_incoherent(report, g)
     # closure of the admissible family under the four operations
     for a in g.admissible:
+        rows = g.rel(a)
         for b in g.admissible:
             pairs = (
                 ("closure-meet", a & b),
@@ -292,7 +300,7 @@ def validate_general(g: GeneralFrame) -> FrameReport:
                         f"{{{mask_to_key(a)}}}, {{{mask_to_key(b)}}} produce "
                         f"non-admissible {{{mask_to_key(c)}}}",
                     )
-            c = g.dto(a, b)
+            c = box(rows, b)
             if c not in adm:
                 report.add(
                     "closure-cond",
@@ -323,16 +331,36 @@ def _add_incoherent(report: FrameReport, g: GeneralFrame) -> None:
             )
 
 
+@lru_cache(maxsize=256)
+def _strong_verdicts(up: Rows) -> _Lazy:
+    """The order's table of strong-coherence verdicts: each relation's rows
+    to :func:`_strongly_coherent_rows` on the order with rows ``up``.
+
+    Keyed by the rows tuple, whose hash runs in C.  One pass of the
+    ``duality`` benchmark workload tests relations on at most 35 orders
+    (seeds 0-49), so 256 entries hold them all."""
+    return _Lazy(_strongly_coherent_rows, up, STRONG_ROWS)
+
+
 def strongly_coherent(g: GeneralFrame) -> bool:
     """Whether every admissible relation is strongly coherent; stops at the
     first that is not.
 
-    Reads ``g.relations`` directly, one lookup per upset; a missing key
-    goes through :meth:`GeneralFrame.rel` for its NotAdmissibleError."""
-    up, relations = g.order.up, g.relations
+    One memo lookup fetches the order's table of verdicts
+    (:func:`_strong_verdicts`), keyed by the relation's rows alone; then
+    each relation is one lookup in ``g.relations`` and one in the table, both
+    in C.  A missing key goes through :meth:`GeneralFrame.rel` for its
+    NotAdmissibleError.  The same few relations recur across the frames of
+    a sweep (all 68 302 frames of at most two worlds hold 50 distinct ones),
+    and a round trip tests its frame again right after its caller did.  One
+    pass of the ``duality`` benchmark workload checks at most 35 orders,
+    784 distinct (order, relation) pairs and 331 relations on one order
+    (seeds 0-49), and A5's frames at most 215 on one order, so
+    :data:`STRONG_ROWS` (512) verdicts per order never evict."""
+    verdicts, relations = _strong_verdicts(g.order.up), g.relations
     try:
         for a in g.admissible:
-            if not _strongly_coherent_rows(up, relations[a]):
+            if not verdicts[relations[a]]:
                 return False
     except KeyError:
         g.rel(a)  # raises NotAdmissibleError naming the missing upset

@@ -194,14 +194,14 @@ class FinitePreorder:
     def up_closures(self):
         """The up-closure of every world set, indexed by its mask: ``image(up,
         s)`` at index ``s``; a table (see the module docstring)."""
-        return _closures(self.up) if tabled(self.n) else _Lazy(image, self.up)
+        return _closures(self.up) if tabled(self.n) else _Lazy(image, self.up, LAZY_ENTRIES)
 
     @cached_property
     def down_closures(self):
         """The down-closure of every world set, indexed by its mask, as
         :attr:`up_closures` for the converse rows; ``full ^
         down_closures[a & ~b]`` is the Heyting implication of upsets."""
-        return _closures(self.down) if tabled(self.n) else _Lazy(image, self.down)
+        return _closures(self.down) if tabled(self.n) else _Lazy(image, self.down, LAZY_ENTRIES)
 
 
 def tabled(n: int) -> bool:
@@ -211,33 +211,38 @@ def tabled(n: int) -> bool:
 
 
 class _Lazy(dict):
-    """``fill(rows, s)`` at key ``s``: a table above :data:`TABLE_WORLDS`
-    worlds, where ``fill`` is :func:`box` or :func:`image`.
+    """``fill(arg, k)`` at key ``k``: a map that computes an entry on its
+    first lookup and keeps it while it holds fewer than ``bound`` entries;
+    after that a miss is computed and not kept.  A hit is a lookup in C, and
+    an error raised by ``fill`` is not kept.
 
-    An entry is computed on its first lookup and kept while the map holds
-    fewer than :data:`LAZY_ENTRIES`; after that a miss is computed and not
-    kept.  A hit is a lookup in C.
-
-    The cap is sized from the largest maps met when every catalog axiom was
-    scanned hot and every correspondent loop run: 3 entries on chains of
-    9-20 worlds, and 462 on 150 seeded general frames of 12-16 worlds with
-    at most 64 admissible upsets (a down-closure map; box maps held at most
-    122 entries, up-closure maps 178).  On 72 seeded general and full frames
-    of 12-16 worlds with 65-256 admissible upsets box maps held at most
-    200, but closure maps up to 1 071 (up) and 2 656 (down), which then
-    compute the rest on each lookup.  A full map of 1024 entries of
-    20-world masks takes about 73 KB, so the 1024 maps of the
+    It is the form of a table above :data:`TABLE_WORLDS` worlds, where
+    ``fill`` is :func:`box` or :func:`image`, ``arg`` the rows and ``bound``
+    :data:`LAZY_ENTRIES`.  That cap is sized from the largest maps met when
+    every catalog axiom was scanned hot and every correspondent loop run: 3
+    entries on chains of 9-20 worlds, and 462 on 150 seeded general frames
+    of 12-16 worlds with at most 64 admissible upsets (a down-closure map;
+    box maps held at most 122 entries, up-closure maps 178).  On 72 seeded
+    general and full frames of 12-16 worlds with 65-256 admissible upsets
+    box maps held at most 200, but closure maps up to 1 071 (up) and 2 656
+    (down), which then compute the rest on each lookup.  A full map of 1024
+    entries of 20-world masks takes about 73 KB, so the 1024 maps of the
     :func:`box_table` memo stay under 75 MB.
+
+    The duality layers keep their per-row results in such maps too, one per
+    memo entry of what the rows depend on (see :mod:`condlogic.algebra` and
+    :func:`condlogic.frames.strongly_coherent`), each with a bound of its own.
     """
 
-    def __init__(self, fill, rows: Tuple[int, ...]):
+    def __init__(self, fill, arg, bound: int):
         self.fill = fill
-        self.rows = rows
+        self.arg = arg
+        self.bound = bound
 
-    def __missing__(self, s: int) -> int:
-        got = self.fill(self.rows, s)
-        if len(self) < LAZY_ENTRIES:
-            self[s] = got
+    def __missing__(self, key):
+        got = self.fill(self.arg, key)
+        if len(self) < self.bound:
+            self[key] = got
         return got
 
 
@@ -338,7 +343,7 @@ def box_table(rows: Tuple[int, ...]):
     """
     n = len(rows)
     if not tabled(n):
-        return _Lazy(box, rows)
+        return _Lazy(box, rows, LAZY_ENTRIES)
     keep = [(1 << n) - 1] * n  # per world y, the worlds whose row misses y
     for x, row in enumerate(rows):
         for y in set_bits(row):

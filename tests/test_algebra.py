@@ -1,13 +1,18 @@
 import dataclasses
+import importlib
 import itertools
 import json
+import pkgutil
 import random
 from collections import Counter
 
 import pytest
 
-from condlogic import algebra
+import condlogic
+from condlogic import algebra, frames
 from condlogic.algebra import (
+    AlgebraReport,
+    DualityReport,
     FiniteCHA,
     alg_satisfies,
     algebra_from_json,
@@ -19,8 +24,8 @@ from condlogic.algebra import (
     validate_cha,
 )
 from condlogic.catalog import AXIOMS
-from condlogic.errors import CapExceededError, DualityError, FrameFormatError
-from condlogic.frames import ConditionalFrame
+from condlogic.errors import CapExceededError, ClcError, DualityError, FrameFormatError
+from condlogic.frames import ConditionalFrame, GeneralFrame
 from condlogic.generate import (
     enumerate_full_frames,
     enumerate_preorders,
@@ -497,30 +502,80 @@ class TestDualityRoundtrip:
             assert str(exc.value) == "prime filter scan is capped at carrier size 20, got 25"
 
 
-# the memos of the relation half, one entry per distinct row
-ROW_MEMOS = (algebra._cond_checks, algebra._cond_row, algebra._relation_diff)
-
-
-class TestRowMemos:
-    def test_a5_slice_fills_each_row_memo_without_eviction(self, fresh_facts):
-        # A5's frames, every 8th: each distinct row is computed once and then
-        # read back from its memo, which must hold every one of them
-        frames = list(itertools.islice(enumerate_full_frames(2), 0, None, 8))
-        for i in range(0, 200, 8):
-            frames.append(random_full_frame(random.Random(f"a5:{i}"), 3, strong=i % 2 == 0))
-        for frame in frames:
-            assert check_duality_roundtrip(complex_algebra(frame)).ok
-            if frame.order.is_poset and strongly_coherent(frame):
-                assert frame_roundtrip(frame).ok
-        for memo in ROW_MEMOS:
-            info = memo.cache_info()
-            assert info.misses == info.currsize < info.maxsize, (memo, info)
-            assert info.hits > 100 * info.misses, (memo, info)
+# the memos whose entries hold the tables of the relation half, and each
+# table's row function and bound: (module, function, bound) per table
+ENTRY_MEMOS = (algebra._order_facts, algebra._family, algebra._frame_order,
+               frames._strong_verdicts)
+ROW_TABLES = ((algebra, "_cond_checks", "LATTICE_ROWS"), (algebra, "_cond_row", "FAMILY_ROWS"),
+              (algebra, "_relation_diff", "ORDER_ROWS"),
+              (frames, "_strongly_coherent_rows", "STRONG_ROWS"))
 
 
 def clear_memos():
-    for memo in (algebra._order_facts, algebra._frame_order) + ROW_MEMOS:
+    for memo in ENTRY_MEMOS:
         memo.cache_clear()
+
+
+def row_tables(frame_list, algs=()):
+    """Every table of the relation half that the complex algebras of
+    ``frame_list``, the algebras ``algs`` and the round trips of both read,
+    by the name of its row function; each table once."""
+    found = {name: {} for _, name, _ in ROW_TABLES}
+
+    def add(name, table):
+        found[name][id(table)] = table
+
+    algs = list(algs)
+    for frame in frame_list:
+        up = frame.order.up
+        add("_cond_row", algebra._family(up, frame.admissible).cond_rows)
+        if frame.order.is_poset:
+            add("_strongly_coherent_rows", frames._strong_verdicts(up))
+            if len(frame.order.upsets) <= algebra.PF_CAP:
+                add("_relation_diff", algebra._frame_order(up).diffs)
+        algs.append(complex_algebra(frame))
+    for alg in algs:
+        add("_cond_checks", algebra._order_facts(alg.size, alg.leq, alg.top, alg.bot).cond_checks)
+    return {name: list(tables.values()) for name, tables in found.items()}
+
+
+def a5_slice():
+    """A5's frames, every 8th."""
+    frame_list = list(itertools.islice(enumerate_full_frames(2), 0, None, 8))
+    for i in range(0, 200, 8):
+        frame_list.append(random_full_frame(random.Random(f"a5:{i}"), 3, strong=i % 2 == 0))
+    return frame_list
+
+
+class TestRowMemos:
+    def test_a5_slice_fills_each_row_memo_without_eviction(self, monkeypatch, fresh_facts):
+        # each distinct row is computed once, into the table of its entry,
+        # and then read back from there; each table holds every one of its
+        # rows, within its bound
+        computed, looked_up = Counter(), Counter()
+        for module, name, _ in ROW_TABLES:
+
+            def counted(arg, key, _real=getattr(module, name), _name=name):
+                computed[_name] += 1
+                return _real(arg, key)
+
+            monkeypatch.setattr(module, name, counted)
+        frame_list = a5_slice()
+        for frame in frame_list:
+            alg = complex_algebra(frame)
+            assert check_duality_roundtrip(alg).ok
+            looked_up["_cond_row"] += alg.size
+            looked_up["_cond_checks"] += alg.size
+            if frame.order.is_poset and strongly_coherent(frame):
+                assert frame_roundtrip(frame).ok
+                looked_up["_strongly_coherent_rows"] += 2 * alg.size
+                looked_up["_relation_diff"] += alg.size
+        tables = row_tables(frame_list)
+        for module, name, bound in ROW_TABLES:
+            sizes = [len(table) for table in tables[name]]
+            assert computed[name] == sum(sizes), name
+            assert max(sizes) < getattr(module, bound), name
+            assert looked_up[name] > 100 * computed[name], (name, looked_up, computed)
 
 
 @pytest.fixture
@@ -531,6 +586,145 @@ def fresh_facts():
     clear_memos()
     yield
     clear_memos()
+
+
+# every lru_cache of the library
+EVERY_MEMO = [value for info in pkgutil.iter_modules(condlogic.__path__, "condlogic.")
+              for value in vars(importlib.import_module(info.name)).values()
+              if hasattr(value, "cache_clear")]
+
+
+def clear_every_memo():
+    """Empty every ``lru_cache`` of the library, and with them every table
+    kept in their entries."""
+    for memo in EVERY_MEMO:
+        memo.cache_clear()
+
+
+def _call(fn, arg):
+    """What ``fn`` makes of ``arg``, in a form that compares by value: its
+    report or result, or the type and message of the error it raises."""
+    try:
+        got = fn(arg)
+    except ClcError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, AlgebraReport):
+        return got.violations, str(got), got.cond_break
+    if isinstance(got, DualityReport):
+        return got.failures, str(got)
+    return got
+
+
+def _chain_algebra(order, cond):
+    """The algebra of the chain that lists its elements ``order`` from
+    bottom to top, with the cond table ``cond`` and the residual as imp."""
+    k = len(order)
+    rank = {e: r for r, e in enumerate(order)}
+    leq = tuple(sum(1 << j for j in range(k) if rank[i] <= rank[j]) for i in range(k))
+    imp = tuple(tuple(order[-1] if rank[i] <= rank[j] else j for j in range(k)) for i in range(k))
+    return FiniteCHA(k, leq, imp, tuple(map(tuple, cond)), top=order[-1], bot=order[0])
+
+
+# the algebras of the CI smoke test, and the twin rows: rows 1 and 2 are
+# equal and both break meet, and the first of them is the one named
+CI_ALGEBRAS = {
+    "a": {"size": 2, "leq": [[0, 0], [0, 1], [1, 1]], "imp": [[1, 1], [0, 1]],
+          "cond": [[1, 1], [1, 1]], "top": 1, "bot": 0},
+    "a4": GOLDEN_ALGEBRA,
+    "twin": dict(GOLDEN_ALGEBRA, cond=[[3, 3, 3, 3], [0, 3, 3, 3], [0, 3, 3, 3], [3, 3, 3, 3]]),
+    "chain5": {"size": 5, "leq": [[i, j] for i in range(5) for j in range(i, 5)],
+               "imp": [[4, 4, 4, 4, 4], [0, 4, 4, 4, 4], [0, 1, 4, 4, 4], [0, 1, 2, 4, 4],
+                       [0, 1, 2, 3, 4]],
+               "cond": [[0, 1, 2, 3, 4], [0, 0, 1, 2, 4], [2, 2, 3, 3, 4], [1, 1, 1, 4, 4],
+                        [0, 2, 2, 3, 4]], "top": 4, "bot": 0},
+}
+TWIN_MEET = "cond does not preserve meet at (1, 1, 2)"
+
+
+class TestMemosAgainstColdCalls:
+    """Differential: each report, result and raised message of the memoised
+    duality functions equals the one made with every memo emptied before the
+    call, whatever the memos hold from earlier calls."""
+
+    @staticmethod
+    def _inputs(stride):
+        frame_list = list(itertools.islice(enumerate_full_frames(2), 0, None, stride))
+        for i in range(60):
+            rng = random.Random(f"memos-cold:{i}")
+            frame_list.append(random_full_frame(rng, rng.choice((3, 4)), strong=i % 2 == 0))
+        rng = random.Random("memos-cold-general")
+        frame_list += [random_general_frame(rng, rng.choice((2, 3))) for _ in range(20)]
+        frame_list += [_unclosed_frame(rng) for _ in range(20)]
+        # a family not closed under one frame's boxes raises each time, and
+        # is still closed under those of another frame
+        closed = [random_general_frame(rng, 3) for _ in range(10)]
+        for g in closed:
+            relations = {a: tuple(rng.randrange(g.order.full_mask + 1) for _ in range(g.n))
+                         for a in g.admissible}
+            unclosed = GeneralFrame(g.order, g.admissible, relations)
+            frame_list += [unclosed, g, unclosed]
+        # a row that breaks meet on one chain and keeps it on the other
+        shared = [_chain_algebra((0, 1, 2), [(2, 2, 2), (2, 1, 2), (2, 2, 2)]),
+                  _chain_algebra((1, 0, 2), [(2, 2, 2), (2, 1, 2), (2, 2, 2)])]
+        k = 20
+        zero = FiniteCHA(k, tuple(((1 << k) - 1) & ~((1 << i) - 1) for i in range(k)),
+                         ((0,) * k,) * k, ((0,) * k,) * k, top=k - 1, bot=0)
+        algs = ([FiniteCHA(**{**obj, "leq": _leq_rows(obj)}) for obj in CI_ALGEBRAS.values()]
+                + shared + [zero, boolean2(), boolean2(0), chain3(), boolean4()])
+        return frame_list, algs, shared, closed
+
+    @staticmethod
+    def _assert_cold_equals_warm(frame_list, algs):
+        calls = [(fn, frame) for frame in frame_list
+                 for fn in (complex_algebra, strongly_coherent, frame_roundtrip)]
+        algs = algs + [alg for fn, frame in calls[::3]
+                       if not isinstance(alg := _call(fn, frame), tuple)]
+        calls += [(fn, alg) for alg in algs for fn in (validate_cha, check_duality_roundtrip)]
+        cold = []
+        for fn, arg in calls:
+            clear_every_memo()
+            cold.append(_call(fn, arg))
+        clear_every_memo()
+        for _ in range(2):  # filling the memos, then reading them back
+            assert [_call(fn, arg) for fn, arg in calls] == cold
+        raised = Counter(got[0].__name__ for got in cold if isinstance(got, tuple)
+                         and isinstance(got[0], type))
+        assert set(raised) == {"FrameFormatError", "DualityError"}, raised
+        return dict(zip(((fn.__name__, id(arg)) for fn, arg in calls), cold))
+
+    def test_every_seventh_two_world_frame_seeded_frames_and_file_algebras(self):
+        frame_list, algs, shared, closed = self._inputs(7)
+        got = self._assert_cold_equals_warm(frame_list, algs)
+        twin = algs[list(CI_ALGEBRAS).index("twin")]
+        report = got["validate_cha", id(twin)]
+        assert report[0] == [TWIN_MEET] and report[1] == TWIN_MEET
+        assert got["check_duality_roundtrip", id(twin)] == (
+            DualityError, f"refusing invalid algebra: {TWIN_MEET}")
+        assert got["validate_cha", id(shared[0])][0] == [
+            "cond does not preserve meet at (1, 0, 1)"]
+        assert got["validate_cha", id(shared[1])][0] == []
+        assert sum("not closed under cond" in str(outcome) for outcome in got.values()) >= 5
+        assert all(isinstance(got["complex_algebra", id(g)], FiniteCHA) for g in closed)
+
+    def test_with_a_bound_of_two_rows_per_table(self, monkeypatch):
+        for module, _, bound in ROW_TABLES:
+            monkeypatch.setattr(module, bound, 2)
+        frame_list, algs, _, _ = self._inputs(21)
+        try:
+            self._assert_cold_equals_warm(frame_list, algs)
+            tables = row_tables([f for f in frame_list if f.is_full], algs)
+            assert all(len(table) <= 2 for found in tables.values() for table in found)
+            assert any(len(table) == 2 for found in tables.values() for table in found)
+        finally:
+            clear_every_memo()
+
+
+def _leq_rows(obj):
+    """The ``leq`` rows of an algebra file's pairs, each reflexive."""
+    rows = [1 << i for i in range(obj["size"])]
+    for i, j in obj["leq"]:
+        rows[i] |= 1 << j
+    return tuple(rows)
 
 
 def _inject_order_fault(patch, kind, at):
@@ -553,32 +747,37 @@ def _inject_order_fault(patch, kind, at):
 
 
 def _at_call(patch, name, call, inner_name, inner):
-    """Make the row memo ``name`` wrong at its call number ``call`` (counting
-    from 0): that call runs the memo's function unmemoised, with the module's
-    ``inner_name`` replaced by ``inner(real, *key)``.  The round trips call their
-    row memo once per row, in order, whether the row is new or not (the
-    algebra round trip through the :func:`validate_cha` it runs first), so a
-    fault set by call number lands on its row even when rows repeat; and the
-    faulty result is not memoised."""
-    memo, real = getattr(algebra, name), getattr(algebra, inner_name)
+    """Make the row function ``name`` wrong at its call number ``call``
+    (counting from 0): that call runs with the module's ``inner_name``
+    replaced by ``inner(real, *args)``.  Every table's bound is set to 0, so
+    no result is kept and the round trips call their row function once per
+    row, in order, whether the row is new or not (the algebra round trip
+    through the validation it runs first): a fault set by call number lands
+    on its row even when rows repeat, and the faulty result is not kept.
+    The memos are emptied, so that their next entries are built with the
+    patched function and bounds."""
+    fn, real = getattr(algebra, name), getattr(algebra, inner_name)
     calls = itertools.count()
 
-    def faulty(*key):
+    def faulty(*args):
         if next(calls) != call:
-            return memo(*key)
+            return fn(*args)
         with pytest.MonkeyPatch.context() as swap:
-            swap.setattr(algebra, inner_name, inner(real, *key))
-            return memo.__wrapped__(*key)
+            swap.setattr(algebra, inner_name, inner(real, *args))
+            return fn(*args)
 
+    for module, _, bound in ROW_TABLES:
+        patch.setattr(module, bound, 0)
     patch.setattr(algebra, name, faulty)
+    clear_memos()
 
 
 def _inject_cond_fault(patch, i, j):
     """Make the cond check of row ``i`` take a wrong box over theta(j)."""
 
-    def wrong_at_j(box, size, leq, top, bot, row):
-        tj = algebra._order_facts(size, leq, top, bot).theta[j]
-        return lambda rows, b: ~box(rows, b) if b == tj else box(rows, b)
+    def wrong_at_j(box, lattice, row):
+        _top, _meet, (_primes, theta, _full) = lattice
+        return lambda rows, b: ~box(rows, b) if b == theta[j] else box(rows, b)
 
     _at_call(patch, "_cond_checks", i, "box", wrong_at_j)
 
@@ -642,7 +841,7 @@ class TestFrameRoundtrip:
         labels = f.order.upsets
         for i, x, y in itertools.product(range(len(labels)), range(f.n), range(f.n)):
 
-            def flip(dual_rows, up, rows, x=x, y=y):
+            def flip(dual_rows, order, rows, x=x, y=y):
                 def flipped(*args):
                     out = list(dual_rows(*args))
                     out[x] ^= 1 << y
@@ -946,7 +1145,9 @@ class TestOrderFactsAgainstScans:
         expected = reference_validate_cha(alg)
         report = validate_cha(alg)
         assert report.violations == expected
-        assert str(report) == ("; ".join(expected) or "valid")
+        # the first four violations are named, then how many more there are
+        more = f"; and {len(expected) - 4} more" if len(expected) > 4 else ""
+        assert str(report) == ("; ".join(expected[:4]) + more or "valid")
         if reference_order_violations(alg) or isinstance(tables, str):
             with pytest.raises(FrameFormatError):
                 prime_filters(alg)

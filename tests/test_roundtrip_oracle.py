@@ -41,7 +41,7 @@ from conftest import algebra_to_json, constant_full_frame, full_frame, preorder
 from roundtrip_oracle import (
     reference_frame_roundtrip, rowwise_check_duality_roundtrip, rowwise_validate_cha,
 )
-from test_algebra import ROW_MEMOS
+from test_algebra import clear_memos
 from test_cli_golden import ALGEBRA as GOLDEN_ALGEBRA
 
 
@@ -92,11 +92,6 @@ def test_the_five_world_antichain_is_over_the_cap():
         (CapExceededError, "prime filter scan is capped at carrier size 20, got 32")}
 
 
-def clear_row_memos():
-    for memo in ROW_MEMOS:
-        memo.cache_clear()
-
-
 def loaded(alg):
     """What ``algebra_from_json`` makes of the file of ``alg``."""
     try:
@@ -125,7 +120,7 @@ def outcomes_cold_and_warm(algs):
     then again with them full; both lists must be equal."""
     cold = []
     for alg in algs:
-        clear_row_memos()
+        clear_memos()
         cold.append(algebra_outcomes(alg))
     warm = [algebra_outcomes(alg) for alg in algs]
     assert warm == cold
@@ -333,7 +328,7 @@ def test_rows_first_met_by_validation_give_the_same_round_trip():
         for first in ("validation", "round trip"):
             got = []
             for alg in algs:
-                clear_row_memos()
+                clear_memos()
                 with pytest.MonkeyPatch.context() as patch:
                     if wrong_at is not None:
                         _wrong_box_over(patch, alg, wrong_at)
@@ -344,7 +339,7 @@ def test_rows_first_met_by_validation_give_the_same_round_trip():
         assert reports[0] == reports[1]
         # every row breaks at theta(1), and the first row is named
         assert reports[0] == [[] if wrong_at is None else ["theta breaks cond at (0, 1)"]] * 40
-    clear_row_memos()
+    clear_memos()
 
 
 def _seeded_tables(rng, count):
