@@ -22,21 +22,21 @@ topology object is needed.  One function, :func:`_dual_rows`, computes the
 dual relation; the dual frame, the algebra round trip and the frame round
 trip all read it from there, and the two round trips build no frame for it.
 
-The frame round trip has an order-only half of its own, memoised per frame
-order (keyed by its rows) in :func:`_frame_order`: the upsets, the prime
-filters and theta of their lattice, eta, and the checks that eta maps the
-worlds onto the prime filters, preserving and reflecting the order.  A
-duality sweep meets thousands of frames on a handful of orders, and for a
-finite poset the prime filters of the upset lattice are exactly the eta(x)
-(Birkhoff), so per frame only the relations are left: each dual row is
-computed from the frame's ``cond`` table with the upsets themselves as
-theta, and read off by world.  Neither the complex algebra nor a dual frame
-is built.
+The frame round trip has an order-only half of its own, kept with the
+frame order (:meth:`condlogic.order.FinitePreorder.derived`) by
+:func:`_frame_order`: the upsets, the prime filters and theta of their
+lattice, eta, and the checks that eta maps the worlds onto the prime
+filters, preserving and reflecting the order.  A duality sweep meets
+thousands of frames on a handful of orders, and for a finite poset the
+prime filters of the upset lattice are exactly the eta(x) (Birkhoff), so
+per frame only the relations are left: each dual row is computed from the
+frame's ``cond`` table with the upsets themselves as theta, and read off by
+world.  Neither the complex algebra nor a dual frame is built.
 
 The relation half of both round trips is memoised per row.  Each row's
-result is kept in a table inside the memo entry of what it depends on,
-keyed by the row tuple alone, so a call hashes each entry's key once and
-then makes one C-level dict lookup per row.  There are three such tables:
+result is kept in a table inside the entry of what it depends on, keyed by
+the row tuple alone, so a call fetches each entry once and then makes one
+C-level dict lookup per row.  There are three such tables:
 
 - the checks of one cond row of an algebra, its cond laws and its algebra
   round trip at once (:func:`_cond_checks`), in the lattice's
@@ -44,26 +44,22 @@ then makes one C-level dict lookup per row.  There are three such tables:
   per-row results :func:`check_duality_roundtrip` reads back from its
   report;
 - one row of a complex algebra's cond table (:func:`_cond_row`), in the
-  entry of its family, keyed by the order's rows and the family
-  (:func:`_family`), which :func:`complex_algebra` and
-  :func:`frame_roundtrip` share;
+  entry of its family in the order's table of families (:func:`_families`),
+  which :func:`complex_algebra` and :func:`frame_roundtrip` share;
 - the frame round trip of one relation (:func:`_relation_diff`), in the
   order's :func:`_frame_order` entry.
 
 Each check depends on its row and its entry alone, and rows repeat
 heavily: A5's 271 487 cond rows hold 517 distinct (lattice, row) pairs.
-Counted per pass of the ``duality`` workload (seeds 0-49), at most 34
-lattices, 36 families and 32 orders hold 991, 1 072 and 702 distinct rows,
-at most 331 in one entry.  A table keeps at most its named bound
-(:data:`LATTICE_ROWS`, :data:`FAMILY_ROWS`, :data:`ORDER_ROWS`) of rows
-and computes the rest without keeping them (:class:`condlogic.order._Lazy`),
-and no key is a frame, an algebra or an object's identity.  A table
-answers with what failed within the row, never with the row's place,
-because equal rows of one algebra share an entry; the caller names the row
-by position and writes every message, so a report keeps its text, its
-order and its early return however the rows repeat.  An error is not
-memoised: a family not closed under the box raises out of its table each
-time, and :func:`_cond_table` names the first pair of the whole table.
+Every table is a :class:`condlogic.order._Lazy` under the one bound
+:data:`condlogic.order.LAZY_ENTRIES`, and no key is a frame, an algebra or
+an object's identity.  A table answers with what failed within the row,
+never with the row's place, because equal rows of one algebra share an
+entry; the caller names the row by position and writes every message, so a
+report keeps its text, its order and its early return however the rows
+repeat.  An error is not kept: a family not closed under the box raises out
+of its table each time, and :func:`_cond_table` names the first pair of
+the whole table.
 
 A complex algebra, built from a frame that was validated when it was made,
 skips its constructor's checks, through :func:`_unchecked_algebra`: the
@@ -102,14 +98,6 @@ PF_CAP = 20
 _COND = Language.COND
 
 Table = Tuple[Tuple[int, ...], ...]
-
-# Rows, at most, whose results one memo entry keeps in its table (see the
-# module docstring): the cond checks of one lattice, the cond rows of one
-# family and the relation round trips of one frame order.  Each memo keeps
-# at most 1 024 entries, so at most 1 024 x 512 rows.
-LATTICE_ROWS = 512
-FAMILY_ROWS = 512
-ORDER_ROWS = 512
 
 
 @dataclass
@@ -255,7 +243,7 @@ def _order_facts(size: int, leq: Tuple[int, ...], top: int, bot: int) -> _OrderF
     n = len(primes)
     if not n or size > PF_CAP:
         return _OrderFacts(meet, join, None, violations, residual, primes,
-                           cond_checks=_Lazy(_cond_checks, (top, meet, None), LATTICE_ROWS))
+                           cond_checks=_Lazy(_cond_checks, (top, meet, None)))
     pf_order = interned_order(
         tuple(sum(1 << l for l in range(n) if not primes[k] & ~primes[l]) for k in range(n)))
     theta = tuple(sum(1 << k for k, pf in enumerate(primes) if (pf >> i) & 1) for i in range(size))
@@ -264,7 +252,7 @@ def _order_facts(size: int, leq: Tuple[int, ...], top: int, bot: int) -> _OrderF
                  else _theta_failures(pf_order, theta, top, bot, meet, join, residual))
     dual = (primes, theta, pf_order.full_mask) if onto else None
     return _OrderFacts(meet, join, None, violations, residual, primes, pf_order, theta, onto,
-                       roundtrip, _Lazy(_cond_checks, (top, meet, dual), LATTICE_ROWS))
+                       roundtrip, _Lazy(_cond_checks, (top, meet, dual)))
 
 
 def _theta_failures(pf_order: FinitePreorder, theta: Tuple[int, ...], top: int, bot: int,
@@ -367,10 +355,7 @@ def _cond_checks(lattice: tuple, row: Tuple[int, ...]
     Memoised in the ``cond_checks`` table of the lattice's
     :func:`_order_facts` entry, keyed by the row alone, so equal rows of one
     algebra and of different algebras on the lattice share one entry; the
-    callers name the row.  One pass of the ``duality`` workload meets at
-    most 34 lattices, 991 distinct (lattice, row) pairs and 331 rows on one
-    lattice (seeds 0-49), and A5's frames at most 215 on one lattice, so
-    :data:`LATTICE_ROWS` (512) entries per lattice never evict."""
+    callers name the row."""
     top, meet, dual = lattice
     size = len(row)
     keeps_top = row[top] == top
@@ -391,7 +376,7 @@ def _cond_checks(lattice: tuple, row: Tuple[int, ...]
 def complex_algebra(g: GeneralFrame) -> FiniteCHA:
     """The algebra of admissible upsets with the operations read off the frame."""
     masks = g.admissible
-    family = _family(g.order.up, masks)
+    family = g.order.derived(_families)[masks]
     return _unchecked_algebra(len(masks), family.leq, family.imp,
                               _cond_table(g, family.cond_rows), family.top, family.bot, masks)
 
@@ -431,10 +416,12 @@ def _cond_table(g: GeneralFrame, cond_rows: _Lazy) -> Table:
     the family is closed under the box.
 
     A row that leaves the family raises out of the table, which keeps no
-    error, and the message names the first such pair of the whole table."""
-    masks = g.admissible
+    error, and the message names the first such pair of the whole table.  A
+    relation missing from ``g.relations`` raises its NotAdmissibleError
+    through :meth:`GeneralFrame.rel` when that search reaches it."""
+    masks, relations = g.admissible, g.relations
     try:
-        return tuple([cond_rows[rows] for rows in map(g.rel, masks)])
+        return tuple([cond_rows[relations[a]] for a in masks])
     except KeyError:
         rel = g.rel
         raise _not_closed(masks, "cond", lambda a, b: box(rel(a), b)) from None
@@ -452,17 +439,20 @@ class _Family(NamedTuple):
     cond_rows: _Lazy
 
 
-@lru_cache(maxsize=1024)
-def _family(up: Tuple[int, ...], masks: Tuple[int, ...]) -> _Family:
-    """:class:`_Family` of the upsets ``masks`` of the order with rows
-    ``up``; FrameFormatError unless ``masks`` is closed under imp and holds
-    both bounds, and an error is not memoised.
-
-    Keyed by the two tuples, whose hashes run in C.  Shared by
+def _families(p: FinitePreorder) -> _Lazy:
+    """The order's table of families: each admissible family, a tuple of
+    upsets, to its :func:`_family`; kept with the order (see
+    :meth:`~condlogic.order.FinitePreorder.derived`).  Shared by
     :func:`complex_algebra` and :func:`frame_roundtrip`, which reads the
     family of all upsets."""
-    leq, imp, top, bot = _upset_algebra(interned_order(up), masks)
-    return _Family(leq, imp, top, bot, _Lazy(_cond_row, masks, FAMILY_ROWS))
+    return _Lazy(_family, p)
+
+
+def _family(p: FinitePreorder, masks: Tuple[int, ...]) -> _Family:
+    """:class:`_Family` of the upsets ``masks`` of ``p``; FrameFormatError
+    unless ``masks`` is closed under imp and holds both bounds."""
+    leq, imp, top, bot = _upset_algebra(p, masks)
+    return _Family(leq, imp, top, bot, _Lazy(_cond_row, masks))
 
 
 def _cond_row(masks: Tuple[int, ...], rows: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -470,11 +460,7 @@ def _cond_row(masks: Tuple[int, ...], rows: Tuple[int, ...]) -> Tuple[int, ...]:
     KeyError unless every box lies in ``masks``.
 
     Memoised in the ``cond_rows`` table of the family's :func:`_family`
-    entry, keyed by the relation's rows alone.  One pass of the ``duality``
-    workload meets at most 36 families, 1 072 distinct (family, relation)
-    pairs and 331 relations on one family (seeds 0-49), A5's frames at most
-    215 on one family, and one pass of ``eval-deep`` at most 36 (seeds
-    0-9), so :data:`FAMILY_ROWS` (512) entries per family never evict."""
+    entry, keyed by the relation's rows alone."""
     idx = {m: i for i, m in enumerate(masks)}
     return tuple([idx[box(rows, b)] for b in masks])
 
@@ -482,7 +468,7 @@ def _cond_row(masks: Tuple[int, ...], rows: Tuple[int, ...]) -> Tuple[int, ...]:
 def _upset_algebra(p: FinitePreorder, masks: Tuple[int, ...]) -> Tuple[Tuple[int, ...], Table, int, int]:
     """``leq``, ``imp``, ``top`` and ``bot`` of the upsets ``masks`` of ``p``;
     FrameFormatError unless ``masks`` is closed under imp and holds both bounds.
-    Memoised through :func:`_family`."""
+    Memoised through :func:`_families`."""
     idx = {m: i for i, m in enumerate(masks)}
     size = len(masks)
     leq = tuple(
@@ -564,7 +550,7 @@ def _lattice_facts(size: int, leq: Tuple[int, ...], top: int, bot: int) -> _Orde
     _check_cap(size)
     facts = _order_facts(size, leq, top, bot)
     if facts.prime_filters is None:
-        raise FrameFormatError("; ".join(facts.violations))
+        raise FrameFormatError(_summarize(facts.violations))
     return facts
 
 
@@ -634,7 +620,7 @@ class DualityReport:
         self.failures.append(msg)
 
     def __str__(self) -> str:
-        return "success" if self.ok else "; ".join(self.failures)
+        return "success" if self.ok else _summarize(self.failures)
 
 
 def check_duality_roundtrip(alg: FiniteCHA) -> DualityReport:
@@ -700,20 +686,18 @@ def _eta_failure(p: FinitePreorder, pfs: Tuple[int, ...], eta: Tuple[int, ...]) 
     return None
 
 
-@lru_cache(maxsize=1024)
-def _frame_order(up: Tuple[int, ...]) -> _FrameOrder:
-    """:class:`_FrameOrder` of the poset order with rows ``up``.  Keyed by
-    the rows tuple, whose hash runs in C; a duality sweep meets few distinct
-    orders.  Raises CapExceededError on more than :data:`PF_CAP` upsets,
-    before their lattice is built; an error is not memoised."""
-    p = interned_order(up)
+def _frame_order(p: FinitePreorder) -> _FrameOrder:
+    """:class:`_FrameOrder` of the poset order ``p``; kept with the order
+    (see :meth:`~condlogic.order.FinitePreorder.derived`).  Raises
+    CapExceededError on more than :data:`PF_CAP` upsets, before their
+    lattice is built; an error is not kept."""
     ups = p.upsets
     _check_cap(len(ups))
-    family = _family(up, ups)
+    family = p.derived(_families)[ups]
     facts = _dual_facts(len(ups), family.leq, family.top, family.bot)
     eta = _eta(ups, p.n)
     failure = _eta_failure(p, facts.prime_filters, eta)
-    diffs = _Lazy(_relation_diff, (ups, eta, family.cond_rows), ORDER_ROWS)
+    diffs = _Lazy(_relation_diff, (ups, eta, family.cond_rows))
     return _FrameOrder(ups, (failure,) if failure else (), diffs)
 
 
@@ -726,7 +710,7 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
     for the topological duals, and the relation equivalence below fails
     without them.
 
-    Everything the order alone decides is memoised per order in
+    Everything the order alone decides is kept with the order by
     :func:`_frame_order`: the upsets, the dual's prime filters, eta, and the
     checks that eta is a bijection onto the prime filters that preserves
     and reflects the order.  A duality sweep meets thousands of frames on a
@@ -768,7 +752,7 @@ def frame_roundtrip(f: GeneralFrame) -> DualityReport:
         )
     if not f.is_full:
         raise DualityError(f"refusing invalid frame: {validate_conditional(f)}")
-    order = _frame_order(f.order.up)
+    order = f.order.derived(_frame_order)
     report = DualityReport(list(order.failures))
     if order.failures:
         return report
@@ -796,11 +780,7 @@ def _relation_diff(order: tuple, rows: Tuple[int, ...]) -> Optional[Tuple[int, i
 
     Memoised in the ``diffs`` table of the order's :func:`_frame_order`
     entry, keyed by the relation's rows alone, with no upset, so equal
-    relations share one entry; :func:`frame_roundtrip` names the upset.  One
-    pass of the ``duality`` workload compares at most 702 distinct (order,
-    relation) pairs and 331 relations on one order (seeds 0-49), and A5's
-    frames at most 215 on one order, so :data:`ORDER_ROWS` (512) entries per
-    order never evict."""
+    relations share one entry; :func:`frame_roundtrip` names the upset."""
     ups, eta, cond_rows = order
     dual = _dual_rows(cond_rows[rows], eta, ups, (1 << len(rows)) - 1)
     for x, (row, succ) in enumerate(zip(rows, dual)):

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import FrameFormatError, NotAdmissibleError
 from .order import (
@@ -35,10 +34,6 @@ from .order import (
 )
 
 Rows = Tuple[int, ...]
-
-# Relations, at most, whose strong-coherence verdicts one order's table
-# keeps (see strongly_coherent).
-STRONG_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,7 @@ class FrameReport:
         return _summarize([f"[{v.clause}] {v.detail}" for v in self.violations])
 
 
-def _summarize(messages: List[str]) -> str:
+def _summarize(messages: Sequence[str]) -> str:
     """The first four messages, ``; ``-joined, then how many more there are,
     so that a report's line stays short however many violations it holds;
     the report keeps them all."""
@@ -85,28 +80,16 @@ def compose_rel_up(p: FinitePreorder, rows: Rows) -> Rows:
 def rel_coherent(p: FinitePreorder, rows: Rows) -> bool:
     """The frame condition: leq-then-step is contained in step-then-leq.
 
-    Not memoised: :func:`condlogic.generate.coherent_relations` tests every
-    row combination once.  Validation goes through :func:`_coherent_rows`.
-    """
-    return _coherent_rows.__wrapped__(p.up, rows)
-
-
-@lru_cache(maxsize=2048)
-def _coherent_rows(up: Rows, rows: Rows) -> bool:
-    """Whether the relation ``rows`` meets the frame condition on the order
-    with rows ``up``; memoised.
-
     Equivalently, x <= y implies rows[y] is contained in the up-closure of
     rows[x].  Only ``y != x`` needs checking, since ``rows[x]`` always lies
     within its own up-closure, so each world walks its strict successors,
     ``up[x]`` without ``x``, and one with none is skipped.
 
-    Keyed by the two rows tuples, whose hashes run in C.  Frames drawn for
-    the persistence experiments repeat their relations heavily: one pass of
-    the ``fillin`` benchmark workload holds 990 to 1 041 distinct (order,
-    relation) pairs (seeds 0, 7 and 45), and 99 % of its coherence checks
-    find theirs here; 2 048 entries hold them all.
+    Not memoised: :func:`condlogic.generate.coherent_relations` tests every
+    row combination once.  Validation reads the order's table of verdicts,
+    :func:`_coherence_verdicts`.
     """
+    up = p.up
     for x, row in enumerate(up):
         above = row & ~(1 << x)
         if above:
@@ -117,10 +100,17 @@ def _coherent_rows(up: Rows, rows: Rows) -> bool:
     return True
 
 
-def _strongly_coherent_rows(up: Rows, rows: Rows) -> bool:
-    """Whether leq-then-step-then-leq equals the relation ``rows`` itself,
-    on the order's rows ``up``.  Memoised through :func:`_strong_verdicts`.
-    """
+def _coherence_verdicts(p: FinitePreorder) -> _Lazy:
+    """The order's table of coherence verdicts: each relation's rows to
+    :func:`rel_coherent`; kept with the order (see
+    :meth:`~condlogic.order.FinitePreorder.derived`)."""
+    return _Lazy(rel_coherent, p)
+
+
+def _strongly_coherent_rows(p: FinitePreorder, rows: Rows) -> bool:
+    """Whether leq-then-step-then-leq equals the relation ``rows`` itself.
+    Memoised in the order's :func:`_strong_verdicts`."""
+    up = p.up
     for x, above in enumerate(up):
         if image(up, image(rows, above)) != rows[x]:
             return False
@@ -322,42 +312,34 @@ def validate_conditional(f: GeneralFrame) -> FrameReport:
 
 def _add_incoherent(report: FrameReport, g: GeneralFrame) -> None:
     """Report each admissible relation that breaks the coherence condition."""
-    up = g.order.up
+    verdicts = g.order.derived(_coherence_verdicts)
     for a in g.admissible:
-        if not _coherent_rows(up, g.rel(a)):
+        if not verdicts[g.rel(a)]:
             report.add(
                 "coherence",
                 f"relation at {{{mask_to_key(a)}}} violates leq-compatibility",
             )
 
 
-@lru_cache(maxsize=256)
-def _strong_verdicts(up: Rows) -> _Lazy:
+def _strong_verdicts(p: FinitePreorder) -> _Lazy:
     """The order's table of strong-coherence verdicts: each relation's rows
-    to :func:`_strongly_coherent_rows` on the order with rows ``up``.
-
-    Keyed by the rows tuple, whose hash runs in C.  One pass of the
-    ``duality`` benchmark workload tests relations on at most 35 orders
-    (seeds 0-49), so 256 entries hold them all."""
-    return _Lazy(_strongly_coherent_rows, up, STRONG_ROWS)
+    to :func:`_strongly_coherent_rows`; kept with the order (see
+    :meth:`~condlogic.order.FinitePreorder.derived`)."""
+    return _Lazy(_strongly_coherent_rows, p)
 
 
 def strongly_coherent(g: GeneralFrame) -> bool:
     """Whether every admissible relation is strongly coherent; stops at the
     first that is not.
 
-    One memo lookup fetches the order's table of verdicts
+    One lookup fetches the order's table of verdicts
     (:func:`_strong_verdicts`), keyed by the relation's rows alone; then
     each relation is one lookup in ``g.relations`` and one in the table, both
     in C.  A missing key goes through :meth:`GeneralFrame.rel` for its
     NotAdmissibleError.  The same few relations recur across the frames of
     a sweep (all 68 302 frames of at most two worlds hold 50 distinct ones),
-    and a round trip tests its frame again right after its caller did.  One
-    pass of the ``duality`` benchmark workload checks at most 35 orders,
-    784 distinct (order, relation) pairs and 331 relations on one order
-    (seeds 0-49), and A5's frames at most 215 on one order, so
-    :data:`STRONG_ROWS` (512) verdicts per order never evict."""
-    verdicts, relations = _strong_verdicts(g.order.up), g.relations
+    and a round trip tests its frame again right after its caller did."""
+    verdicts, relations = g.order.derived(_strong_verdicts), g.relations
     try:
         for a in g.admissible:
             if not verdicts[relations[a]]:

@@ -33,6 +33,15 @@ world count.  On at most :data:`TABLE_WORLDS` worlds (:func:`tabled`) it
 is a tuple of all ``2^n`` entries, built at once; above, where ``2^n``
 entries would be too many, it is a map that computes an entry on its first
 lookup and keeps at most :data:`LAZY_ENTRIES` of them (:class:`_Lazy`).
+
+*Derived tables.*  What another layer derives from an order is kept on it
+too: ``order.derived(fn)`` is ``fn(order)``, computed on first use and kept
+with the order; an error is not kept.  So a per-order result (the
+coherence verdicts of :mod:`condlogic.frames`, the families and the frame
+round trip of :mod:`condlogic.algebra`) lives as long as its order, the
+intern bounds how many orders the library holds, and a per-key table is a
+:class:`_Lazy` under the one bound :data:`LAZY_ENTRIES`.  An equal order
+built outside the intern gets tables of its own.
 """
 
 from __future__ import annotations
@@ -57,7 +66,13 @@ MAX_WORLDS = 20
 # filled on lookup: indexing a warm map took 39-40 ns against 17-20 ns for
 # a tuple at 2, 5 and 8 worlds (timeit, in a list comprehension).
 TABLE_WORLDS = 8
-# Entries a table above TABLE_WORLDS keeps, at most; sized in ``_Lazy``.
+# Entries a map keeps, at most: a box or closure table above TABLE_WORLDS,
+# and every per-key table derived from an order (see the module docstring);
+# sized in ``_Lazy``.  Over two passes of each benchmark workload in one
+# process (seed 3), the largest derived tables on one order held 330
+# coherence verdicts (``fillin``; ``eval-deep`` 32), 289 strong-coherence
+# verdicts, relation round trips and cond rows of a family (``duality``),
+# and 6 families (``eval-deep``); ``sweep2`` derives none.
 LAZY_ENTRIES = 1024
 
 
@@ -194,14 +209,32 @@ class FinitePreorder:
     def up_closures(self):
         """The up-closure of every world set, indexed by its mask: ``image(up,
         s)`` at index ``s``; a table (see the module docstring)."""
-        return _closures(self.up) if tabled(self.n) else _Lazy(image, self.up, LAZY_ENTRIES)
+        return _closures(self.up) if tabled(self.n) else _Lazy(image, self.up)
 
     @cached_property
     def down_closures(self):
         """The down-closure of every world set, indexed by its mask, as
         :attr:`up_closures` for the converse rows; ``full ^
         down_closures[a & ~b]`` is the Heyting implication of upsets."""
-        return _closures(self.down) if tabled(self.n) else _Lazy(image, self.down, LAZY_ENTRIES)
+        return _closures(self.down) if tabled(self.n) else _Lazy(image, self.down)
+
+    @cached_property
+    def _derived(self) -> dict:
+        """Each function of :meth:`derived` to its result on this order."""
+        return {}
+
+    def derived(self, fn):
+        """``fn(self)``, computed on first use and kept with the order (see
+        the module docstring); an error raised by ``fn`` is not kept.
+
+        ``fn`` is a module-level function, so that an order pickles with its
+        tables."""
+        tables = self._derived
+        try:
+            return tables[fn]
+        except KeyError:
+            got = tables[fn] = fn(self)
+            return got
 
 
 def tabled(n: int) -> bool:
@@ -212,36 +245,35 @@ def tabled(n: int) -> bool:
 
 class _Lazy(dict):
     """``fill(arg, k)`` at key ``k``: a map that computes an entry on its
-    first lookup and keeps it while it holds fewer than ``bound`` entries;
-    after that a miss is computed and not kept.  A hit is a lookup in C, and
-    an error raised by ``fill`` is not kept.
+    first lookup and keeps it while it holds fewer than :data:`LAZY_ENTRIES`
+    entries; after that a miss is computed and not kept.  A hit is a lookup
+    in C, and an error raised by ``fill`` is not kept.
 
     It is the form of a table above :data:`TABLE_WORLDS` worlds, where
-    ``fill`` is :func:`box` or :func:`image`, ``arg`` the rows and ``bound``
-    :data:`LAZY_ENTRIES`.  That cap is sized from the largest maps met when
-    every catalog axiom was scanned hot and every correspondent loop run: 3
-    entries on chains of 9-20 worlds, and 462 on 150 seeded general frames
-    of 12-16 worlds with at most 64 admissible upsets (a down-closure map;
-    box maps held at most 122 entries, up-closure maps 178).  On 72 seeded
-    general and full frames of 12-16 worlds with 65-256 admissible upsets
-    box maps held at most 200, but closure maps up to 1 071 (up) and 2 656
-    (down), which then compute the rest on each lookup.  A full map of 1024
-    entries of 20-world masks takes about 73 KB, so the 1024 maps of the
-    :func:`box_table` memo stay under 75 MB.
+    ``fill`` is :func:`box` or :func:`image` and ``arg`` the rows.  The cap
+    is sized from the largest maps met when every catalog axiom was scanned
+    hot and every correspondent loop run: 3 entries on chains of 9-20
+    worlds, and 462 on 150 seeded general frames of 12-16 worlds with at
+    most 64 admissible upsets (a down-closure map; box maps held at most 122
+    entries, up-closure maps 178).  On 72 seeded general and full frames of
+    12-16 worlds with 65-256 admissible upsets box maps held at most 200,
+    but closure maps up to 1 071 (up) and 2 656 (down), which then compute
+    the rest on each lookup.  A full map of 1024 entries of 20-world masks
+    takes about 73 KB, so the 1024 maps of the :func:`box_table` memo stay
+    under 75 MB.
 
-    The duality layers keep their per-row results in such maps too, one per
-    memo entry of what the rows depend on (see :mod:`condlogic.algebra` and
-    :func:`condlogic.frames.strongly_coherent`), each with a bound of its own.
+    It is also the form of every per-key table derived from an order, and
+    of the per-row tables in their entries and in the lattice memo of
+    :mod:`condlogic.algebra`; ``fill`` is then a module-level function.
     """
 
-    def __init__(self, fill, arg, bound: int):
+    def __init__(self, fill, arg):
         self.fill = fill
         self.arg = arg
-        self.bound = bound
 
     def __missing__(self, key):
         got = self.fill(self.arg, key)
-        if len(self) < self.bound:
+        if len(self) < LAZY_ENTRIES:
             self[key] = got
         return got
 
@@ -343,7 +375,7 @@ def box_table(rows: Tuple[int, ...]):
     """
     n = len(rows)
     if not tabled(n):
-        return _Lazy(box, rows, LAZY_ENTRIES)
+        return _Lazy(box, rows)
     keep = [(1 << n) - 1] * n  # per world y, the worlds whose row misses y
     for x, row in enumerate(rows):
         for y in set_bits(row):

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import condlogic
-from condlogic import algebra, frames
+from condlogic import algebra, frames, order
 from condlogic.algebra import (
     AlgebraReport,
     DualityReport,
@@ -24,8 +24,10 @@ from condlogic.algebra import (
     validate_cha,
 )
 from condlogic.catalog import AXIOMS
-from condlogic.errors import CapExceededError, ClcError, DualityError, FrameFormatError
-from condlogic.frames import ConditionalFrame, GeneralFrame
+from condlogic.errors import (
+    CapExceededError, ClcError, DualityError, FrameFormatError, NotAdmissibleError,
+)
+from condlogic.frames import ConditionalFrame, GeneralFrame, _unchecked_frame
 from condlogic.generate import (
     enumerate_full_frames,
     enumerate_preorders,
@@ -35,13 +37,14 @@ from condlogic.generate import (
     random_poset,
 )
 from condlogic.frames import _strongly_coherent_rows, strongly_coherent
-from condlogic.order import FinitePreorder, box, mask_to_key, set_bits
+from condlogic.order import FinitePreorder, box, interned_order, mask_to_key, set_bits
 from condlogic.semantics import valid
 from condlogic.syntax import Language, parse, print_formula, proposition_letters
 
 from conftest import (
     algebra_to_json, constant_full_frame, full_frame, general_frame, m, preorder,
 )
+from roundtrip_oracle import strongly_coherent_by_definition
 from test_cli_golden import ALGEBRA as GOLDEN_ALGEBRA
 from test_generate import _orders, _unclosed_frame
 
@@ -285,6 +288,21 @@ class TestPrimeFilters:
         with pytest.raises(FrameFormatError, match="bot is not below element 0"):
             prime_filters(alg)
 
+    def test_an_order_error_names_four_violations_and_counts_the_rest(self):
+        # the 20-element discrete order breaks 38 bound checks, 1 081 bytes
+        # when joined; the message of every function that needs a lattice stays
+        # short, however many there are
+        k = 20
+        alg = FiniteCHA(k, tuple(1 << i for i in range(k)), ((0,) * k,) * k, ((0,) * k,) * k,
+                        top=k - 1, bot=0)
+        want = ("element 0 is not below top; bot is not below element 1; "
+                "element 1 is not below top; bot is not below element 2; and 34 more")
+        for fn in (prime_filters, dual_frame):
+            with pytest.raises(FrameFormatError) as exc:
+                fn(alg)
+            assert str(exc.value) == want
+            assert len(str(exc.value).encode()) < 1024
+
 
 class TestDualFrame:
     def test_constant_top_dual_has_empty_relations(self):
@@ -331,13 +349,6 @@ def _top_meet_maps(ups):
     return found
 
 
-def _strongly_coherent_by_definition(up, rows):
-    """Every row is an upset of the order with rows ``up``, and x <= y
-    implies R[y] within R[x]."""
-    return (all(not up[y] & ~row for row in rows for y in set_bits(row))
-            and all(not rows[y] & ~rows[x] for x in range(len(up)) for y in set_bits(up[x])))
-
-
 class TestBoxBijection:
     """The finite duality from the frame side: on every labelled poset of at
     most three worlds, box is a bijection from the strongly coherent
@@ -349,10 +360,10 @@ class TestBoxBijection:
         for p in (p for n in (1, 2, 3) for p in enumerate_preorders(n) if p.is_poset):
             ups, n, full = p.upsets, p.n, p.full_mask
             rels = [rows for rows in itertools.product(range(full + 1), repeat=n)
-                    if _strongly_coherent_rows(p.up, rows)]
+                    if _strongly_coherent_rows(p, rows)]
             # the same relations, read off the definition
             assert rels == [rows for rows in itertools.product(range(full + 1), repeat=n)
-                            if _strongly_coherent_by_definition(p.up, rows)], p
+                            if strongly_coherent_by_definition(p.up, rows)], p
             boxes = [tuple(box(rows, b) for b in ups) for rows in rels]
             for f in boxes:
                 assert f[-1] == full and set(f) <= set(ups), p
@@ -380,7 +391,7 @@ class TestBoxBijection:
             facts = algebra._order_facts(len(ups), leq, top, bot)
             pf_up, theta = facts.pf_order.up, facts.theta
             rels = [rows for rows in itertools.product(range(full + 1), repeat=n)
-                    if _strongly_coherent_by_definition(p.up, rows)]
+                    if strongly_coherent_by_definition(p.up, rows)]
             boxes = set()
             for rows in rels:
                 f = {b: box(rows, b) for b in ups}
@@ -389,7 +400,7 @@ class TestBoxBijection:
                 cond_row = tuple(ups.index(f[b]) for b in ups)
                 dual = algebra._dual_rows(cond_row, facts.prime_filters, theta,
                                           facts.pf_order.full_mask)
-                assert _strongly_coherent_by_definition(pf_up, dual), (p, rows)
+                assert strongly_coherent_by_definition(pf_up, dual), (p, rows)
                 assert [box(dual, t) for t in theta] == [theta[c] for c in cond_row], (p, rows)
                 boxes.add(cond_row)
             assert len(boxes) == len(rels), p
@@ -502,37 +513,41 @@ class TestDualityRoundtrip:
             assert str(exc.value) == "prime filter scan is capped at carrier size 20, got 25"
 
 
-# the memos whose entries hold the tables of the relation half, and each
-# table's row function and bound: (module, function, bound) per table
-ENTRY_MEMOS = (algebra._order_facts, algebra._family, algebra._frame_order,
-               frames._strong_verdicts)
-ROW_TABLES = ((algebra, "_cond_checks", "LATTICE_ROWS"), (algebra, "_cond_row", "FAMILY_ROWS"),
-              (algebra, "_relation_diff", "ORDER_ROWS"),
-              (frames, "_strongly_coherent_rows", "STRONG_ROWS"))
+# the tables of the relation half, by module and row function
+ROW_TABLES = ((algebra, "_cond_checks"), (algebra, "_cond_row"), (algebra, "_relation_diff"),
+              (frames, "_strongly_coherent_rows"))
+
+
+def forget_tables(orders):
+    """Drop every table that ``orders`` keep (see ``FinitePreorder.derived``)."""
+    for p in orders:
+        vars(p).pop("_derived", None)
 
 
 def clear_memos():
-    for memo in ENTRY_MEMOS:
-        memo.cache_clear()
+    """Empty the lattice memo and the intern, so that the orders met from
+    now on start with no tables."""
+    algebra._order_facts.cache_clear()
+    interned_order.cache_clear()
 
 
 def row_tables(frame_list, algs=()):
     """Every table of the relation half that the complex algebras of
     ``frame_list``, the algebras ``algs`` and the round trips of both read,
     by the name of its row function; each table once."""
-    found = {name: {} for _, name, _ in ROW_TABLES}
+    found = {name: {} for _, name in ROW_TABLES}
 
     def add(name, table):
         found[name][id(table)] = table
 
     algs = list(algs)
     for frame in frame_list:
-        up = frame.order.up
-        add("_cond_row", algebra._family(up, frame.admissible).cond_rows)
-        if frame.order.is_poset:
-            add("_strongly_coherent_rows", frames._strong_verdicts(up))
-            if len(frame.order.upsets) <= algebra.PF_CAP:
-                add("_relation_diff", algebra._frame_order(up).diffs)
+        p = frame.order
+        add("_cond_row", p.derived(algebra._families)[frame.admissible].cond_rows)
+        if p.is_poset:
+            add("_strongly_coherent_rows", p.derived(frames._strong_verdicts))
+            if len(p.upsets) <= algebra.PF_CAP:
+                add("_relation_diff", p.derived(algebra._frame_order).diffs)
         algs.append(complex_algebra(frame))
     for alg in algs:
         add("_cond_checks", algebra._order_facts(alg.size, alg.leq, alg.top, alg.bot).cond_checks)
@@ -553,7 +568,7 @@ class TestRowMemos:
         # and then read back from there; each table holds every one of its
         # rows, within its bound
         computed, looked_up = Counter(), Counter()
-        for module, name, _ in ROW_TABLES:
+        for module, name in ROW_TABLES:
 
             def counted(arg, key, _real=getattr(module, name), _name=name):
                 computed[_name] += 1
@@ -571,18 +586,19 @@ class TestRowMemos:
                 looked_up["_strongly_coherent_rows"] += 2 * alg.size
                 looked_up["_relation_diff"] += alg.size
         tables = row_tables(frame_list)
-        for module, name, bound in ROW_TABLES:
+        for _, name in ROW_TABLES:
             sizes = [len(table) for table in tables[name]]
             assert computed[name] == sum(sizes), name
-            assert max(sizes) < getattr(module, bound), name
+            assert max(sizes) < order.LAZY_ENTRIES, name
             assert looked_up[name] > 100 * computed[name], (name, looked_up, computed)
 
 
 @pytest.fixture
 def fresh_facts():
     """A fault injected below ``_order_facts`` is memoised with the lattice,
-    and one injected below a row memo with the row, so every memo is emptied
-    before and after each test that injects one."""
+    and one injected below a row table with the row, so the lattice memo is
+    emptied, and the orders met start with no tables, before and after each
+    test that injects one."""
     clear_memos()
     yield
     clear_memos()
@@ -594,11 +610,12 @@ EVERY_MEMO = [value for info in pkgutil.iter_modules(condlogic.__path__, "condlo
               if hasattr(value, "cache_clear")]
 
 
-def clear_every_memo():
+def clear_every_memo(orders=()):
     """Empty every ``lru_cache`` of the library, and with them every table
-    kept in their entries."""
+    kept in their entries, and drop the tables of ``orders``."""
     for memo in EVERY_MEMO:
         memo.cache_clear()
+    forget_tables(orders)
 
 
 def _call(fn, arg):
@@ -680,11 +697,12 @@ class TestMemosAgainstColdCalls:
         algs = algs + [alg for fn, frame in calls[::3]
                        if not isinstance(alg := _call(fn, frame), tuple)]
         calls += [(fn, alg) for alg in algs for fn in (validate_cha, check_duality_roundtrip)]
+        orders = list({id(frame.order): frame.order for frame in frame_list}.values())
         cold = []
         for fn, arg in calls:
-            clear_every_memo()
+            clear_every_memo(orders)
             cold.append(_call(fn, arg))
-        clear_every_memo()
+        clear_every_memo(orders)
         for _ in range(2):  # filling the memos, then reading them back
             assert [_call(fn, arg) for fn, arg in calls] == cold
         raised = Counter(got[0].__name__ for got in cold if isinstance(got, tuple)
@@ -707,8 +725,7 @@ class TestMemosAgainstColdCalls:
         assert all(isinstance(got["complex_algebra", id(g)], FiniteCHA) for g in closed)
 
     def test_with_a_bound_of_two_rows_per_table(self, monkeypatch):
-        for module, _, bound in ROW_TABLES:
-            monkeypatch.setattr(module, bound, 2)
+        monkeypatch.setattr(order, "LAZY_ENTRIES", 2)
         frame_list, algs, _, _ = self._inputs(21)
         try:
             self._assert_cold_equals_warm(frame_list, algs)
@@ -716,7 +733,7 @@ class TestMemosAgainstColdCalls:
             assert all(len(table) <= 2 for found in tables.values() for table in found)
             assert any(len(table) == 2 for found in tables.values() for table in found)
         finally:
-            clear_every_memo()
+            clear_every_memo(f.order for f in frame_list)
 
 
 def _leq_rows(obj):
@@ -749,13 +766,14 @@ def _inject_order_fault(patch, kind, at):
 def _at_call(patch, name, call, inner_name, inner):
     """Make the row function ``name`` wrong at its call number ``call``
     (counting from 0): that call runs with the module's ``inner_name``
-    replaced by ``inner(real, *args)``.  Every table's bound is set to 0, so
+    replaced by ``inner(real, *args)``.  The tables' bound is set to 0, so
     no result is kept and the round trips call their row function once per
     row, in order, whether the row is new or not (the algebra round trip
     through the validation it runs first): a fault set by call number lands
     on its row even when rows repeat, and the faulty result is not kept.
-    The memos are emptied, so that their next entries are built with the
-    patched function and bounds."""
+    The memos are emptied, so that their next entries, and the tables of
+    the orders met from now on, are built with the patched function and
+    bound."""
     fn, real = getattr(algebra, name), getattr(algebra, inner_name)
     calls = itertools.count()
 
@@ -766,8 +784,7 @@ def _at_call(patch, name, call, inner_name, inner):
             swap.setattr(algebra, inner_name, inner(real, *args))
             return fn(*args)
 
-    for module, _, bound in ROW_TABLES:
-        patch.setattr(module, bound, 0)
+    patch.setattr(order, "LAZY_ENTRIES", 0)
     patch.setattr(algebra, name, faulty)
     clear_memos()
 
@@ -836,10 +853,12 @@ class TestFrameRoundtrip:
     def test_a_flipped_dual_edge_is_reported_at_its_worlds(self, fresh_facts):
         # world 1 below world 0, so eta lists the prime filters in reverse;
         # the dual rows come per world, one relation check per upset in label
-        # order, and every upset carries the same relation
-        f = constant_full_frame(preorder(2, [(1, 0)]), (0b01, 0b11))
-        labels = f.order.upsets
-        for i, x, y in itertools.product(range(len(labels)), range(f.n), range(f.n)):
+        # order, and every upset carries the same relation.  Each fault is
+        # checked on a frame whose order starts with no tables.
+        up = preorder(2, [(1, 0)]).up
+        labels = FinitePreorder(2, up).upsets
+        for i, x, y in itertools.product(range(len(labels)), range(2), range(2)):
+            f = constant_full_frame(FinitePreorder(2, up), (0b01, 0b11))
 
             def flip(dual_rows, order, rows, x=x, y=y):
                 def flipped(*args):
@@ -863,18 +882,22 @@ class TestFrameRoundtrip:
     ])
     def test_a_wrong_eta_is_memoised_with_the_order_and_reported(
             self, monkeypatch, chain2, wrong, failure):
-        real = algebra._eta
-        monkeypatch.setattr(algebra, "_eta", lambda ups, n: wrong(real(ups, n)))
-        algebra._frame_order.cache_clear()
-        try:
-            for _ in range(2):  # computed once, then read from the memo
-                assert frame_roundtrip(constant_full_frame(chain2, tuple(chain2.up))).failures \
-                    == [failure]
-            # the frame's own checks still come first
-            with pytest.raises(DualityError, match="strong coherence"):
-                frame_roundtrip(full_frame(chain2, {m(0, 1): (m(0), 0)}))
-        finally:
-            algebra._frame_order.cache_clear()
+        # an order built outside the intern, so the wrong eta is kept in its
+        # tables alone
+        p = FinitePreorder(2, chain2.up)
+        real, calls = algebra._eta, []
+
+        def wrong_eta(ups, n):
+            calls.append(ups)
+            return wrong(real(ups, n))
+
+        monkeypatch.setattr(algebra, "_eta", wrong_eta)
+        for _ in range(2):  # computed once, then read from the order's table
+            assert frame_roundtrip(constant_full_frame(p, tuple(p.up))).failures == [failure]
+        assert len(calls) == 1
+        # the frame's own checks still come first
+        with pytest.raises(DualityError, match="strong coherence"):
+            frame_roundtrip(full_frame(p, {m(0, 1): (m(0), 0)}))
 
     def test_theta_by_world_is_the_upset_list(self):
         # the round trip reads the upsets as theta; the translation through
@@ -897,15 +920,14 @@ class TestFrameRoundtrip:
 
     def test_a_frame_that_is_not_full_is_refused_before_the_cap(self):
         # both frames are strongly coherent on the 5-world antichain; the
-        # order's memo must not let the cap error overtake the fullness check,
-        # nor the refusal change the cap error, in either order
-        anti5 = preorder(5)
+        # order's tables must not let the cap error overtake the fullness
+        # check, nor the refusal change the cap error, in either order
+        anti5 = FinitePreorder(5, preorder(5).up)  # with no tables yet
         partial = general_frame(anti5, (0, anti5.full_mask),
                                 {0: (0,) * 5, anti5.full_mask: (0,) * 5})
         refused = ("refusing invalid frame: [not-full] frame does not carry a relation "
                    "for every upset")
         capped = "prime filter scan is capped at carrier size 20, got 32"
-        algebra._frame_order.cache_clear()
         for _ in range(2):
             with pytest.raises(DualityError) as exc:
                 frame_roundtrip(partial)
@@ -1394,6 +1416,22 @@ class TestUnclosedFamilies:
         with pytest.raises(FrameFormatError) as exc:
             complex_algebra(g)
         assert str(exc.value) == "admissible family is not closed under cond: {}, {} give {1}"
+
+    @pytest.mark.parametrize("bad_first, error, message", [
+        (False, NotAdmissibleError, "no relation for upset {0,1}"),
+        (True, FrameFormatError, "admissible family is not closed under cond: {}, {} give {1}"),
+    ])
+    def test_a_missing_relation_is_named_unless_an_earlier_row_leaves_the_family(
+            self, anti2, bad_first, error, message):
+        # the cond table reads the frame's relations directly; the first
+        # upset, in family order, that has no relation or whose row leaves
+        # the family decides the error
+        relations = {0: (m(0), 0) if bad_first else (0, 0)}
+        g = _unchecked_frame(GeneralFrame, anti2, (0, m(0, 1)), relations)
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                complex_algebra(g)
+            assert str(exc.value) == message
 
     @pytest.mark.parametrize("admissible, what", [
         ((), "the full world set"),

@@ -16,7 +16,6 @@ from condlogic.frames import (
     FrameReport,
     GeneralFrame,
     ModalFrame,
-    _coherent_rows,
     compose_rel_up,
     compose_up_rel,
     frame_from_json,
@@ -188,22 +187,6 @@ class TestCoherence:
                              {0: [0, 0], m(1): [m(1), m(1)], m(0, 1): rows})
             assert all(check_strong_coherence(g).values()) is holds
             assert strongly_coherent(g) is holds
-
-    def test_coherence_memo_agrees_on_every_relation_of_at_most_three_worlds(self):
-        # orders of one world count in turn for each rows tuple, twice, so
-        # that a repeat is answered from the memo while other orders hold
-        # the same rows there
-        checked = Counter()
-        _coherent_rows.cache_clear()
-        for n in (1, 2, 3):
-            orders = enumerate_preorders(n)
-            for rows in itertools.product(range(1 << n), repeat=n):
-                for p in orders + orders:
-                    got = _coherent_rows(p.up, rows)
-                    assert got == rel_coherent(p, rows), (p, rows)
-                    checked[got] += 1
-        assert checked[True] and checked[False]
-        assert _coherent_rows.cache_info().hits == sum(checked.values()) // 2
 
     def test_reports_as_with_a_check_per_relation(self, monkeypatch):
         # seeded frames with random rows, most of them incoherent somewhere;
